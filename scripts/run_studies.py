@@ -61,8 +61,8 @@ def summarize(out_dir):
         bits.append(f"min moment-bound slack {slack:.4g}")
     if "sup_config_gap" in extra:
         bits.append(f"config gap {extra['sup_config_gap']:.2e}")
-        bits.append(f"perturbation rate {extra['envelope_rate']:.3g} "
-                    f"(cap {extra['rate_cap']:.3g})")
+        bits.append(f"perturbation rate net of jump budget {extra['envelope_rate']:.3g} "
+                    f"(headroom {extra['rate_cap']:.0e})")
     if "final_norm_l2" in extra:
         bits.append(f"final |X|_2 = {extra['final_norm_l2']:.6g}")
     return "; ".join(bits)

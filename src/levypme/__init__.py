@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .cascade import (
     StudyPlan,
-    apriori_bound_check,
     apriori_study,
     eps_cauchy_study,
     lambda_cauchy_study,
@@ -38,7 +37,6 @@ from .operators import (
     Field,
     OperatorSpectrum,
     build_fractional_laplacian_torus,
-    load_spectrum,
     parse_spectrum,
     random_field,
     smooth_field,
@@ -61,7 +59,6 @@ from .variational import EstimateConstants, check_variational_conditions
 __all__ = [
     "__version__",
     "StudyPlan",
-    "apriori_bound_check",
     "apriori_study",
     "eps_cauchy_study",
     "lambda_cauchy_study",
@@ -80,7 +77,6 @@ __all__ = [
     "Field",
     "OperatorSpectrum",
     "build_fractional_laplacian_torus",
-    "load_spectrum",
     "parse_spectrum",
     "random_field",
     "smooth_field",

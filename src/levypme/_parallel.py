@@ -1,8 +1,9 @@
-"""Path-level worker pool.
+"""Chunk-level worker pool.
 
-The worker count comes from the LEVYPME_WORKERS environment variable
-(default 1 = run in-process).  Results are always returned in submission
-order, so the output of a study never depends on the worker count.
+The studies map over fixed chunks of paths.  The worker count comes from the
+LEVYPME_WORKERS environment variable (default 1 = run in-process).  Results
+are always returned in submission order, so the output of a study never
+depends on the worker count.
 """
 from __future__ import annotations
 

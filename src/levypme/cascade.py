@@ -18,11 +18,14 @@ parameters:
 * :func:`uniqueness_check` reruns one path under a different inner-solver
   configuration (splitting constant + initializer) and asserts the limit is
   configuration-independent up to the inner residual budget; a perturbed
-  initial condition must relax at a rate no faster than the jump coefficients
-  allow.
+  initial condition must never have grown by more than the jump budget
+  accrued up to each time.
 
-All studies are deterministic for a fixed master seed and independent of the
-worker count used by :mod:`levypme._parallel`.
+The Monte Carlo studies run their paths in fixed chunks of
+``CHUNK_ROWS // len(cells)`` paths; all (path, cell) rows of a chunk advance
+in lockstep through :func:`levypme.stepper.march`.  All studies are
+deterministic for a fixed master seed and independent of the worker count
+used by :mod:`levypme._parallel`, which maps over chunks.
 """
 
 from __future__ import annotations
@@ -46,10 +49,13 @@ from .reporting import (
 )
 from .spaces import F12, F12_star, L2, NormKind, norm, squared_norm_rows
 from .stepper import (
+    SolverCounters,
     StepConfig,
     Trajectory,
     effective_splitting_mu,
+    march,
     solve_regularized_path,
+    time_grid,
 )
 from .variational import EstimateConstants
 
@@ -58,7 +64,6 @@ __all__ = [
     "AprioriCell",
     "lambda_cauchy_study",
     "eps_cauchy_study",
-    "apriori_bound_check",
     "apriori_study",
     "uniqueness_check",
     "CAUCHY_SLOPE_FLOOR",
@@ -74,6 +79,8 @@ __all__ = [
 CAUCHY_SLOPE_FLOOR = 0.7
 SHAPE_ENVELOPE_MARGIN = 1.25
 UNIQUENESS_TOLERANCE_FACTOR = 10.0
+# Float headroom on the perturbation's log-scale growth rate.
+PERTURBATION_RATE_HEADROOM = 1e-6
 # Davis' constant in the p=1 maximal inequality for martingales; feeds the
 # derived sup-moment constant.
 DAVIS_CONSTANT = 3.0
@@ -136,60 +143,95 @@ class StudyPlan:
 
 
 # --------------------------------------------------------------------------
-# per-path worker (module level so ProcessPoolExecutor can pickle it)
+# chunk worker (module level so ProcessPoolExecutor can pickle it)
+
+# Rows (path x ladder cell) one chunk advances in lockstep.  Batched gemms on
+# a 65-mode basis stay fast up to about 64 rows with default BLAS threading;
+# past that, multithreaded gemm dominates the step.
+CHUNK_ROWS = 64
+
+
+def _chunk_paths(cells) -> int:
+    return max(1, CHUNK_ROWS // len(cells))
 
 
 def _simulate_cells(payload):
-    """Simulate one noise path under every (epsilon, lam) cell of a study.
+    """Simulate a chunk of noise paths under every (epsilon, lam) cell.
 
-    Returns plain floats/arrays only; the parent process aggregates.
+    The rows of the chunk (paths x cells) advance in lockstep; norms are
+    reduced on the fly and no trajectory is stored.  Returns plain arrays
+    indexed [path, cell] (pairs: [path, pair]) plus the solver counters; the
+    parent process aggregates.
     """
-    plan, cells, path_index, want_running = payload
-    seed = path_seed(plan.master_seed, path_index)
-    noise_path = sample_noise_path(plan.noise, plan.horizon, seed)
+    plan, cells, path_indices, want_running = payload
+    op = plan.op
+    configs = [plan.step_config(epsilon, lam) for epsilon, lam in cells]
+    paths = [
+        sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
+        for i in path_indices
+    ]
+    grids = [time_grid(plan.step_size, plan.horizon, path) for path in paths]
+    n_paths, n_cells = len(paths), len(cells)
+    n_max = max(grid.size for grid, _ in grids)
+    # Squared norms per [path, cell or pair, grid row], right value and left limit.
+    l2 = np.zeros((2, n_paths, n_cells, n_max))
+    f12 = np.zeros((2, n_paths, n_cells, n_max))
+    pair = np.zeros((2, n_paths, n_cells - 1, n_max))
+    # Differences are measured in the dual-type norm of the *larger* epsilon:
+    # for the lambda ladder the two epsilons agree, for the epsilon ladder the
+    # larger-epsilon norm is the weaker one, which is the one the continuity
+    # estimate controls.
+    pair_kinds = [F12_star(max(a[0], b[0])) for a, b in zip(cells, cells[1:])]
 
-    trajectories: list[Trajectory] = []
-    for epsilon, lam in cells:
-        config = plan.step_config(epsilon, lam)
-        trajectories.append(
-            solve_regularized_path(
-                plan.op, plan.psi, plan.noise, noise_path, config, plan.horizon,
-                plan.initial,
-            )
+    def squared_norms(rows):
+        by_path = rows.reshape(-1, n_cells, op.mode_count)
+        return (
+            squared_norm_rows(op, rows, L2).reshape(-1, n_cells),
+            squared_norm_rows(op, rows, F12).reshape(-1, n_cells),
+            np.stack([
+                squared_norm_rows(op, by_path[:, c] - by_path[:, c + 1], kind)
+                for c, kind in enumerate(pair_kinds)
+            ], axis=1) if pair_kinds else 0.0,
         )
 
-    times = trajectories[0].times
-    for traj in trajectories[1:]:
-        # Same step size and same jump times => identical grids; anything else
-        # would silently break the row-wise coupling below.
-        if traj.times.shape != times.shape or not np.array_equal(traj.times, times):
-            raise RuntimeError("coupled trajectories landed on different grids")
+    counters = SolverCounters()
+    for i, active, left, right in march(
+        op, plan.psi, plan.noise, paths, [grid for grid, _ in grids], configs,
+        plan.horizon, plan.initial.coefficients, counters,
+    ):
+        at_right = squared_norms(right)
+        at_left = at_right if left is right else squared_norms(left)
+        for side, values in enumerate((at_right, at_left)):
+            l2[side, active, :, i], f12[side, active, :, i], pair[side, active, :, i] = values
 
     out = {
-        "sup_l2_sq": [traj.sup_norm(L2) ** 2 for traj in trajectories],
-        "integral_f12": [traj.integral_squared_norm(F12) for traj in trajectories],
-        "pair_sup_fstar_sq": [],
-        "jump_count": float(noise_path.times.size),
+        "sup_l2_sq": np.empty((n_paths, n_cells)),
+        "integral_f12": np.empty((n_paths, n_cells)),
+        "pair_sup_fstar_sq": np.empty((n_paths, n_cells - 1)),
+        "counters": counters,
     }
-    for (cell_a, traj_a), (cell_b, traj_b) in zip(
-        zip(cells, trajectories), zip(cells[1:], trajectories[1:])
-    ):
-        # Difference measured in the dual-type norm of the *larger* epsilon:
-        # for the lambda ladder the two epsilons agree, for the epsilon ladder
-        # the larger-epsilon norm is the weaker one, which is the one the
-        # continuity estimate controls.
-        kind = F12_star(max(cell_a[0], cell_b[0]))
-        sq = np.maximum(
-            _rows_squared(kind, plan.op, traj_a.states - traj_b.states),
-            _rows_squared(kind, plan.op, traj_a.left_states - traj_b.left_states),
-        )
-        out["pair_sup_fstar_sq"].append(float(sq.max()))
     if want_running:
-        out["base_times"] = times[trajectories[0].base_mask]
-        out["running_sup_l2"] = [t.running_sup_squared(L2) for t in trajectories]
-        out["running_integral_f12"] = [
-            t.running_integral_squared(F12) for t in trajectories
-        ]
+        times, base_mask = grids[0]
+        base_times = out["base_times"] = times[base_mask]
+        out["running_sup_l2"] = np.empty((n_paths, n_cells, base_times.size))
+        out["running_integral_f12"] = np.empty((n_paths, n_cells, base_times.size))
+    for p, (times, base_mask) in enumerate(grids):
+        n = times.size
+        both = np.maximum(l2[0, p, :, :n], l2[1, p, :, :n])
+        out["sup_l2_sq"][p] = both.max(axis=1)
+        # Trapezoid along the cadlag skeleton: each segment uses the right
+        # value at its start and the left limit at its end.
+        seg = 0.5 * np.diff(times) * (f12[0, p, :, : n - 1] + f12[1, p, :, 1:n])
+        out["integral_f12"][p] = seg.sum(axis=1)
+        out["pair_sup_fstar_sq"][p] = np.maximum(
+            pair[0, p, :, :n], pair[1, p, :, :n]
+        ).max(axis=1)
+        if want_running:
+            out["running_sup_l2"][p] = np.maximum.accumulate(both, axis=1)[:, base_mask]
+            running = np.concatenate(
+                [np.zeros((n_cells, 1)), np.cumsum(seg, axis=1)], axis=1
+            )
+            out["running_integral_f12"][p] = running[:, base_mask]
     return out
 
 
@@ -198,8 +240,29 @@ def _rows_squared(kind: NormKind, op: OperatorSpectrum, rows: np.ndarray) -> np.
 
 
 def _run_cells(plan: StudyPlan, cells, want_running=False):
-    payloads = [(plan, tuple(cells), i, want_running) for i in range(plan.paths)]
-    return map_ordered(_simulate_cells, payloads)
+    """Simulate every path under every cell, chunk by chunk.
+
+    Chunks hold ``CHUNK_ROWS // len(cells)`` paths, so the layout depends only
+    on the scenario and the results not on the worker count.  Returns the
+    chunk arrays concatenated along the path axis, and the merged counters.
+    """
+    per_chunk = _chunk_paths(cells)
+    payloads = [
+        (plan, tuple(cells), range(start, min(start + per_chunk, plan.paths)), want_running)
+        for start in range(0, plan.paths, per_chunk)
+    ]
+    chunks = map_ordered(_simulate_cells, payloads)
+    merged = {}
+    for key, value in chunks[0].items():
+        if key == "counters":
+            merged[key] = SolverCounters()
+            for chunk in chunks:
+                merged[key].merge(chunk[key])
+        elif key == "base_times":
+            merged[key] = value
+        else:
+            merged[key] = np.concatenate([chunk[key] for chunk in chunks])
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +370,8 @@ def _cauchy_study(
     fixed: dict,
 ) -> StudyReport:
     results = _run_cells(plan, cells)
-    pair_matrix = np.array([r["pair_sup_fstar_sq"] for r in results])  # paths x pairs
-    sup_matrix = np.array([r["sup_l2_sq"] for r in results])  # paths x cells
+    pair_matrix = results["pair_sup_fstar_sq"]  # paths x pairs
+    sup_matrix = results["sup_l2_sq"]  # paths x cells
 
     pairs: list[PairEstimate] = []
     means: list[float] = []
@@ -403,7 +466,7 @@ def _cauchy_study(
         slope=fit,
         constants_used=_constants_used(plan, fixed.get("epsilon", cells[0][0]), cells[0][1]),
         checks=checks,
-        extra={"envelope_constant": envelope_c},
+        extra={"envelope_constant": envelope_c, "solver": results["counters"].summary()},
         tables=tables,
     )
 
@@ -501,14 +564,6 @@ def _cell_from_samples(plan, epsilon, lam, sup_sq, integrals) -> AprioriCell:
     )
 
 
-def apriori_bound_check(plan: StudyPlan, epsilon: float, lam: float) -> AprioriCell:
-    """Single-cell moment estimate vs the derived exponential bound."""
-    results = _run_cells(plan, [(epsilon, lam)])
-    sup_sq = [r["sup_l2_sq"][0] for r in results]
-    integrals = [r["integral_f12"][0] for r in results]
-    return _cell_from_samples(plan, epsilon, lam, sup_sq, integrals)
-
-
 def _fit_exponential_shape(plan, times, curve):
     """Fit exp(c1 t) (2 |x|^2 + c2) to a running moment curve.
 
@@ -547,8 +602,8 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
     cell_objects: list[AprioriCell] = []
     lhs_samples_per_cell = []
     for j, (eps_j, lam_j) in enumerate(cells):
-        sup_sq = [r["sup_l2_sq"][j] for r in results]
-        integrals = [r["integral_f12"][j] for r in results]
+        sup_sq = results["sup_l2_sq"][:, j]
+        integrals = results["integral_f12"][:, j]
         cell = _cell_from_samples(plan, eps_j, lam_j, sup_sq, integrals)
         cell_objects.append(cell)
         weight = _integral_weight(eps_j, lam_j)
@@ -600,13 +655,13 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
     )
 
     # Shape fit on the running functional m(t) = E[sup_{s<=t}] + w E[int_0^t].
-    base_times = results[0]["base_times"]
+    base_times = results["base_times"]
     shape_rows = []
     shape_fits = []
     for j, (eps_j, lam_j) in enumerate(cells):
         weight = _integral_weight(eps_j, lam_j)
-        sup_curves = np.array([r["running_sup_l2"][j] for r in results])
-        int_curves = np.array([r["running_integral_f12"][j] for r in results])
+        sup_curves = np.ascontiguousarray(results["running_sup_l2"][:, j])
+        int_curves = np.ascontiguousarray(results["running_integral_f12"][:, j])
         mean_curve = sup_curves.mean(axis=0) + weight * int_curves.mean(axis=0)
         c1, c2, ratio = _fit_exponential_shape(plan, base_times, mean_curve)
         shape_rows.append((lam_j, c1, c2, ratio))
@@ -658,6 +713,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
         constants_used=_constants_used(plan, epsilon, plan.lambda_ladder[-1]),
         checks=checks,
         extra={
+            "solver": results["counters"].summary(),
             "shape_fits": shape_fits,
             "cells": [
                 {"lam": c.lam, "lhs": c.lhs, "bound": c.bound, "slack": c.slack}
@@ -672,11 +728,42 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
 # uniqueness / stability of the implicit limit
 
 
+def _jump_budget(noise: NoiseModel, path, times: np.ndarray) -> np.ndarray:
+    """Log growth of a coupled perturbation gap the noise allows up to each t.
+
+    A multiplicative jump scales the gap by |1 + sigma_j| <= 1 + |sigma_j|,
+    and the compensator by 1 - dt sum_j nu_j sigma_j per step, which grows
+    it only when that sum is negative; the drift itself contracts.  So by
+    time t the budget is sum_{tau_j <= t} log1p(|sigma_j|) plus
+    t max(0, -sum_j nu_j sigma_j).  Additive and zero noise cancel exactly in
+    the coupled difference: budget 0.
+    """
+    coefficient = noise.coefficient
+    if not isinstance(coefficient, MultiplicativeCoefficient):
+        return np.zeros_like(times)
+    sigmas = np.asarray(coefficient.sigmas, dtype=float)
+    accrued = np.concatenate(
+        [[0.0], np.cumsum(np.log1p(np.abs(sigmas[path.mark_indices])))]
+    )
+    drift = max(0.0, -float(np.sum(noise.intensities * sigmas)))
+    return accrued[np.searchsorted(path.times, times, side="right")] + drift * times
+
+
+def _excess_growth_rate(times, gap, gap0, budget) -> float:
+    """max over t > 0 of (log(gap(t) / gap0) - budget(t)) / t; -inf if no gap."""
+    positive = (gap > 0) & (times > 0)
+    if not np.any(positive):
+        return float("-inf")
+    excess = np.log(gap[positive]) - math.log(gap0) - budget[positive]
+    return float((excess / times[positive]).max())
+
+
 def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
     """Two solver configurations, one path: the scheme's limit is unique.
 
-    Also perturbs the initial condition and checks the coupled distance decays
-    (or at worst grows no faster than the jump coefficients allow).
+    Also perturbs the initial condition and checks that the coupled distance
+    decays, or at worst never grows by more than the jump budget accrued up to
+    each time (:func:`_jump_budget`).
     """
     lam = plan.lambda_ladder[-1]
     seed = path_seed(plan.master_seed, 0)
@@ -722,36 +809,24 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
     coeffs[bump_index] += delta_scale
     perturbed = plan.op.field_from_coefficients(coeffs)
     traj_p = run(config_a, perturbed)
+    counters = SolverCounters()
+    for traj in (traj_a, traj_b, traj_p):
+        counters.merge(traj.counters)
 
     d0 = delta_scale / math.sqrt(epsilon + plan.op.eigenvalues[bump_index])
     gap_sq = _rows_squared(kind, plan.op, traj_a.states - traj_p.states)
     times = traj_a.times
-    positive = (gap_sq > 0) & (times > 0)
-    if np.any(positive):
-        rates = (0.5 * np.log(gap_sq[positive]) - math.log(d0)) / times[positive]
-        envelope_rate = float(rates.max())
-    else:
-        envelope_rate = float("-inf")
-
-    coefficient = plan.noise.coefficient
-    if isinstance(coefficient, MultiplicativeCoefficient):
-        lip = coefficient.transform_lipschitz
-        cap = sum(
-            math.log1p(abs(float(coefficient.sigmas[int(j)])) * lip)
-            for j in noise_path.mark_indices
-        ) / plan.horizon
-    else:
-        # Additive and zero noise cancel exactly in the coupled difference.
-        cap = 0.0
-    cap += 1e-6  # float headroom on a log-scale rate
-
+    budget = _jump_budget(plan.noise, noise_path, times)
+    envelope_rate = _excess_growth_rate(times, np.sqrt(gap_sq), d0, budget)
+    cap = PERTURBATION_RATE_HEADROOM
     checks.append(
         PropertyCheck(
             name="perturbation_contracts",
             passed=bool(envelope_rate <= cap),
             detail=(
-                f"envelope growth rate {envelope_rate:.4g} <= jump cap {cap:.4g} "
-                f"(initial gap {d0:.3e})"
+                f"growth rate net of the accrued jump budget {envelope_rate:.4g} "
+                f"<= headroom {cap:.0e}; whole-path jump cap "
+                f"{budget[-1] / plan.horizon:.4g} per unit time (initial gap {d0:.3e})"
             ),
         )
     )
@@ -786,6 +861,8 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
             "sup_config_gap": sup_diff,
             "envelope_rate": envelope_rate,
             "rate_cap": cap,
+            "jump_budget": float(budget[-1]),
+            "solver": counters.summary(),
         },
         tables=tables,
     )

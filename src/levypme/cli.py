@@ -171,6 +171,7 @@ def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
             "final_norm_l2": norm(plan.op, final, L2),
             "final_norm_fstar": norm(plan.op, final, F_STAR),
             "sup_norm_l2": traj.sup_norm(L2),
+            "solver": traj.counters.summary(),
         },
         tables=[
             Table(

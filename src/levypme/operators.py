@@ -1,17 +1,18 @@
 """Diagonal spectral calculus for a nonpositive operator L and its transforms.
 
 Everything downstream works with a finite family of eigenpairs of -L, held in an
-:class:`OperatorSpectrum`.  States are :class:`Field` objects carrying both the
-spectral coefficients and the physical nodal values, tied together by a basis
-that is orthonormal under the quadrature weights standing in for the reference
-measure.
+:class:`OperatorSpectrum`.  Its basis, orthonormal under the quadrature weights
+standing in for the reference measure, maps spectral coefficients to physical
+nodal values and back, for one vector or a ``(rows, modes)`` stack at once;
+the stepper and the audits work on such plain coefficient rows.
+:class:`Field` objects carry both representations of one state at the API
+boundary (initial conditions, additive noise fields, single steps).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_genlaguerre
@@ -26,7 +27,6 @@ __all__ = [
     "build_fractional_laplacian_torus",
     "gamma_transform_quadrature",
     "generator",
-    "load_spectrum",
     "parse_spectrum",
     "random_field",
     "resolvent_power",
@@ -128,10 +128,12 @@ class OperatorSpectrum:
     # -- representation changes ------------------------------------------------
 
     def to_physical(self, coefficients: np.ndarray) -> np.ndarray:
-        return self.basis @ np.asarray(coefficients, dtype=float)
+        """Nodal values of one coefficient vector or of each row of a stack."""
+        return np.asarray(coefficients, dtype=float) @ self.basis.T
 
     def to_spectral(self, physical_values: np.ndarray) -> np.ndarray:
-        return self.basis.T @ (self.weights * np.asarray(physical_values, dtype=float))
+        """Coefficients of one nodal vector or of each row of a stack."""
+        return (self.weights * np.asarray(physical_values, dtype=float)) @ self.basis
 
     def field_from_coefficients(self, coefficients) -> Field:
         c = np.asarray(coefficients, dtype=float)
@@ -141,22 +143,8 @@ class OperatorSpectrum:
             )
         return Field(c, self.to_physical(c), self.weights)
 
-    def field_from_physical(self, physical_values) -> Field:
-        v = np.asarray(physical_values, dtype=float)
-        if v.shape != self.weights.shape:
-            raise ValueError(
-                f"expected {self.weights.size} nodal values, got shape {v.shape}"
-            )
-        c = self.to_spectral(v)
-        return Field(c, self.to_physical(c), self.weights)
-
     def zero_field(self) -> Field:
         return self.field_from_coefficients(np.zeros(self.mode_count))
-
-    def unit_mode(self, index: int) -> Field:
-        c = np.zeros(self.mode_count)
-        c[index] = 1.0
-        return self.field_from_coefficients(c)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -255,10 +243,6 @@ def parse_spectrum(text: str) -> OperatorSpectrum:
     if not labels:
         raise SpectrumFormatError("spectrum table contains no eigenpairs")
     return spectrum_from_eigenvalues(np.array(eigenvalues), tuple(labels))
-
-
-def load_spectrum(path) -> OperatorSpectrum:
-    return parse_spectrum(Path(path).read_text())
 
 
 # -- operator functional calculus -------------------------------------------------

@@ -107,15 +107,11 @@ class StudyReport:
     checks: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add_check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(PropertyCheck(name, bool(passed), detail))
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
@@ -130,7 +126,6 @@ class StudyReport:
             "constants_used": _jsonable(self.constants_used),
             "checks": _jsonable(self.checks),
             "extra": _jsonable(self.extra),
-            "provenance": _jsonable(self.provenance),
             "passed": self.passed,
         }
 

@@ -93,7 +93,6 @@ class Scenario:
     psi_param: float | None = None
     noise_intensity: tuple[float, ...] = ()
     noise_scale: tuple[float, ...] = ()
-    transform_lipschitz: float = 1.0
     initial_amplitude: float = 1.0
     initial_seed: int = 7
     inner_tolerance: float = 1e-10
@@ -183,10 +182,6 @@ _PARSERS = {
     ),
     "noise_scale": lambda r, ln: _parse_float_list(
         "noise_scale", r, ln, low=None
-    ),
-    "transform_lipschitz": lambda r, ln: _parse_float(
-        "transform_lipschitz", r, ln, low=0.0, high=1.0, high_open=False,
-        range_text="(0, 1]",
     ),
     "initial": lambda r, ln: _parse_choice("initial", r, ln, INITIAL_KINDS),
     "initial_amplitude": lambda r, ln: _parse_float(
@@ -287,8 +282,6 @@ def _validate_cross(sc: Scenario, lines: dict) -> None:
         for key in ("noise_intensity", "noise_scale"):
             if getattr(sc, key):
                 err("not used when noise = zero", key)
-        if "transform_lipschitz" in lines:
-            err("not used when noise = zero", "transform_lipschitz")
     else:
         if not sc.noise_intensity:
             err(f"noise = {sc.noise} requires noise_intensity", "noise_intensity")
@@ -300,8 +293,6 @@ def _validate_cross(sc: Scenario, lines: dict) -> None:
                 f"{len(sc.noise_scale)} scales)",
                 "noise_scale",
             )
-        if sc.noise == "additive" and "transform_lipschitz" in lines:
-            err("only used when noise = multiplicative", "transform_lipschitz")
 
     if sc.initial == "smooth" and "initial_seed" in lines:
         err("only used when initial = random", "initial_seed")
@@ -327,9 +318,7 @@ def serialize_scenario(sc: Scenario) -> str:
     if sc.psi_param is None:
         skip.add("psi_param")
     if sc.noise == "zero":
-        skip.update({"noise_intensity", "noise_scale", "transform_lipschitz"})
-    elif sc.noise == "additive":
-        skip.add("transform_lipschitz")
+        skip.update({"noise_intensity", "noise_scale"})
     if sc.initial == "smooth":
         skip.add("initial_seed")
     out = []
@@ -370,10 +359,7 @@ def build_noise(sc: Scenario, op: OperatorSpectrum) -> NoiseModel:
         )
         coefficient = AdditiveCoefficient(fields=noise_fields)
     else:
-        coefficient = MultiplicativeCoefficient(
-            sigmas=tuple(sc.noise_scale),
-            transform_lipschitz=sc.transform_lipschitz,
-        )
+        coefficient = MultiplicativeCoefficient(sigmas=tuple(sc.noise_scale))
     return NoiseModel(marks=marks, intensities=sc.noise_intensity, coefficient=coefficient)
 
 

@@ -5,10 +5,16 @@ splitting: the linear shift mu_s u is kept implicit (diagonal resolvent), the
 remainder psi(u) + lambda u - mu_s u is frozen at the previous iterate.  The
 iteration is damped by bisection whenever the measured residual fails to
 drop, and the residual itself is always taken in the eps-scaled dual norm.
+
+States are plain coefficient arrays.  One kernel solves a whole
+``(rows, modes)`` batch of steps at once, each row with its own dt, cell
+parameters, damping and certificate; :func:`march` advances many
+(path, config) rows in lockstep with it, and :func:`implicit_step` and
+:func:`solve_regularized_path` are its one-row and one-path calls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -19,13 +25,17 @@ from .operators import Field, OperatorSpectrum
 from .spaces import F_STAR, L2, squared_norm_rows
 
 __all__ = [
+    "SolverCounters",
     "StepConfig",
     "StepperConvergenceError",
     "Trajectory",
     "effective_splitting_mu",
     "implicit_step",
+    "implicit_steps",
     "iteration_contraction_factor",
+    "march",
     "solve_regularized_path",
+    "time_grid",
 ]
 
 _INNER_INITIALIZERS = ("rhs", "zero")
@@ -104,6 +114,207 @@ def iteration_contraction_factor(
     return d_max / (1.0 + mu_s * d_max) * remainder
 
 
+@dataclass(frozen=True)
+class _RowParams:
+    """Per-row constants of the inner iteration, one row per (path, cell)."""
+
+    eps_plus_mu: np.ndarray  # (rows, modes): eps + mu_k
+    dual_weight: np.ndarray  # (rows, modes): 1 / (eps + mu_k)
+    lam: np.ndarray  # (rows, 1)
+    mu_s: np.ndarray  # (rows, 1)
+    tolerance: np.ndarray  # (rows,)
+    zero_start: np.ndarray  # (rows,) bool: "zero" initializer
+    max_iterations: int
+
+    @classmethod
+    def from_configs(cls, op, psi, configs, repeat: int = 1) -> "_RowParams":
+        """Rows cycle through ``configs``, ``repeat`` times (path-major)."""
+        if len({cfg.max_inner_iterations for cfg in configs}) != 1:
+            raise ValueError("batched rows must share max_inner_iterations")
+        epm = np.stack([cfg.epsilon + op.eigenvalues for cfg in configs])
+
+        def rows(values):
+            return np.tile(np.asarray(values), (repeat,) + (1,) * (np.ndim(values) - 1))
+
+        return cls(
+            eps_plus_mu=rows(epm),
+            dual_weight=rows(1.0 / epm),
+            lam=rows([[cfg.lam] for cfg in configs]),
+            mu_s=rows([[effective_splitting_mu(cfg, psi)] for cfg in configs]),
+            tolerance=rows([cfg.inner_tolerance for cfg in configs]),
+            zero_start=rows([cfg.inner_initializer == "zero" for cfg in configs]),
+            max_iterations=configs[0].max_inner_iterations,
+        )
+
+    def take(self, index: np.ndarray) -> "_RowParams":
+        return _RowParams(
+            self.eps_plus_mu[index], self.dual_weight[index], self.lam[index],
+            self.mu_s[index], self.tolerance[index], self.zero_start[index],
+            self.max_iterations,
+        )
+
+
+@dataclass
+class SolverCounters:
+    """Deterministic counters of the inner iteration over many implicit steps.
+
+    ``iterations`` holds one array of per-step inner-iteration counts per
+    batch; a budget miss is a step accepted above its per-substep residual
+    budget but within ``inner_tolerance``.
+    """
+
+    iterations: list = field(default_factory=list)
+    damping_halvings: int = 0
+    budget_misses: int = 0
+
+    def merge(self, other: "SolverCounters") -> None:
+        self.iterations.extend(other.iterations)
+        self.damping_halvings += other.damping_halvings
+        self.budget_misses += other.budget_misses
+
+    def summary(self) -> dict:
+        counts = np.concatenate(self.iterations) if self.iterations else np.zeros(0, int)
+        steps = int(counts.size)
+        return {
+            "implicit_steps": steps,
+            "inner_iterations_mean": float(counts.mean()) if steps else 0.0,
+            "inner_iterations_p99": float(np.percentile(counts, 99)) if steps else 0.0,
+            "inner_iterations_max": int(counts.max()) if steps else 0,
+            "damping_halvings": int(self.damping_halvings),
+            "residual_budget_misses": int(self.budget_misses),
+        }
+
+
+def _drift(op, psi, u, lam):
+    phys = op.to_physical(u)
+    return op.to_spectral(psi.evaluate(phys) + lam * phys)
+
+
+def _residual(u, w, d, b, dual_weight):
+    r = u + d * w - b
+    return np.sqrt((dual_weight * r * r).sum(axis=1))
+
+
+def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
+    """The inner solver: every row r solves u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r.
+
+    Resolvent splitting per row: the shift mu_s u is implicit, the remainder
+    frozen at the previous iterate, the update damped by bisection whenever
+    the recomputed residual (in the row's F12_star(eps_r) norm) fails to drop.
+    Each row keeps its own damping, stall count and certificate; only
+    decreasing residuals are accepted, so the current iterate is always the
+    best one.  A row stops when its residual meets its target, when damping
+    underflows, or on the floating-point floor (8 stalled iterations with the
+    residual within inner_tolerance), and then leaves the active set, so the
+    remaining rows run on a compacted array.  Rows with dt = 0 return b
+    after 0 iterations.
+
+    Returns the solutions and the per-row iteration counts; raises
+    StepperConvergenceError for the first row whose residual ends above both
+    its target and its tolerance.
+    """
+    n = b.shape[0]
+    out = b.copy()
+    iterations = np.zeros(n, dtype=int)
+    final_res = np.zeros(n)
+    rows = np.flatnonzero(dt > 0.0)
+    p = params if rows.size == n else params.take(rows)
+    bb, tgt = (b, target) if rows.size == n else (b[rows], target[rows])
+    d = dt[rows, None] * p.eps_plus_mu
+    denom = 1.0 + p.mu_s * d
+    lam, mu_s, dual, tol = p.lam, p.mu_s, p.dual_weight, p.tolerance
+    u = np.where(p.zero_start[:, None], 0.0, bb)
+    w = _drift(op, psi, u, lam)
+    res = _residual(u, w, d, bb, dual)
+    damping = np.ones((rows.size, 1))
+    stall = np.zeros(rows.size, dtype=int)
+    halvings = 0
+
+    def retire(done, counts):
+        nonlocal rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res, damping, stall
+        if np.count_nonzero(done) == done.size:
+            out[rows], final_res[rows], iterations[rows] = u, res, counts
+            rows = rows[:0]
+            return
+        ids = rows[done]
+        out[ids], final_res[ids] = u[done], res[done]
+        iterations[ids] = counts if np.isscalar(counts) else counts[done]
+        keep = np.flatnonzero(~done)
+        rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res, damping, stall = (
+            a[keep] for a in (rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res,
+                              damping, stall)
+        )
+
+    done = res <= tgt
+    stop = None  # rows that stopped short of their target in the last iteration
+    for k in range(1, p.max_iterations + 1):
+        if np.count_nonzero(done):
+            # Converged rows are counted as the iteration that finds them so.
+            retire(done, k if stop is None else np.where(stop, k - 1, k))
+            if not rows.size:
+                break
+        candidate = (bb - d * (w - mu_s * u)) / denom
+        u_try = u + damping * (candidate - u)
+        w_try = _drift(op, psi, u_try, lam)
+        res_try = _residual(u_try, w_try, d, bb, dual)
+        better = res_try < res
+        n_better = np.count_nonzero(better)
+        if n_better == better.size:
+            stall = (stall + 1) * (res_try > 0.999 * res)
+            u, w, res = u_try, w_try, res_try
+            damping = np.minimum(1.0, 1.5 * damping)
+            stop = None
+        else:
+            stall = (stall + 1) * (~better | (res_try > 0.999 * res))
+            u = np.where(better[:, None], u_try, u)
+            w = np.where(better[:, None], w_try, w)
+            res = np.where(better, res_try, res)
+            damping = np.where(better[:, None], np.minimum(1.0, 1.5 * damping), 0.5 * damping)
+            halvings += int(better.size - n_better)
+            stop = ~better & (damping[:, 0] < 1e-8)
+        if k >= 8:
+            # Floating-point floor (stall counts reach 8 from iteration 8 on):
+            # accept once the contractual tolerance holds but the iteration
+            # makes no progress.
+            floor = (stall >= 8) & (res <= tol)
+            stop = floor if stop is None else stop | floor
+        done = res <= tgt if stop is None else stop | (res <= tgt)
+    if rows.size:
+        retire(np.ones(rows.size, dtype=bool), p.max_iterations)
+
+    failed = (final_res > target) & (final_res > params.tolerance)
+    if failed.any():
+        r = int(np.argmax(failed))
+        raise StepperConvergenceError(
+            f"inner iteration stalled at residual {final_res[r]:.3e} "
+            f"(target {target[r]:.3e}, splitting_mu {float(params.mu_s[r, 0]):g}, "
+            f"dt {float(dt[r]):g})"
+        )
+    if counters is not None:
+        counters.iterations.append(iterations[dt > 0.0])
+        counters.damping_halvings += halvings
+        counters.budget_misses += int(np.count_nonzero(final_res > target))
+    return out, iterations
+
+
+def implicit_steps(op, psi, configs, b, dt, *, residual_target=None):
+    """One implicit step per row: row r solves
+    u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r under ``configs[r]``.
+
+    ``b`` is a (rows, modes) coefficient array and ``dt`` a nonnegative
+    (rows,) array; the targets default to each row's inner_tolerance.
+    Returns the (rows, modes) solutions and the per-row iteration counts.
+    """
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0.0):
+        raise ValueError("dt must be nonnegative")
+    params = _RowParams.from_configs(op, psi, configs)
+    target = params.tolerance if residual_target is None else (
+        np.asarray(residual_target, dtype=float) * np.ones(len(configs))
+    )
+    return _solve_rows(op, psi, params, np.asarray(b, dtype=float), dt, target)
+
+
 def implicit_step(
     op: OperatorSpectrum,
     psi: NonlinearityPsi,
@@ -116,71 +327,17 @@ def implicit_step(
 ):
     """Solve u + dt (eps - L)(psi(u) + lam u) = b to the residual target.
 
-    Returns the converged field (and the iteration count when asked).  The
-    target defaults to cfg.inner_tolerance; convergence is certified by the
-    recomputed residual in the F12_star(eps) norm, never by the update size.
+    One-row call of :func:`implicit_steps`.  Returns the converged field (and
+    the iteration count when asked).  The target defaults to
+    cfg.inner_tolerance; convergence is certified by the recomputed residual
+    in the F12_star(eps) norm, never by the update size.
     """
     dt = cfg.h if dt is None else float(dt)
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return (b, 0) if return_iterations else b
-    target = cfg.inner_tolerance if residual_target is None else float(residual_target)
-
-    mu = op.eigenvalues
-    d = dt * (cfg.epsilon + mu)
-    mu_s = effective_splitting_mu(cfg, psi)
-    denom = 1.0 + mu_s * d
-    dual_weight = 1.0 / (cfg.epsilon + mu)
-    b_coeff = b.coefficients
-
-    u = b_coeff.copy() if cfg.inner_initializer == "rhs" else np.zeros_like(b_coeff)
-
-    def drift_coefficients(c):
-        phys = op.to_physical(c)
-        return op.to_spectral(psi.evaluate(phys) + cfg.lam * phys)
-
-    def residual_norm(c, w):
-        r = c + d * w - b_coeff
-        return float(np.sqrt(np.sum(dual_weight * r * r)))
-
-    w = drift_coefficients(u)
-    res = residual_norm(u, w)
-    best_u, best_res = u, res
-    damping = 1.0
-    stall = 0
-    for iteration in range(1, cfg.max_inner_iterations + 1):
-        if res <= target:
-            break
-        candidate = (b_coeff - d * (w - mu_s * u)) / denom
-        u_try = u + damping * (candidate - u)
-        w_try = drift_coefficients(u_try)
-        res_try = residual_norm(u_try, w_try)
-        if res_try < res:
-            stall = stall + 1 if res_try > 0.999 * res else 0
-            u, w, res = u_try, w_try, res_try
-            damping = min(1.0, 1.5 * damping)
-            if res < best_res:
-                best_u, best_res = u, res
-        else:
-            damping *= 0.5
-            stall += 1
-            if damping < 1e-8:
-                break
-        # Floating-point floor: accept once the contractual tolerance holds
-        # but the iteration has stopped making progress.
-        if stall >= 8 and best_res <= cfg.inner_tolerance:
-            break
-    else:
-        iteration = cfg.max_inner_iterations
-
-    if best_res <= target or best_res <= cfg.inner_tolerance:
-        out = op.field_from_coefficients(best_u)
-        return (out, iteration) if return_iterations else out
-    raise StepperConvergenceError(
-        f"inner iteration stalled at residual {best_res:.3e} "
-        f"(target {target:.3e}, splitting_mu {mu_s:g}, dt {dt:g})"
+    u, iterations = implicit_steps(
+        op, psi, [cfg], b.coefficients[None, :], [dt], residual_target=residual_target
     )
+    out = op.field_from_coefficients(u[0])
+    return (out, int(iterations[0])) if return_iterations else out
 
 
 @dataclass(eq=False)
@@ -198,6 +355,7 @@ class Trajectory:
     jump_flags: np.ndarray
     base_mask: np.ndarray
     metadata: dict
+    counters: SolverCounters
 
     @property
     def mode_count(self) -> int:
@@ -264,14 +422,79 @@ class Trajectory:
             Path(file).write_text(text)
 
 
-def _time_grid(h: float, horizon: float, jump_times: np.ndarray):
+def time_grid(h: float, horizon: float, path: NoisePath):
+    """Uniform grid of step h on [0, horizon] refined by the path's jump times.
+
+    Returns the grid and the mask of its base (uniform) points.
+    """
     n = int(np.ceil(horizon / h - 1e-12))
     base = np.minimum(np.arange(n + 1) * h, horizon)
     base[-1] = horizon
-    grid = np.unique(np.concatenate([base, jump_times]))
+    grid = np.unique(np.concatenate([base, path.times]))
     base_set = set(base.tolist())
     base_mask = np.array([t in base_set for t in grid])
     return grid, base_mask
+
+
+def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
+    """Advance every (path, config) row of the implicit scheme in lockstep.
+
+    Row p * len(configs) + c follows ``paths[p]`` under ``configs[c]``; all
+    configs share the step size, so a path's rows share its grid
+    ``grids[p]`` (from :func:`time_grid`).  At lockstep index i every path
+    with a grid point i takes that step, with its own dt; paths whose grid is
+    exhausted drop out.  Between grid points the compensator drift
+    -dt sum_z f(., u, z) nu(z) is folded into the right-hand side at the
+    left-endpoint state; at a jump time the increment f(tau, X(tau-), z) is
+    applied after the drift solve.  Each substep targets the residual budget
+    inner_tolerance * min(1, dt / (2 T)); the inner iteration certifies every
+    step to inner_tolerance and ``counters`` counts the steps that miss the
+    budget.
+
+    Yields (i, active, left, right) for i = 0, 1, ...: ``active`` indexes the
+    paths still marching, and ``left``/``right`` hold X(t_i-) and X(t_i) of
+    their rows, in row order.  The arrays are not modified afterwards.
+    """
+    if len({cfg.h for cfg in configs}) != 1:
+        raise ValueError("lockstep rows must share the step size")
+    n_cells = len(configs)
+    lengths = np.array([grid.size for grid in grids])
+    times = np.zeros((len(paths), lengths.max()))
+    jumps = []
+    for p, (path, grid) in enumerate(zip(paths, grids)):
+        times[p, : grid.size] = grid
+        at = {}
+        for index, mark in zip(np.searchsorted(grid, path.times), path.mark_indices):
+            at.setdefault(int(index), []).append(int(mark))
+        jumps.append(at)
+
+    params = _RowParams.from_configs(op, psi, configs, repeat=len(paths))
+    state = np.tile(np.asarray(initial, dtype=float), (params.lam.shape[0], 1))
+    active = np.arange(len(paths))
+    yield 0, active, state, state
+
+    state_dependent = model.coefficient.state_dependent
+    rate = None if state_dependent else model.compensator_rows(state[:1])
+    for i in range(1, lengths.max()):
+        alive = lengths[active] > i
+        if not alive.all():
+            keep = np.flatnonzero(np.repeat(alive, n_cells))
+            active, params, state = active[alive], params.take(keep), state[keep]
+        dt = np.repeat(times[active, i] - times[active, i - 1], n_cells)
+        if state_dependent:
+            rate = model.compensator_rows(state)
+        b = state - dt[:, None] * rate
+        budget = params.tolerance * np.minimum(1.0, dt / (2.0 * horizon))
+        left, _ = _solve_rows(op, psi, params, b, dt, budget, counters)
+        right = left
+        for k, p in enumerate(active):
+            for mark in jumps[p].get(i, ()):
+                if right is left:
+                    right = left.copy()
+                seg = right[k * n_cells : (k + 1) * n_cells]
+                seg += model.jump_rows(seg, mark)
+        yield i, active, left, right
+        state = right
 
 
 def solve_regularized_path(
@@ -285,58 +508,25 @@ def solve_regularized_path(
 ) -> Trajectory:
     """March the implicit scheme over the uniform grid refined by jump times.
 
-    Between grid points the compensator drift -dt sum_z f(., u, z) nu(z) is
-    folded into the right-hand side at the left-endpoint state; at a jump
-    time the increment f(tau, X(tau-), z) is applied after the drift solve.
-    Each substep is solved to residual inner_tolerance * min(1, dt/(2 T)) so
-    the accumulated solver drift over the whole path stays below
-    inner_tolerance/2 (the contractual per-step bound holds a fortiori).
+    One-path, one-config call of :func:`march`, recorded in full.  Each
+    substep is certified to residual inner_tolerance; its budget
+    inner_tolerance * min(1, dt / (2 T)) is a target, and steps that end above
+    it are counted in ``Trajectory.counters``.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     if path.times.size and path.times[-1] > horizon + 1e-12:
         raise ValueError("noise path extends past the horizon")
 
-    grid, base_mask = _time_grid(cfg.h, horizon, path.times)
-    jumps_at = {}
-    for t, j in zip(path.times, path.mark_indices):
-        jumps_at.setdefault(float(t), []).append(int(j))
-
-    n_rows = grid.size
-    states = np.empty((n_rows, op.mode_count))
+    grid, base_mask = time_grid(cfg.h, horizon, path)
+    states = np.empty((grid.size, op.mode_count))
     left_states = np.empty_like(states)
-    jump_flags = np.zeros(n_rows, dtype=bool)
-
-    state = initial_state
-    states[0] = left_states[0] = state.coefficients
-    state_dependent = model.coefficient.state_dependent
-
-    comp_rate = None if state_dependent else model.compensator_rate(op, state)
-    max_inner = 0
-    for i in range(1, n_rows):
-        dt = float(grid[i] - grid[i - 1])
-        if state_dependent:
-            comp_rate = model.compensator_rate(op, state)
-        b = op.field_from_coefficients(state.coefficients - dt * comp_rate.coefficients)
-        budget = cfg.inner_tolerance * min(1.0, dt / (2.0 * horizon))
-        stepped, iterations = implicit_step(
-            op, psi, cfg, b, dt, residual_target=budget, return_iterations=True
-        )
-        max_inner = max(max_inner, iterations)
-        left_states[i] = stepped.coefficients
-        t_i = float(grid[i])
-        if t_i in jumps_at:
-            jump_flags[i] = True
-            post = stepped
-            for mark_index in jumps_at[t_i]:
-                post = op.field_from_coefficients(
-                    post.coefficients
-                    + model.jump_field(op, t_i, post, mark_index).coefficients
-                )
-            state = post
-        else:
-            state = stepped
-        states[i] = state.coefficients
+    counters = SolverCounters()
+    for i, _, left, right in march(
+        op, psi, model, [path], [grid], [cfg], horizon, initial_state.coefficients, counters
+    ):
+        left_states[i], states[i] = left[0], right[0]
+    jump_flags = np.isin(grid, path.times)
 
     metadata = {
         "epsilon": cfg.epsilon,
@@ -349,6 +539,8 @@ def solve_regularized_path(
         "inner_tolerance": cfg.inner_tolerance,
         "splitting_mu": effective_splitting_mu(cfg, psi),
         "contraction_factor": iteration_contraction_factor(op, psi, cfg),
-        "max_inner_iterations_used": max_inner,
+        "max_inner_iterations_used": counters.summary()["inner_iterations_max"],
     }
-    return Trajectory(op, grid, states, left_states, jump_flags, base_mask, metadata)
+    return Trajectory(
+        op, grid, states, left_states, jump_flags, base_mask, metadata, counters
+    )

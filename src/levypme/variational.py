@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import MultiplicativeCoefficient, NoiseModel
+from .noise import NoiseModel, noise_mass_rows
 from .nonlinearity import NonlinearityPsi
 from .operators import OperatorSpectrum
 from .spaces import F_STAR, squared_norm_rows
@@ -132,33 +132,9 @@ def _drift_rows(op, psi, rows):
 
 def _noise_gap_mass(op, model, rows1, rows2):
     """Rows of int ||f(u1,z) - f(u2,z)||_F*^2 nu(dz)."""
-    if model is None or not model.coefficient.state_dependent:
+    if model is None:
         return np.zeros(rows1.shape[0])
-    coeff = model.coefficient
-    if isinstance(coeff, MultiplicativeCoefficient) and coeff.transform is not None:
-        sig = np.asarray(coeff.sigmas, dtype=float)
-        mass = float(np.sum(sig * sig * model.intensities))
-        # Identity transform has an exact closed form; general transforms are
-        # evaluated field by field.
-        from .noise import _identity_transform
-
-        if coeff.transform is _identity_transform:
-            return mass * squared_norm_rows(op, rows1 - rows2, F_STAR)
-        out = np.empty(rows1.shape[0])
-        for i in range(rows1.shape[0]):
-            u1 = op.field_from_coefficients(rows1[i])
-            u2 = op.field_from_coefficients(rows2[i])
-            total = 0.0
-            for j, nu_j in enumerate(model.intensities):
-                if nu_j > 0.0:
-                    d = (
-                        coeff.evaluate(op, 0.0, u1, j).coefficients
-                        - coeff.evaluate(op, 0.0, u2, j).coefficients
-                    )
-                    total += nu_j * float(squared_norm_rows(op, d[None, :], F_STAR)[0])
-            out[i] = total
-        return out
-    return np.zeros(rows1.shape[0])
+    return noise_mass_rows(op, model, rows1, rows2)
 
 
 def check_variational_conditions(

@@ -37,11 +37,11 @@ def additive_model(op, scales=(0.1, 0.06), intensities=(3.0, 1.5)):
     )
 
 
-def multiplicative_model(sigmas=(0.08, -0.05), intensities=(2.0, 1.0), lip=1.0):
+def multiplicative_model(sigmas=(0.08, -0.05), intensities=(2.0, 1.0)):
     return NoiseModel(
         marks=tuple(f"z{j}" for j in range(len(sigmas))),
         intensities=intensities,
-        coefficient=MultiplicativeCoefficient(sigmas=sigmas, transform_lipschitz=lip),
+        coefficient=MultiplicativeCoefficient(sigmas=sigmas),
     )
 
 

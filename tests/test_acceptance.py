@@ -264,7 +264,8 @@ def test_criterion_7_uniqueness(capsys, acceptance_plan):
     _announce(
         capsys, 7, ok,
         f"solver-config sup gap {gap:.2e} <= {tolerance:.0e} (10x inner tolerance); "
-        f"perturbation envelope rate {rate:.3f} <= jump-allowed cap {cap:.3f}",
+        f"perturbation growth rate net of the accrued jump budget {rate:.3f} "
+        f"<= headroom {cap:.0e}",
     )
     assert gap <= tolerance
     assert rate <= cap

@@ -6,28 +6,34 @@ pair moment E[sup ||X_lam - X_lam'||^2] is computable in closed form and the
 study must reproduce it exactly.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levypme.cascade import (
-    AprioriCell,
+    CHUNK_ROWS,
     DAVIS_CONSTANT,
+    PERTURBATION_RATE_HEADROOM,
     SHAPE_ENVELOPE_MARGIN,
     StudyPlan,
+    _excess_growth_rate,
     _fit_exponential_shape,
     _fit_log_slope,
     _gronwall_rate,
+    _jump_budget,
     _simulate_cells,
-    apriori_bound_check,
     apriori_study,
     eps_cauchy_study,
     lambda_cauchy_study,
     uniqueness_check,
 )
+from levypme.noise import path_seed, sample_noise_path
 from levypme.nonlinearity import make_psi
 from levypme.operators import smooth_field, spectrum_from_eigenvalues
-from levypme.spaces import L2, norm
+from levypme.scenario import build_plan, load_scenario
+from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
+from levypme.stepper import solve_regularized_path
 
 from conftest import additive_model, multiplicative_model, zero_model
 
@@ -52,10 +58,11 @@ def _plan(op, psi=None, noise=None, **overrides):
 def test_duplicate_cells_difference_is_zero(torus_small):
     # identical cells -> identical trajectories -> coupled diff exactly 0
     plan = _plan(torus_small)
-    out = _simulate_cells((plan, ((0.2, 0.1), (0.2, 0.1)), 0, False))
-    assert out["pair_sup_fstar_sq"] == [0.0]
-    assert len(out["sup_l2_sq"]) == 2
-    assert out["sup_l2_sq"][0] == out["sup_l2_sq"][1]
+    out = _simulate_cells((plan, ((0.2, 0.1), (0.2, 0.1)), range(3), False))
+    assert out["pair_sup_fstar_sq"].shape == (3, 1)
+    assert np.all(out["pair_sup_fstar_sq"] == 0.0)
+    assert out["sup_l2_sq"].shape == (3, 2)
+    assert np.array_equal(out["sup_l2_sq"][:, 0], out["sup_l2_sq"][:, 1])
 
 
 def test_lambda_pair_matches_scalar_recursion():
@@ -91,10 +98,12 @@ def test_lambda_pair_matches_scalar_recursion():
 
 
 def test_worker_count_invariance(torus_small, monkeypatch):
-    plan = _plan(torus_small, paths=3)
+    # 3 cells -> 21 paths per chunk; 45 paths span 3 chunks, the last partial
+    plan = _plan(torus_small, paths=45)
+    assert plan.paths > 2 * (CHUNK_ROWS // len(plan.lambda_ladder))
     monkeypatch.setenv("LEVYPME_WORKERS", "1")
     serial = lambda_cauchy_study(plan, 0.2).to_json()
-    monkeypatch.setenv("LEVYPME_WORKERS", "3")
+    monkeypatch.setenv("LEVYPME_WORKERS", "2")
     pooled = lambda_cauchy_study(plan, 0.2).to_json()
     assert serial == pooled
 
@@ -177,25 +186,34 @@ def test_gronwall_rate_frozen(torus_small):
     assert _gronwall_rate(_plan(torus_small, noise=zero_model())) == 0.0
 
 
+def _single_cell(plan, epsilon):
+    report = apriori_study(plan, epsilon)
+    table = next(t for t in report.tables if t.name == "apriori_cells")
+    assert len(table.rows) == 1
+    return report, dict(zip(table.columns, table.rows[0])), report.extra["cells"][0]
+
+
 def test_apriori_cell_zero_noise(torus_small):
     # no noise: bound collapses to 2|x|^2 and the lhs sits below it
-    plan = _plan(torus_small, psi=make_psi("identity"), noise=zero_model())
-    cell = apriori_bound_check(plan, 0.2, 0.1)
+    plan = _plan(
+        torus_small, psi=make_psi("identity"), noise=zero_model(), lambda_ladder=(0.1,)
+    )
+    report, row, cell = _single_cell(plan, 0.2)
     x0_sq = norm(torus_small, plan.initial, L2) ** 2
-    assert cell.bound == pytest.approx(2.0 * x0_sq, rel=1e-14)
-    assert cell.passed
-    assert cell.lhs <= cell.bound
-    assert cell.slack > 0
-    assert cell.mean_sup_l2_sq == pytest.approx(x0_sq, rel=1e-12)  # decay from t=0
+    assert cell["bound"] == pytest.approx(2.0 * x0_sq, rel=1e-14)
+    assert report.passed, report.failures()
+    assert cell["lhs"] <= cell["bound"]
+    assert cell["slack"] > 0
+    assert row["mean_sup_l2_sq"] == pytest.approx(x0_sq, rel=1e-12)  # decay from t=0
 
 
 def test_apriori_cell_multiplicative(torus_small):
-    plan = _plan(torus_small)
-    cell = apriori_bound_check(plan, 0.2, 0.1)
-    assert isinstance(cell, AprioriCell)
-    assert cell.passed, (cell.lhs, cell.bound)
-    assert cell.lhs_stderr >= 0
-    assert cell.mean_integral_f12 > 0
+    plan = _plan(torus_small, lambda_ladder=(0.1,))
+    report, row, cell = _single_cell(plan, 0.2)
+    assert next(c for c in report.checks if c.name.startswith("derived_bound")).passed
+    assert cell["lhs"] <= cell["bound"], (cell["lhs"], cell["bound"])
+    assert row["lhs_stderr"] >= 0
+    assert row["mean_integral_f12"] > 0
 
 
 def test_apriori_study_full(torus_small):
@@ -251,3 +269,67 @@ def test_uniqueness_additive_noise_cancels(torus_small):
     assert report.passed
     assert report.extra["rate_cap"] == pytest.approx(1e-6, abs=1e-12)
     assert report.extra["envelope_rate"] < 0.0
+
+
+def test_chunk_reductions_match_trajectory_formulas(torus_small):
+    # the chunk worker reduces norms on the fly; the stored-trajectory
+    # formulas of Trajectory are the reference
+    plan = _plan(torus_small, noise=multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0)))
+    cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
+    out = _simulate_cells((plan, cells, range(2, 7), True))
+    for row, index in enumerate(range(2, 7)):
+        path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, index))
+        trajs = [
+            solve_regularized_path(plan.op, plan.psi, plan.noise, path,
+                                   plan.step_config(eps, lam), plan.horizon, plan.initial)
+            for eps, lam in cells
+        ]
+        for c, traj in enumerate(trajs):
+            assert out["sup_l2_sq"][row, c] == pytest.approx(traj.sup_norm(L2) ** 2, rel=1e-12)
+            assert out["integral_f12"][row, c] == pytest.approx(
+                traj.integral_squared_norm(F12), rel=1e-12)
+            assert np.allclose(out["running_sup_l2"][row, c], traj.running_sup_squared(L2),
+                               rtol=1e-12, atol=0)
+            assert np.allclose(out["running_integral_f12"][row, c],
+                               traj.running_integral_squared(F12), rtol=1e-12, atol=0)
+        for c, (a, b) in enumerate(zip(trajs, trajs[1:])):
+            kind = F12_star(max(cells[c][0], cells[c + 1][0]))
+            pair = max(squared_norm_rows(plan.op, a.states - b.states, kind).max(),
+                       squared_norm_rows(plan.op, a.left_states - b.left_states, kind).max())
+            assert out["pair_sup_fstar_sq"][row, c] == pytest.approx(pair, rel=1e-12)
+        assert np.array_equal(out["base_times"], trajs[0].times[trajs[0].base_mask])
+    assert out["counters"].summary()["implicit_steps"] > 0
+
+
+ACCEPTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.scn"
+
+
+def _uniqueness_at(seed):
+    plan = build_plan(load_scenario(ACCEPTANCE), master_seed=seed)
+    return uniqueness_check(plan, plan.epsilon_ladder[-1])
+
+
+def test_uniqueness_early_jump_passes():
+    # an early jump used to fail the rate check (0.3687 against the whole
+    # path's budget spread over the horizon, 0.1539) though the gap grew by
+    # log 0.0147, well inside the budget that jump had accrued
+    report = _uniqueness_at(649757350)
+    check = next(c for c in report.checks if c.name == "perturbation_contracts")
+    assert check.passed, check.detail
+    assert report.passed, report.failures()
+    assert report.extra["jump_budget"] == pytest.approx(0.1539, abs=1e-4)
+    assert report.extra["envelope_rate"] <= report.extra["rate_cap"]
+
+
+def test_uniqueness_inflated_gap_fails():
+    report = _uniqueness_at(649757350)
+    table = next(t for t in report.tables if t.name == "perturbation_decay")
+    times, gaps = (np.array(col) for col in zip(*table.rows))
+    plan = build_plan(load_scenario(ACCEPTANCE), master_seed=649757350)
+    path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, 0))
+    budget = _jump_budget(plan.noise, path, times)
+    assert budget[-1] == pytest.approx(report.extra["jump_budget"], rel=1e-15)
+    honest = _excess_growth_rate(times, gaps, gaps[0], budget)
+    assert honest <= PERTURBATION_RATE_HEADROOM
+    inflated = np.where(times > 0, 1e3 * gaps, gaps)
+    assert _excess_growth_rate(times, inflated, gaps[0], budget) > PERTURBATION_RATE_HEADROOM

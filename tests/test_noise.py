@@ -1,8 +1,8 @@
 """Compensated-Poisson driver: path law, martingale property, closed forms.
 
 Frozen constants: for multiplicative sigmas (0.1, -0.05) with intensities
-(2, 1) and unit transform Lipschitz the growth constant is
-sum sigma^2 nu = 0.01*2 + 0.0025*1 = 0.0225, in any of the norms.
+(2, 1) the growth constant is sum sigma^2 nu = 0.01*2 + 0.0025*1 = 0.0225, in
+any of the norms.
 """
 import io
 import math
@@ -20,14 +20,14 @@ from levypme.noise import (
     NoisePath,
     ZeroCoefficient,
     audit_h2_h3,
-    compensated_increment,
     export_noise_path,
+    noise_mass_rows,
     parse_noise_path,
     path_seed,
     sample_noise_path,
 )
 from levypme.operators import random_field, smooth_field
-from levypme.spaces import F_STAR, L2, norm
+from levypme.spaces import F_STAR, L2, norm, squared_norm_rows
 
 from conftest import additive_model, multiplicative_model, zero_model
 
@@ -77,32 +77,6 @@ def test_jump_count_distribution_poisson():
     assert result.pvalue > 0.01, f"Poisson GOF rejected: p={result.pvalue:.4f}"
 
 
-def test_compensated_increment_additive_by_hand(torus_small):
-    model = additive_model(torus_small)
-    f0, f1 = model.coefficient.fields
-    path = NoisePath(np.array([0.25, 0.5, 0.9]), np.array([0, 1, 0]), 5, 1.0)
-    state = torus_small.zero_field()
-    inc = compensated_increment(torus_small, model, path, state, 0.0, 1.0)
-    manual = (
-        2.0 * f0.coefficients
-        + 1.0 * f1.coefficients
-        - 1.0 * (3.0 * f0.coefficients + 1.5 * f1.coefficients)
-    )
-    assert np.allclose(inc.coefficients, manual, rtol=0, atol=1e-14)
-
-    # window (0.3, 0.6] sees only the middle jump
-    inc2 = compensated_increment(torus_small, model, path, state, 0.3, 0.6)
-    manual2 = f1.coefficients - 0.3 * (3.0 * f0.coefficients + 1.5 * f1.coefficients)
-    assert np.allclose(inc2.coefficients, manual2, rtol=0, atol=1e-14)
-
-
-def test_compensated_increment_window_validation(torus_small):
-    model = zero_model()
-    path = sample_noise_path(model, 1.0, 0)
-    with pytest.raises(ValueError):
-        compensated_increment(torus_small, model, path, torus_small.zero_field(), 0.5, 0.2)
-
-
 def test_compensator_rate_closed_form(torus_small):
     model = additive_model(torus_small, intensities=(3.0, 1.5))
     f0, f1 = model.coefficient.fields
@@ -112,12 +86,50 @@ def test_compensator_rate_closed_form(torus_small):
     )
 
 
+def _compensated_increment(model, path, u, horizon):
+    # Integral of f dN-tilde over (0, horizon] with every jump taken at u.
+    total = -horizon * model.compensator_rows(u)
+    for j in path.mark_indices:
+        total = total + model.jump_rows(u, int(j))
+    return total
+
+
+def test_rows_api_matches_fields(torus_small):
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((5, torus_small.mode_count))
+    for model in (zero_model(), additive_model(torus_small), multiplicative_model()):
+        for j in range(model.mark_count):
+            jumps = model.jump_rows(u, j)
+            assert jumps.shape == u.shape
+            for row, jump in zip(u, jumps):
+                field = model.jump_field(torus_small, 0.0, torus_small.field_from_coefficients(row), j)
+                assert np.array_equal(field.coefficients, jump)
+        rates = model.compensator_rows(u)
+        for row, rate in zip(u, rates):
+            field = model.compensator_rate(torus_small, torus_small.field_from_coefficients(row))
+            assert np.array_equal(field.coefficients, rate)
+
+
+def test_noise_mass_rows_closed_forms(torus_small):
+    # multiplicative: int ||sigma u||^2 nu = h2 ||u||^2 and the gap mass is
+    # h3 ||u - v||^2; additive: the gap mass vanishes
+    rng = np.random.default_rng(9)
+    u, v = rng.standard_normal((2, 6, torus_small.mode_count))
+    model = multiplicative_model()
+    h2 = model.h2_closed_form(torus_small)
+    assert np.allclose(noise_mass_rows(torus_small, model, u),
+                       h2 * squared_norm_rows(torus_small, u, F_STAR), rtol=1e-14)
+    assert np.allclose(noise_mass_rows(torus_small, model, u, v),
+                       h2 * squared_norm_rows(torus_small, u - v, F_STAR), rtol=1e-14)
+    assert np.all(noise_mass_rows(torus_small, additive_model(torus_small), u, v) == 0.0)
+
+
 def _increment_sample(op, model, horizon, master, count):
-    u0 = smooth_field(op, amplitude=1.0)
+    u0 = smooth_field(op, amplitude=1.0).coefficients
     rows = np.empty((count, op.mode_count))
     for i in range(count):
         path = sample_noise_path(model, horizon, path_seed(master, i))
-        rows[i] = compensated_increment(op, model, path, u0, 0.0, horizon).coefficients
+        rows[i] = _compensated_increment(model, path, u0, horizon)
     return rows
 
 
@@ -226,15 +238,12 @@ def test_model_validation(torus_small):
         )
     with pytest.raises(ValueError, match="one sigma per mark"):
         NoiseModel(("a", "b"), np.array([1.0, 1.0]), MultiplicativeCoefficient((0.1,)))
-    with pytest.raises(ValueError, match="transform_lipschitz"):
-        MultiplicativeCoefficient((0.1,), transform_lipschitz=1.5)
 
 
 def test_zero_model_has_no_jumps(torus_small):
     model = zero_model()
     path = sample_noise_path(model, 1.0, 44)
     assert path.jump_count == 0
-    inc = compensated_increment(
-        torus_small, model, path, random_field(torus_small, np.random.default_rng(0)), 0.0, 1.0
-    )
+    u = random_field(torus_small, np.random.default_rng(0)).coefficients
+    inc = _compensated_increment(model, path, u, 1.0)
     assert norm(torus_small, inc, L2) == 0.0

@@ -59,7 +59,6 @@ def test_parse_minimal_and_defaults():
     # defaults
     assert sc.length == 2.0 * math.pi
     assert sc.psi_param is None
-    assert sc.transform_lipschitz == 1.0
     assert sc.initial_amplitude == 1.0
     assert sc.initial_seed == 7
     assert sc.inner_tolerance == 1e-10
@@ -82,7 +81,6 @@ def test_comments_and_blank_lines_ignored():
     ({"psi": "cubic"}, "expected one of"),
     ({"step_size": "2.0"}, "must not exceed horizon"),
     ({"report_version": "2"}, "unsupported report version"),
-    ({"transform_lipschitz": "1.5"}, r"outside \(0, 1\]"),
 ])
 def test_value_errors(mutation, pattern):
     with pytest.raises(ScenarioError, match=pattern):
@@ -92,6 +90,13 @@ def test_value_errors(mutation, pattern):
 def test_unknown_key_names_line():
     with pytest.raises(ScenarioError, match=r"\[line 14\] unknown key 'bogus'"):
         parse_scenario(_text(extra_lines=["bogus = 3"]))
+
+
+def test_transform_lipschitz_key_removed():
+    # the multiplicative coefficient is sigma * u; a declared contraction
+    # constant the coefficient did not honour is no longer accepted
+    with pytest.raises(ScenarioError, match=r"\[line 14\] unknown key 'transform_lipschitz'"):
+        parse_scenario(_text(extra_lines=["transform_lipschitz = 0.5"]))
 
 
 def test_duplicate_key_names_both_lines():
@@ -135,10 +140,6 @@ def test_noise_key_pairing():
         parse_scenario(_text(drop=("noise_intensity",)))
     with pytest.raises(ScenarioError, match="one entry per mark"):
         parse_scenario(_text({"noise_scale": "0.08"}))
-    with pytest.raises(ScenarioError, match="only used when noise = multiplicative"):
-        parse_scenario(
-            _text({"noise": "additive"}, extra_lines=["transform_lipschitz = 1.0"])
-        )
     with pytest.raises(ScenarioError, match="only used when initial = random"):
         parse_scenario(_text(extra_lines=["initial_seed = 3"]))
 
@@ -288,8 +289,10 @@ def test_cli_numerical_failure(tmp_path, capsys):
         ],
     )
     scn = _write_scenario(tmp_path, text)
-    assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    # one path (simulate) and lockstep chunks of paths x cells (lambda-study)
+    for command in ("simulate", "lambda-study"):
+        assert main([command, "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):

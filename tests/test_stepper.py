@@ -5,6 +5,7 @@ u_k = b_k / (1 + h (eps + mu_k)); at mu = 1, eps = 0.1, h = 0.1 that factor
 is 1/1.11 = 0.9009009009009008.
 """
 import io
+import json
 import math
 
 import numpy as np
@@ -15,12 +16,16 @@ from levypme.noise import NoisePath, sample_noise_path
 from levypme.operators import smooth_field, spectrum_from_eigenvalues
 from levypme.spaces import F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import (
+    SolverCounters,
     StepConfig,
     StepperConvergenceError,
     effective_splitting_mu,
     implicit_step,
+    implicit_steps,
     iteration_contraction_factor,
+    march,
     solve_regularized_path,
+    time_grid,
 )
 
 from conftest import additive_model, multiplicative_model, zero_model
@@ -276,3 +281,88 @@ def test_trajectory_export_readable(torus_small, initial_small):
     assert float(first[0]) == 0.0
     assert int(first[1]) == 0
     assert float(first[2]) == pytest.approx(norm(torus_small, initial_small, L2))
+
+
+def _equivalence_batch(op):
+    # rows differ in cell (eps, lam), dt (two of them 0) and amplitude of b,
+    # so they stop after different numbers of inner iterations
+    rng = np.random.default_rng(31)
+    configs = [
+        StepConfig(h=0.25, epsilon=eps, lam=lam, inner_tolerance=1e-11)
+        for eps, lam in [(0.2, 0.1), (0.05, 0.0), (0.5, 0.3), (0.2, 0.1), (0.1, 0.05), (0.3, 0.2)]
+    ]
+    dts = np.array([0.25, 0.0, 0.7, 0.01, 0.0, 0.3])
+    b = rng.normal(size=(len(configs), op.mode_count)) * np.array([[3.0], [1.0], [0.2], [5.0], [2.0], [0.01]])
+    return configs, b, dts
+
+
+def test_batched_kernel_matches_one_row_calls(torus_small):
+    psi = make_psi("soft_monotone")
+    configs, b, dts = _equivalence_batch(torus_small)
+    batch, iterations = implicit_steps(torus_small, psi, configs, b, dts)
+    assert len(set(iterations[dts > 0].tolist())) > 1
+    for r, (cfg, dt) in enumerate(zip(configs, dts)):
+        single, count = implicit_step(
+            torus_small, psi, cfg, torus_small.field_from_coefficients(b[r]), dt,
+            return_iterations=True,
+        )
+        assert np.abs(batch[r] - single.coefficients).max() <= 1e-12
+        assert iterations[r] == count
+    assert np.array_equal(batch[dts == 0.0], b[dts == 0.0])
+    assert np.all(iterations[dts == 0.0] == 0)
+
+
+def test_one_failing_row_raises(torus_small):
+    # a loose row converges within the two allowed iterations, a starved one
+    # cannot; the batch as a whole must fail, naming the starved row's dt
+    psi = make_psi("soft_monotone")
+    loose = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1.0, max_inner_iterations=2)
+    starved = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1e-14, max_inner_iterations=2)
+    b = np.stack([smooth_field(torus_small, 1.0).coefficients] * 2)
+    implicit_steps(torus_small, psi, [loose], b[:1], [0.9])
+    with pytest.raises(StepperConvergenceError, match=r"residual .* dt 0\.7"):
+        implicit_steps(torus_small, psi, [loose, starved], b, [0.9, 0.7])
+
+
+def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
+    # rows of several paths (different jump-refined grids) and cells advance
+    # together; each must reproduce its own one-path solve
+    model = multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0))
+    psi = make_psi("saturating", cap=0.5)
+    configs = [StepConfig(h=0.125, epsilon=eps, lam=lam) for eps, lam in [(0.2, 0.1), (0.1, 0.05)]]
+    paths = [sample_noise_path(model, 1.0, seed) for seed in (1, 2, 3, 4)]
+    grids = [time_grid(0.125, 1.0, path)[0] for path in paths]
+    assert len({grid.size for grid in grids}) > 1
+    seen = {}
+    for i, active, left, right in march(
+        torus_small, psi, model, paths, grids, configs, 1.0, initial_small.coefficients,
+        SolverCounters(),
+    ):
+        assert np.all([grids[p].size > i for p in active])
+        for k, p in enumerate(active):
+            for c in range(len(configs)):
+                row = k * len(configs) + c
+                seen.setdefault((p, c), []).append((left[row].copy(), right[row].copy()))
+    for (p, c), rows in seen.items():
+        traj = solve_regularized_path(
+            torus_small, psi, model, paths[p], configs[c], 1.0, initial_small
+        )
+        assert len(rows) == traj.times.size
+        assert np.abs(np.array([r[0] for r in rows]) - traj.left_states).max() <= 1e-12
+        assert np.abs(np.array([r[1] for r in rows]) - traj.states).max() <= 1e-12
+
+
+def test_solver_counters(torus_small, initial_small):
+    traj = _small_trajectory(torus_small, initial_small)
+    summary = traj.counters.summary()
+    assert summary["implicit_steps"] == traj.times.size - 1
+    assert summary["inner_iterations_max"] == traj.metadata["max_inner_iterations_used"]
+    assert 1 <= summary["inner_iterations_mean"] <= summary["inner_iterations_p99"]
+    assert summary["inner_iterations_p99"] <= summary["inner_iterations_max"]
+    assert summary["residual_budget_misses"] >= 0 and summary["damping_halvings"] >= 0
+    # the summary lands in report.json: plain Python numbers only
+    counts = SolverCounters([np.array([3, 9]), np.array([4])], np.int64(2), np.int64(1))
+    assert json.loads(json.dumps(counts.summary())) == {
+        "implicit_steps": 3, "inner_iterations_mean": 16 / 3, "inner_iterations_p99": 8.9,
+        "inner_iterations_max": 9, "damping_halvings": 2, "residual_budget_misses": 1,
+    }
