@@ -21,11 +21,13 @@ parameters:
   initial condition must never have grown by more than the jump budget
   accrued up to each time.
 
-The Monte Carlo studies run their paths in fixed chunks of
-``CHUNK_ROWS // len(cells)`` paths; all (path, cell) rows of a chunk advance
-in lockstep through :func:`levypme.stepper.march`.  All studies are
-deterministic for a fixed master seed and independent of the worker count
-used by :mod:`levypme._parallel`, which maps over chunks.
+Every study is one serial pipeline: :func:`levypme.stepper.march` advances
+the rows in lockstep, squared norms are taken at each step, and
+:func:`levypme.stepper.cadlag_reductions` turns them into sups, trapezoids
+and running curves.  The Monte Carlo studies run their paths in fixed chunks
+of ``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at
+once; ``uniqueness_check`` marches its three rows together.  All studies are
+deterministic for a fixed master seed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .nonlinearity import NonlinearityPsi
 from .noise import MultiplicativeCoefficient, NoiseModel, path_seed, sample_noise_path
 from .operators import Field, OperatorSpectrum
@@ -47,14 +48,13 @@ from .reporting import (
     StudyReport,
     Table,
 )
-from .spaces import F12, F12_star, L2, NormKind, norm, squared_norm_rows
+from .spaces import F12, F12_star, L2, norm, squared_norm_rows
 from .stepper import (
     SolverCounters,
     StepConfig,
-    Trajectory,
+    cadlag_reductions,
     effective_splitting_mu,
     march,
-    solve_regularized_path,
     time_grid,
 )
 from .variational import EstimateConstants
@@ -143,7 +143,7 @@ class StudyPlan:
 
 
 # --------------------------------------------------------------------------
-# chunk worker (module level so ProcessPoolExecutor can pickle it)
+# chunked simulation
 
 # Rows (path x ladder cell) one chunk advances in lockstep.  Batched gemms on
 # a 65-mode basis stay fast up to about 64 rows with default BLAS threading;
@@ -151,118 +151,70 @@ class StudyPlan:
 CHUNK_ROWS = 64
 
 
-def _chunk_paths(cells) -> int:
-    return max(1, CHUNK_ROWS // len(cells))
+def _run_cells(plan: StudyPlan, cells):
+    """Simulate every path under every (epsilon, lam) cell, chunk by chunk.
 
-
-def _simulate_cells(payload):
-    """Simulate a chunk of noise paths under every (epsilon, lam) cell.
-
-    The rows of the chunk (paths x cells) advance in lockstep; norms are
-    reduced on the fly and no trajectory is stored.  Returns plain arrays
-    indexed [path, cell] (pairs: [path, pair]) plus the solver counters; the
-    parent process aggregates.
+    Chunks hold ``CHUNK_ROWS // len(cells)`` paths, whose rows (paths x
+    cells) advance in lockstep; norms are reduced on the fly by
+    :func:`cadlag_reductions` and no trajectory is stored.  Returns arrays
+    indexed [path, cell] (pairs: [path, pair]), the running curves at the
+    base grid times, and the solver counters.
     """
-    plan, cells, path_indices, want_running = payload
     op = plan.op
+    n_cells = len(cells)
     configs = [plan.step_config(epsilon, lam) for epsilon, lam in cells]
-    paths = [
-        sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
-        for i in path_indices
-    ]
-    grids = [time_grid(plan.step_size, plan.horizon, path) for path in paths]
-    n_paths, n_cells = len(paths), len(cells)
-    n_max = max(grid.size for grid, _ in grids)
-    # Squared norms per [path, cell or pair, grid row], right value and left limit.
-    l2 = np.zeros((2, n_paths, n_cells, n_max))
-    f12 = np.zeros((2, n_paths, n_cells, n_max))
-    pair = np.zeros((2, n_paths, n_cells - 1, n_max))
     # Differences are measured in the dual-type norm of the *larger* epsilon:
     # for the lambda ladder the two epsilons agree, for the epsilon ladder the
     # larger-epsilon norm is the weaker one, which is the one the continuity
     # estimate controls.
     pair_kinds = [F12_star(max(a[0], b[0])) for a, b in zip(cells, cells[1:])]
+    # Squared-norm columns per row: L2 of each cell, F12 of each cell, then
+    # the adjacent pairs.
+    l2, f12, pair = slice(0, n_cells), slice(n_cells, 2 * n_cells), slice(2 * n_cells, None)
+    columns = 3 * n_cells - 1
 
     def squared_norms(rows):
         by_path = rows.reshape(-1, n_cells, op.mode_count)
-        return (
-            squared_norm_rows(op, rows, L2).reshape(-1, n_cells),
-            squared_norm_rows(op, rows, F12).reshape(-1, n_cells),
-            np.stack([
-                squared_norm_rows(op, by_path[:, c] - by_path[:, c + 1], kind)
-                for c, kind in enumerate(pair_kinds)
-            ], axis=1) if pair_kinds else 0.0,
+        return np.concatenate(
+            [squared_norm_rows(op, rows, L2).reshape(-1, n_cells),
+             squared_norm_rows(op, rows, F12).reshape(-1, n_cells)]
+            + [squared_norm_rows(op, by_path[:, c] - by_path[:, c + 1], kind)[:, None]
+               for c, kind in enumerate(pair_kinds)],
+            axis=1,
         )
 
+    reduced = []  # per path: sup, trapezoid, running sup, running trapezoid
     counters = SolverCounters()
-    for i, active, left, right in march(
-        op, plan.psi, plan.noise, paths, [grid for grid, _ in grids], configs,
-        plan.horizon, plan.initial.coefficients, counters,
-    ):
-        at_right = squared_norms(right)
-        at_left = at_right if left is right else squared_norms(left)
-        for side, values in enumerate((at_right, at_left)):
-            l2[side, active, :, i], f12[side, active, :, i], pair[side, active, :, i] = values
-
-    out = {
-        "sup_l2_sq": np.empty((n_paths, n_cells)),
-        "integral_f12": np.empty((n_paths, n_cells)),
-        "pair_sup_fstar_sq": np.empty((n_paths, n_cells - 1)),
+    per_chunk = max(1, CHUNK_ROWS // n_cells)
+    for first in range(0, plan.paths, per_chunk):
+        paths = [
+            sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
+            for i in range(first, min(first + per_chunk, plan.paths))
+        ]
+        grids = [time_grid(plan.step_size, plan.horizon, path) for path in paths]
+        # [right value / left limit, path, column, grid row]
+        sq = np.zeros((2, len(paths), columns, max(grid.size for grid, _ in grids)))
+        for i, active, left, right in march(
+            op, plan.psi, plan.noise, paths, [grid for grid, _ in grids], configs,
+            plan.horizon, plan.initial.coefficients, counters,
+        ):
+            at_right = squared_norms(right)
+            sq[0, active, :, i] = at_right
+            sq[1, active, :, i] = at_right if left is right else squared_norms(left)
+        for k, (times, base_mask) in enumerate(grids):
+            reduced.append(cadlag_reductions(
+                times, base_mask, sq[0, k, :, : times.size], sq[1, k, :, : times.size]
+            ))
+    sup, integral, running_sup, running_integral = (np.stack(r) for r in zip(*reduced))
+    return {
+        "sup_l2_sq": sup[:, l2],
+        "integral_f12": integral[:, f12],
+        "pair_sup_fstar_sq": sup[:, pair],
+        "base_times": times[base_mask],  # every path shares the base grid
+        "running_sup_l2": running_sup[:, l2],
+        "running_integral_f12": running_integral[:, f12],
         "counters": counters,
     }
-    if want_running:
-        times, base_mask = grids[0]
-        base_times = out["base_times"] = times[base_mask]
-        out["running_sup_l2"] = np.empty((n_paths, n_cells, base_times.size))
-        out["running_integral_f12"] = np.empty((n_paths, n_cells, base_times.size))
-    for p, (times, base_mask) in enumerate(grids):
-        n = times.size
-        both = np.maximum(l2[0, p, :, :n], l2[1, p, :, :n])
-        out["sup_l2_sq"][p] = both.max(axis=1)
-        # Trapezoid along the cadlag skeleton: each segment uses the right
-        # value at its start and the left limit at its end.
-        seg = 0.5 * np.diff(times) * (f12[0, p, :, : n - 1] + f12[1, p, :, 1:n])
-        out["integral_f12"][p] = seg.sum(axis=1)
-        out["pair_sup_fstar_sq"][p] = np.maximum(
-            pair[0, p, :, :n], pair[1, p, :, :n]
-        ).max(axis=1)
-        if want_running:
-            out["running_sup_l2"][p] = np.maximum.accumulate(both, axis=1)[:, base_mask]
-            running = np.concatenate(
-                [np.zeros((n_cells, 1)), np.cumsum(seg, axis=1)], axis=1
-            )
-            out["running_integral_f12"][p] = running[:, base_mask]
-    return out
-
-
-def _rows_squared(kind: NormKind, op: OperatorSpectrum, rows: np.ndarray) -> np.ndarray:
-    return squared_norm_rows(op, rows, kind=kind)
-
-
-def _run_cells(plan: StudyPlan, cells, want_running=False):
-    """Simulate every path under every cell, chunk by chunk.
-
-    Chunks hold ``CHUNK_ROWS // len(cells)`` paths, so the layout depends only
-    on the scenario and the results not on the worker count.  Returns the
-    chunk arrays concatenated along the path axis, and the merged counters.
-    """
-    per_chunk = _chunk_paths(cells)
-    payloads = [
-        (plan, tuple(cells), range(start, min(start + per_chunk, plan.paths)), want_running)
-        for start in range(0, plan.paths, per_chunk)
-    ]
-    chunks = map_ordered(_simulate_cells, payloads)
-    merged = {}
-    for key, value in chunks[0].items():
-        if key == "counters":
-            merged[key] = SolverCounters()
-            for chunk in chunks:
-                merged[key].merge(chunk[key])
-        elif key == "base_times":
-            merged[key] = value
-        else:
-            merged[key] = np.concatenate([chunk[key] for chunk in chunks])
-    return merged
 
 
 # --------------------------------------------------------------------------
@@ -595,7 +547,7 @@ def _fit_exponential_shape(plan, times, curve):
 def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
     """Moment bound along the lambda ladder: per-cell bound, uniformity, shape."""
     cells = [(epsilon, lam) for lam in plan.lambda_ladder]
-    results = _run_cells(plan, cells, want_running=True)
+    results = _run_cells(plan, cells)
 
     checks: list[PropertyCheck] = []
     cell_rows = []
@@ -763,11 +715,13 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
 
     Also perturbs the initial condition and checks that the coupled distance
     decays, or at worst never grows by more than the jump budget accrued up to
-    each time (:func:`_jump_budget`).
+    each time (:func:`_jump_budget`).  The three rows (config a, config b,
+    config a from the perturbed start) march in lockstep on the path's grid.
     """
     lam = plan.lambda_ladder[-1]
     seed = path_seed(plan.master_seed, 0)
     noise_path = sample_noise_path(plan.noise, plan.horizon, seed)
+    times, _ = time_grid(plan.step_size, plan.horizon, noise_path)
 
     config_a = plan.step_config(epsilon, lam)
     auto_mu = effective_splitting_mu(config_a, plan.psi)
@@ -777,22 +731,27 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
         inner_initializer="zero",
     )
 
-    def run(config: StepConfig, start: Field) -> Trajectory:
-        return solve_regularized_path(
-            plan.op, plan.psi, plan.noise, noise_path, config, plan.horizon, start
-        )
-
-    traj_a = run(config_a, plan.initial)
-    traj_b = run(config_b, plan.initial)
-    if not np.array_equal(traj_a.times, traj_b.times):
-        raise RuntimeError("solver configurations changed the time grid")
+    # Perturbation response: bump one low mode and track the coupled distance.
+    delta_scale = 1e-3
+    starts = np.tile(plan.initial.coefficients, (3, 1))
+    bump_index = min(1, plan.op.mode_count - 1)
+    starts[2, bump_index] += delta_scale
 
     kind = F12_star(epsilon)
-    diff_sq = np.maximum(
-        _rows_squared(kind, plan.op, traj_a.states - traj_b.states),
-        _rows_squared(kind, plan.op, traj_a.left_states - traj_b.left_states),
-    )
-    sup_diff = math.sqrt(float(diff_sq.max()))
+    config_sq = np.empty(times.size)
+    gap_sq = np.empty(times.size)
+    counters = SolverCounters()
+    for i, _, left, right in march(
+        plan.op, plan.psi, plan.noise, [noise_path], [times],
+        [config_a, config_b, config_a], plan.horizon, starts, counters,
+    ):
+        right_ab, left_ab, right_ap = squared_norm_rows(
+            plan.op, np.stack([right[0] - right[1], left[0] - left[1], right[0] - right[2]]),
+            kind,
+        )
+        config_sq[i] = max(right_ab, left_ab)
+        gap_sq[i] = right_ap
+    sup_diff = math.sqrt(float(config_sq.max()))
     tolerance = UNIQUENESS_TOLERANCE_FACTOR * plan.inner_tolerance
     checks = [
         PropertyCheck(
@@ -802,20 +761,7 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
         )
     ]
 
-    # Perturbation response: bump one low mode and track the coupled distance.
-    delta_scale = 1e-3
-    coeffs = plan.initial.coefficients.copy()
-    bump_index = min(1, coeffs.size - 1)
-    coeffs[bump_index] += delta_scale
-    perturbed = plan.op.field_from_coefficients(coeffs)
-    traj_p = run(config_a, perturbed)
-    counters = SolverCounters()
-    for traj in (traj_a, traj_b, traj_p):
-        counters.merge(traj.counters)
-
     d0 = delta_scale / math.sqrt(epsilon + plan.op.eigenvalues[bump_index])
-    gap_sq = _rows_squared(kind, plan.op, traj_a.states - traj_p.states)
-    times = traj_a.times
     budget = _jump_budget(plan.noise, noise_path, times)
     envelope_rate = _excess_growth_rate(times, np.sqrt(gap_sq), d0, budget)
     cap = PERTURBATION_RATE_HEADROOM

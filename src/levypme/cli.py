@@ -13,8 +13,8 @@ Subcommands map one-to-one onto the studies:
 - ``uniqueness``     solver-configuration independence + perturbation decay.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports are
-still written), 2 usage or scenario errors, 3 numerical failure (inner
-iteration or quadrature did not converge).
+still written), 2 usage or scenario errors, 3 numerical or internal failure
+(inner iteration or quadrature did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
@@ -328,14 +328,16 @@ def main(argv=None) -> int:
             scenario, paths=args.paths, step_size=args.step, master_seed=args.seed
         )
         report, artifacts = _dispatch(args.command, plan, scenario)
+        _write_outputs(Path(args.out), report, artifacts, scenario, args)
     except (StepperConvergenceError, QuadratureToleranceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    _write_outputs(Path(args.out), report, artifacts, scenario, args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "Field",
@@ -302,6 +301,9 @@ def apply_operator_function(op: OperatorSpectrum, func: OperatorFunction, u: Fie
 
 @lru_cache(maxsize=256)
 def _laguerre_rule(n: int, weight_exponent: float):
+    # Imported here: scipy.special is slow to import and no study needs it.
+    from scipy.special import roots_genlaguerre
+
     nodes, weights = roots_genlaguerre(n, weight_exponent)
     return _frozen(nodes), _frozen(weights)
 

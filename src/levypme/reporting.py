@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 __all__ = [
@@ -74,6 +76,8 @@ class Table:
 
 
 def _cell(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
@@ -92,6 +96,8 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
+    if isinstance(v, np.generic):
+        return v.item()
     return v
 
 

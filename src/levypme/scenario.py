@@ -35,11 +35,11 @@ from .operators import (
     random_field,
     smooth_field,
 )
+from .reporting import SCHEMA_VERSION
 
 __all__ = [
     "Scenario",
     "ScenarioError",
-    "REPORT_VERSION",
     "parse_scenario",
     "load_scenario",
     "serialize_scenario",
@@ -50,8 +50,6 @@ __all__ = [
     "build_initial",
     "build_plan",
 ]
-
-REPORT_VERSION = 1
 
 NOISE_KINDS = ("zero", "additive", "multiplicative")
 INITIAL_KINDS = ("smooth", "random")
@@ -97,7 +95,7 @@ class Scenario:
     initial_seed: int = 7
     inner_tolerance: float = 1e-10
     max_inner_iterations: int = 600
-    report_version: int = REPORT_VERSION
+    report_version: int = SCHEMA_VERSION
 
 
 # -- field grammar -----------------------------------------------------------------
@@ -264,8 +262,8 @@ def _validate_cross(sc: Scenario, lines: dict) -> None:
     def err(message, key):
         raise ScenarioError(message, key=key, line=lines.get(key))
 
-    if sc.report_version != REPORT_VERSION:
-        err(f"unsupported report version (this build writes {REPORT_VERSION})",
+    if sc.report_version != SCHEMA_VERSION:
+        err(f"unsupported report version (this build writes {SCHEMA_VERSION})",
             "report_version")
     if sc.step_size > sc.horizon:
         err("step_size must not exceed horizon", "step_size")

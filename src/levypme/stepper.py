@@ -29,6 +29,7 @@ __all__ = [
     "StepConfig",
     "StepperConvergenceError",
     "Trajectory",
+    "cadlag_reductions",
     "effective_splitting_mu",
     "implicit_step",
     "implicit_steps",
@@ -167,11 +168,6 @@ class SolverCounters:
     damping_halvings: int = 0
     budget_misses: int = 0
 
-    def merge(self, other: "SolverCounters") -> None:
-        self.iterations.extend(other.iterations)
-        self.damping_halvings += other.damping_halvings
-        self.budget_misses += other.budget_misses
-
     def summary(self) -> dict:
         counts = np.concatenate(self.iterations) if self.iterations else np.zeros(0, int)
         steps = int(counts.size)
@@ -282,7 +278,8 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
     if rows.size:
         retire(np.ones(rows.size, dtype=bool), p.max_iterations)
 
-    failed = (final_res > target) & (final_res > params.tolerance)
+    # Written so that a NaN residual fails too.
+    failed = ~(final_res <= np.maximum(target, params.tolerance))
     if failed.any():
         r = int(np.argmax(failed))
         raise StepperConvergenceError(
@@ -340,6 +337,29 @@ def implicit_step(
     return (out, int(iterations[0])) if return_iterations else out
 
 
+def cadlag_reductions(times, base_mask, right_sq, left_sq):
+    """Sup and trapezoid of a cadlag quantity, in total and running.
+
+    ``right_sq[..., i]`` is the value at ``times[i]`` and ``left_sq[..., i]``
+    its left limit; leading axes are independent sequences on the one grid.
+    The trapezoid takes each segment from the right value at its start to the
+    left limit at its end, so jumps add no area.  Returns (sup, trapezoid,
+    running sup, running trapezoid), the running values at the ``base_mask``
+    rows.
+    """
+    both = np.maximum(right_sq, left_sq)
+    seg = 0.5 * np.diff(times) * (right_sq[..., :-1] + left_sq[..., 1:])
+    running = np.concatenate(
+        [np.zeros(seg.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1
+    )
+    return (
+        both.max(axis=-1),
+        seg.sum(axis=-1),
+        np.maximum.accumulate(both, axis=-1)[..., base_mask],
+        running[..., base_mask],
+    )
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Cadlag record of one path: right-continuous states plus left limits.
@@ -368,37 +388,26 @@ class Trajectory:
         rows = self.states if which == "right" else self.left_states
         return squared_norm_rows(self.op, rows, kind)
 
+    def _reductions(self, kind):
+        return cadlag_reductions(
+            self.times, self.base_mask,
+            self.row_squared_norms(kind, "right"), self.row_squared_norms(kind, "left"),
+        )
+
     def sup_norm(self, kind) -> float:
-        right = self.row_squared_norms(kind, "right")
-        left = self.row_squared_norms(kind, "left")
-        return float(np.sqrt(max(right.max(), left.max())))
+        return float(np.sqrt(self._reductions(kind)[0]))
 
     def integral_squared_norm(self, kind) -> float:
-        """Trapezoid of ||X||^2 over [0, T] along the cadlag skeleton.
-
-        Each segment uses the right value at its start and the left limit at
-        its end, so jumps contribute no spurious area.
-        """
-        right = self.row_squared_norms(kind, "right")
-        left = self.row_squared_norms(kind, "left")
-        dt = np.diff(self.times)
-        return float(np.sum(0.5 * dt * (right[:-1] + left[1:])))
+        """Trapezoid of ||X||^2 over [0, T] along the cadlag skeleton."""
+        return float(self._reductions(kind)[1])
 
     def running_sup_squared(self, kind) -> np.ndarray:
         """Running sup of ||X||^2 evaluated at the base (uniform) grid times."""
-        both = np.maximum(
-            self.row_squared_norms(kind, "right"), self.row_squared_norms(kind, "left")
-        )
-        running = np.maximum.accumulate(both)
-        return running[self.base_mask]
+        return self._reductions(kind)[2]
 
     def running_integral_squared(self, kind) -> np.ndarray:
         """Running trapezoid of ||X||^2 evaluated at the base grid times."""
-        right = self.row_squared_norms(kind, "right")
-        left = self.row_squared_norms(kind, "left")
-        seg = 0.5 * np.diff(self.times) * (right[:-1] + left[1:])
-        cumulative = np.concatenate([[0.0], np.cumsum(seg)])
-        return cumulative[self.base_mask]
+        return self._reductions(kind)[3]
 
     def export(self, file) -> None:
         """Plain-text table `t,is_jump,norm_L2,norm_F12star,c<label>...` with
@@ -441,10 +450,11 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
 
     Row p * len(configs) + c follows ``paths[p]`` under ``configs[c]``; all
     configs share the step size, so a path's rows share its grid
-    ``grids[p]`` (from :func:`time_grid`).  At lockstep index i every path
-    with a grid point i takes that step, with its own dt; paths whose grid is
-    exhausted drop out.  Between grid points the compensator drift
-    -dt sum_z f(., u, z) nu(z) is folded into the right-hand side at the
+    ``grids[p]`` (from :func:`time_grid`).  ``initial`` is one coefficient
+    vector shared by every row, or one row per config.  At lockstep index i
+    every path with a grid point i takes that step, with its own dt; paths
+    whose grid is exhausted drop out.  Between grid points the compensator
+    drift -dt sum_z f(., u, z) nu(z) is folded into the right-hand side at the
     left-endpoint state; at a jump time the increment f(tau, X(tau-), z) is
     applied after the drift solve.  Each substep targets the residual budget
     inner_tolerance * min(1, dt / (2 T)); the inner iteration certifies every
@@ -469,7 +479,8 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
         jumps.append(at)
 
     params = _RowParams.from_configs(op, psi, configs, repeat=len(paths))
-    state = np.tile(np.asarray(initial, dtype=float), (params.lam.shape[0], 1))
+    starts = np.broadcast_to(np.asarray(initial, dtype=float), (n_cells, op.mode_count))
+    state = np.tile(starts, (len(paths), 1))
     active = np.arange(len(paths))
     yield 0, active, state, state
 

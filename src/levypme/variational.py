@@ -126,8 +126,7 @@ def _sample_coefficient_rows(op, rng, count, scale=1.0):
 def _drift_rows(op, psi, rows):
     # Coefficients of A(u) = (L - eps) psi(u) without the -(mu+eps) factor:
     # returns spectral rows of psi(u); callers attach the diagonal factor.
-    phys = rows @ op.basis.T
-    return (psi.evaluate(phys) * op.weights) @ op.basis
+    return op.to_spectral(psi.evaluate(op.to_physical(rows)))
 
 
 def _noise_gap_mass(op, model, rows1, rows2):

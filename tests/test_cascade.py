@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levypme import cascade
 from levypme.cascade import (
     CHUNK_ROWS,
     DAVIS_CONSTANT,
@@ -22,7 +23,7 @@ from levypme.cascade import (
     _fit_log_slope,
     _gronwall_rate,
     _jump_budget,
-    _simulate_cells,
+    _run_cells,
     apriori_study,
     eps_cauchy_study,
     lambda_cauchy_study,
@@ -33,7 +34,7 @@ from levypme.nonlinearity import make_psi
 from levypme.operators import smooth_field, spectrum_from_eigenvalues
 from levypme.scenario import build_plan, load_scenario
 from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
-from levypme.stepper import solve_regularized_path
+from levypme.stepper import march, solve_regularized_path
 
 from conftest import additive_model, multiplicative_model, zero_model
 
@@ -57,8 +58,8 @@ def _plan(op, psi=None, noise=None, **overrides):
 
 def test_duplicate_cells_difference_is_zero(torus_small):
     # identical cells -> identical trajectories -> coupled diff exactly 0
-    plan = _plan(torus_small)
-    out = _simulate_cells((plan, ((0.2, 0.1), (0.2, 0.1)), range(3), False))
+    plan = _plan(torus_small, paths=3)
+    out = _run_cells(plan, ((0.2, 0.1), (0.2, 0.1)))
     assert out["pair_sup_fstar_sq"].shape == (3, 1)
     assert np.all(out["pair_sup_fstar_sq"] == 0.0)
     assert out["sup_l2_sq"].shape == (3, 2)
@@ -95,17 +96,6 @@ def test_lambda_pair_matches_scalar_recursion():
     assert pair.stderr == 0.0  # both paths identical under zero noise
     assert pair.gap == pytest.approx(0.3)
     assert report.passed
-
-
-def test_worker_count_invariance(torus_small, monkeypatch):
-    # 3 cells -> 21 paths per chunk; 45 paths span 3 chunks, the last partial
-    plan = _plan(torus_small, paths=45)
-    assert plan.paths > 2 * (CHUNK_ROWS // len(plan.lambda_ladder))
-    monkeypatch.setenv("LEVYPME_WORKERS", "1")
-    serial = lambda_cauchy_study(plan, 0.2).to_json()
-    monkeypatch.setenv("LEVYPME_WORKERS", "2")
-    pooled = lambda_cauchy_study(plan, 0.2).to_json()
-    assert serial == pooled
 
 
 def test_lambda_study_report_layout(torus_small):
@@ -272,12 +262,18 @@ def test_uniqueness_additive_noise_cancels(torus_small):
 
 
 def test_chunk_reductions_match_trajectory_formulas(torus_small):
-    # the chunk worker reduces norms on the fly; the stored-trajectory
-    # formulas of Trajectory are the reference
-    plan = _plan(torus_small, noise=multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0)))
+    # the chunked run reduces norms on the fly; the stored-trajectory
+    # formulas of Trajectory are the reference.  3 cells -> 21 paths per
+    # chunk; 45 paths span 3 chunks, the last partial.  Paths 0, 19-22 and
+    # 44 are the first path, both sides of the first chunk boundary and the
+    # last path, in the partial chunk.
+    plan = _plan(torus_small, paths=45,
+                 noise=multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0)))
     cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
-    out = _simulate_cells((plan, cells, range(2, 7), True))
-    for row, index in enumerate(range(2, 7)):
+    assert plan.paths > 2 * (CHUNK_ROWS // len(cells))
+    out = _run_cells(plan, cells)
+    assert out["sup_l2_sq"].shape == (45, 3) and out["pair_sup_fstar_sq"].shape == (45, 2)
+    for index in (0, 19, 20, 21, 22, 44):
         path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, index))
         trajs = [
             solve_regularized_path(plan.op, plan.psi, plan.noise, path,
@@ -285,20 +281,41 @@ def test_chunk_reductions_match_trajectory_formulas(torus_small):
             for eps, lam in cells
         ]
         for c, traj in enumerate(trajs):
-            assert out["sup_l2_sq"][row, c] == pytest.approx(traj.sup_norm(L2) ** 2, rel=1e-12)
-            assert out["integral_f12"][row, c] == pytest.approx(
+            assert out["sup_l2_sq"][index, c] == pytest.approx(traj.sup_norm(L2) ** 2, rel=1e-12)
+            assert out["integral_f12"][index, c] == pytest.approx(
                 traj.integral_squared_norm(F12), rel=1e-12)
-            assert np.allclose(out["running_sup_l2"][row, c], traj.running_sup_squared(L2),
+            assert np.allclose(out["running_sup_l2"][index, c], traj.running_sup_squared(L2),
                                rtol=1e-12, atol=0)
-            assert np.allclose(out["running_integral_f12"][row, c],
+            assert np.allclose(out["running_integral_f12"][index, c],
                                traj.running_integral_squared(F12), rtol=1e-12, atol=0)
         for c, (a, b) in enumerate(zip(trajs, trajs[1:])):
             kind = F12_star(max(cells[c][0], cells[c + 1][0]))
             pair = max(squared_norm_rows(plan.op, a.states - b.states, kind).max(),
                        squared_norm_rows(plan.op, a.left_states - b.left_states, kind).max())
-            assert out["pair_sup_fstar_sq"][row, c] == pytest.approx(pair, rel=1e-12)
+            assert out["pair_sup_fstar_sq"][index, c] == pytest.approx(pair, rel=1e-12)
         assert np.array_equal(out["base_times"], trajs[0].times[trajs[0].base_mask])
     assert out["counters"].summary()["implicit_steps"] > 0
+
+
+def test_uniqueness_is_one_march(torus_small, monkeypatch):
+    # config a, config b (other splitting constant and initializer) and
+    # config a from the perturbed start march together as one call
+    calls = []
+
+    def recording(op, psi, model, paths, grids, configs, horizon, initial, counters):
+        calls.append((configs, np.array(initial)))
+        return march(op, psi, model, paths, grids, configs, horizon, initial, counters)
+
+    monkeypatch.setattr(cascade, "march", recording)
+    plan = _plan(torus_small)
+    report = uniqueness_check(plan, 0.2)
+    assert report.passed, report.failures()
+    assert len(calls) == 1
+    (a, b, p), starts = calls[0]
+    assert p == a
+    assert b.splitting_mu != a.splitting_mu and b.inner_initializer != a.inner_initializer
+    assert np.array_equal(starts[0], starts[1])
+    assert np.count_nonzero(starts[2] != starts[0]) == 1
 
 
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.scn"

@@ -5,6 +5,9 @@ mu_k = |2 pi k / length|^(2 alpha), semigroup e^(-t mu), resolvent powers
 (shift + mu)^p and the smoothing multiplier (1 + mu)^(-r/2).
 """
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +111,16 @@ def test_gamma_transform_matches_closed_form(torus_medium, r):
     expect = u.coefficients * (1.0 + op.eigenvalues) ** (-r / 2.0)
     denom = np.sqrt((expect**2).sum())
     assert np.sqrt(((got.coefficients - expect) ** 2).sum()) / denom < 1e-10
+
+
+def test_import_leaves_scipy_special_out():
+    # only the Bochner quadrature needs scipy.special; it is imported there
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import levypme; "
+        "sys.exit('scipy.special' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-B", "-c", code]).returncode == 0
 
 
 def test_gamma_transform_rejects_bad_order(torus_small):

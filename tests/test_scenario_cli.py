@@ -1,14 +1,18 @@
 """Scenario grammar, canonical serialization, CLI exit codes and artifacts."""
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
 from levypme.cli import main
-from levypme.reporting import PropertyCheck, StudyReport
+from levypme import cli
+from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
-    REPORT_VERSION,
     Scenario,
     ScenarioError,
     build_noise,
@@ -63,7 +67,7 @@ def test_parse_minimal_and_defaults():
     assert sc.initial_seed == 7
     assert sc.inner_tolerance == 1e-10
     assert sc.max_inner_iterations == 600
-    assert sc.report_version == REPORT_VERSION
+    assert sc.report_version == SCHEMA_VERSION
 
 
 def test_comments_and_blank_lines_ignored():
@@ -293,6 +297,42 @@ def test_cli_numerical_failure(tmp_path, capsys):
     for command in ("simulate", "lambda-study"):
         assert main([command, "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # an unexpected exception is a failure of the run, not a failed check
+    def broken(plan, epsilon):
+        raise TypeError("unexpected")
+
+    monkeypatch.setattr(cli, "lambda_cauchy_study", broken)
+    scn = _write_scenario(tmp_path, _text())
+    assert main(["lambda-study", "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
+    assert "internal error: TypeError: unexpected" in capsys.readouterr().err
+
+
+def test_numpy_scalars_serialize(tmp_path):
+    report = StudyReport(
+        kind="demo",
+        checks=[PropertyCheck("ok", True)],
+        extra={"count": np.int64(3), "flag": np.bool_(True), "value": np.float64(0.1)},
+        tables=[Table("demo", ("n", "x"), ((np.int64(2), np.float64(0.1)),))],
+    )
+    report.write(tmp_path)
+    extra = json.loads((tmp_path / "report.json").read_text())["extra"]
+    assert extra == {"count": 3, "flag": True, "value": 0.1}
+    assert (tmp_path / "demo.csv").read_text() == "n,x\n2,0.1\n"
+
+
+def test_tracer_patches_resolve():
+    # the benchmark's traced pass wraps levypme functions by name; each name
+    # it patches must exist.  A subprocess keeps the patches out of this session.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]; "
+        "from tracer import Tracer, install; install(Tracer())"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_version(capsys):

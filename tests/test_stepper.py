@@ -19,6 +19,7 @@ from levypme.stepper import (
     SolverCounters,
     StepConfig,
     StepperConvergenceError,
+    cadlag_reductions,
     effective_splitting_mu,
     implicit_step,
     implicit_steps,
@@ -324,19 +325,51 @@ def test_one_failing_row_raises(torus_small):
         implicit_steps(torus_small, psi, [loose, starved], b, [0.9, 0.7])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_raises(torus_small, bad):
+    # a NaN residual compares False with every target: it must still fail
+    psi = make_psi("soft_monotone")
+    b = smooth_field(torus_small, 1.0).coefficients.copy()
+    b[3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(StepperConvergenceError):
+        implicit_steps(torus_small, psi, [StepConfig(h=0.1, epsilon=0.2)], b[None, :], [0.1])
+
+
+def test_cadlag_reductions_hand_computed():
+    # a jump at t = 0.75 lifts the value from its left limit 3 to 5; the base
+    # rows are t = 0, 0.5 and 1
+    times = np.array([0.0, 0.5, 0.75, 1.0])
+    base_mask = np.array([True, True, False, True])
+    right = np.array([1.0, 2.0, 5.0, 4.0])
+    left = np.array([1.0, 2.0, 3.0, 4.0])
+    expected = (5.0, 2.5, np.array([1.0, 2.0, 5.0]), np.array([0.0, 0.75, 2.5]))
+    # trapezoid 0.25 (1 + 2) + 0.125 (2 + 3) + 0.125 (5 + 4): the segment
+    # into the jump ends at the left limit, so the jump adds no area
+    for got, want in zip(cadlag_reductions(times, base_mask, right, left), expected):
+        assert np.array_equal(got, want)
+    # leading axes are independent sequences on the same grid
+    stacked = cadlag_reductions(
+        times, base_mask, np.stack([right, 2.0 * right]), np.stack([left, 2.0 * left])
+    )
+    for got, want in zip(stacked, expected):
+        assert np.array_equal(got, np.stack([want, 2.0 * np.asarray(want)]))
+
+
 def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
-    # rows of several paths (different jump-refined grids) and cells advance
-    # together; each must reproduce its own one-path solve
+    # rows of several paths (different jump-refined grids) and cells, each
+    # cell from its own start, advance together; each must reproduce its own
+    # one-path solve
     model = multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0))
     psi = make_psi("saturating", cap=0.5)
     configs = [StepConfig(h=0.125, epsilon=eps, lam=lam) for eps, lam in [(0.2, 0.1), (0.1, 0.05)]]
+    starts = [initial_small, torus_small.field_from_coefficients(0.5 * initial_small.coefficients)]
     paths = [sample_noise_path(model, 1.0, seed) for seed in (1, 2, 3, 4)]
     grids = [time_grid(0.125, 1.0, path)[0] for path in paths]
     assert len({grid.size for grid in grids}) > 1
     seen = {}
     for i, active, left, right in march(
-        torus_small, psi, model, paths, grids, configs, 1.0, initial_small.coefficients,
-        SolverCounters(),
+        torus_small, psi, model, paths, grids, configs, 1.0,
+        np.stack([start.coefficients for start in starts]), SolverCounters(),
     ):
         assert np.all([grids[p].size > i for p in active])
         for k, p in enumerate(active):
@@ -345,7 +378,7 @@ def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
                 seen.setdefault((p, c), []).append((left[row].copy(), right[row].copy()))
     for (p, c), rows in seen.items():
         traj = solve_regularized_path(
-            torus_small, psi, model, paths[p], configs[c], 1.0, initial_small
+            torus_small, psi, model, paths[p], configs[c], 1.0, starts[c]
         )
         assert len(rows) == traj.times.size
         assert np.abs(np.array([r[0] for r in rows]) - traj.left_states).max() <= 1e-12
