@@ -44,6 +44,11 @@ def run_study(name, args, out_dir):
     return code, time.perf_counter() - started
 
 
+def _fmt(value, spec):
+    """Format a report number; ``null`` (a non-finite value) prints as n/a."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def summarize(out_dir):
     report_file = out_dir / "report.json"
     if not report_file.exists():
@@ -53,18 +58,19 @@ def summarize(out_dir):
     slope = report.get("slope")
     if slope:
         bits.append(
-            f"slope {slope['slope']:.3f} [{slope['ci_low']:.3f}, {slope['ci_high']:.3f}]"
+            f"slope {_fmt(slope['slope'], '.3f')} "
+            f"[{_fmt(slope['ci_low'], '.3f')}, {_fmt(slope['ci_high'], '.3f')}]"
         )
     extra = report.get("extra", {})
     if "cells" in extra:
-        slack = min(c["slack"] for c in extra["cells"])
-        bits.append(f"min moment-bound slack {slack:.4g}")
+        slacks = [c["slack"] for c in extra["cells"] if c["slack"] is not None]
+        bits.append(f"min moment-bound slack {_fmt(min(slacks, default=None), '.4g')}")
     if "sup_config_gap" in extra:
-        bits.append(f"config gap {extra['sup_config_gap']:.2e}")
-        bits.append(f"perturbation rate net of jump budget {extra['envelope_rate']:.3g} "
-                    f"(headroom {extra['rate_cap']:.0e})")
+        bits.append(f"config gap {_fmt(extra['sup_config_gap'], '.2e')}")
+        bits.append(f"perturbation rate net of jump budget {_fmt(extra['envelope_rate'], '.3g')} "
+                    f"(headroom {_fmt(extra['rate_cap'], '.0e')})")
     if "final_norm_l2" in extra:
-        bits.append(f"final |X|_2 = {extra['final_norm_l2']:.6g}")
+        bits.append(f"final |X|_2 = {_fmt(extra['final_norm_l2'], '.6g')}")
     return "; ".join(bits)
 
 

@@ -3,7 +3,7 @@ SPDEs driven by compensated Poisson jumps.
 
 The package is organized bottom-up:
 
-- :mod:`levypme.operators` — diagonal operator models, transforms, fields
+- :mod:`levypme.operators` — diagonal operator models and transforms
 - :mod:`levypme.spaces` — the norm/inner-product family and duality pairing
 - :mod:`levypme.nonlinearity` — monotone scalar nonlinearities + audits
 - :mod:`levypme.noise` — compensated Poisson models, sampling, audits
@@ -34,7 +34,6 @@ from .noise import (
     sample_noise_path,
 )
 from .operators import (
-    Field,
     OperatorSpectrum,
     build_fractional_laplacian_torus,
     parse_spectrum,
@@ -74,7 +73,6 @@ __all__ = [
     "audit_h2_h3",
     "path_seed",
     "sample_noise_path",
-    "Field",
     "OperatorSpectrum",
     "build_fractional_laplacian_torus",
     "parse_spectrum",

@@ -39,7 +39,7 @@ import numpy as np
 
 from .nonlinearity import NonlinearityPsi
 from .noise import MultiplicativeCoefficient, NoiseModel, path_seed, sample_noise_path
-from .operators import Field, OperatorSpectrum
+from .operators import OperatorSpectrum
 from .reporting import (
     ConstantRecord,
     PairEstimate,
@@ -101,7 +101,7 @@ class StudyPlan:
     op: OperatorSpectrum
     psi: NonlinearityPsi
     noise: NoiseModel
-    initial: Field
+    initial: np.ndarray
     lambda_ladder: tuple[float, ...]
     epsilon_ladder: tuple[float, ...]
     paths: int
@@ -112,8 +112,11 @@ class StudyPlan:
     max_inner_iterations: int = 600
 
     def __post_init__(self):
-        if self.initial.coefficients.size != self.op.mode_count:
-            raise ValueError("initial field must live on the plan's spectrum")
+        try:
+            initial = self.op.field_from_coefficients(self.initial)
+        except ValueError as exc:
+            raise ValueError(f"initial state must live on the plan's spectrum: {exc}") from None
+        object.__setattr__(self, "initial", initial)
         for name, ladder in (
             ("lambda_ladder", self.lambda_ladder),
             ("epsilon_ladder", self.epsilon_ladder),
@@ -196,7 +199,7 @@ def _run_cells(plan: StudyPlan, cells):
         sq = np.zeros((2, len(paths), columns, max(grid.size for grid, _ in grids)))
         for i, active, left, right in march(
             op, plan.psi, plan.noise, paths, [grid for grid, _ in grids], configs,
-            plan.horizon, plan.initial.coefficients, counters,
+            plan.horizon, plan.initial, counters,
         ):
             at_right = squared_norms(right)
             sq[0, active, :, i] = at_right
@@ -733,7 +736,7 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
 
     # Perturbation response: bump one low mode and track the coupled distance.
     delta_scale = 1e-3
-    starts = np.tile(plan.initial.coefficients, (3, 1))
+    starts = np.tile(plan.initial, (3, 1))
     bump_index = min(1, plan.op.mode_count - 1)
     starts[2, bump_index] += delta_scale
 

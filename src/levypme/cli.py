@@ -18,13 +18,17 @@ still written), 2 usage or scenario errors, 3 numerical or internal failure
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
-timestamp, so reports and tables are byte-identical across reruns.
+timestamp and the environment (Python, numpy and scipy versions,
+``OPENBLAS_NUM_THREADS``, CPU count), so reports and tables are
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,17 +97,17 @@ def _linear_oracle_checks(plan, traj, epsilon, lam) -> list:
     kappa = (epsilon + plan.op.eigenvalues) * (slope + lam)
     dts = np.diff(traj.times)
     factors = 1.0 / (1.0 + dts[:, None] * kappa[None, :])
-    oracle = plan.initial.coefficients[None, :] * np.concatenate(
+    oracle = plan.initial[None, :] * np.concatenate(
         [np.ones((1, kappa.size)), np.cumprod(factors, axis=0)]
     )
     discrete_gap = float(np.sqrt(((traj.states - oracle) ** 2).sum(axis=1)).max())
 
     horizon = float(traj.times[-1])
-    continuum = plan.initial.coefficients * np.exp(-kappa * horizon)
+    continuum = plan.initial * np.exp(-kappa * horizon)
     actual = float(np.sqrt(((traj.states[-1] - continuum) ** 2).sum()))
     # Per mode: 0 <= prod(1+dt kappa)^-1 - e^(-kappa t) <= e^(-kappa t) * t h kappa^2 / 2.
     h = float(dts.max())
-    per_mode = np.abs(plan.initial.coefficients) * np.exp(-kappa * horizon) * (
+    per_mode = np.abs(plan.initial) * np.exp(-kappa * horizon) * (
         0.5 * horizon * h * kappa**2
     )
     bound = float(np.sqrt((per_mode**2).sum())) + 1e-12
@@ -144,7 +148,7 @@ def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
     ) and plan.noise.h2_closed_form(plan.op) == 0.0:
         checks.extend(_linear_oracle_checks(plan, traj, epsilon, lam))
 
-    final = traj.final_field()
+    final = traj.states[-1]
     base_times = traj.times[traj.base_mask]
     summary_rows = tuple(
         zip(
@@ -283,6 +287,21 @@ def _dispatch(command: str, plan, scenario) -> tuple[StudyReport, dict]:
     raise AssertionError(command)
 
 
+def _environment() -> dict:
+    """Interpreter, library versions and the thread settings a timing depends on."""
+    # The bare package loads no submodule (scipy.special stays out); it costs
+    # half the time and memory of an importlib.metadata lookup.
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir)
@@ -304,6 +323,7 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
             for k, v in (("seed", args.seed), ("paths", args.paths), ("step", args.step))
             if v is not None
         },
+        "environment": _environment(),
     }
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, sort_keys=True, indent=2) + "\n"

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import Field, OperatorSpectrum
+from .operators import OperatorSpectrum
 from .spaces import F_STAR, norm, squared_norm_rows
 
 __all__ = [
@@ -47,14 +47,14 @@ class ZeroCoefficient:
 
 @dataclass(frozen=True, eq=False)
 class AdditiveCoefficient:
-    """f(t, u, z) = sigma_z, a fixed field per mark."""
+    """f(t, u, z) = sigma_z, a fixed coefficient vector per mark."""
 
     fields: tuple
 
     state_dependent = False
 
     def rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
-        return np.broadcast_to(self.fields[mark_index].coefficients, u.shape)
+        return np.broadcast_to(self.fields[mark_index], u.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +109,13 @@ class NoiseModel:
                 total = total + nu_j * self.coefficient.rows(u, j)
         return total
 
-    def jump_field(self, op, t, state, mark_index) -> Field:
-        return op.field_from_coefficients(self.jump_rows(state.coefficients, mark_index))
+    def jump_field(self, op, t, state, mark_index) -> np.ndarray:
+        """:meth:`jump_rows` of one state."""
+        return self.jump_rows(op.field_from_coefficients(state), mark_index)
 
-    def compensator_rate(self, op, state) -> Field:
-        """:meth:`compensator_rows` of one field."""
-        return op.field_from_coefficients(self.compensator_rows(state.coefficients))
+    def compensator_rate(self, op, state) -> np.ndarray:
+        """:meth:`compensator_rows` of one state."""
+        return self.compensator_rows(op.field_from_coefficients(state))
 
     # -- closed-form hypothesis constants -------------------------------------
 

@@ -3,10 +3,9 @@
 Everything downstream works with a finite family of eigenpairs of -L, held in an
 :class:`OperatorSpectrum`.  Its basis, orthonormal under the quadrature weights
 standing in for the reference measure, maps spectral coefficients to physical
-nodal values and back, for one vector or a ``(rows, modes)`` stack at once;
-the stepper and the audits work on such plain coefficient rows.
-:class:`Field` objects carry both representations of one state at the API
-boundary (initial conditions, additive noise fields, single steps).
+nodal values and back, for one vector or a ``(rows, modes)`` stack at once.
+A state is its coefficient vector, and a batch of states a stack of such
+rows; physical values are computed only where a pointwise map needs them.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Field",
     "OperatorSpectrum",
     "OperatorFunction",
     "QuadratureToleranceError",
@@ -49,32 +47,6 @@ def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """State vector with dual spectral/physical representations.
-
-    Attributes
-    ----------
-    coefficients : ndarray
-        Expansion coefficients against the operator's orthonormal basis.
-    physical_values : ndarray
-        Values at the physical quadrature nodes.
-    weights : ndarray
-        Positive quadrature weights standing in for the reference measure.
-    """
-
-    coefficients: np.ndarray
-    physical_values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _frozen(self.coefficients))
-        object.__setattr__(self, "physical_values", _frozen(self.physical_values))
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        if self.physical_values.shape != self.weights.shape:
-            raise ValueError("physical_values and weights must share a shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +106,18 @@ class OperatorSpectrum:
         """Coefficients of one nodal vector or of each row of a stack."""
         return (self.weights * np.asarray(physical_values, dtype=float)) @ self.basis
 
-    def field_from_coefficients(self, coefficients) -> Field:
-        c = np.asarray(coefficients, dtype=float)
+    def field_from_coefficients(self, coefficients) -> np.ndarray:
+        """Read-only copy of one coefficient vector, checked against the modes.
+
+        This is the one validation point for a single state; it computes no
+        physical values.
+        """
+        c = _frozen(coefficients)
         if c.shape != (self.mode_count,):
             raise ValueError(
                 f"expected {self.mode_count} coefficients, got shape {c.shape}"
             )
-        return Field(c, self.to_physical(c), self.weights)
-
-    def zero_field(self) -> Field:
-        return self.field_from_coefficients(np.zeros(self.mode_count))
+        return c
 
 
 # -- constructors ---------------------------------------------------------------
@@ -289,11 +263,9 @@ def _multiplier(op: OperatorSpectrum, func: OperatorFunction) -> np.ndarray:
     raise ValueError(f"unknown operator function kind {func.kind!r}")
 
 
-def apply_operator_function(op: OperatorSpectrum, func: OperatorFunction, u: Field) -> Field:
-    """Apply a diagonal function of L to a field, mode by mode."""
-    if u.coefficients.size != op.mode_count:
-        raise ValueError("field does not match the operator's mode count")
-    return op.field_from_coefficients(_multiplier(op, func) * u.coefficients)
+def apply_operator_function(op: OperatorSpectrum, func: OperatorFunction, u) -> np.ndarray:
+    """Apply a diagonal function of L to a coefficient vector, mode by mode."""
+    return op.field_from_coefficients(_multiplier(op, func) * op.field_from_coefficients(u))
 
 
 # -- smoothing transform via Bochner quadrature -----------------------------------
@@ -337,12 +309,12 @@ def _gamma_multiplier(mu: float, r: float, relative_tolerance: float,
 def gamma_transform_quadrature(
     op: OperatorSpectrum,
     r: float,
-    u: Field,
+    u,
     *,
     relative_tolerance: float = 1e-9,
     start_nodes: int = 8,
     max_nodes: int = 512,
-) -> Field:
+) -> np.ndarray:
     """Smoothing transform of order r computed by adaptive Laguerre quadrature.
 
     Evaluates Gamma(r/2)^-1 int_0^inf t^(r/2-1) e^-t P_t u dt, doubling the
@@ -358,25 +330,24 @@ def gamma_transform_quadrature(
     """
     if not r > 0.0:
         raise ValueError("transform order r must be positive")
-    if u.coefficients.size != op.mode_count:
-        raise ValueError("field does not match the operator's mode count")
+    u = op.field_from_coefficients(u)
     unique_mu, inverse = np.unique(op.eigenvalues, return_inverse=True)
     multipliers = np.array([
         _gamma_multiplier(float(m), float(r), relative_tolerance, start_nodes, max_nodes)
         for m in unique_mu
     ])
-    return op.field_from_coefficients(multipliers[inverse] * u.coefficients)
+    return op.field_from_coefficients(multipliers[inverse] * u)
 
 
 # -- sampling helpers ------------------------------------------------------------
 
 
-def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> Field:
-    """Random field with mode-k coefficient ~ N(0, scale^2 / (1+mu_k))."""
+def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Random coefficient vector with mode-k coefficient ~ N(0, scale^2 / (1+mu_k))."""
     c = rng.standard_normal(op.mode_count) * (scale / np.sqrt(1.0 + op.eigenvalues))
     return op.field_from_coefficients(c)
 
 
-def smooth_field(op: OperatorSpectrum, amplitude: float = 1.0) -> Field:
+def smooth_field(op: OperatorSpectrum, amplitude: float = 1.0) -> np.ndarray:
     """Deterministic smooth profile with coefficients amplitude / (1+mu_k)."""
     return op.field_from_coefficients(amplitude / (1.0 + op.eigenvalues))

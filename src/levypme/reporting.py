@@ -2,12 +2,14 @@
 
 Serialization is fully deterministic: floats use repr (shortest round-trip),
 JSON keys are sorted, and nothing time-dependent enters the report or the
-tables.  Timestamps, when wanted, belong to the run metadata file written by
-the CLI.
+tables.  JSON has no NaN or Infinity (RFC 8259), so a non-finite float, such
+as the slope of a fit with too few pairs, is written as ``null``.
+Timestamps, when wanted, belong to the run metadata file written by the CLI.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -87,17 +89,19 @@ def _cell(v) -> str:
 
 def _jsonable(v):
     if isinstance(v, ConstantRecord):
-        return {"value": v.value, "formula": v.formula}
+        return {"value": _jsonable(v.value), "formula": v.formula}
     if isinstance(v, (PropertyCheck, PairEstimate, SlopeFit)):
         return {k: _jsonable(getattr(v, k)) for k in v.__dataclass_fields__}
     if isinstance(v, Table):
-        return {"columns": list(v.columns), "rows": [list(r) for r in v.rows]}
+        return {"columns": list(v.columns), "rows": [_jsonable(r) for r in v.rows]}
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, np.generic):
-        return v.item()
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
     return v
 
 
@@ -136,7 +140,9 @@ class StudyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(
+            self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
 
     def write(self, out_dir) -> None:
         out = Path(out_dir)
@@ -147,6 +153,7 @@ class StudyReport:
         failures = self.failures()
         if failures:
             (out / "failures.json").write_text(
-                json.dumps({"failures": _jsonable(failures)}, sort_keys=True, indent=2)
+                json.dumps({"failures": _jsonable(failures)}, sort_keys=True, indent=2,
+                           allow_nan=False)
                 + "\n"
             )

@@ -29,7 +29,6 @@ from .noise import (
     ZeroCoefficient,
 )
 from .operators import (
-    Field,
     OperatorSpectrum,
     build_fractional_laplacian_torus,
     random_field,
@@ -361,7 +360,7 @@ def build_noise(sc: Scenario, op: OperatorSpectrum) -> NoiseModel:
     return NoiseModel(marks=marks, intensities=sc.noise_intensity, coefficient=coefficient)
 
 
-def build_initial(sc: Scenario, op: OperatorSpectrum) -> Field:
+def build_initial(sc: Scenario, op: OperatorSpectrum) -> np.ndarray:
     if sc.initial == "smooth":
         return smooth_field(op, amplitude=sc.initial_amplitude)
     return random_field(op, np.random.default_rng(sc.initial_seed), scale=sc.initial_amplitude)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Field, OperatorSpectrum
+from .operators import OperatorSpectrum
 
 __all__ = [
     "F12",
@@ -52,10 +52,10 @@ F_STAR = F12_star(1.0)
 
 
 def _coeffs(op: OperatorSpectrum, u) -> np.ndarray:
-    c = u.coefficients if isinstance(u, Field) else np.asarray(u, dtype=float)
+    c = np.asarray(u, dtype=float)
     if c.shape[-1] != op.mode_count:
         raise ValueError(
-            f"field has {c.shape[-1]} modes, operator has {op.mode_count}"
+            f"state has {c.shape[-1]} modes, operator has {op.mode_count}"
         )
     return c
 
@@ -74,15 +74,12 @@ def inner_product(op: OperatorSpectrum, u, v, kind: NormKind = L2) -> float:
 
 
 def norm(op: OperatorSpectrum, u, kind: NormKind = L2) -> float:
-    c = _coeffs(op, u)
-    return float(np.sqrt(np.sum(_squared_multiplier(op, kind) * c * c)))
+    return float(np.sqrt(squared_norm_rows(op, u, kind)))
 
 
 def squared_norm_rows(op: OperatorSpectrum, rows: np.ndarray, kind: NormKind = L2) -> np.ndarray:
     """Squared norms of a stack of coefficient rows (vectorized helper)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1] != op.mode_count:
-        raise ValueError("rows do not match the operator's mode count")
+    rows = _coeffs(op, rows)
     return (_squared_multiplier(op, kind) * rows * rows).sum(axis=-1)
 
 

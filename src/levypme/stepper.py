@@ -21,7 +21,7 @@ import numpy as np
 
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, NoisePath
-from .operators import Field, OperatorSpectrum
+from .operators import OperatorSpectrum
 from .spaces import F_STAR, L2, squared_norm_rows
 
 __all__ = [
@@ -316,7 +316,7 @@ def implicit_step(
     op: OperatorSpectrum,
     psi: NonlinearityPsi,
     cfg: StepConfig,
-    b: Field,
+    b: np.ndarray,
     dt: Optional[float] = None,
     *,
     residual_target: Optional[float] = None,
@@ -324,16 +324,18 @@ def implicit_step(
 ):
     """Solve u + dt (eps - L)(psi(u) + lam u) = b to the residual target.
 
-    One-row call of :func:`implicit_steps`.  Returns the converged field (and
+    One-row call of :func:`implicit_steps` on the coefficient vector ``b``.
+    Returns the converged coefficient vector (and
     the iteration count when asked).  The target defaults to
     cfg.inner_tolerance; convergence is certified by the recomputed residual
     in the F12_star(eps) norm, never by the update size.
     """
     dt = cfg.h if dt is None else float(dt)
     u, iterations = implicit_steps(
-        op, psi, [cfg], b.coefficients[None, :], [dt], residual_target=residual_target
+        op, psi, [cfg], op.field_from_coefficients(b)[None, :], [dt],
+        residual_target=residual_target,
     )
-    out = op.field_from_coefficients(u[0])
+    out = u[0]
     return (out, int(iterations[0])) if return_iterations else out
 
 
@@ -380,9 +382,6 @@ class Trajectory:
     @property
     def mode_count(self) -> int:
         return self.states.shape[1]
-
-    def final_field(self) -> Field:
-        return self.op.field_from_coefficients(self.states[-1])
 
     def row_squared_norms(self, kind, which: str = "right") -> np.ndarray:
         rows = self.states if which == "right" else self.left_states
@@ -515,7 +514,7 @@ def solve_regularized_path(
     path: NoisePath,
     cfg: StepConfig,
     horizon: float,
-    initial_state: Field,
+    initial_state: np.ndarray,
 ) -> Trajectory:
     """March the implicit scheme over the uniform grid refined by jump times.
 
@@ -534,7 +533,7 @@ def solve_regularized_path(
     left_states = np.empty_like(states)
     counters = SolverCounters()
     for i, _, left, right in march(
-        op, psi, model, [path], [grid], [cfg], horizon, initial_state.coefficients, counters
+        op, psi, model, [path], [grid], [cfg], horizon, initial_state, counters
     ):
         left_states[i], states[i] = left[0], right[0]
     jump_flags = np.isin(grid, path.times)

@@ -1,6 +1,7 @@
 """Scenario grammar, canonical serialization, CLI exit codes and artifacts."""
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,9 @@ def test_cli_simulate_success(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["scenario_hash"] == scenario_hash(parse_scenario(_text()))
     assert meta["overrides"] == {}
+    env = meta["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "openblas_num_threads", "cpu_count"}
+    assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
 
 
 def test_cli_linear_oracle_gates(tmp_path, capsys):
@@ -321,6 +325,48 @@ def test_numpy_scalars_serialize(tmp_path):
     extra = json.loads((tmp_path / "report.json").read_text())["extra"]
     assert extra == {"count": 3, "flag": True, "value": 0.1}
     assert (tmp_path / "demo.csv").read_text() == "n,x\n2,0.1\n"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_floats_serialize_as_null(tmp_path):
+    report = StudyReport(
+        kind="demo",
+        checks=[PropertyCheck("broken", False)],
+        extra={"nan": math.nan, "neg_inf": np.float64(-np.inf), "finite": 0.5},
+    )
+    report.write(tmp_path)
+    extra = _strict_json((tmp_path / "report.json").read_text())["extra"]
+    assert extra == {"nan": None, "neg_inf": None, "finite": 0.5}
+    _strict_json((tmp_path / "failures.json").read_text())
+
+
+def test_degenerate_fit_report_is_strict_json(tmp_path):
+    # linear_decay's two-entry ladder gives one pair, so the fit is undefined
+    out = tmp_path / "out"
+    scn = str(SCENARIO_DIR / "linear_decay.scn")
+    assert main(["lambda-study", "--scenario", scn, "--out", str(out)]) == 0
+    slope = _strict_json((out / "report.json").read_text())["slope"]
+    assert slope["significant"] is False and slope["slope"] is None
+
+
+def test_run_studies_summarizes_null_slope(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_studies.py"),
+         str(SCENARIO_DIR / "linear_decay.scn"), "--only", "lambda-study",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "lambda-study  exit 0" in done.stdout
+    assert "slope n/a [n/a, n/a]" in done.stdout
 
 
 def test_tracer_patches_resolve():

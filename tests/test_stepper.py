@@ -37,7 +37,7 @@ def test_single_linear_step_frozen():
     cfg = StepConfig(h=0.1, epsilon=0.1)
     b = op.field_from_coefficients(np.array([1.0]))
     u = implicit_step(op, make_psi("identity"), cfg, b)
-    assert u.coefficients[0] == 0.9009009009009008
+    assert u[0] == 0.9009009009009008
 
 
 def test_zero_dt_returns_rhs(torus_small, initial_small):
@@ -47,7 +47,7 @@ def test_zero_dt_returns_rhs(torus_small, initial_small):
         return_iterations=True,
     )
     assert iterations == 0
-    assert np.array_equal(out.coefficients, initial_small.coefficients)
+    assert np.array_equal(out, initial_small)
 
 
 def test_negative_dt_rejected(torus_small, initial_small):
@@ -58,9 +58,9 @@ def test_negative_dt_rejected(torus_small, initial_small):
 
 def _step_residual(op, psi, cfg, u, b, dt):
     # || u + dt (eps - L)(psi(u) + lam u) - b || in F12_star(eps)
-    phys = op.to_physical(u.coefficients)
+    phys = op.to_physical(u)
     w = op.to_spectral(psi.evaluate(phys) + cfg.lam * phys)
-    r = u.coefficients + dt * (cfg.epsilon + op.eigenvalues) * w - b.coefficients
+    r = u + dt * (cfg.epsilon + op.eigenvalues) * w - b
     return math.sqrt(float(squared_norm_rows(op, r[None, :], F12_star(cfg.epsilon))[0]))
 
 
@@ -88,8 +88,8 @@ def test_step_nonexpansive_in_dual(torus_small):
         b2 = torus_small.field_from_coefficients(rng.normal(size=torus_small.mode_count))
         u1 = implicit_step(torus_small, psi, cfg, b1)
         u2 = implicit_step(torus_small, psi, cfg, b2)
-        gap_out = norm(torus_small, u1.coefficients - u2.coefficients, kind)
-        gap_in = norm(torus_small, b1.coefficients - b2.coefficients, kind)
+        gap_out = norm(torus_small, u1 - u2, kind)
+        gap_in = norm(torus_small, b1 - b2, kind)
         assert gap_out <= gap_in + 1e-9
 
 
@@ -122,7 +122,7 @@ def test_linear_recursion_oracle(torus_small, initial_small):
     kappa = (cfg.epsilon + torus_small.eigenvalues) * (1.0 + cfg.lam)
     dts = np.diff(traj.times)
     factors = 1.0 / (1.0 + dts[:, None] * kappa[None, :])
-    expected = initial_small.coefficients[None, :] * np.cumprod(factors, axis=0)
+    expected = initial_small[None, :] * np.cumprod(factors, axis=0)
     gap = np.abs(traj.states[1:] - expected).max()
     assert gap <= 1e-10, f"recursion gap {gap:.3e}"
 
@@ -131,7 +131,7 @@ def test_temporal_order_linear_decay(torus_small, initial_small):
     # first-order convergence to X_k(T) = x_k exp(-(eps+mu_k)(1+lam) T)
     epsilon, lam, horizon = 0.2, 0.1, 1.0
     kappa = (epsilon + torus_small.eigenvalues) * (1.0 + lam)
-    exact = initial_small.coefficients * np.exp(-kappa * horizon)
+    exact = initial_small * np.exp(-kappa * horizon)
     errors = []
     steps = [2.0**-p for p in range(4, 10)]
     for h in steps:
@@ -154,14 +154,14 @@ def test_pure_jump_exact(torus_small, initial_small):
     traj = solve_regularized_path(
         torus_small, make_psi("zero"), model, path, cfg, 1.0, initial_small
     )
-    comp = model.compensator_rate(torus_small, initial_small).coefficients
-    fields = np.stack([f.coefficients for f in model.coefficient.fields])
+    comp = model.compensator_rate(torus_small, initial_small)
+    fields = np.stack(model.coefficient.fields)
     worst = 0.0
     for i, t in enumerate(traj.times):
         before = path.times < t - 1e-15
         upto = path.times <= t + 1e-15
-        exact_left = initial_small.coefficients + fields[path.mark_indices[before]].sum(axis=0) - t * comp
-        exact_right = initial_small.coefficients + fields[path.mark_indices[upto]].sum(axis=0) - t * comp
+        exact_left = initial_small + fields[path.mark_indices[before]].sum(axis=0) - t * comp
+        exact_right = initial_small + fields[path.mark_indices[upto]].sum(axis=0) - t * comp
         worst = max(worst, np.abs(traj.left_states[i] - exact_left).max())
         worst = max(worst, np.abs(traj.states[i] - exact_right).max())
     assert worst <= 1e-10, f"pure-jump gap {worst:.3e}"
@@ -307,7 +307,7 @@ def test_batched_kernel_matches_one_row_calls(torus_small):
             torus_small, psi, cfg, torus_small.field_from_coefficients(b[r]), dt,
             return_iterations=True,
         )
-        assert np.abs(batch[r] - single.coefficients).max() <= 1e-12
+        assert np.abs(batch[r] - single).max() <= 1e-12
         assert iterations[r] == count
     assert np.array_equal(batch[dts == 0.0], b[dts == 0.0])
     assert np.all(iterations[dts == 0.0] == 0)
@@ -319,7 +319,7 @@ def test_one_failing_row_raises(torus_small):
     psi = make_psi("soft_monotone")
     loose = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1.0, max_inner_iterations=2)
     starved = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1e-14, max_inner_iterations=2)
-    b = np.stack([smooth_field(torus_small, 1.0).coefficients] * 2)
+    b = np.stack([smooth_field(torus_small, 1.0)] * 2)
     implicit_steps(torus_small, psi, [loose], b[:1], [0.9])
     with pytest.raises(StepperConvergenceError, match=r"residual .* dt 0\.7"):
         implicit_steps(torus_small, psi, [loose, starved], b, [0.9, 0.7])
@@ -329,7 +329,7 @@ def test_one_failing_row_raises(torus_small):
 def test_non_finite_row_raises(torus_small, bad):
     # a NaN residual compares False with every target: it must still fail
     psi = make_psi("soft_monotone")
-    b = smooth_field(torus_small, 1.0).coefficients.copy()
+    b = smooth_field(torus_small, 1.0).copy()
     b[3] = bad
     with np.errstate(invalid="ignore"), pytest.raises(StepperConvergenceError):
         implicit_steps(torus_small, psi, [StepConfig(h=0.1, epsilon=0.2)], b[None, :], [0.1])
@@ -362,14 +362,14 @@ def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
     model = multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0))
     psi = make_psi("saturating", cap=0.5)
     configs = [StepConfig(h=0.125, epsilon=eps, lam=lam) for eps, lam in [(0.2, 0.1), (0.1, 0.05)]]
-    starts = [initial_small, torus_small.field_from_coefficients(0.5 * initial_small.coefficients)]
+    starts = [initial_small, torus_small.field_from_coefficients(0.5 * initial_small)]
     paths = [sample_noise_path(model, 1.0, seed) for seed in (1, 2, 3, 4)]
     grids = [time_grid(0.125, 1.0, path)[0] for path in paths]
     assert len({grid.size for grid in grids}) > 1
     seen = {}
     for i, active, left, right in march(
         torus_small, psi, model, paths, grids, configs, 1.0,
-        np.stack([start.coefficients for start in starts]), SolverCounters(),
+        np.stack(starts), SolverCounters(),
     ):
         assert np.all([grids[p].size > i for p in active])
         for k, p in enumerate(active):
