@@ -204,7 +204,8 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
             passed=psi_report.passed,
             detail=(
                 f"min pair slack {psi_report.min_pair_slack:.3e}, "
-                f"min self slack {psi_report.min_self_slack:.3e} "
+                f"min self slack {psi_report.min_self_slack:.3e}, "
+                f"min slope slack {psi_report.min_slope_slack:.3e} "
                 f"over {psi_report.sample_count} samples"
             ),
         )
@@ -256,6 +257,7 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
             "h3_empirical": noise_report.h3_empirical,
             "min_pair_slack": psi_report.min_pair_slack,
             "min_self_slack": psi_report.min_self_slack,
+            "min_slope_slack": psi_report.min_slope_slack,
         },
         tables=[
             Table(

@@ -35,6 +35,9 @@ class NonlinearityPsi:
     linear_slope : float or None
         Set when psi is exactly r -> slope * r; lets the implicit solver
         finish in one iteration.
+    slope_min : float
+        A slope infimum m, (psi(r) - psi(r'))(r - r') >= m (r - r')^2; it
+        centres the implicit solver's splitting constant.
     """
 
     kind: str
@@ -43,10 +46,13 @@ class NonlinearityPsi:
     alpha_tilde: float
     coercivity_c: Optional[float] = None
     linear_slope: Optional[float] = None
+    slope_min: float = 0.0
 
     def __post_init__(self):
         if self.lipschitz_k < 0.0:
             raise ValueError("lipschitz_k must be nonnegative")
+        if not 0.0 <= self.slope_min <= self.lipschitz_k:
+            raise ValueError("slope_min must lie within [0, lipschitz_k]")
         expected = 1.0 / (self.lipschitz_k + 1.0)
         if abs(self.alpha_tilde - expected) > 1e-15 * (1.0 + expected):
             raise ValueError("alpha_tilde must equal 1/(lipschitz_k+1)")
@@ -84,7 +90,7 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
     identity        r -> r                  (k = 1, c = 1)
     scaled_linear   r -> scale * r          (k = c = scale, scale > 0)
     saturating      r -> clamp(r, +-cap)    (k = 1, no coercivity, cap > 0)
-    soft_monotone   r -> r + arctan(r)/2    (k = 3/2, c = 1)
+    soft_monotone   r -> r + arctan(r)/2    (k = 3/2, c = 1, slope infimum 1)
     zero            r -> 0                  (k = 0, no coercivity)
     """
     if kind == "identity":
@@ -109,7 +115,9 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
             "saturating", functools.partial(_eval_saturating, cap=cap), 1.0, 0.5
         )
     if kind == "soft_monotone":
-        return NonlinearityPsi("soft_monotone", _eval_soft_monotone, 1.5, 0.4, 1.0)
+        return NonlinearityPsi(
+            "soft_monotone", _eval_soft_monotone, 1.5, 0.4, 1.0, slope_min=1.0
+        )
     if kind == "zero":
         return NonlinearityPsi("zero", _eval_zero, 0.0, 1.0, None, 0.0)
     raise ValueError(f"unknown nonlinearity kind {kind!r}; choose from {PSI_KINDS}")
@@ -121,6 +129,7 @@ class PsiInequalityReport:
 
     pair_slack:  (psi(r)-psi(r'))(r-r') - alpha_tilde (psi(r)-psi(r'))^2
     self_slack:  psi(r) r - alpha_tilde psi(r)^2
+    slope_slack: (psi(r)-psi(r'))(r-r') - slope_min (r-r')^2
     """
 
     kind: str
@@ -129,6 +138,7 @@ class PsiInequalityReport:
     worst_pair: tuple
     min_self_slack: float
     worst_self_point: float
+    min_slope_slack: float
     violation_count: int
     violation_witness: Optional[tuple]
 
@@ -143,10 +153,11 @@ def verify_psi_inequalities(
     bound: float = 1e3,
     seed: int = 41_038,
 ) -> PsiInequalityReport:
-    """Sample pairs on [-bound, bound]^2 and audit both inequalities exactly.
+    """Sample pairs on [-bound, bound]^2 and audit the inequalities exactly.
 
-    The inequalities are algebraic consequences of monotonicity plus the
-    Lipschitz bound, so the audit uses zero tolerance: any negative slack
+    The pair and self inequalities are algebraic consequences of monotonicity
+    plus the Lipschitz bound, and the slope inequality is the declared
+    ``slope_min``, so the audit uses zero tolerance: any negative slack
     counts as a violation and is reported with its witness pair.
     """
     if sample_count < 1:
@@ -163,16 +174,22 @@ def verify_psi_inequalities(
     diff_psi = psi_r - psi_rp
     pair_slack = diff_psi * (r - r_prime) - psi.alpha_tilde * diff_psi * diff_psi
     self_slack = psi_r * r - psi.alpha_tilde * psi_r * psi_r
+    slope_slack = (diff_psi - psi.slope_min * (r - r_prime)) * (r - r_prime)
 
     i_pair = int(np.argmin(pair_slack))
     i_self = int(np.argmin(self_slack))
-    violations = int(np.count_nonzero(pair_slack < 0.0) + np.count_nonzero(self_slack < 0.0))
+    i_slope = int(np.argmin(slope_slack))
+    violations = sum(
+        int(np.count_nonzero(slack < 0.0)) for slack in (pair_slack, self_slack, slope_slack)
+    )
     witness = None
     if violations:
         if pair_slack[i_pair] < 0.0:
             witness = (float(r[i_pair]), float(r_prime[i_pair]), float(pair_slack[i_pair]))
-        else:
+        elif self_slack[i_self] < 0.0:
             witness = (float(r[i_self]), float(r[i_self]), float(self_slack[i_self]))
+        else:
+            witness = (float(r[i_slope]), float(r_prime[i_slope]), float(slope_slack[i_slope]))
     return PsiInequalityReport(
         kind=psi.kind,
         sample_count=r.size,
@@ -180,6 +197,7 @@ def verify_psi_inequalities(
         worst_pair=(float(r[i_pair]), float(r_prime[i_pair])),
         min_self_slack=float(self_slack[i_self]),
         worst_self_point=float(r[i_self]),
+        min_slope_slack=float(slope_slack[i_slope]),
         violation_count=violations,
         violation_witness=witness,
     )

@@ -3,12 +3,12 @@
 One step solves  u + h (eps - L)(psi(u) + lambda u) = b  by a resolvent
 splitting: the linear shift mu_s u is kept implicit (diagonal resolvent), the
 remainder psi(u) + lambda u - mu_s u is frozen at the previous iterate.  The
-iteration is damped by bisection whenever the measured residual fails to
-drop, and the residual itself is always taken in the eps-scaled dual norm.
+splitting map is Anderson-accelerated, and the residual that certifies a step
+is always taken in the eps-scaled dual norm.
 
 States are plain coefficient arrays.  One kernel solves a whole
 ``(rows, modes)`` batch of steps at once, each row with its own dt, cell
-parameters, damping and certificate; :func:`march` advances many
+parameters, mixing history and certificate; :func:`march` advances many
 (path, config) rows in lockstep with it, and :func:`implicit_step` and
 :func:`solve_regularized_path` are its one-row and one-path calls.
 """
@@ -85,33 +85,37 @@ def effective_splitting_mu(cfg: StepConfig, psi: NonlinearityPsi) -> float:
     """Splitting constant actually used by the inner iteration.
 
     Exactly linear kinds use slope + lam, which makes the split remainder
-    vanish and the step a single diagonal solve.  Otherwise
-    (k + lam)/2 + 0.05 (1 + k), which keeps the frozen remainder a pointwise
-    contraction relative to the implicit shift.
+    vanish and the step a single diagonal solve.  Otherwise, with slope
+    infimum m and supremum k of psi, (m + k + lam)/2 + 0.05 (1 + k - m): the
+    centre of the drift's slope range [m + lam, k + lam], nudged up so the
+    frozen remainder stays a pointwise contraction relative to the implicit
+    shift.
     """
     if cfg.splitting_mu is not None:
         return cfg.splitting_mu
     if psi.linear_slope is not None:
         return psi.linear_slope + cfg.lam
-    k = psi.lipschitz_k
-    return 0.5 * (k + cfg.lam) + 0.05 * (1.0 + k)
+    k, m = psi.lipschitz_k, psi.slope_min
+    return 0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m)
 
 
 def iteration_contraction_factor(
     op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig, dt: Optional[float] = None
 ) -> float:
-    """A priori bound on the inner fixed-point map's Lipschitz constant.
+    """A priori bound on the Lipschitz constant of the plain splitting map.
 
-    q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam, k + lam - mu_s) with
-    d_max = dt (eps + mu_max).  q < 1 whenever mu_s >= (k + lam)/2 on a finite
-    spectrum; the value is recorded in trajectory metadata.
+    q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam - m, k + lam - mu_s) with
+    d_max = dt (eps + mu_max) and m, k the slope infimum and supremum of psi.
+    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum.  The inner
+    solver accelerates this map; the bound is recorded next to the observed
+    contraction in the solver counters.
     """
     dt = cfg.h if dt is None else dt
     mu_s = effective_splitting_mu(cfg, psi)
     if mu_s == 0.0:
         return 0.0
     d_max = dt * (cfg.epsilon + float(op.eigenvalues.max()))
-    remainder = max(mu_s - cfg.lam, psi.lipschitz_k + cfg.lam - mu_s)
+    remainder = max(mu_s - cfg.lam - psi.slope_min, psi.lipschitz_k + cfg.lam - mu_s)
     return d_max / (1.0 + mu_s * d_max) * remainder
 
 
@@ -120,7 +124,7 @@ class _RowParams:
     """Per-row constants of the inner iteration, one row per (path, cell)."""
 
     eps_plus_mu: np.ndarray  # (rows, modes): eps + mu_k
-    dual_weight: np.ndarray  # (rows, modes): 1 / (eps + mu_k)
+    dual_scale: np.ndarray  # (rows, modes): 1 / sqrt(eps + mu_k)
     lam: np.ndarray  # (rows, 1)
     mu_s: np.ndarray  # (rows, 1)
     tolerance: np.ndarray  # (rows,)
@@ -139,7 +143,7 @@ class _RowParams:
 
         return cls(
             eps_plus_mu=rows(epm),
-            dual_weight=rows(1.0 / epm),
+            dual_scale=rows(1.0 / np.sqrt(epm)),
             lam=rows([[cfg.lam] for cfg in configs]),
             mu_s=rows([[effective_splitting_mu(cfg, psi)] for cfg in configs]),
             tolerance=rows([cfg.inner_tolerance for cfg in configs]),
@@ -149,7 +153,7 @@ class _RowParams:
 
     def take(self, index: np.ndarray) -> "_RowParams":
         return _RowParams(
-            self.eps_plus_mu[index], self.dual_weight[index], self.lam[index],
+            self.eps_plus_mu[index], self.dual_scale[index], self.lam[index],
             self.mu_s[index], self.tolerance[index], self.zero_start[index],
             self.max_iterations,
         )
@@ -160,126 +164,166 @@ class SolverCounters:
     """Deterministic counters of the inner iteration over many implicit steps.
 
     ``iterations`` holds one array of per-step inner-iteration counts per
-    batch; a budget miss is a step accepted above its per-substep residual
-    budget but within ``inner_tolerance``.
+    batch and ``contractions`` the observed contraction of each step that
+    applied the map at least once, (res_final / res_0)^(1 / applications);
+    a budget miss is a step accepted above its per-substep residual budget
+    but within ``inner_tolerance``.  ``apriori_contraction`` is the largest
+    :func:`iteration_contraction_factor` of the plain splitting map over the
+    marched configurations, at their step size.
     """
 
     iterations: list = field(default_factory=list)
-    damping_halvings: int = 0
+    contractions: list = field(default_factory=list)
     budget_misses: int = 0
+    apriori_contraction: float = 0.0
+
+    def record(self, iterations, first_res, final_res, misses) -> None:
+        applied = iterations > 1
+        self.iterations.append(iterations)
+        self.contractions.append(
+            (final_res[applied] / first_res[applied]) ** (1.0 / (iterations[applied] - 1))
+        )
+        self.budget_misses += misses
 
     def summary(self) -> dict:
         counts = np.concatenate(self.iterations) if self.iterations else np.zeros(0, int)
+        rates = np.concatenate(self.contractions) if self.contractions else np.zeros(0)
         steps = int(counts.size)
         return {
             "implicit_steps": steps,
             "inner_iterations_mean": float(counts.mean()) if steps else 0.0,
             "inner_iterations_p99": float(np.percentile(counts, 99)) if steps else 0.0,
             "inner_iterations_max": int(counts.max()) if steps else 0,
-            "damping_halvings": int(self.damping_halvings),
             "residual_budget_misses": int(self.budget_misses),
+            "observed_contraction_p50": float(np.median(rates)) if rates.size else 0.0,
+            "observed_contraction_max": float(rates.max()) if rates.size else 0.0,
+            "apriori_contraction_factor": float(self.apriori_contraction),
         }
 
 
-def _drift(op, psi, u, lam):
-    phys = op.to_physical(u)
-    return op.to_spectral(psi.evaluate(phys) + lam * phys)
+# History depth of the Anderson mixing: how many past differences of map
+# values each update combines.
+ANDERSON_DEPTH = 3
+# Relative diagonal loading of the mixing's normal equations; bounds the
+# weights when the history columns are nearly dependent.
+_MIXING_LOADING = 1e-4
 
 
-def _residual(u, w, d, b, dual_weight):
-    r = u + d * w - b
-    return np.sqrt((dual_weight * r * r).sum(axis=1))
+def _mixing(g, sr, dG, dS, gram, slot):
+    """Anderson update g - sum_j gamma_j dG[:, j] of each row, where gamma
+    minimises the Euclidean norm of sr - sum_j gamma_j dS[:, j] per row.
+
+    ``dG`` and ``dS`` are (rows, ANDERSON_DEPTH, modes) history rings whose
+    column ``slot`` was just written; ``gram`` holds their loaded normal
+    equations and is brought up to date here.  An all-zero column gets a
+    unit diagonal and so weight 0.
+    """
+    column = np.einsum("rjn,rn->rj", dS, dS[:, slot])
+    gram[:, slot, :] = gram[:, :, slot] = column
+    diagonal = column[:, slot]
+    gram[:, slot, slot] = np.where(diagonal > 0.0, diagonal * (1.0 + _MIXING_LOADING), 1.0)
+    gamma = np.linalg.solve(gram, np.einsum("rjn,rn->rj", dS, sr)[..., None])
+    return g - np.einsum("rj,rjn->rn", gamma[..., 0], dG)
 
 
 def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
     """The inner solver: every row r solves u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r.
 
-    Resolvent splitting per row: the shift mu_s u is implicit, the remainder
-    frozen at the previous iterate, the update damped by bisection whenever
-    the recomputed residual (in the row's F12_star(eps_r) norm) fails to drop.
-    Each row keeps its own damping, stall count and certificate; only
-    decreasing residuals are accepted, so the current iterate is always the
-    best one.  A row stops when its residual meets its target, when damping
-    underflows, or on the floating-point floor (8 stalled iterations with the
-    residual within inner_tolerance), and then leaves the active set, so the
-    remaining rows run on a compacted array.  Rows with dt = 0 return b
-    after 0 iterations.
+    Anderson acceleration (Walker & Ni 2011) of the resolvent-splitting map
+    G(u) = (b - d (w(u) - mu_s u)) / (1 + mu_s d), where d = dt (eps - L), w
+    is the drift psi(u) + lam u and the shift mu_s u is implicit.  Its
+    fixed-point residual G(u) - u = -r / (1 + mu_s d) is a scaling of the
+    certificate residual r = u + d w(u) - b, so each update combines the map
+    values of the last ANDERSON_DEPTH + 1 iterates with the weights that
+    minimise the combined r in the row's F12_star(eps_r) norm, at no extra
+    drift evaluation.  Each row keeps its own history and certificate and
+    returns its best-certified iterate.  A row stops when its residual meets
+    its target, or on the floating-point floor (an iteration that does not
+    improve on a residual already within inner_tolerance), and then leaves
+    the active set, so the remaining rows run on a compacted array.  Rows
+    with dt = 0 return b after 0 iterations.  Iterations count drift
+    evaluations, the first one included.
 
     Returns the solutions and the per-row iteration counts; raises
-    StepperConvergenceError for the first row whose residual ends above both
-    its target and its tolerance.
+    StepperConvergenceError at the first non-finite residual, and for the
+    first row whose residual ends above both its target and its tolerance.
     """
     n = b.shape[0]
     out = b.copy()
     iterations = np.zeros(n, dtype=int)
+    first_res = np.zeros(n)
     final_res = np.zeros(n)
     rows = np.flatnonzero(dt > 0.0)
     p = params if rows.size == n else params.take(rows)
     bb, tgt = (b, target) if rows.size == n else (b[rows], target[rows])
     d = dt[rows, None] * p.eps_plus_mu
-    denom = 1.0 + p.mu_s * d
-    lam, mu_s, dual, tol = p.lam, p.mu_s, p.dual_weight, p.tolerance
+    lam, scale, tol = p.lam, p.dual_scale, p.tolerance
+    # G(u) = u - sr * step, with sr = scale * r the scaled certificate residual
+    step = 1.0 / (scale * (1.0 + p.mu_s * d))
+
+    def certify(u):
+        """Scaled residual rows and their norms, the F12_star(eps_r) norms of r."""
+        phys = op.to_physical(u)
+        sr = scale * (u + d * op.to_spectral(psi.evaluate(phys) + lam * phys) - bb)
+        res = np.sqrt(np.einsum("ij,ij->i", sr, sr))
+        if not np.isfinite(res).all():
+            r = rows[int(np.argmin(np.isfinite(res)))]
+            raise StepperConvergenceError(
+                f"non-finite inner residual (splitting_mu {float(params.mu_s[r, 0]):g}, "
+                f"dt {float(dt[r]):g})"
+            )
+        return sr, res
+
     u = np.where(p.zero_start[:, None], 0.0, bb)
-    w = _drift(op, psi, u, lam)
-    res = _residual(u, w, d, bb, dual)
-    damping = np.ones((rows.size, 1))
-    stall = np.zeros(rows.size, dtype=int)
-    halvings = 0
+    sr, res = certify(u)
+    first_res[rows] = res
+    best_u, best = u, res
+    # History ring: differences of consecutive map values and scaled
+    # residuals, and the normal equations of the latter.
+    dG = np.zeros((rows.size, ANDERSON_DEPTH, u.shape[1]))
+    dS = np.zeros_like(dG)
+    gram = np.tile(np.eye(ANDERSON_DEPTH), (rows.size, 1, 1))
+    g_prev = sr_prev = None
 
-    def retire(done, counts):
-        nonlocal rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res, damping, stall
-        if np.count_nonzero(done) == done.size:
-            out[rows], final_res[rows], iterations[rows] = u, res, counts
-            rows = rows[:0]
-            return
+    def retire(done, count):
+        nonlocal rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best, dG, dS, gram
+        nonlocal g_prev, sr_prev
         ids = rows[done]
-        out[ids], final_res[ids] = u[done], res[done]
-        iterations[ids] = counts if np.isscalar(counts) else counts[done]
+        out[ids], final_res[ids], iterations[ids] = best_u[done], best[done], count
         keep = np.flatnonzero(~done)
-        rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res, damping, stall = (
-            a[keep] for a in (rows, bb, tgt, d, denom, lam, mu_s, dual, tol, u, w, res,
-                              damping, stall)
+        rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best, dG, dS, gram = (
+            a[keep] for a in (rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best,
+                              dG, dS, gram)
         )
+        if g_prev is not None:
+            g_prev, sr_prev = g_prev[keep], sr_prev[keep]
 
-    done = res <= tgt
-    stop = None  # rows that stopped short of their target in the last iteration
+    done = best <= tgt
     for k in range(1, p.max_iterations + 1):
-        if np.count_nonzero(done):
-            # Converged rows are counted as the iteration that finds them so.
-            retire(done, k if stop is None else np.where(stop, k - 1, k))
+        if done.any():
+            retire(done, k)
             if not rows.size:
                 break
-        candidate = (bb - d * (w - mu_s * u)) / denom
-        u_try = u + damping * (candidate - u)
-        w_try = _drift(op, psi, u_try, lam)
-        res_try = _residual(u_try, w_try, d, bb, dual)
-        better = res_try < res
-        n_better = np.count_nonzero(better)
-        if n_better == better.size:
-            stall = (stall + 1) * (res_try > 0.999 * res)
-            u, w, res = u_try, w_try, res_try
-            damping = np.minimum(1.0, 1.5 * damping)
-            stop = None
+        g = u - sr * step
+        if g_prev is None:
+            u = g
         else:
-            stall = (stall + 1) * (~better | (res_try > 0.999 * res))
-            u = np.where(better[:, None], u_try, u)
-            w = np.where(better[:, None], w_try, w)
-            res = np.where(better, res_try, res)
-            damping = np.where(better[:, None], np.minimum(1.0, 1.5 * damping), 0.5 * damping)
-            halvings += int(better.size - n_better)
-            stop = ~better & (damping[:, 0] < 1e-8)
-        if k >= 8:
-            # Floating-point floor (stall counts reach 8 from iteration 8 on):
-            # accept once the contractual tolerance holds but the iteration
-            # makes no progress.
-            floor = (stall >= 8) & (res <= tol)
-            stop = floor if stop is None else stop | floor
-        done = res <= tgt if stop is None else stop | (res <= tgt)
+            slot = (k - 2) % ANDERSON_DEPTH
+            np.subtract(g, g_prev, out=dG[:, slot])
+            np.subtract(sr, sr_prev, out=dS[:, slot])
+            u = _mixing(g, sr, dG, dS, gram, slot)
+        g_prev, sr_prev = g, sr
+        sr, res = certify(u)
+        improved = res < best
+        best_u = u if improved.all() else np.where(improved[:, None], u, best_u)
+        best = np.minimum(res, best)
+        # Floating-point floor: the contractual tolerance holds but the
+        # iteration no longer improves on it.
+        done = (best <= tgt) | (~improved & (best <= tol))
     if rows.size:
         retire(np.ones(rows.size, dtype=bool), p.max_iterations)
 
-    # Written so that a NaN residual fails too.
-    failed = ~(final_res <= np.maximum(target, params.tolerance))
+    failed = final_res > np.maximum(target, params.tolerance)
     if failed.any():
         r = int(np.argmax(failed))
         raise StepperConvergenceError(
@@ -288,9 +332,11 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
             f"dt {float(dt[r]):g})"
         )
     if counters is not None:
-        counters.iterations.append(iterations[dt > 0.0])
-        counters.damping_halvings += halvings
-        counters.budget_misses += int(np.count_nonzero(final_res > target))
+        stepped = dt > 0.0
+        counters.record(
+            iterations[stepped], first_res[stepped], final_res[stepped],
+            int(np.count_nonzero(final_res > target)),
+        )
     return out, iterations
 
 
@@ -478,6 +524,10 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
         jumps.append(at)
 
     params = _RowParams.from_configs(op, psi, configs, repeat=len(paths))
+    counters.apriori_contraction = max(
+        [counters.apriori_contraction]
+        + [iteration_contraction_factor(op, psi, cfg) for cfg in configs]
+    )
     starts = np.broadcast_to(np.asarray(initial, dtype=float), (n_cells, op.mode_count))
     state = np.tile(starts, (len(paths), 1))
     active = np.arange(len(paths))

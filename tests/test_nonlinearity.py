@@ -2,8 +2,11 @@
 
 alpha_tilde is frozen from 1/(k+1) with the slope suprema k = 1 (identity,
 saturating), k = scale (scaled_linear), k = 3/2 (soft_monotone, slope
-1 + (1/2)/(1+r^2) maximal at r = 0) and k = 0 (zero).
+1 + (1/2)/(1+r^2) maximal at r = 0) and k = 0 (zero).  soft_monotone's slope
+tends to 1 at infinity, its declared slope infimum.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,7 @@ def test_inequality_audit_zero_violations(psi):
     assert report.violation_witness is None
     assert not (report.min_pair_slack < 0.0)
     assert not (report.min_self_slack < 0.0)
+    assert not (report.min_slope_slack < 0.0)
 
 
 def test_zero_kind_saturates_self_inequality():
@@ -98,6 +102,9 @@ def test_dataclass_invariants_enforced():
         NonlinearityPsi("bad", lambda r: r, 1.0, 0.25)  # not 1/(k+1)
     with pytest.raises(ValueError):
         NonlinearityPsi("bad", lambda r: r, 1.0, 0.5, coercivity_c=0.0)
+    for slope_min in (-0.1, 1.5):  # outside [0, lipschitz_k]
+        with pytest.raises(ValueError):
+            NonlinearityPsi("bad", lambda r: r, 1.0, 0.5, slope_min=slope_min)
 
 
 def test_linear_slope_tags():
@@ -106,6 +113,23 @@ def test_linear_slope_tags():
     assert make_psi("zero").linear_slope == 0.0
     assert make_psi("saturating", cap=2.0).linear_slope is None
     assert make_psi("soft_monotone").linear_slope is None
+    # slope infima: only soft_monotone declares one above 0
+    assert [psi.slope_min for psi in _all_kinds()] == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("kind,kwargs,declared", [
+    ("saturating", {"cap": 1.0}, 0.5),  # flat beyond the cap: the infimum is 0
+    ("soft_monotone", {}, 1.1),  # slope 1 + 1/(2 (1 + r^2)) -> 1 at infinity
+])
+def test_overstated_slope_min_fails_audit(kind, kwargs, declared):
+    overstated = dataclasses.replace(make_psi(kind, **kwargs), slope_min=declared)
+    report = verify_psi_inequalities(overstated, sample_count=2_000, seed=3)
+    assert not report.passed
+    assert report.min_slope_slack < 0.0
+    # the witness is a sampled pair whose difference quotient is below the claim
+    r, r_prime, slack = report.violation_witness
+    psi = overstated.evaluate(np.array([r, r_prime]))
+    assert (psi[0] - psi[1]) / (r - r_prime) < declared and slack < 0.0
 
 
 def test_evaluate_preserves_shape():

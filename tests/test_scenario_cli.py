@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levypme.cli import main
-from levypme import cli
+from levypme import cli, nonlinearity
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
     Scenario,
@@ -224,6 +224,9 @@ def test_cli_simulate_success(tmp_path, capsys):
     env = meta["environment"]
     assert set(env) == {"python", "numpy", "scipy", "openblas_num_threads", "cpu_count"}
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
+    solver = report["extra"]["solver"]
+    assert 0.0 < solver["observed_contraction_p50"] <= solver["observed_contraction_max"]
+    assert 0.0 < solver["apriori_contraction_factor"] < 1.0
 
 
 def test_cli_linear_oracle_gates(tmp_path, capsys):
@@ -301,6 +304,41 @@ def test_cli_numerical_failure(tmp_path, capsys):
     for command in ("simulate", "lambda-study"):
         assert main([command, "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_non_finite_psi_fails_fast(tmp_path, capsys, monkeypatch):
+    # a NaN from psi must end the run at once: no row may spend more than two
+    # drift evaluations before the kernel gives up
+    calls = []
+
+    def nan_psi(r):
+        calls.append(np.shape(r)[0])
+        return np.full_like(np.asarray(r, dtype=float), np.nan)
+
+    monkeypatch.setattr(nonlinearity, "_eval_soft_monotone", nan_psi)
+    scn = _write_scenario(tmp_path, _text())
+    for command in ("simulate", "lambda-study"):
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            code = main([command, "--scenario", scn, "--out", str(tmp_path / command)])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert 1 <= len(calls) <= 2 and all(rows == calls[0] for rows in calls)
+
+
+def test_zero_intensities_run_every_study(tmp_path, capsys):
+    # zero intensities are a valid scenario: no jumps, zero noise constants
+    scn = _write_scenario(tmp_path, _text({"noise_intensity": "0 0"}))
+    for command in ("simulate", "inequalities", "lambda-study", "eps-study",
+                    "apriori", "uniqueness"):
+        out = tmp_path / command
+        assert main([command, "--scenario", scn, "--out", str(out)]) == 0, command
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+    assert "all checks passed" in capsys.readouterr().out
+    simulate = json.loads((tmp_path / "simulate" / "report.json").read_text())
+    assert simulate["parameters"]["jumps"] == 0
+    extra = json.loads((tmp_path / "inequalities" / "report.json").read_text())["extra"]
+    assert extra["h2_empirical"] == 0.0 and extra["h3_empirical"] == 0.0
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):

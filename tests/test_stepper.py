@@ -13,7 +13,12 @@ import pytest
 
 from levypme.nonlinearity import make_psi
 from levypme.noise import NoisePath, sample_noise_path
-from levypme.operators import smooth_field, spectrum_from_eigenvalues
+from levypme.operators import (
+    build_fractional_laplacian_torus,
+    random_field,
+    smooth_field,
+    spectrum_from_eigenvalues,
+)
 from levypme.spaces import F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import (
     SolverCounters,
@@ -199,8 +204,10 @@ def test_splitting_policy():
     cfg = StepConfig(h=0.1, epsilon=0.2, lam=0.1)
     assert effective_splitting_mu(cfg, make_psi("identity")) == 1.1
     assert effective_splitting_mu(cfg, make_psi("zero")) == 0.1
-    # (k + lam)/2 + 0.05 (1 + k) at k = 3/2
-    assert effective_splitting_mu(cfg, make_psi("soft_monotone")) == pytest.approx(0.925)
+    # (m + k + lam)/2 + 0.05 (1 + k - m) at m = 1, k = 3/2
+    assert effective_splitting_mu(cfg, make_psi("soft_monotone")) == pytest.approx(1.375)
+    # m = 0 keeps (k + lam)/2 + 0.05 (1 + k)
+    assert effective_splitting_mu(cfg, make_psi("saturating", cap=1.0)) == pytest.approx(0.65)
     cfg_override = StepConfig(h=0.1, epsilon=0.2, splitting_mu=2.5)
     assert effective_splitting_mu(cfg_override, make_psi("soft_monotone")) == 2.5
 
@@ -210,6 +217,30 @@ def test_contraction_factor_below_one(torus_small):
     for kind, kwargs in [("soft_monotone", {}), ("saturating", {"cap": 1.0})]:
         q = iteration_contraction_factor(torus_small, make_psi(kind, **kwargs), cfg)
         assert 0.0 < q < 1.0
+
+
+def test_contraction_factor_uses_slope_infimum():
+    # one mode, d = h (eps + mu) = 0.5 (0.2 + 1.8) = 1; soft_monotone at
+    # lam = 0.1: mu_s = 1.375, remainder max(mu_s - lam - 1, 3/2 + lam - mu_s)
+    op = spectrum_from_eigenvalues([1.8])
+    cfg = StepConfig(h=0.5, epsilon=0.2, lam=0.1)
+    q = iteration_contraction_factor(op, make_psi("soft_monotone"), cfg)
+    assert q == pytest.approx(0.275 / 2.375, rel=1e-14)
+
+
+def test_accelerated_saturating_iterations():
+    # one stiff-saturating path (additive noise, saturating psi with its
+    # plateaus, lam = 0.05) on the 129-mode torus: the damped fixed-point
+    # loop this kernel replaced took 65.0 inner iterations per step on
+    # average here; the accelerated one must take at most half of that
+    op = build_fractional_laplacian_torus(64, 0.75)
+    model = additive_model(op)
+    traj = solve_regularized_path(
+        op, make_psi("saturating", cap=1.0), model, sample_noise_path(model, 0.5, 1),
+        StepConfig(h=1 / 32, epsilon=0.05, lam=0.05), 0.5,
+        random_field(op, np.random.default_rng(12), scale=1.2),
+    )
+    assert traj.counters.summary()["inner_iterations_mean"] <= 65.0 / 2
 
 
 def test_step_config_validation():
@@ -259,7 +290,7 @@ def test_trajectory_metadata_and_summaries(torus_small, initial_small):
 
     kind = F12_star(0.2)
     sup_sq = traj.running_sup_squared(kind)
-    assert sup_sq[-1] == traj.sup_norm(kind) ** 2
+    assert np.sqrt(sup_sq[-1]) == traj.sup_norm(kind)
     run_int = traj.running_integral_squared(kind)
     assert run_int[0] == 0.0
     assert run_int[-1] == pytest.approx(traj.integral_squared_norm(kind), rel=1e-14)
@@ -392,10 +423,17 @@ def test_solver_counters(torus_small, initial_small):
     assert summary["inner_iterations_max"] == traj.metadata["max_inner_iterations_used"]
     assert 1 <= summary["inner_iterations_mean"] <= summary["inner_iterations_p99"]
     assert summary["inner_iterations_p99"] <= summary["inner_iterations_max"]
-    assert summary["residual_budget_misses"] >= 0 and summary["damping_halvings"] >= 0
+    assert summary["residual_budget_misses"] >= 0
+    assert 0.0 < summary["observed_contraction_p50"] <= summary["observed_contraction_max"] < 1.0
+    assert summary["apriori_contraction_factor"] == traj.metadata["contraction_factor"]
     # the summary lands in report.json: plain Python numbers only
-    counts = SolverCounters([np.array([3, 9]), np.array([4])], np.int64(2), np.int64(1))
+    counts = SolverCounters(
+        [np.array([3, 9]), np.array([4])], [np.array([0.5, 0.25]), np.array([0.125])],
+        np.int64(1), np.float64(0.75),
+    )
     assert json.loads(json.dumps(counts.summary())) == {
         "implicit_steps": 3, "inner_iterations_mean": 16 / 3, "inner_iterations_p99": 8.9,
-        "inner_iterations_max": 9, "damping_halvings": 2, "residual_budget_misses": 1,
+        "inner_iterations_max": 9, "residual_budget_misses": 1,
+        "observed_contraction_p50": 0.25, "observed_contraction_max": 0.5,
+        "apriori_contraction_factor": 0.75,
     }
