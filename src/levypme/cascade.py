@@ -28,12 +28,20 @@ and running curves.  The Monte Carlo studies run their paths in fixed chunks
 of ``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at
 once; ``uniqueness_check`` marches its three rows together.  All studies are
 deterministic for a fixed master seed.
+
+The Monte Carlo studies are reductions of an ensemble: the per-path sups,
+integrals and running curves of every path under a list of cells.  An
+ensemble is marched once per interpreter for each (plan fingerprint, cells)
+pair (:func:`_run_cells`); ``apriori_study`` asks for the cells
+``lambda_cauchy_study`` marched, so after it, apriori marches nothing.  Only
+studies in one interpreter share ensembles (``scripts/run_studies.py``, a
+Python session); a lone CLI process marches everything it reports on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,6 +104,11 @@ class StudyPlan:
 
     ``lambda_ladder`` and ``epsilon_ladder`` must be strictly decreasing; the
     studies couple adjacent ladder entries through shared noise paths.
+
+    ``fingerprint`` names the configuration for ensemble reuse (see
+    :func:`_run_cells`).  Only :func:`levypme.scenario.build_plan` sets it;
+    a plan built by hand or copied with :func:`dataclasses.replace` has none
+    and never reuses an ensemble.
     """
 
     op: OperatorSpectrum
@@ -110,6 +123,7 @@ class StudyPlan:
     master_seed: int
     inner_tolerance: float = 1e-10
     max_inner_iterations: int = 600
+    fingerprint: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -154,14 +168,46 @@ class StudyPlan:
 CHUNK_ROWS = 64
 
 
+# Ensembles marched in this interpreter, keyed by (plan fingerprint, cells);
+# every entry belongs to one fingerprint.  Several entries, not one: the
+# studies run as lambda-study, eps-study, apriori, and apriori reuses
+# lambda-study's ensemble across eps-study's.
+_ENSEMBLES: dict[tuple, dict] = {}
+
+
 def _run_cells(plan: StudyPlan, cells):
+    """The per-path reductions of every path under every (epsilon, lam) cell.
+
+    Returns arrays indexed [path, cell] (pairs: [path, pair]), the running
+    curves at the base grid times, the solver counter summary, and
+    ``"ensemble"``: ``"marched"`` when this call simulated the paths
+    (:func:`_march_cells`), ``"reused"`` when an earlier call in this
+    interpreter had marched the same cells under the same plan fingerprint.
+    The ensemble is a pure function of the plan and the cells, so a reused
+    result is the marched one, bit for bit.  Results of a plan without a
+    fingerprint are never kept; a new fingerprint drops every kept result.
+    The arrays are read-only, so a study cannot alter another's samples.
+    """
+    key = (plan.fingerprint, tuple(cells))
+    if key in _ENSEMBLES:
+        return {**_ENSEMBLES[key], "ensemble": "reused"}
+    results = _march_cells(plan, cells)
+    for value in results.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    if plan.fingerprint is not None:
+        if any(fingerprint != plan.fingerprint for fingerprint, _ in _ENSEMBLES):
+            _ENSEMBLES.clear()
+        _ENSEMBLES[key] = results
+    return {**results, "ensemble": "marched"}
+
+
+def _march_cells(plan: StudyPlan, cells):
     """Simulate every path under every (epsilon, lam) cell, chunk by chunk.
 
     Chunks hold ``CHUNK_ROWS // len(cells)`` paths, whose rows (paths x
     cells) advance in lockstep; norms are reduced on the fly by
-    :func:`cadlag_reductions` and no trajectory is stored.  Returns arrays
-    indexed [path, cell] (pairs: [path, pair]), the running curves at the
-    base grid times, and the solver counters.
+    :func:`cadlag_reductions` and no trajectory is stored.
     """
     op = plan.op
     n_cells = len(cells)
@@ -214,9 +260,10 @@ def _run_cells(plan: StudyPlan, cells):
         "integral_f12": integral[:, f12],
         "pair_sup_fstar_sq": sup[:, pair],
         "base_times": times[base_mask],  # every path shares the base grid
-        "running_sup_l2": running_sup[:, l2],
-        "running_integral_f12": running_integral[:, f12],
-        "counters": counters,
+        # Copies: a kept ensemble holds only the running curves studies read.
+        "running_sup_l2": running_sup[:, l2].copy(),
+        "running_integral_f12": running_integral[:, f12].copy(),
+        "solver": counters.summary(),
     }
 
 
@@ -421,8 +468,9 @@ def _cauchy_study(
         slope=fit,
         constants_used=_constants_used(plan, fixed.get("epsilon", cells[0][0]), cells[0][1]),
         checks=checks,
-        extra={"envelope_constant": envelope_c, "solver": results["counters"].summary()},
+        extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
+        ensemble=results["ensemble"],
     )
 
 
@@ -668,7 +716,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
         constants_used=_constants_used(plan, epsilon, plan.lambda_ladder[-1]),
         checks=checks,
         extra={
-            "solver": results["counters"].summary(),
+            "solver": dict(results["solver"]),
             "shape_fits": shape_fits,
             "cells": [
                 {"lam": c.lam, "lhs": c.lhs, "bound": c.bound, "slack": c.slack}
@@ -676,6 +724,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
             ],
         },
         tables=tables,
+        ensemble=results["ensemble"],
     )
 
 

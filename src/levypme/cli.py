@@ -20,7 +20,10 @@ Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
 timestamp and the environment (Python, numpy and scipy versions,
 ``OPENBLAS_NUM_THREADS``, CPU count), so reports and tables are
-byte-identical across reruns.
+byte-identical across reruns.  For ``lambda-study``, ``eps-study`` and
+``apriori`` the metadata also says whether the study marched its ensemble or
+reused one an earlier study of the same plan marched in this interpreter
+(``"ensemble": "marched"`` or ``"reused"``).
 """
 
 from __future__ import annotations
@@ -327,6 +330,8 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
         },
         "environment": _environment(),
     }
+    if report.ensemble is not None:
+        metadata["ensemble"] = report.ensemble
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, sort_keys=True, indent=2) + "\n"
     )

@@ -118,6 +118,10 @@ class StudyReport:
     extra: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
+    # How a Monte Carlo study got its samples, "marched" or "reused" (see
+    # cascade._run_cells).  Run metadata: kept out of report.json, which is
+    # the same either way.
+    ensemble: Optional[str] = None
 
     @property
     def passed(self) -> bool:

@@ -373,8 +373,14 @@ def build_plan(
     step_size: float | None = None,
     master_seed: int | None = None,
 ) -> StudyPlan:
+    """The plan a scenario describes, with the CLI overrides applied.
+
+    The plan is stamped with a fingerprint, the canonical scenario hash and
+    the resolved path count, step size and master seed, which together
+    determine every ensemble the plan's studies march.
+    """
     op = build_operator(sc)
-    return StudyPlan(
+    plan = StudyPlan(
         op=op,
         psi=build_psi(sc),
         noise=build_noise(sc, op),
@@ -388,3 +394,9 @@ def build_plan(
         inner_tolerance=sc.inner_tolerance,
         max_inner_iterations=sc.max_inner_iterations,
     )
+    # Not an __init__ argument, so a hand-built or replace()d plan has none.
+    object.__setattr__(
+        plan, "fingerprint",
+        (scenario_hash(sc), plan.paths, plan.step_size, plan.master_seed),
+    )
+    return plan

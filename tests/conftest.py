@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levypme import cascade
 from levypme.noise import (
     AdditiveCoefficient,
     MultiplicativeCoefficient,
@@ -8,6 +9,33 @@ from levypme.noise import (
     ZeroCoefficient,
 )
 from levypme.operators import build_fractional_laplacian_torus, random_field, smooth_field
+from levypme.stepper import march
+
+
+@pytest.fixture(autouse=True)
+def cold_ensembles():
+    """Start every test with no ensemble kept by an earlier test.
+
+    Studies of one plan share ensembles within an interpreter
+    (``cascade._run_cells``).  Without this, a test would pass on another
+    test's march: a wall-clock budget would time a lookup, and a test that
+    patches the kernel would not run it.
+    """
+    cascade._ENSEMBLES.clear()
+
+
+@pytest.fixture
+def march_steps(monkeypatch):
+    """Spy on the studies' ``march``: one list entry per step it yields."""
+    steps = []
+
+    def counting(*args):
+        for step in march(*args):
+            steps.append(1)
+            yield step
+
+    monkeypatch.setattr(cascade, "march", counting)
+    return steps
 
 
 @pytest.fixture(scope="session")

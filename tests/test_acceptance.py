@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levypme import cascade
 from levypme.cascade import (
     SHAPE_ENVELOPE_MARGIN,
     apriori_study,
@@ -276,6 +277,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
     scenario = str(SCENARIO_DIR / "multiplicative_small.scn")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     code1 = main(["lambda-study", "--scenario", scenario, "--out", str(out1)])
+    # drop the kept ensemble, so the second run marches too
+    cascade._ENSEMBLES.clear()
     code2 = main(["lambda-study", "--scenario", scenario, "--out", str(out2)])
 
     names = ("report.json", "lambda_cauchy_pairs.csv", "lambda_cauchy_moments.csv",

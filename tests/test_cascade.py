@@ -6,6 +6,7 @@ pair moment E[sup ||X_lam - X_lam'||^2] is computable in closed form and the
 study must reproduce it exactly.
 """
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +295,7 @@ def test_chunk_reductions_match_trajectory_formulas(torus_small):
                        squared_norm_rows(plan.op, a.left_states - b.left_states, kind).max())
             assert out["pair_sup_fstar_sq"][index, c] == pytest.approx(pair, rel=1e-12)
         assert np.array_equal(out["base_times"], trajs[0].times[trajs[0].base_mask])
-    assert out["counters"].summary()["implicit_steps"] > 0
+    assert out["solver"]["implicit_steps"] > 0
 
 
 def test_uniqueness_is_one_march(torus_small, monkeypatch):
@@ -350,3 +351,57 @@ def test_uniqueness_inflated_gap_fails():
     assert honest <= PERTURBATION_RATE_HEADROOM
     inflated = np.where(times > 0, 1e3 * gaps, gaps)
     assert _excess_growth_rate(times, inflated, gaps[0], budget) > PERTURBATION_RATE_HEADROOM
+
+
+SMALL = Path(__file__).resolve().parent.parent / "scenarios" / "multiplicative_small.scn"
+
+
+def test_only_fingerprinted_plans_reuse_ensembles(march_steps):
+    plan = build_plan(load_scenario(SMALL))
+    epsilon = plan.epsilon_ladder[-1]
+
+    def marched(study, study_plan):
+        march_steps.clear()
+        report = study(study_plan, epsilon)
+        assert report.ensemble == ("marched" if march_steps else "reused")
+        return len(march_steps)
+
+    assert plan.fingerprint is not None
+    assert marched(lambda_cauchy_study, plan) > 0
+    assert marched(apriori_study, plan) == 0
+
+    # the same configuration without a fingerprint, built by hand or copied
+    hand = StudyPlan(**{f.name: getattr(plan, f.name) for f in fields(StudyPlan) if f.init})
+    copy = replace(plan, paths=plan.paths)
+    for other in (hand, copy):
+        assert other.fingerprint is None
+        assert marched(apriori_study, other) > 0
+        assert marched(apriori_study, other) > 0  # and nothing was kept
+    assert marched(apriori_study, replace(plan, paths=plan.paths + 2)) > 0
+    assert marched(apriori_study, plan) == 0
+
+    # a plan with another fingerprint drops every ensemble of the last one
+    reseeded = build_plan(load_scenario(SMALL), master_seed=plan.master_seed + 1)
+    assert reseeded.fingerprint != plan.fingerprint
+    assert marched(lambda_cauchy_study, reseeded) > 0
+    assert marched(apriori_study, reseeded) == 0
+    assert marched(apriori_study, plan) > 0
+
+
+def test_kept_ensemble_is_read_only():
+    # a study that writes into its samples raises instead of corrupting the
+    # next study's
+    plan = build_plan(load_scenario(SMALL))
+    cells = [(plan.epsilon_ladder[-1], lam) for lam in plan.lambda_ladder]
+    first = _run_cells(plan, cells)
+    arrays = {k: v for k, v in first.items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"sup_l2_sq", "integral_f12", "pair_sup_fstar_sq", "base_times",
+                           "running_sup_l2", "running_integral_f12"}
+    kept = {k: v.copy() for k, v in arrays.items()}
+    for value in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+    again = _run_cells(plan, cells)
+    assert (first["ensemble"], again["ensemble"]) == ("marched", "reused")
+    for name, value in kept.items():
+        assert np.array_equal(again[name], value)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levypme.cli import main
-from levypme import cli, nonlinearity
+from levypme import cascade, cli, nonlinearity
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
     Scenario,
@@ -264,6 +264,63 @@ def test_cli_seed_override_recorded(tmp_path):
     assert meta["overrides"] == {"seed": 5}
     report = json.loads((out / "report.json").read_text())
     assert report["parameters"]["master_seed"] == 5
+
+
+def _ensemble(out):
+    return json.loads((out / "metadata.json").read_text()).get("ensemble")
+
+
+def test_apriori_reuses_lambda_study_ensemble(tmp_path, march_steps):
+    # the benchmark's order: apriori's cells are lambda-study's, and the
+    # eps-study in between must not evict them
+    scn = str(SCENARIO_DIR / "multiplicative_small.scn")
+    marched = {}
+    for command in ("simulate", "lambda-study", "eps-study", "apriori", "uniqueness"):
+        march_steps.clear()
+        assert main([command, "--scenario", scn, "--out", str(tmp_path / command)]) == 0
+        marched[command] = len(march_steps)
+    assert marched["lambda-study"] > 0 and marched["eps-study"] > 0
+    assert marched["apriori"] == 0
+    assert marched["uniqueness"] > 0
+    assert {c: _ensemble(tmp_path / c) for c in marched} == {
+        "simulate": None, "lambda-study": "marched", "eps-study": "marched",
+        "apriori": "reused", "uniqueness": None,
+    }
+
+    cascade._ENSEMBLES.clear()
+    march_steps.clear()
+    cold = tmp_path / "cold"
+    assert main(["apriori", "--scenario", scn, "--out", str(cold)]) == 0
+    assert len(march_steps) == marched["lambda-study"]
+    assert _ensemble(cold) == "marched"
+    names = sorted(p.name for p in cold.iterdir() if p.name != "metadata.json")
+    assert names == sorted(p.name for p in (tmp_path / "apriori").iterdir()
+                           if p.name != "metadata.json")
+    assert {"report.json", "apriori_cells.csv", "apriori_shape.csv"} <= set(names)
+    for name in names:
+        assert (cold / name).read_bytes() == (tmp_path / "apriori" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("edit,override", [
+    (None, ["--seed", "5"]),
+    (None, ["--paths", "8"]),
+    (None, ["--step", "0.0625"]),
+    (("initial_amplitude = 1.0", "initial_amplitude = 0.5"), []),
+], ids=["seed", "paths", "step", "scenario"])
+def test_other_plan_marches_again(tmp_path, march_steps, edit, override):
+    # same cells, another plan: apriori must not take lambda-study's ensemble
+    source = str(SCENARIO_DIR / "multiplicative_small.scn")
+    scn = source
+    if edit is not None:
+        text = Path(source).read_text()
+        assert edit[0] in text
+        scn = _write_scenario(tmp_path, text.replace(*edit))
+    assert main(["lambda-study", "--scenario", source, "--out", str(tmp_path / "warm")]) == 0
+    march_steps.clear()
+    out = tmp_path / "apriori"
+    assert main(["apriori", "--scenario", scn, "--out", str(out), *override]) == 0
+    assert march_steps
+    assert _ensemble(out) == "marched"
 
 
 def test_cli_inequalities_success(tmp_path, capsys):
