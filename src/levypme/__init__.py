@@ -3,8 +3,8 @@ SPDEs driven by compensated Poisson jumps.
 
 The package is organized bottom-up:
 
-- :mod:`levypme.operators` — diagonal operator models and transforms
-- :mod:`levypme.spaces` — the norm/inner-product family and duality pairing
+- :mod:`levypme.operators` — diagonal operator models
+- :mod:`levypme.spaces` — the norm family
 - :mod:`levypme.nonlinearity` — monotone scalar nonlinearities + audits
 - :mod:`levypme.noise` — compensated Poisson models, sampling, audits
 - :mod:`levypme.stepper` — the implicit scheme and trajectory records
@@ -36,7 +36,6 @@ from .noise import (
 from .operators import (
     OperatorSpectrum,
     build_fractional_laplacian_torus,
-    parse_spectrum,
     random_field,
     smooth_field,
     spectrum_from_eigenvalues,
@@ -51,7 +50,7 @@ from .scenario import (
     scenario_hash,
     serialize_scenario,
 )
-from .spaces import F12, F12_star, F_STAR, L2, NormKind, dual_norm, duality_pairing, inner_product, norm
+from .spaces import F12, F12_star, F_STAR, L2, NormKind, norm
 from .stepper import StepConfig, Trajectory, implicit_step, solve_regularized_path
 from .variational import EstimateConstants, check_variational_conditions
 
@@ -75,7 +74,6 @@ __all__ = [
     "sample_noise_path",
     "OperatorSpectrum",
     "build_fractional_laplacian_torus",
-    "parse_spectrum",
     "random_field",
     "smooth_field",
     "spectrum_from_eigenvalues",
@@ -92,9 +90,6 @@ __all__ = [
     "F_STAR",
     "L2",
     "NormKind",
-    "dual_norm",
-    "duality_pairing",
-    "inner_product",
     "norm",
     "StepConfig",
     "Trajectory",

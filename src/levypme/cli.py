@@ -14,11 +14,11 @@ Subcommands map one-to-one onto the studies:
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports are
 still written), 2 usage or scenario errors, 3 numerical or internal failure
-(inner iteration or quadrature did not converge, or any other error).
+(inner iteration did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
-timestamp and the environment (Python, numpy and scipy versions,
+timestamp and the environment (Python and numpy versions,
 ``OPENBLAS_NUM_THREADS``, CPU count), so reports and tables are
 byte-identical across reruns.  For ``lambda-study``, ``eps-study`` and
 ``apriori`` the metadata also says whether the study marched its ensemble or
@@ -48,7 +48,6 @@ from .cascade import (
 )
 from .noise import audit_h2_h3, export_noise_path, path_seed, sample_noise_path
 from .nonlinearity import verify_psi_inequalities
-from .operators import QuadratureToleranceError
 from .reporting import PropertyCheck, StudyReport, Table
 from .scenario import (
     ScenarioError,
@@ -293,15 +292,10 @@ def _dispatch(command: str, plan, scenario) -> tuple[StudyReport, dict]:
 
 
 def _environment() -> dict:
-    """Interpreter, library versions and the thread settings a timing depends on."""
-    # The bare package loads no submodule (scipy.special stays out); it costs
-    # half the time and memory of an importlib.metadata lookup.
-    import scipy
-
+    """Interpreter and numpy versions and the thread settings a timing depends on."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "cpu_count": os.cpu_count(),
     }
@@ -356,7 +350,7 @@ def main(argv=None) -> int:
         )
         report, artifacts = _dispatch(args.command, plan, scenario)
         _write_outputs(Path(args.out), report, artifacts, scenario, args)
-    except (StepperConvergenceError, QuadratureToleranceError) as exc:
+    except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

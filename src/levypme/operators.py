@@ -1,4 +1,4 @@
-"""Diagonal spectral calculus for a nonpositive operator L and its transforms.
+"""Diagonal eigenmodel of a nonpositive operator L.
 
 Everything downstream works with a finite family of eigenpairs of -L, held in an
 :class:`OperatorSpectrum`.  Its basis, orthonormal under the quadrature weights
@@ -6,41 +6,23 @@ standing in for the reference measure, maps spectral coefficients to physical
 nodal values and back, for one vector or a ``(rows, modes)`` stack at once.
 A state is its coefficient vector, and a batch of states a stack of such
 rows; physical values are computed only where a pointwise map needs them.
+Two models are built here: the fractional Laplacian on a 1-d torus and a
+diagonal model for given eigenvalues.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "OperatorSpectrum",
-    "OperatorFunction",
-    "QuadratureToleranceError",
-    "SpectrumFormatError",
-    "apply_operator_function",
     "build_fractional_laplacian_torus",
-    "gamma_transform_quadrature",
-    "generator",
-    "parse_spectrum",
     "random_field",
-    "resolvent_power",
-    "semigroup",
     "smooth_field",
     "spectrum_from_eigenvalues",
 ]
-
-RESOLVENT_POWERS = (-1.0, -0.5, 0.5, 1.0)
-
-
-class QuadratureToleranceError(RuntimeError):
-    """Adaptive node doubling hit the node cap before reaching tolerance."""
-
-
-class SpectrumFormatError(ValueError):
-    """A spectrum table could not be parsed."""
 
 
 def _frozen(a, dtype=float):
@@ -183,160 +165,6 @@ def spectrum_from_eigenvalues(eigenvalues, labels=None) -> OperatorSpectrum:
     return OperatorSpectrum(
         mu, tuple(labels), np.eye(n), np.ones(n), info={"family": "custom"}
     )
-
-
-def parse_spectrum(text: str) -> OperatorSpectrum:
-    """Parse a plain-text spectrum table: one `label, eigenvalue` pair per line.
-
-    Blank lines and `#` comments are ignored.  Negative eigenvalues are
-    rejected with the offending line number.
-    """
-    labels, eigenvalues = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2 or not parts[0]:
-            raise SpectrumFormatError(
-                f"line {lineno}: expected 'label, eigenvalue', got {raw!r}"
-            )
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise SpectrumFormatError(
-                f"line {lineno}: eigenvalue {parts[1]!r} is not a number"
-            ) from None
-        if not math.isfinite(value) or value < 0.0:
-            raise SpectrumFormatError(
-                f"line {lineno}: eigenvalue must be finite and nonnegative, got {parts[1]}"
-            )
-        labels.append(parts[0])
-        eigenvalues.append(value)
-    if not labels:
-        raise SpectrumFormatError("spectrum table contains no eigenpairs")
-    return spectrum_from_eigenvalues(np.array(eigenvalues), tuple(labels))
-
-
-# -- operator functional calculus -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatorFunction:
-    """Descriptor for a diagonal function of L."""
-
-    kind: str
-    time: float = 0.0
-    shift: float = 0.0
-    power: float = 0.0
-
-
-def generator() -> OperatorFunction:
-    """L itself (multiplies mode k by -mu_k)."""
-    return OperatorFunction("generator")
-
-
-def semigroup(time: float) -> OperatorFunction:
-    """exp(t L) (multiplies mode k by exp(-t mu_k)); requires t >= 0."""
-    if not time >= 0.0:
-        raise ValueError("semigroup time must be >= 0")
-    return OperatorFunction("semigroup", time=float(time))
-
-
-def resolvent_power(shift: float, power: float) -> OperatorFunction:
-    """(shift - L)^power with shift > 0 and power in {-1, -1/2, 1/2, 1}."""
-    if not shift > 0.0:
-        raise ValueError("resolvent shift must be positive")
-    if float(power) not in RESOLVENT_POWERS:
-        raise ValueError(f"power must be one of {RESOLVENT_POWERS}")
-    return OperatorFunction("resolvent_power", shift=float(shift), power=float(power))
-
-
-def _multiplier(op: OperatorSpectrum, func: OperatorFunction) -> np.ndarray:
-    mu = op.eigenvalues
-    if func.kind == "generator":
-        return -mu
-    if func.kind == "semigroup":
-        return np.exp(-func.time * mu)
-    if func.kind == "resolvent_power":
-        return (func.shift + mu) ** func.power
-    raise ValueError(f"unknown operator function kind {func.kind!r}")
-
-
-def apply_operator_function(op: OperatorSpectrum, func: OperatorFunction, u) -> np.ndarray:
-    """Apply a diagonal function of L to a coefficient vector, mode by mode."""
-    return op.field_from_coefficients(_multiplier(op, func) * op.field_from_coefficients(u))
-
-
-# -- smoothing transform via Bochner quadrature -----------------------------------
-
-
-@lru_cache(maxsize=256)
-def _laguerre_rule(n: int, weight_exponent: float):
-    # Imported here: scipy.special is slow to import and no study needs it.
-    from scipy.special import roots_genlaguerre
-
-    nodes, weights = roots_genlaguerre(n, weight_exponent)
-    return _frozen(nodes), _frozen(weights)
-
-
-def _gamma_multiplier(mu: float, r: float, relative_tolerance: float,
-                      start_nodes: int, max_nodes: int) -> float:
-    # Bochner integral of the semigroup against the Gamma(r/2) density,
-    # evaluated per mode:  Gamma(r/2)^-1 int t^(r/2-1) e^-t e^(-mu t) dt.
-    # The dyadic substitution t -> beta s keeps the Laguerre weight form while
-    # taming the decay rate: beta(1+mu) stays within [2^-1/2, 2^1/2].
-    scale_pow = round(math.log2(1.0 + mu))
-    beta = 2.0 ** (-scale_pow)
-    c = beta * (1.0 + mu) - 1.0
-    jacobian = beta ** (r / 2.0) / math.gamma(r / 2.0)
-
-    previous = None
-    n = start_nodes
-    while n <= max_nodes:
-        nodes, weights = _laguerre_rule(n, r / 2.0 - 1.0)
-        value = jacobian * float(weights @ np.exp(-c * nodes))
-        if previous is not None and abs(value - previous) <= relative_tolerance * abs(value):
-            return value
-        previous = value
-        n *= 2
-    raise QuadratureToleranceError(
-        f"quadrature did not reach relative tolerance {relative_tolerance:g} "
-        f"within {max_nodes} nodes (mu={mu:g}, r={r:g})"
-    )
-
-
-def gamma_transform_quadrature(
-    op: OperatorSpectrum,
-    r: float,
-    u,
-    *,
-    relative_tolerance: float = 1e-9,
-    start_nodes: int = 8,
-    max_nodes: int = 512,
-) -> np.ndarray:
-    """Smoothing transform of order r computed by adaptive Laguerre quadrature.
-
-    Evaluates Gamma(r/2)^-1 int_0^inf t^(r/2-1) e^-t P_t u dt, doubling the
-    node count until two successive results agree to `relative_tolerance`.
-    The t^(r/2-1) endpoint singularity for r < 2 sits inside the generalized
-    Laguerre weight.  Acts per mode, so the result is the quadrature portrait
-    of the closed-form multiplier (1+mu_k)^(-r/2).
-
-    Raises
-    ------
-    QuadratureToleranceError
-        If the doubling ladder exhausts `max_nodes` before converging.
-    """
-    if not r > 0.0:
-        raise ValueError("transform order r must be positive")
-    u = op.field_from_coefficients(u)
-    unique_mu, inverse = np.unique(op.eigenvalues, return_inverse=True)
-    multipliers = np.array([
-        _gamma_multiplier(float(m), float(r), relative_tolerance, start_nodes, max_nodes)
-        for m in unique_mu
-    ])
-    return op.field_from_coefficients(multipliers[inverse] * u)
 
 
 # -- sampling helpers ------------------------------------------------------------

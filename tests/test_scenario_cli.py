@@ -222,7 +222,7 @@ def test_cli_simulate_success(tmp_path, capsys):
     assert meta["scenario_hash"] == scenario_hash(parse_scenario(_text()))
     assert meta["overrides"] == {}
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "openblas_num_threads", "cpu_count"}
+    assert set(env) == {"python", "numpy", "openblas_num_threads", "cpu_count"}
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
     solver = report["extra"]["solver"]
     assert 0.0 < solver["observed_contraction_p50"] <= solver["observed_contraction_max"]
@@ -474,6 +474,25 @@ def test_tracer_patches_resolve():
     )
     done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy made unimportable, the
+    # studies still run and write their metadata
+    root = Path(__file__).resolve().parent.parent
+    scn = str(SCENARIO_DIR / "acceptance.scn")
+    commands = ("simulate", "inequalities")
+    code = (
+        f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {str(root / 'src')!r}); "
+        "from levypme.cli import main; "
+        f"print([main([c, '--scenario', {scn!r}, '--out', {str(tmp_path)!r} + '/' + c]) "
+        f"for c in {commands!r}])"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0]", done.stdout + done.stderr
+    for command in commands:
+        assert (tmp_path / command / "metadata.json").exists(), command
 
 
 def test_cli_version(capsys):

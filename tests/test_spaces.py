@@ -1,4 +1,4 @@
-"""Norm family on the diagonal model: frozen values, sandwich, dual isometry.
+"""Norm family on the diagonal model: frozen values, stacked rows, sandwich.
 
 Single-mode values are computed by hand at mu = 3: the F12 multiplier is
 1 + mu = 4 (norm 2), the F12_star(1) multiplier is 1/4 (norm 0.5), and
@@ -16,9 +16,6 @@ from levypme.spaces import (
     F_STAR,
     L2,
     NormKind,
-    dual_norm,
-    duality_pairing,
-    inner_product,
     norm,
     squared_norm_rows,
 )
@@ -37,19 +34,6 @@ def test_single_mode_frozen_values(single_mode):
     assert np.isclose(
         norm(single_mode, u, F12_star(0.1)) ** 2, 1.0 / 3.1, rtol=0, atol=1e-15
     )
-
-
-def test_inner_product_polarization(torus_small):
-    rng = np.random.default_rng(10)
-    u = random_field(torus_small, rng)
-    v = random_field(torus_small, rng)
-    for kind in (L2, F12, F_STAR, F12_star(0.3)):
-        lhs = inner_product(torus_small, u, v, kind)
-        rhs = 0.25 * (
-            norm(torus_small, u + v, kind) ** 2
-            - norm(torus_small, u - v, kind) ** 2
-        )
-        assert abs(lhs - rhs) < 1e-12
 
 
 def test_squared_norm_rows_matches_scalar(torus_small):
@@ -71,39 +55,6 @@ def test_epsilon_sandwich(torus_small):
             scaled = norm(torus_small, u, F12_star(epsilon)) ** 2
             assert base <= scaled + 1e-10
             assert scaled <= base / epsilon + 1e-10
-
-
-def test_dual_isometry(torus_small):
-    # |(1-L)u|_(L2)* = |u|_2: the multipliers cancel exactly
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        u = random_field(torus_small, rng)
-        w = (1.0 + torus_small.eigenvalues) * u
-        assert abs(dual_norm(torus_small, w) - norm(torus_small, u, L2)) < 1e-10
-
-
-def test_duality_pairing_reproduces_l2(torus_small):
-    rng = np.random.default_rng(13)
-    u = random_field(torus_small, rng)
-    v = random_field(torus_small, rng)
-    w = (1.0 + torus_small.eigenvalues) * u
-    pairing = duality_pairing(torus_small, w, v)
-    physical = float(np.sum(
-        torus_small.weights * torus_small.to_physical(u) * torus_small.to_physical(v)
-    ))
-    assert abs(pairing - inner_product(torus_small, u, v, L2)) < 1e-12
-    assert abs(pairing - physical) < 1e-12
-
-
-def test_pairing_extends_fstar_inner_product(torus_small):
-    rng = np.random.default_rng(14)
-    w = rng.normal(size=torus_small.mode_count)
-    v = rng.normal(size=torus_small.mode_count)
-    assert np.isclose(
-        duality_pairing(torus_small, w, v),
-        inner_product(torus_small, w, v, F_STAR),
-        rtol=1e-14,
-    )
 
 
 def test_norm_kind_validation():
