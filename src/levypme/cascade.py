@@ -69,7 +69,6 @@ from .variational import EstimateConstants
 
 __all__ = [
     "StudyPlan",
-    "AprioriCell",
     "lambda_cauchy_study",
     "eps_cauchy_study",
     "apriori_study",
@@ -507,26 +506,6 @@ def eps_cauchy_study(plan: StudyPlan) -> StudyReport:
 # a priori moment bound
 
 
-@dataclass(frozen=True)
-class AprioriCell:
-    """Moment estimate for one (epsilon, lam) cell against its derived bound."""
-
-    epsilon: float
-    lam: float
-    mean_sup_l2_sq: float
-    stderr_sup: float
-    mean_integral_f12: float
-    stderr_integral: float
-    lhs: float
-    lhs_stderr: float
-    bound: float
-    passed: bool
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.lhs
-
-
 def _gronwall_rate(plan: StudyPlan) -> float:
     # Chain: Ito in L2; Davis (constant 3) on the linear jump martingale with
     # Young at eta = 1/2; crude doubling on the quadratic jump martingale;
@@ -544,27 +523,6 @@ def _derived_bound(plan: StudyPlan) -> float:
 def _integral_weight(epsilon: float, lam: float) -> float:
     # Weight of the energy integral in the a priori functional.
     return 4.0 * lam * epsilon
-
-
-def _cell_from_samples(plan, epsilon, lam, sup_sq, integrals) -> AprioriCell:
-    mean_sup, se_sup = _mean_se(sup_sq)
-    mean_int, se_int = _mean_se(integrals)
-    weight = _integral_weight(epsilon, lam)
-    lhs_samples = np.asarray(sup_sq) + weight * np.asarray(integrals)
-    lhs, lhs_se = _mean_se(lhs_samples)
-    bound = _derived_bound(plan)
-    return AprioriCell(
-        epsilon=epsilon,
-        lam=lam,
-        mean_sup_l2_sq=mean_sup,
-        stderr_sup=se_sup,
-        mean_integral_f12=mean_int,
-        stderr_integral=se_int,
-        lhs=lhs,
-        lhs_stderr=lhs_se,
-        bound=bound,
-        passed=bool(lhs <= bound),
-    )
 
 
 def _fit_exponential_shape(plan, times, curve):
@@ -600,39 +558,26 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
     cells = [(epsilon, lam) for lam in plan.lambda_ladder]
     results = _run_cells(plan, cells)
 
+    bound = _derived_bound(plan)
     checks: list[PropertyCheck] = []
     cell_rows = []
-    cell_objects: list[AprioriCell] = []
+    cell_records = []
     lhs_samples_per_cell = []
     for j, (eps_j, lam_j) in enumerate(cells):
         sup_sq = results["sup_l2_sq"][:, j]
         integrals = results["integral_f12"][:, j]
-        cell = _cell_from_samples(plan, eps_j, lam_j, sup_sq, integrals)
-        cell_objects.append(cell)
-        weight = _integral_weight(eps_j, lam_j)
-        lhs_samples_per_cell.append(np.asarray(sup_sq) + weight * np.asarray(integrals))
+        lhs_samples = sup_sq + _integral_weight(eps_j, lam_j) * integrals
+        lhs_samples_per_cell.append(lhs_samples)
+        lhs, lhs_se = _mean_se(lhs_samples)
         checks.append(
             PropertyCheck(
                 name=f"derived_bound[lam={lam_j!r}]",
-                passed=cell.passed,
-                detail=(
-                    f"lhs {cell.lhs:.6g} (se {cell.lhs_stderr:.2g}) "
-                    f"vs bound {cell.bound:.6g}"
-                ),
+                passed=bool(lhs <= bound),
+                detail=f"lhs {lhs:.6g} (se {lhs_se:.2g}) vs bound {bound:.6g}",
             )
         )
-        cell_rows.append(
-            (
-                lam_j,
-                cell.mean_sup_l2_sq,
-                cell.stderr_sup,
-                cell.mean_integral_f12,
-                cell.stderr_integral,
-                cell.lhs,
-                cell.lhs_stderr,
-                cell.bound,
-            )
-        )
+        cell_rows.append((lam_j, *_mean_se(sup_sq), *_mean_se(integrals), lhs, lhs_se, bound))
+        cell_records.append({"lam": lam_j, "lhs": lhs, "bound": bound, "slack": bound - lhs})
 
     # Uniformity along the ladder: paired differences (same noise) between the
     # largest-lambda cell and every other cell must stay within two standard
@@ -718,10 +663,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
         extra={
             "solver": dict(results["solver"]),
             "shape_fits": shape_fits,
-            "cells": [
-                {"lam": c.lam, "lhs": c.lhs, "bound": c.bound, "slack": c.slack}
-                for c in cell_objects
-            ],
+            "cells": cell_records,
         },
         tables=tables,
         ensemble=results["ensemble"],

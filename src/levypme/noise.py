@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import OperatorSpectrum
+from .operators import OperatorSpectrum, random_rows
 from .spaces import F_STAR, norm, squared_norm_rows
 
 __all__ = [
@@ -257,8 +257,7 @@ def audit_h2_h3(
     h3_closed = model.h3_closed_form(op)
     allowance = 1e-9
 
-    pairs = rng.standard_normal((sample_count, 2, op.mode_count))
-    pairs *= 2.0 / np.sqrt(1.0 + op.eigenvalues)
+    pairs = random_rows(op, rng, (sample_count, 2), scale=2.0)
     u1, u2 = pairs[:, 0], pairs[:, 1]
     ratio_h2 = noise_mass_rows(op, model, u1) / (1.0 + squared_norm_rows(op, u1, F_STAR))
     gap_sq = squared_norm_rows(op, u1 - u2, F_STAR)

@@ -20,6 +20,7 @@ __all__ = [
     "OperatorSpectrum",
     "build_fractional_laplacian_torus",
     "random_field",
+    "random_rows",
     "smooth_field",
     "spectrum_from_eigenvalues",
 ]
@@ -170,10 +171,18 @@ def spectrum_from_eigenvalues(eigenvalues, labels=None) -> OperatorSpectrum:
 # -- sampling helpers ------------------------------------------------------------
 
 
+def random_rows(op: OperatorSpectrum, rng: np.random.Generator, shape: tuple = (),
+                scale: float = 1.0) -> np.ndarray:
+    """Coefficient array of shape ``shape + (modes,)`` with independent mode-k
+    entries ~ N(0, scale^2 / (1+mu_k)): one standard normal draw, scaled in place."""
+    rows = rng.standard_normal((*shape, op.mode_count))
+    rows *= scale / np.sqrt(1.0 + op.eigenvalues)
+    return rows
+
+
 def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random coefficient vector with mode-k coefficient ~ N(0, scale^2 / (1+mu_k))."""
-    c = rng.standard_normal(op.mode_count) * (scale / np.sqrt(1.0 + op.eigenvalues))
-    return op.field_from_coefficients(c)
+    return op.field_from_coefficients(random_rows(op, rng, scale=scale))
 
 
 def smooth_field(op: OperatorSpectrum, amplitude: float = 1.0) -> np.ndarray:

@@ -10,7 +10,9 @@ States are plain coefficient arrays.  One kernel solves a whole
 ``(rows, modes)`` batch of steps at once, each row with its own dt, cell
 parameters, mixing history and certificate; :func:`march` advances many
 (path, config) rows in lockstep with it, and :func:`implicit_step` and
-:func:`solve_regularized_path` are its one-row and one-path calls.
+:func:`solve_regularized_path` are its one-row and one-path calls.  The drift
+itself is evaluated only by :func:`drift_rows`, which the variational audits
+share.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ __all__ = [
     "StepperConvergenceError",
     "Trajectory",
     "cadlag_reductions",
+    "drift_rows",
     "effective_splitting_mu",
     "implicit_step",
     "implicit_steps",
@@ -226,6 +229,20 @@ def _mixing(g, sr, dG, dS, gram, slot):
     return g - np.einsum("rj,rjn->rn", gamma[..., 0], dG)
 
 
+def drift_rows(op, psi, u, lam=None):
+    """Coefficient rows of psi(u) + lam u, one per row of ``u``.
+
+    The one evaluation of the drift (L - eps)(psi(u) + lam u), less its
+    diagonal factor -(eps + mu_k), which each caller attaches.  The inner
+    solver's certificate passes its per-row lam; the variational audits
+    evaluate A(u) = (L - eps) psi(u) and pass none, which skips the shift
+    term and its two passes over the nodal values.
+    """
+    phys = op.to_physical(u)
+    values = psi.evaluate(phys)
+    return op.to_spectral(values if lam is None else values + lam * phys)
+
+
 def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
     """The inner solver: every row r solves u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r.
 
@@ -263,8 +280,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
 
     def certify(u):
         """Scaled residual rows and their norms, the F12_star(eps_r) norms of r."""
-        phys = op.to_physical(u)
-        sr = scale * (u + d * op.to_spectral(psi.evaluate(phys) + lam * phys) - bb)
+        sr = scale * (u + d * drift_rows(op, psi, u, lam) - bb)
         res = np.sqrt(np.einsum("ij,ij->i", sr, sr))
         if not np.isfinite(res).all():
             r = rows[int(np.argmin(np.isfinite(res)))]

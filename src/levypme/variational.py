@@ -1,11 +1,17 @@
 """Sampled verification of the variational-framework conditions.
 
-The drift operator under test is A(u) = (L - eps) psi(u).  Four conditions
-are audited over randomly sampled states: hemicontinuity of the dualization
-pairing, local monotonicity against the jump-coefficient gap, coercivity
-(when psi carries a coercivity constant) and linear growth into the dual of
-L2.  The inequalities hold with slack in the diagonal model, so the audits
-use zero tolerance and report worst-case slack with witnesses.
+The drift operator under test is A(u) = (L - eps) psi(u), evaluated by the
+stepper's own drift kernel (:func:`levypme.stepper.drift_rows`, no lam shift).
+Four conditions are audited over randomly sampled states: hemicontinuity of
+the dualization pairing, local monotonicity against the jump-coefficient gap,
+coercivity (when psi carries a coercivity constant) and linear growth into the
+dual of L2.  The inequalities hold with slack in the diagonal model, so the
+audits use zero tolerance and report worst-case slack with witnesses.
+
+Each condition draws its sample states whole, in a fixed order, and evaluates
+its per-row sides in blocks of ``_BLOCK_ROWS`` rows, so memory stays bounded by
+the draws plus one block whatever the sample count, and the arrays of one
+condition are released before the next one draws.
 """
 from __future__ import annotations
 
@@ -17,8 +23,9 @@ import numpy as np
 
 from .noise import NoiseModel, noise_mass_rows
 from .nonlinearity import NonlinearityPsi
-from .operators import OperatorSpectrum
+from .operators import OperatorSpectrum, random_rows
 from .spaces import F_STAR, squared_norm_rows
+from .stepper import drift_rows
 
 __all__ = [
     "ConditionResult",
@@ -26,6 +33,10 @@ __all__ = [
     "VariationalReport",
     "check_variational_conditions",
 ]
+
+# Rows per block of the per-row evaluations; bounds each condition's
+# temporaries at a few (block x nodes) arrays.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -116,63 +127,36 @@ class VariationalReport:
         raise KeyError(name)
 
 
-def _sample_coefficient_rows(op, rng, count, scale=1.0):
-    # i.i.d. standard normal per mode, scaled by (1 + mu_k)^(-1/2).
-    return rng.standard_normal((count, op.mode_count)) * (
-        scale / np.sqrt(1.0 + op.eigenvalues)
-    )
+def _by_blocks(count, rows_of):
+    """Evaluate ``rows_of(block)`` on consecutive row slices of at most
+    _BLOCK_ROWS rows, joining each of its outputs along the last (row) axis."""
+    parts = [rows_of(slice(start, start + _BLOCK_ROWS)) for start in range(0, count, _BLOCK_ROWS)]
+    return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts))
 
 
-def _drift_rows(op, psi, rows):
-    # Coefficients of A(u) = (L - eps) psi(u) without the -(mu+eps) factor:
-    # returns spectral rows of psi(u); callers attach the diagonal factor.
-    return op.to_spectral(psi.evaluate(op.to_physical(rows)))
+def _inequality(name, lhs, rhs, label) -> ConditionResult:
+    """lhs <= rhs row by row: the worst slack, the violation count and, when
+    any row fails, the worst row as witness."""
+    slack = rhs - lhs
+    i_min = int(np.argmin(slack))
+    bad = int(np.count_nonzero(slack < 0.0))
+    witness = f"{label} {i_min}: lhs={lhs[i_min]!r} rhs={rhs[i_min]!r}" if bad else None
+    return ConditionResult(name, lhs.size, float(slack[i_min]), bad, witness)
 
 
-def _noise_gap_mass(op, model, rows1, rows2):
-    """Rows of int ||f(u1,z) - f(u2,z)||_F*^2 nu(dz)."""
-    if model is None:
-        return np.zeros(rows1.shape[0])
-    return noise_mass_rows(op, model, rows1, rows2)
-
-
-def check_variational_conditions(
-    op: OperatorSpectrum,
-    psi: NonlinearityPsi,
-    model: Optional[NoiseModel],
-    epsilon: float,
-    sample_count: int = 10_000,
-    seed: int = 90_125,
-) -> VariationalReport:
-    """Audit hemicontinuity, local monotonicity, coercivity and growth.
-
-    Samples `sample_count` states (and pairs) with coefficients scaled by
-    (1+mu_k)^(-1/2).  Inequality slacks use zero tolerance; the
-    hemicontinuity curve check carries a roundoff allowance tied to the
-    pairing magnitude because it subtracts near-equal pairings.
-    """
-    if sample_count < 10:
-        raise ValueError("sample_count must be >= 10")
-    rng = np.random.default_rng(seed)
-    mu = op.eigenvalues
-    dual_factor = -(mu + epsilon) / (1.0 + mu)  # pairing weight of A against (1+mu)^-1
-
-    h2 = model.h2_closed_form(op) if model is not None else 0.0
-    h3 = model.h3_closed_form(op) if model is not None else 0.0
-    constants = EstimateConstants.from_components(psi, epsilon, h2, h3)
-    k = constants.lipschitz_k
-    conditions = []
-
-    # (a) hemicontinuity: iota -> <A(u + iota v), w> along a mesh of iotas.
-    tri_count = max(sample_count // 10, 10)
-    u = _sample_coefficient_rows(op, rng, tri_count)
-    v = _sample_coefficient_rows(op, rng, tri_count)
-    w = _sample_coefficient_rows(op, rng, tri_count)
+def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
+    """iota -> <A(u + iota v), w> along a mesh of iotas, Lipschitz in iota
+    with constant 2 k |v|_2 |w|_2."""
+    u, v, w = (random_rows(op, rng, (count,)) for _ in range(3))
     iotas = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
-    pairings = np.empty((iotas.size, tri_count))
-    for idx, iota in enumerate(iotas):
-        drift = _drift_rows(op, psi, u + iota * v) * dual_factor
-        pairings[idx] = (drift * w).sum(axis=1)
+
+    def pairing_rows(s):
+        return (np.stack([
+            (drift_rows(op, psi, u[s] + iota * v[s]) * dual_factor * w[s]).sum(axis=1)
+            for iota in iotas
+        ]),)
+
+    (pairings,) = _by_blocks(count, pairing_rows)
     v_l2 = np.sqrt(squared_norm_rows(op, v))
     w_l2 = np.sqrt(squared_norm_rows(op, w))
     scale = np.abs(pairings).max(axis=0) + v_l2 * w_l2
@@ -195,88 +179,95 @@ def check_variational_conditions(
                     f" = {gap[i_min]!r} exceeds Lipschitz bound {bound[i_min]!r}"
                 )
             violations += bad
-    conditions.append(
-        ConditionResult("hemicontinuity", tri_count * 21, min_slack, violations, witness)
+    return ConditionResult("hemicontinuity", count * 21, min_slack, violations, witness)
+
+
+def _local_monotonicity(op, psi, model, rng, count, dual_factor, shift) -> ConditionResult:
+    """2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2."""
+    u1 = random_rows(op, rng, (count,))
+    u2 = random_rows(op, rng, (count,))
+
+    def sides(s):
+        d_rows = u1[s] - u2[s]
+        drift_gap = (drift_rows(op, psi, u1[s]) - drift_rows(op, psi, u2[s])) * dual_factor
+        lhs = 2.0 * (drift_gap * d_rows).sum(axis=1) + noise_mass_rows(op, model, u1[s], u2[s])
+        return lhs, shift * squared_norm_rows(op, d_rows, F_STAR)
+
+    return _inequality("local_monotonicity", *_by_blocks(count, sides), "pair")
+
+
+def _coercivity(op, psi, rng, count, dual_factor, constants) -> ConditionResult:
+    """2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
+                     + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
+    skipped without a draw when psi certifies no coercivity constant c."""
+    if constants.coercivity_c is None:
+        return ConditionResult(
+            "coercivity", 0, math.inf, 0, skipped_reason="psi has no coercivity constant"
+        )
+    k, eps, theta2 = constants.lipschitz_k, constants.epsilon, constants.theta**2
+    coef_l2 = -2.0 * constants.coercivity_c + 2.0 * theta2 * k * k * (1.0 - eps)
+    coef_fstar = 2.0 * (1.0 - eps) / theta2 + constants.h2_constant
+    u = random_rows(op, rng, (count,))
+
+    def sides(s):
+        lhs = 2.0 * ((drift_rows(op, psi, u[s]) * dual_factor) * u[s]).sum(axis=1)
+        rhs = coef_l2 * squared_norm_rows(op, u[s]) + coef_fstar * squared_norm_rows(
+            op, u[s], F_STAR
+        )
+        return lhs, rhs
+
+    return _inequality("coercivity", *_by_blocks(count, sides), "sample")
+
+
+def _growth(op, psi, rng, count, dual_factor, k) -> ConditionResult:
+    """||A u||_(L2)* <= 2 k |u|_2."""
+    u = random_rows(op, rng, (count,))
+
+    def sides(s):
+        drift = drift_rows(op, psi, u[s]) * dual_factor  # = coefficients of A u over 1+mu
+        lhs = np.sqrt((drift * drift).sum(axis=1))
+        return lhs, 2.0 * k * np.sqrt(squared_norm_rows(op, u[s]))
+
+    return _inequality("growth", *_by_blocks(count, sides), "sample")
+
+
+def check_variational_conditions(
+    op: OperatorSpectrum,
+    psi: NonlinearityPsi,
+    model: NoiseModel,
+    epsilon: float,
+    sample_count: int = 10_000,
+    seed: int = 90_125,
+) -> VariationalReport:
+    """Audit hemicontinuity, local monotonicity, coercivity and growth.
+
+    Samples `sample_count` states (and pairs) with coefficients scaled by
+    (1+mu_k)^(-1/2); hemicontinuity uses a tenth as many triples.  Inequality
+    slacks use zero tolerance; the hemicontinuity curve check carries a
+    roundoff allowance tied to the pairing magnitude because it subtracts
+    near-equal pairings.
+    """
+    if sample_count < 10:
+        raise ValueError("sample_count must be >= 10")
+    rng = np.random.default_rng(seed)
+    mu = op.eigenvalues
+    dual_factor = -(mu + epsilon) / (1.0 + mu)  # pairing weight of A against (1+mu)^-1
+    constants = EstimateConstants.from_components(
+        psi, epsilon, model.h2_closed_form(op), model.h3_closed_form(op)
     )
-
-    # (b) local monotonicity:
-    # 2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2.
-    pair_count = sample_count
-    u1 = _sample_coefficient_rows(op, rng, pair_count)
-    u2 = _sample_coefficient_rows(op, rng, pair_count)
-    d_rows = u1 - u2
-    drift_gap = (_drift_rows(op, psi, u1) - _drift_rows(op, psi, u2)) * dual_factor
-    lhs = 2.0 * (drift_gap * d_rows).sum(axis=1) + _noise_gap_mass(op, model, u1, u2)
-    rhs = constants.monotonicity_shift * squared_norm_rows(op, d_rows, F_STAR)
-    slack = rhs - lhs
-    i_min = int(np.argmin(slack))
-    bad = int(np.count_nonzero(slack < 0.0))
-    conditions.append(
-        ConditionResult(
-            "local_monotonicity",
-            pair_count,
-            float(slack[i_min]),
-            bad,
-            f"pair {i_min}: lhs={lhs[i_min]!r} rhs={rhs[i_min]!r}" if bad else None,
-        )
-    )
-
-    # (c) coercivity, only when psi certifies a coercivity constant:
-    # 2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
-    #               + (2 (1-eps)/theta^2 + h2) ||u||_F*^2.
-    if constants.coercivity_c is not None:
-        theta2 = constants.theta**2
-        c_val = constants.coercivity_c
-        coef_l2 = -2.0 * c_val + 2.0 * theta2 * k * k * (1.0 - epsilon)
-        coef_fstar = 2.0 * (1.0 - epsilon) / theta2 + constants.h2_constant
-        u_rows = _sample_coefficient_rows(op, rng, pair_count)
-        lhs_c = 2.0 * ((_drift_rows(op, psi, u_rows) * dual_factor) * u_rows).sum(axis=1)
-        rhs_c = coef_l2 * squared_norm_rows(op, u_rows) + coef_fstar * squared_norm_rows(
-            op, u_rows, F_STAR
-        )
-        slack_c = rhs_c - lhs_c
-        i_min = int(np.argmin(slack_c))
-        bad = int(np.count_nonzero(slack_c < 0.0))
-        conditions.append(
-            ConditionResult(
-                "coercivity",
-                pair_count,
-                float(slack_c[i_min]),
-                bad,
-                f"sample {i_min}: lhs={lhs_c[i_min]!r} rhs={rhs_c[i_min]!r}" if bad else None,
-            )
-        )
-    else:
-        conditions.append(
-            ConditionResult(
-                "coercivity", 0, math.inf, 0, skipped_reason="psi has no coercivity constant"
-            )
-        )
-
-    # (d) growth: ||A u||_(L2)* <= 2 k |u|_2.
-    u_rows = _sample_coefficient_rows(op, rng, pair_count)
-    drift = _drift_rows(op, psi, u_rows) * dual_factor  # = coefficients of A u over 1+mu
-    growth_lhs = np.sqrt((drift * drift).sum(axis=1))
-    growth_rhs = 2.0 * k * np.sqrt(squared_norm_rows(op, u_rows))
-    slack_d = growth_rhs - growth_lhs
-    i_min = int(np.argmin(slack_d))
-    bad = int(np.count_nonzero(slack_d < 0.0))
-    conditions.append(
-        ConditionResult(
-            "growth",
-            pair_count,
-            float(slack_d[i_min]),
-            bad,
-            f"sample {i_min}: lhs={growth_lhs[i_min]!r} rhs={growth_rhs[i_min]!r}"
-            if bad
-            else None,
-        )
-    )
-
+    k = constants.lipschitz_k
+    conditions = [
+        _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor, k),
+        _local_monotonicity(
+            op, psi, model, rng, sample_count, dual_factor, constants.monotonicity_shift
+        ),
+        _coercivity(op, psi, rng, sample_count, dual_factor, constants),
+        _growth(op, psi, rng, sample_count, dual_factor, k),
+    ]
     return VariationalReport(
         epsilon=epsilon,
         psi_kind=psi.kind,
-        noise_kind=type(model.coefficient).__name__ if model is not None else "none",
+        noise_kind=type(model.coefficient).__name__,
         constants=constants,
         conditions=tuple(conditions),
     )

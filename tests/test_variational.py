@@ -5,11 +5,14 @@ eps = 1/2 gives theta^2 = 1/(2*1*0.5 + 1) = 1/2.  The monotonicity shift is
 2 (1-eps)^2 / alpha_tilde + h3.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from levypme import variational
 from levypme.nonlinearity import make_psi
+from levypme.operators import build_fractional_laplacian_torus
 from levypme.variational import EstimateConstants, check_variational_conditions
 
 from conftest import additive_model, multiplicative_model, zero_model
@@ -83,10 +86,10 @@ def test_coercivity_skip_policy(torus_small):
 
 def test_condition_accessor(torus_small):
     report = check_variational_conditions(
-        torus_small, make_psi("identity"), None, 0.2, sample_count=50, seed=3
+        torus_small, make_psi("identity"), zero_model(), 0.2, sample_count=50, seed=3
     )
     assert report.condition("growth").name == "growth"
-    assert report.noise_kind == "none"
+    assert report.noise_kind == "ZeroCoefficient"
     with pytest.raises(KeyError):
         report.condition("boundedness")
 
@@ -125,7 +128,9 @@ def test_records_layout():
 
 def test_sample_count_floor(torus_small):
     with pytest.raises(ValueError):
-        check_variational_conditions(torus_small, make_psi("identity"), None, 0.2, sample_count=5)
+        check_variational_conditions(
+            torus_small, make_psi("identity"), zero_model(), 0.2, sample_count=5
+        )
 
 
 def test_min_slack_reported_nonnegative(torus_small):
@@ -137,3 +142,28 @@ def test_min_slack_reported_nonnegative(torus_small):
         if cond.skipped_reason is None:
             assert cond.min_slack >= 0.0
             assert np.isfinite(cond.min_slack)
+
+
+def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
+    # 2,500 samples span three blocks of the per-row evaluation; one block
+    # holding every row must give the same results to the last bit
+    args = (torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1)
+    blocked = check_variational_conditions(*args, sample_count=2_500, seed=5)
+    monkeypatch.setattr(variational, "_BLOCK_ROWS", 4_096)
+    whole = check_variational_conditions(*args, sample_count=2_500, seed=5)
+    assert blocked.condition("coercivity").checked == 2_500
+    assert blocked.conditions == whole.conditions
+
+
+def test_audit_peak_memory_bounded():
+    # the draws are whole but every per-row evaluation runs in blocks, so the
+    # default 10,000-sample audit peaks below three full (samples x modes) arrays
+    op = build_fractional_laplacian_torus(128, 0.5)
+    full = 10_000 * op.mode_count * 8
+    tracemalloc.start()
+    try:
+        check_variational_conditions(op, make_psi("soft_monotone"), multiplicative_model(), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * full, f"peak {peak / full:.2f} full arrays"
