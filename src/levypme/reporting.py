@@ -154,10 +154,9 @@ class StudyReport:
         (out / "report.json").write_text(self.to_json())
         for table in self.tables:
             (out / f"{table.name}.csv").write_text(table.to_csv())
-        failures = self.failures()
-        if failures:
-            (out / "failures.json").write_text(
-                json.dumps({"failures": _jsonable(failures)}, sort_keys=True, indent=2,
-                           allow_nan=False)
-                + "\n"
-            )
+        path = out / "failures.json"
+        if self.passed:  # no failures.json of an earlier run outlives a pass
+            path.unlink(missing_ok=True)
+        else:
+            failures = {"failures": _jsonable(self.failures())}
+            path.write_text(json.dumps(failures, sort_keys=True, indent=2, allow_nan=False) + "\n")

@@ -8,10 +8,11 @@ coercivity (when psi carries a coercivity constant) and linear growth into the
 dual of L2.  The inequalities hold with slack in the diagonal model, so the
 audits use zero tolerance and report worst-case slack with witnesses.
 
-Each condition draws its sample states whole, in a fixed order, and evaluates
-its per-row sides in blocks of ``_BLOCK_ROWS`` rows, so memory stays bounded by
-the draws plus one block whatever the sample count, and the arrays of one
-condition are released before the next one draws.
+Hemicontinuity draws its own triples.  The monotonicity pairs (u1, u2), drawn
+next, also serve coercivity (on u1) and growth (on u2): the drift is evaluated
+once per state of a pair and feeds all three.  Per-row sides are evaluated in
+blocks of ``_BLOCK_VALUES // modes`` rows, so each (block x modes) temporary
+holds about ``_BLOCK_VALUES`` values whatever the sample or mode count.
 """
 from __future__ import annotations
 
@@ -34,9 +35,10 @@ __all__ = [
     "check_variational_conditions",
 ]
 
-# Rows per block of the per-row evaluations; bounds each condition's
-# temporaries at a few (block x nodes) arrays.
-_BLOCK_ROWS = 1024
+# Values per block of the per-row evaluations: a block has
+# max(1, _BLOCK_VALUES // modes) rows, so each (block x modes) temporary is
+# 512 KiB, small enough to stay in cache and to be reused from the heap.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,12 @@ class VariationalReport:
         raise KeyError(name)
 
 
-def _by_blocks(count, rows_of):
+def _by_blocks(op, count, rows_of):
     """Evaluate ``rows_of(block)`` on consecutive row slices of at most
-    _BLOCK_ROWS rows, joining each of its outputs along the last (row) axis."""
-    parts = [rows_of(slice(start, start + _BLOCK_ROWS)) for start in range(0, count, _BLOCK_ROWS)]
+    _BLOCK_VALUES // modes rows (at least one), joining each of its outputs
+    along the last (row) axis."""
+    step = max(1, _BLOCK_VALUES // op.mode_count)
+    parts = [rows_of(slice(start, start + step)) for start in range(0, count, step)]
     return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts))
 
 
@@ -156,7 +160,7 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
             for iota in iotas
         ]),)
 
-    (pairings,) = _by_blocks(count, pairing_rows)
+    (pairings,) = _by_blocks(op, count, pairing_rows)
     v_l2 = np.sqrt(squared_norm_rows(op, v))
     w_l2 = np.sqrt(squared_norm_rows(op, w))
     scale = np.abs(pairings).max(axis=0) + v_l2 * w_l2
@@ -182,53 +186,47 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     return ConditionResult("hemicontinuity", count * 21, min_slack, violations, witness)
 
 
-def _local_monotonicity(op, psi, model, rng, count, dual_factor, shift) -> ConditionResult:
-    """2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2."""
-    u1 = random_rows(op, rng, (count,))
-    u2 = random_rows(op, rng, (count,))
+def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> list:
+    """From one drift evaluation per state of the pairs (u1, u2):
+    local monotonicity  2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2;
+    coercivity on u1    2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
+                          + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
+                        skipped when psi certifies no coercivity constant c;
+    growth on u2        ||A u||_(L2)* <= 2 k |u|_2."""
+    u1, u2 = (random_rows(op, rng, (count,)) for _ in range(2))
+    k, c, eps = constants.lipschitz_k, constants.coercivity_c, constants.epsilon
+    if c is not None:
+        theta2 = constants.theta**2
+        coef_l2 = -2.0 * c + 2.0 * theta2 * k * k * (1.0 - eps)
+        coef_fstar = 2.0 * (1.0 - eps) / theta2 + constants.h2_constant
 
     def sides(s):
-        d_rows = u1[s] - u2[s]
-        drift_gap = (drift_rows(op, psi, u1[s]) - drift_rows(op, psi, u2[s])) * dual_factor
-        lhs = 2.0 * (drift_gap * d_rows).sum(axis=1) + noise_mass_rows(op, model, u1[s], u2[s])
-        return lhs, shift * squared_norm_rows(op, d_rows, F_STAR)
+        a, b = u1[s], u2[s]
+        d1, d2 = drift_rows(op, psi, a), drift_rows(op, psi, b)
+        d_rows = a - b
+        out = [
+            2.0 * (((d1 - d2) * dual_factor) * d_rows).sum(axis=1)
+            + noise_mass_rows(op, model, a, b),
+            constants.monotonicity_shift * squared_norm_rows(op, d_rows, F_STAR),
+            # d2 * dual_factor: the coefficients of A u2 over 1+mu
+            np.sqrt(np.square(d2 * dual_factor).sum(axis=1)),
+            2.0 * k * np.sqrt(squared_norm_rows(op, b)),
+        ]
+        if c is None:
+            return out
+        return out + [
+            2.0 * ((d1 * dual_factor) * a).sum(axis=1),
+            coef_l2 * squared_norm_rows(op, a) + coef_fstar * squared_norm_rows(op, a, F_STAR),
+        ]
 
-    return _inequality("local_monotonicity", *_by_blocks(count, sides), "pair")
-
-
-def _coercivity(op, psi, rng, count, dual_factor, constants) -> ConditionResult:
-    """2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
-                     + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
-    skipped without a draw when psi certifies no coercivity constant c."""
-    if constants.coercivity_c is None:
-        return ConditionResult(
-            "coercivity", 0, math.inf, 0, skipped_reason="psi has no coercivity constant"
-        )
-    k, eps, theta2 = constants.lipschitz_k, constants.epsilon, constants.theta**2
-    coef_l2 = -2.0 * constants.coercivity_c + 2.0 * theta2 * k * k * (1.0 - eps)
-    coef_fstar = 2.0 * (1.0 - eps) / theta2 + constants.h2_constant
-    u = random_rows(op, rng, (count,))
-
-    def sides(s):
-        lhs = 2.0 * ((drift_rows(op, psi, u[s]) * dual_factor) * u[s]).sum(axis=1)
-        rhs = coef_l2 * squared_norm_rows(op, u[s]) + coef_fstar * squared_norm_rows(
-            op, u[s], F_STAR
-        )
-        return lhs, rhs
-
-    return _inequality("coercivity", *_by_blocks(count, sides), "sample")
-
-
-def _growth(op, psi, rng, count, dual_factor, k) -> ConditionResult:
-    """||A u||_(L2)* <= 2 k |u|_2."""
-    u = random_rows(op, rng, (count,))
-
-    def sides(s):
-        drift = drift_rows(op, psi, u[s]) * dual_factor  # = coefficients of A u over 1+mu
-        lhs = np.sqrt((drift * drift).sum(axis=1))
-        return lhs, 2.0 * k * np.sqrt(squared_norm_rows(op, u[s]))
-
-    return _inequality("growth", *_by_blocks(count, sides), "sample")
+    mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer = _by_blocks(op, count, sides)
+    skipped = ConditionResult("coercivity", 0, math.inf, 0,
+                              skipped_reason="psi has no coercivity constant")
+    return [
+        _inequality("local_monotonicity", mono_lhs, mono_rhs, "pair"),
+        _inequality("coercivity", *coer, "sample") if coer else skipped,
+        _inequality("growth", growth_lhs, growth_rhs, "sample"),
+    ]
 
 
 def check_variational_conditions(
@@ -241,8 +239,11 @@ def check_variational_conditions(
 ) -> VariationalReport:
     """Audit hemicontinuity, local monotonicity, coercivity and growth.
 
-    Samples `sample_count` states (and pairs) with coefficients scaled by
-    (1+mu_k)^(-1/2); hemicontinuity uses a tenth as many triples.  Inequality
+    Draws states with coefficients scaled by (1+mu_k)^(-1/2): first a tenth
+    of `sample_count` (at least 10) triples (u, v, w) for hemicontinuity, then
+    `sample_count` pairs (u1, u2).  Local monotonicity reads the pairs,
+    coercivity reads u1 and growth reads u2, so each condition checks
+    `sample_count` rows from `2 * sample_count` drift evaluations.  Inequality
     slacks use zero tolerance; the hemicontinuity curve check carries a
     roundoff allowance tied to the pairing magnitude because it subtracts
     near-equal pairings.
@@ -258,11 +259,7 @@ def check_variational_conditions(
     k = constants.lipschitz_k
     conditions = [
         _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor, k),
-        _local_monotonicity(
-            op, psi, model, rng, sample_count, dual_factor, constants.monotonicity_shift
-        ),
-        _coercivity(op, psi, rng, sample_count, dual_factor, constants),
-        _growth(op, psi, rng, sample_count, dual_factor, k),
+        *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, constants),
     ]
     return VariationalReport(
         epsilon=epsilon,

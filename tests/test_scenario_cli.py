@@ -507,3 +507,13 @@ def test_failures_file_written(tmp_path):
     report.write(tmp_path)
     failures = json.loads((tmp_path / "failures.json").read_text())
     assert failures["failures"][0]["name"] == "broken"
+
+
+def test_passing_rewrite_removes_failures_file(tmp_path):
+    # a passing report written over a failing one leaves no failures.json
+    # behind to contradict its report.json
+    StudyReport(kind="demo", checks=[PropertyCheck("broken", False, "nope")]).write(tmp_path)
+    assert (tmp_path / "failures.json").exists()
+    StudyReport(kind="demo", checks=[PropertyCheck("broken", True)]).write(tmp_path)
+    assert not (tmp_path / "failures.json").exists()
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True

@@ -145,14 +145,40 @@ def test_min_slack_reported_nonnegative(torus_small):
 
 
 def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
-    # 2,500 samples span three blocks of the per-row evaluation; one block
-    # holding every row must give the same results to the last bit
+    # 1,024 rows per block on the 17 modes: 2,500 samples span three blocks,
+    # the last one partial; one block holding every row must give the same
+    # results to the last bit
+    modes = torus_small.mode_count
     args = (torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1)
+    monkeypatch.setattr(variational, "_BLOCK_VALUES", 1_024 * modes)
     blocked = check_variational_conditions(*args, sample_count=2_500, seed=5)
-    monkeypatch.setattr(variational, "_BLOCK_ROWS", 4_096)
+    monkeypatch.setattr(variational, "_BLOCK_VALUES", 4_096 * modes)
     whole = check_variational_conditions(*args, sample_count=2_500, seed=5)
     assert blocked.condition("coercivity").checked == 2_500
     assert blocked.conditions == whole.conditions
+
+
+def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
+    # hemicontinuity evaluates 7 iotas on each of its triples; the pairs
+    # (u1, u2) are evaluated once each and feed monotonicity, coercivity and
+    # growth alike
+    rows = []
+    kernel = variational.drift_rows
+
+    def counting(op, psi, u, lam=None):
+        rows.append(u.shape[0])
+        return kernel(op, psi, u, lam)
+
+    monkeypatch.setattr(variational, "drift_rows", counting)
+    for sample_count in (50, 2_500):
+        rows.clear()
+        report = check_variational_conditions(
+            torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1,
+            sample_count=sample_count, seed=4,
+        )
+        assert sum(rows) == 2 * sample_count + 7 * max(sample_count // 10, 10)
+        for name in ("local_monotonicity", "coercivity", "growth"):
+            assert report.condition(name).checked == sample_count
 
 
 def test_audit_peak_memory_bounded():
