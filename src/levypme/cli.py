@@ -238,6 +238,8 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
             detail=(
                 f"h2 empirical {noise_report.h2_empirical:.6g} <= "
                 f"closed form {noise_report.h2_closed_form:.6g}; "
+                f"h2 (L2) empirical {noise_report.h2_l2_empirical:.6g} <= "
+                f"closed form {noise_report.h2_l2_closed_form:.6g}; "
                 f"h3 empirical {noise_report.h3_empirical:.6g} <= "
                 f"closed form {noise_report.h3_closed_form:.6g}"
             ),
@@ -256,6 +258,7 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
         checks=checks,
         extra={
             "h2_empirical": noise_report.h2_empirical,
+            "h2_l2_empirical": noise_report.h2_l2_empirical,
             "h3_empirical": noise_report.h3_empirical,
             "min_pair_slack": psi_report.min_pair_slack,
             "min_self_slack": psi_report.min_self_slack,

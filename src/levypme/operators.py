@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "OperatorSpectrum",
     "build_fractional_laplacian_torus",
+    "by_sample_blocks",
     "random_field",
     "random_rows",
     "smooth_field",
@@ -178,6 +179,32 @@ def random_rows(op: OperatorSpectrum, rng: np.random.Generator, shape: tuple = (
     rows = rng.standard_normal((*shape, op.mode_count))
     rows *= scale / np.sqrt(1.0 + op.eigenvalues)
     return rows
+
+
+# Values per state of a sample block: a block holds
+# max(1, _BLOCK_VALUES // modes) samples, so each (block x modes) temporary is
+# 512 KiB, small enough to stay in cache and to be reused from the heap.
+_BLOCK_VALUES = 1 << 16
+
+
+def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
+                     states: int, rows_of, scale: float = 1.0) -> tuple:
+    """Draw ``count`` samples of ``states`` coefficient rows each and evaluate
+    ``rows_of(block)`` a block at a time, joining each of its outputs along the
+    last (sample) axis.
+
+    A block is one :func:`random_rows` draw of shape (b, states, modes), with
+    b = max(1, _BLOCK_VALUES // modes) but fewer in the last block.  Draws on
+    one generator continue its stream in C order, so the samples, and every
+    result, are those of one (count, states, modes) draw whatever the block
+    size; no array of every sample ever exists.
+    """
+    step = max(1, _BLOCK_VALUES // op.mode_count)
+    parts = [
+        rows_of(random_rows(op, rng, (min(step, count - start), states), scale))
+        for start in range(0, count, step)
+    ]
+    return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts))
 
 
 def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

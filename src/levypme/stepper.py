@@ -89,10 +89,12 @@ def effective_splitting_mu(cfg: StepConfig, psi: NonlinearityPsi) -> float:
 
     Exactly linear kinds use slope + lam, which makes the split remainder
     vanish and the step a single diagonal solve.  Otherwise, with slope
-    infimum m and supremum k of psi, (m + k + lam)/2 + 0.05 (1 + k - m): the
-    centre of the drift's slope range [m + lam, k + lam], nudged up so the
-    frozen remainder stays a pointwise contraction relative to the implicit
-    shift.
+    infimum m and supremum k of psi, (m + k + lam)/2 + 0.05 (1 + k - m).
+    Its first term sits lam/2 below the centre (m + k)/2 + lam of the drift's
+    slope range [m + lam, k + lam]; the second nudges it up so the frozen
+    remainder stays a pointwise contraction relative to the implicit shift.
+    Adopting the centre would change the solver's iteration counts and its
+    last bits.
     """
     if cfg.splitting_mu is not None:
         return cfg.splitting_mu

@@ -8,11 +8,14 @@ coercivity (when psi carries a coercivity constant) and linear growth into the
 dual of L2.  The inequalities hold with slack in the diagonal model, so the
 audits use zero tolerance and report worst-case slack with witnesses.
 
-Hemicontinuity draws its own triples.  The monotonicity pairs (u1, u2), drawn
-next, also serve coercivity (on u1) and growth (on u2): the drift is evaluated
-once per state of a pair and feeds all three.  Per-row sides are evaluated in
-blocks of ``_BLOCK_VALUES // modes`` rows, so each (block x modes) temporary
-holds about ``_BLOCK_VALUES`` values whatever the sample or mode count.
+Hemicontinuity draws its own triples (u, v, w).  The monotonicity pairs
+(u1, u2), drawn next, also serve coercivity (on u1) and growth (on u2): the
+drift is evaluated once per state of a pair and feeds all three.  Every draw
+is made block by block (:func:`levypme.operators.by_sample_blocks`): a block
+of ``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
+per-sample sides before the next one is drawn, so each (block x modes)
+temporary holds about 2^16 values and no (samples x modes) array exists,
+whatever the sample or mode count.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .noise import NoiseModel, noise_mass_rows
 from .nonlinearity import NonlinearityPsi
-from .operators import OperatorSpectrum, random_rows
+from .operators import OperatorSpectrum, by_sample_blocks
 from .spaces import F_STAR, squared_norm_rows
 from .stepper import drift_rows
 
@@ -34,12 +37,6 @@ __all__ = [
     "VariationalReport",
     "check_variational_conditions",
 ]
-
-# Values per block of the per-row evaluations: a block has
-# max(1, _BLOCK_VALUES // modes) rows, so each (block x modes) temporary is
-# 512 KiB, small enough to stay in cache and to be reused from the heap.
-_BLOCK_VALUES = 1 << 16
-
 
 @dataclass(frozen=True)
 class EstimateConstants:
@@ -129,15 +126,6 @@ class VariationalReport:
         raise KeyError(name)
 
 
-def _by_blocks(op, count, rows_of):
-    """Evaluate ``rows_of(block)`` on consecutive row slices of at most
-    _BLOCK_VALUES // modes rows (at least one), joining each of its outputs
-    along the last (row) axis."""
-    step = max(1, _BLOCK_VALUES // op.mode_count)
-    parts = [rows_of(slice(start, start + step)) for start in range(0, count, step)]
-    return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts))
-
-
 def _inequality(name, lhs, rhs, label) -> ConditionResult:
     """lhs <= rhs row by row: the worst slack, the violation count and, when
     any row fails, the worst row as witness."""
@@ -150,19 +138,18 @@ def _inequality(name, lhs, rhs, label) -> ConditionResult:
 
 def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     """iota -> <A(u + iota v), w> along a mesh of iotas, Lipschitz in iota
-    with constant 2 k |v|_2 |w|_2."""
-    u, v, w = (random_rows(op, rng, (count,)) for _ in range(3))
+    with constant 2 k |v|_2 |w|_2; sample i is the triple (u, v, w) of rows i."""
     iotas = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
 
-    def pairing_rows(s):
-        return (np.stack([
-            (drift_rows(op, psi, u[s] + iota * v[s]) * dual_factor * w[s]).sum(axis=1)
+    def sides(block):
+        u, v, w = block[:, 0], block[:, 1], block[:, 2]
+        pairings = np.stack([
+            (drift_rows(op, psi, u + iota * v) * dual_factor * w).sum(axis=1)
             for iota in iotas
-        ]),)
+        ])
+        return pairings, np.sqrt(squared_norm_rows(op, v)), np.sqrt(squared_norm_rows(op, w))
 
-    (pairings,) = _by_blocks(op, count, pairing_rows)
-    v_l2 = np.sqrt(squared_norm_rows(op, v))
-    w_l2 = np.sqrt(squared_norm_rows(op, w))
+    pairings, v_l2, w_l2 = by_sample_blocks(op, rng, count, 3, sides)
     scale = np.abs(pairings).max(axis=0) + v_l2 * w_l2
     allowance = 1e-12 * scale
     violations = 0
@@ -192,16 +179,16 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> li
     coercivity on u1    2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
                           + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
                         skipped when psi certifies no coercivity constant c;
-    growth on u2        ||A u||_(L2)* <= 2 k |u|_2."""
-    u1, u2 = (random_rows(op, rng, (count,)) for _ in range(2))
+    growth on u2        ||A u||_(L2)* <= 2 k |u|_2.
+    Sample i is the pair (u1, u2) of rows i."""
     k, c, eps = constants.lipschitz_k, constants.coercivity_c, constants.epsilon
     if c is not None:
         theta2 = constants.theta**2
         coef_l2 = -2.0 * c + 2.0 * theta2 * k * k * (1.0 - eps)
         coef_fstar = 2.0 * (1.0 - eps) / theta2 + constants.h2_constant
 
-    def sides(s):
-        a, b = u1[s], u2[s]
+    def sides(block):
+        a, b = block[:, 0], block[:, 1]
         d1, d2 = drift_rows(op, psi, a), drift_rows(op, psi, b)
         d_rows = a - b
         out = [
@@ -219,7 +206,7 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> li
             coef_l2 * squared_norm_rows(op, a) + coef_fstar * squared_norm_rows(op, a, F_STAR),
         ]
 
-    mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer = _by_blocks(op, count, sides)
+    mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer = by_sample_blocks(op, rng, count, 2, sides)
     skipped = ConditionResult("coercivity", 0, math.inf, 0,
                               skipped_reason="psi has no coercivity constant")
     return [
@@ -241,12 +228,14 @@ def check_variational_conditions(
 
     Draws states with coefficients scaled by (1+mu_k)^(-1/2): first a tenth
     of `sample_count` (at least 10) triples (u, v, w) for hemicontinuity, then
-    `sample_count` pairs (u1, u2).  Local monotonicity reads the pairs,
-    coercivity reads u1 and growth reads u2, so each condition checks
-    `sample_count` rows from `2 * sample_count` drift evaluations.  Inequality
-    slacks use zero tolerance; the hemicontinuity curve check carries a
-    roundoff allowance tied to the pairing magnitude because it subtracts
-    near-equal pairings.
+    `sample_count` pairs (u1, u2), each as the rows of one sample-major
+    (samples, 3 or 2, modes) draw made block by block, so the results do not
+    depend on the block size and no (samples x modes) array is allocated.
+    Local monotonicity reads the pairs, coercivity reads u1 and growth reads
+    u2, so each condition checks `sample_count` rows from `2 * sample_count`
+    drift evaluations.  Inequality slacks use zero tolerance; the
+    hemicontinuity curve check carries a roundoff allowance tied to the
+    pairing magnitude because it subtracts near-equal pairings.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be >= 10")

@@ -6,13 +6,14 @@ any of the norms.
 """
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
+from levypme import operators
 from levypme.noise import (
     AdditiveCoefficient,
     MultiplicativeCoefficient,
@@ -26,7 +27,12 @@ from levypme.noise import (
     path_seed,
     sample_noise_path,
 )
-from levypme.operators import random_field, smooth_field
+from levypme.operators import (
+    build_fractional_laplacian_torus,
+    random_field,
+    random_rows,
+    smooth_field,
+)
 from levypme.spaces import F_STAR, L2, norm, squared_norm_rows
 
 from conftest import additive_model, multiplicative_model, zero_model
@@ -71,10 +77,14 @@ def test_jump_count_distribution_poisson():
     edges = np.arange(12)
     observed = np.array([np.sum(counts == k) for k in edges])
     observed = np.append(observed, np.sum(counts >= 12))
-    pmf = stats.poisson.pmf(edges, 3.0)
+    pmf = np.array([math.exp(-3.0) * 3.0**k / math.factorial(k) for k in edges])
     expected = counts.size * np.append(pmf, 1.0 - pmf.sum())
-    result = stats.chisquare(observed, expected)
-    assert result.pvalue > 0.01, f"Poisson GOF rejected: p={result.pvalue:.4f}"
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    # chi-square survival function for 2m = 12 degrees of freedom (13 bins):
+    # exactly e^(-x/2) sum_{i<m} (x/2)^i / i!
+    half = statistic / 2.0
+    pvalue = math.exp(-half) * sum(half**i / math.factorial(i) for i in range(6))
+    assert pvalue > 0.01, f"Poisson GOF rejected: p={pvalue:.4f}"
 
 
 def test_compensator_rate_closed_form(torus_small):
@@ -169,6 +179,76 @@ def test_hypothesis_audit_passes(torus_small, model_factory):
     report = audit_h2_h3(torus_small, model, sample_count=500, seed=7)
     assert report.passed, report.witness
     assert report.h2_empirical <= report.h2_closed_form * (1 + 1e-9) + 1e-15
+    assert report.h2_l2_empirical <= report.h2_l2_closed_form * (1 + 1e-9) + 1e-15
+    assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
+
+
+class HalvedL2(NoiseModel):
+    """A model whose advertised L2 growth constant is half the true one."""
+
+    def h2_closed_form(self, op, kind=F_STAR):
+        closed = super().h2_closed_form(op, kind)
+        return closed / 2.0 if kind == L2 else closed
+
+
+def halved_l2(model):
+    return HalvedL2(model.marks, model.intensities, model.coefficient)
+
+
+@pytest.mark.parametrize("model_factory", ["additive", "multiplicative"])
+def test_hypothesis_audit_is_one_draw_at_any_block_size(torus_small, monkeypatch, model_factory):
+    # 500 samples in blocks of 7 or of 64 (the last one partial) must give,
+    # bit for bit, the ratios of one (500, 2, modes) draw taken whole; with
+    # the L2 constant halved every sample past it counts as a violation
+    model = {
+        "additive": lambda: additive_model(torus_small),
+        "multiplicative": lambda: multiplicative_model(),
+    }[model_factory]()
+    op = torus_small
+    pairs = random_rows(op, np.random.default_rng(7), (500, 2), scale=2.0)
+    u1, u2 = pairs[:, 0], pairs[:, 1]
+    h2 = noise_mass_rows(op, model, u1) / (1.0 + squared_norm_rows(op, u1, F_STAR))
+    h2_l2 = noise_mass_rows(op, model, u1, kind=L2) / (1.0 + squared_norm_rows(op, u1))
+    gap_sq = squared_norm_rows(op, u1 - u2, F_STAR)
+    h3 = np.divide(noise_mass_rows(op, model, u1, u2), gap_sq,
+                   out=np.zeros(500), where=gap_sq > 0.0)
+    halved = model.h2_closed_form(op, L2) / 2.0
+    over_halved = int(np.count_nonzero(h2_l2 > halved * (1.0 + 1e-9) + 1e-15))
+    for samples_per_block in (7, 64):
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", samples_per_block * op.mode_count)
+        report = audit_h2_h3(op, model, sample_count=500, seed=7)
+        assert report.h2_empirical == h2.max()
+        assert report.h2_l2_empirical == h2_l2.max()
+        assert report.h3_empirical == h3.max()
+        assert report.violation_count == 0
+        report = audit_h2_h3(op, halved_l2(model), sample_count=500, seed=7)
+        assert report.violation_count == over_halved
+
+
+@pytest.mark.parametrize("sample_count", [2_000, 20_000])
+def test_hypothesis_audit_peak_memory_bounded(sample_count):
+    # the pairs are drawn and reduced a block at a time: the peak is a few
+    # block-sized temporaries whatever the sample count, where one whole draw
+    # of 2,000 pairs on 257 modes is 8 MB
+    op = build_fractional_laplacian_torus(128, 0.5)
+    block_bytes = operators._BLOCK_VALUES * 8
+    tracemalloc.start()
+    try:
+        audit_h2_h3(op, multiplicative_model(), sample_count=sample_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
+
+
+def test_hypothesis_audit_flags_understated_l2_growth(torus_small):
+    # the moment bound's L2 growth constant is audited on the same draws: an
+    # understated one fails with an H2 (L2) witness while F* H2 and H3 hold
+    report = audit_h2_h3(torus_small, halved_l2(multiplicative_model()), sample_count=500, seed=7)
+    assert not report.passed
+    assert report.witness.startswith("H2 (L2) ratio")
+    assert report.h2_l2_empirical > report.h2_l2_closed_form
+    assert report.h2_empirical <= report.h2_closed_form
     assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
 
 

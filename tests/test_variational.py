@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levypme import variational
+from levypme import operators, variational
 from levypme.nonlinearity import make_psi
 from levypme.operators import build_fractional_laplacian_torus
 from levypme.variational import EstimateConstants, check_variational_conditions
@@ -150,9 +150,9 @@ def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
     # results to the last bit
     modes = torus_small.mode_count
     args = (torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1)
-    monkeypatch.setattr(variational, "_BLOCK_VALUES", 1_024 * modes)
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 1_024 * modes)
     blocked = check_variational_conditions(*args, sample_count=2_500, seed=5)
-    monkeypatch.setattr(variational, "_BLOCK_VALUES", 4_096 * modes)
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 4_096 * modes)
     whole = check_variational_conditions(*args, sample_count=2_500, seed=5)
     assert blocked.condition("coercivity").checked == 2_500
     assert blocked.conditions == whole.conditions
@@ -182,8 +182,9 @@ def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
 
 
 def test_audit_peak_memory_bounded():
-    # the draws are whole but every per-row evaluation runs in blocks, so the
-    # default 10,000-sample audit peaks below three full (samples x modes) arrays
+    # every draw and every per-row evaluation runs a block of samples at a
+    # time, so the default 10,000-sample audit never holds a (samples x modes)
+    # array: its peak stays below half of one
     op = build_fractional_laplacian_torus(128, 0.5)
     full = 10_000 * op.mode_count * 8
     tracemalloc.start()
@@ -192,4 +193,4 @@ def test_audit_peak_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * full, f"peak {peak / full:.2f} full arrays"
+    assert peak <= 0.5 * full, f"peak {peak / full:.2f} full arrays"
