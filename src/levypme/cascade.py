@@ -58,6 +58,8 @@ from .reporting import (
 )
 from .spaces import F12, F12_star, L2, norm, squared_norm_rows
 from .stepper import (
+    INNER_TOLERANCE,
+    MAX_INNER_ITERATIONS,
     SolverCounters,
     StepConfig,
     cadlag_reductions,
@@ -120,8 +122,8 @@ class StudyPlan:
     step_size: float
     horizon: float
     master_seed: int
-    inner_tolerance: float = 1e-10
-    max_inner_iterations: int = 600
+    inner_tolerance: float = INNER_TOLERANCE
+    max_inner_iterations: int = MAX_INNER_ITERATIONS
     fingerprint: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

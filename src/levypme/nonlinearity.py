@@ -12,6 +12,7 @@ __all__ = [
     "PsiInequalityReport",
     "make_psi",
     "PSI_KINDS",
+    "PSI_PARAMETERS",
     "verify_psi_inequalities",
 ]
 
@@ -82,6 +83,8 @@ def _eval_soft_monotone(r):
 
 
 PSI_KINDS = ("identity", "scaled_linear", "saturating", "soft_monotone", "zero")
+# The kinds that take a parameter, each with the make_psi keyword it is passed as.
+PSI_PARAMETERS = {"scaled_linear": "scale", "saturating": "cap"}
 
 
 def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None) -> NonlinearityPsi:
@@ -93,26 +96,26 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
     soft_monotone   r -> r + arctan(r)/2    (k = 3/2, c = 1, slope infimum 1)
     zero            r -> 0                  (k = 0, no coercivity)
     """
+    if kind in PSI_PARAMETERS:
+        keyword = PSI_PARAMETERS[kind]
+        param = {"scale": scale, "cap": cap}[keyword]
+        if param is None or not param > 0.0:
+            raise ValueError(f"{kind} requires {keyword} > 0")
+        param = float(param)
     if kind == "identity":
         return NonlinearityPsi("identity", _eval_identity, 1.0, 0.5, 1.0, 1.0)
     if kind == "scaled_linear":
-        if scale is None or not scale > 0.0:
-            raise ValueError("scaled_linear requires scale > 0")
-        scale = float(scale)
         return NonlinearityPsi(
             "scaled_linear",
-            functools.partial(_eval_scaled, scale=scale),
-            scale,
-            1.0 / (scale + 1.0),
-            scale,
-            scale,
+            functools.partial(_eval_scaled, scale=param),
+            param,
+            1.0 / (param + 1.0),
+            param,
+            param,
         )
     if kind == "saturating":
-        if cap is None or not cap > 0.0:
-            raise ValueError("saturating requires cap > 0")
-        cap = float(cap)
         return NonlinearityPsi(
-            "saturating", functools.partial(_eval_saturating, cap=cap), 1.0, 0.5
+            "saturating", functools.partial(_eval_saturating, cap=param), 1.0, 0.5
         )
     if kind == "soft_monotone":
         return NonlinearityPsi(

@@ -2,26 +2,30 @@
 
 A scenario pins everything a run depends on — operator, nonlinearity, noise,
 initial condition, ladders, discretization, seeds — so that the same file
-always produces byte-identical reports.  Parsing is strict: unknown keys,
-duplicate keys, type errors and out-of-range values all raise
-:class:`ScenarioError` naming the offending line, key and the accepted range.
+always produces byte-identical reports.  Each key is declared once, in
+``_GRAMMAR``, with its type and accepted range; the required keys are the
+:class:`Scenario` fields without a default.  Parsing is strict: unknown keys,
+duplicate keys, missing required keys, type errors and out-of-range values
+all raise :class:`ScenarioError` naming the offending line, key and the
+accepted range.
 
-:func:`serialize_scenario` emits the canonical form (every key, declaration
-order, ``repr`` floats); :func:`scenario_hash` is the sha256 of that text, so
-two scenarios hash equal iff they normalize to the same configuration.
+:func:`serialize_scenario` emits the canonical form (every key that applies
+to the scenario's kinds, declaration order, ``repr`` floats);
+:func:`scenario_hash` is the sha256 of that text, so two scenarios hash equal
+iff they normalize to the same configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import StudyPlan
-from .nonlinearity import PSI_KINDS, NonlinearityPsi, make_psi
+from .nonlinearity import PSI_KINDS, PSI_PARAMETERS, NonlinearityPsi, make_psi
 from .noise import (
     AdditiveCoefficient,
     MultiplicativeCoefficient,
@@ -35,6 +39,7 @@ from .operators import (
     smooth_field,
 )
 from .reporting import SCHEMA_VERSION
+from .stepper import INNER_TOLERANCE, MAX_INNER_ITERATIONS
 
 __all__ = [
     "Scenario",
@@ -92,135 +97,82 @@ class Scenario:
     noise_scale: tuple[float, ...] = ()
     initial_amplitude: float = 1.0
     initial_seed: int = 7
-    inner_tolerance: float = 1e-10
-    max_inner_iterations: int = 600
+    inner_tolerance: float = INNER_TOLERANCE
+    max_inner_iterations: int = MAX_INNER_ITERATIONS
     report_version: int = SCHEMA_VERSION
 
 
-# -- field grammar -----------------------------------------------------------------
-# key -> (parser, required); parsers raise ScenarioError with the range text.
+# -- key grammar -------------------------------------------------------------------
 
+_FLOATS = "floats"  # one or more numbers, whitespace-separated
+_LADDER = "ladder"  # floats, strictly decreasing
 
-def _parse_int(key, raw, line, *, low=None, range_text=None):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got {raw!r}", line=line, key=key)
-    if low is not None and value < low:
-        raise ScenarioError(
-            f"value {value} outside {range_text or f'[{low}, inf)'}", line=line, key=key
-        )
-    return value
-
-
-def _parse_float(key, raw, line, *, low=None, high=None, low_open=True, high_open=True,
-                 range_text=None):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"expected a number, got {raw!r}", line=line, key=key)
-    if not math.isfinite(value):
-        raise ScenarioError(f"value must be finite, got {raw!r}", line=line, key=key)
-    ok = True
-    if low is not None:
-        ok = ok and (value > low if low_open else value >= low)
-    if high is not None:
-        ok = ok and (value < high if high_open else value <= high)
-    if not ok:
-        raise ScenarioError(
-            f"value {value!r} outside {range_text}", line=line, key=key
-        )
-    return value
-
-
-def _parse_float_list(key, raw, line, *, low=None, low_open=True, range_text=None):
-    parts = raw.split()
-    if not parts:
-        raise ScenarioError("expected one or more numbers", line=line, key=key)
-    return tuple(
-        _parse_float(key, p, line, low=low, low_open=low_open, range_text=range_text)
-        for p in parts
-    )
-
-
-def _parse_choice(key, raw, line, choices):
-    if raw not in choices:
-        raise ScenarioError(
-            f"expected one of {', '.join(choices)}; got {raw!r}", line=line, key=key
-        )
-    return raw
-
-
-def _parse_ladder(key, raw, line):
-    values = _parse_float_list(
-        key, raw, line, low=0.0, range_text="(0, 1)"
-    )
-    for v in values:
-        if not (0.0 < v < 1.0):
-            raise ScenarioError(f"value {v!r} outside (0, 1)", line=line, key=key)
-    if any(a <= b for a, b in zip(values, values[1:])):
-        raise ScenarioError("ladder must be strictly decreasing", line=line, key=key)
-    return values
-
-
-_PARSERS = {
-    "mode_cutoff": lambda r, ln: _parse_int("mode_cutoff", r, ln, low=1, range_text="[1, inf)"),
-    "alpha": lambda r, ln: _parse_float(
-        "alpha", r, ln, low=0.0, high=1.0, high_open=False, range_text="(0, 1]"
-    ),
-    "length": lambda r, ln: _parse_float("length", r, ln, low=0.0, range_text="(0, inf)"),
-    "psi": lambda r, ln: _parse_choice("psi", r, ln, tuple(PSI_KINDS)),
-    "psi_param": lambda r, ln: _parse_float(
-        "psi_param", r, ln, low=0.0, range_text="(0, inf)"
-    ),
-    "noise": lambda r, ln: _parse_choice("noise", r, ln, NOISE_KINDS),
-    "noise_intensity": lambda r, ln: _parse_float_list(
-        "noise_intensity", r, ln, low=0.0, low_open=False, range_text="[0, inf)"
-    ),
-    "noise_scale": lambda r, ln: _parse_float_list(
-        "noise_scale", r, ln, low=None
-    ),
-    "initial": lambda r, ln: _parse_choice("initial", r, ln, INITIAL_KINDS),
-    "initial_amplitude": lambda r, ln: _parse_float(
-        "initial_amplitude", r, ln, low=0.0, range_text="(0, inf)"
-    ),
-    "initial_seed": lambda r, ln: _parse_int(
-        "initial_seed", r, ln, low=0, range_text="[0, inf)"
-    ),
-    "lambda_ladder": lambda r, ln: _parse_ladder("lambda_ladder", r, ln),
-    "epsilon_ladder": lambda r, ln: _parse_ladder("epsilon_ladder", r, ln),
-    "paths": lambda r, ln: _parse_int("paths", r, ln, low=2, range_text="[2, inf)"),
-    "step_size": lambda r, ln: _parse_float(
-        "step_size", r, ln, low=0.0, range_text="(0, inf)"
-    ),
-    "horizon": lambda r, ln: _parse_float(
-        "horizon", r, ln, low=0.0, range_text="(0, inf)"
-    ),
-    "master_seed": lambda r, ln: _parse_int(
-        "master_seed", r, ln, low=0, range_text="[0, inf)"
-    ),
-    "inner_tolerance": lambda r, ln: _parse_float(
-        "inner_tolerance", r, ln, low=0.0, range_text="(0, inf)"
-    ),
-    "max_inner_iterations": lambda r, ln: _parse_int(
-        "max_inner_iterations", r, ln, low=1, range_text="[1, inf)"
-    ),
-    "report_version": lambda r, ln: _parse_int("report_version", r, ln),
+# key -> (type, accepted range): int and float keys hold one number, _FLOATS
+# and _LADDER keys one or more; a tuple of names lists the accepted choices.
+# A key with no range is unbounded.
+_GRAMMAR = {
+    "mode_cutoff": (int, "[1, inf)"),
+    "alpha": (float, "(0, 1]"),
+    "length": (float, "(0, inf)"),
+    "psi": (PSI_KINDS, None),
+    "psi_param": (float, "(0, inf)"),
+    "noise": (NOISE_KINDS, None),
+    "noise_intensity": (_FLOATS, "[0, inf)"),
+    "noise_scale": (_FLOATS, None),
+    "initial": (INITIAL_KINDS, None),
+    "initial_amplitude": (float, "(0, inf)"),
+    "initial_seed": (int, "[0, inf)"),
+    "lambda_ladder": (_LADDER, "(0, 1)"),
+    "epsilon_ladder": (_LADDER, "(0, 1)"),
+    "paths": (int, "[2, inf)"),
+    "step_size": (float, "(0, inf)"),
+    "horizon": (float, "(0, inf)"),
+    "master_seed": (int, "[0, inf)"),
+    "inner_tolerance": (float, "(0, inf)"),
+    "max_inner_iterations": (int, "[1, inf)"),
+    "report_version": (int, None),
 }
 
-_REQUIRED = (
-    "mode_cutoff",
-    "alpha",
-    "psi",
-    "noise",
-    "initial",
-    "lambda_ladder",
-    "epsilon_ladder",
-    "paths",
-    "step_size",
-    "horizon",
-    "master_seed",
-)
+def _ends(interval: str | None):
+    """Tests of the low and the high end of a range such as ``(0, 1]``; with
+    no range, every value passes both."""
+    if interval is None:
+        return (lambda v: True), (lambda v: True)
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    above = (lambda v: v > low) if interval[0] == "(" else (lambda v: v >= low)
+    below = (lambda v: v < high) if interval[-1] == ")" else (lambda v: v <= high)
+    return above, below
+
+
+def _parse_value(key: str, raw: str, line: int):
+    kind, interval = _GRAMMAR[key]
+
+    def fail(message):
+        raise ScenarioError(message, line=line, key=key)
+
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            fail(f"expected one of {', '.join(kind)}; got {raw!r}")
+        return raw
+    above, below = _ends(interval)
+    values = []
+    for part in raw.split() if kind in (_FLOATS, _LADDER) else [raw]:
+        try:
+            value = int(part) if kind is int else float(part)
+        except ValueError:
+            fail(f"expected {'an integer' if kind is int else 'a number'}, got {part!r}")
+        if kind is not int and not math.isfinite(value):
+            fail(f"value must be finite, got {part!r}")
+        if not above(value):
+            fail(f"value {value!r} outside {interval}")
+        values.append(value)
+    # The upper end is checked once every entry has been read.
+    for value in values:
+        if not below(value):
+            fail(f"value {value!r} outside {interval}")
+    if kind is _LADDER and any(a <= b for a, b in zip(values, values[1:])):
+        fail("ladder must be strictly decreasing")
+    return tuple(values) if kind in (_FLOATS, _LADDER) else values[0]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -237,7 +189,7 @@ def parse_scenario(text: str) -> Scenario:
         key, _, rest = line.partition("=")
         key = key.strip()
         rest = rest.strip()
-        if key not in _PARSERS:
+        if key not in _GRAMMAR:
             raise ScenarioError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ScenarioError(
@@ -245,16 +197,28 @@ def parse_scenario(text: str) -> Scenario:
             )
         if not rest:
             raise ScenarioError("missing value", line=lineno, key=key)
-        values[key] = _PARSERS[key](rest, lineno)
+        values[key] = _parse_value(key, rest, lineno)
         lines[key] = lineno
 
-    for key in _REQUIRED:
-        if key not in values:
-            raise ScenarioError("required key missing", key=key)
+    for f in fields(Scenario):  # the required keys: fields without a default
+        if f.default is MISSING and f.name not in values:
+            raise ScenarioError("required key missing", key=f.name)
 
     scenario = Scenario(**values)
     _validate_cross(scenario, lines)
     return scenario
+
+
+def _inapplicable(sc: Scenario) -> dict:
+    """The keys that mean nothing for ``sc``'s kinds, each with the reason."""
+    unused = {}
+    if sc.psi not in PSI_PARAMETERS:
+        unused["psi_param"] = f"psi = {sc.psi} takes no psi_param"
+    if sc.noise == "zero":
+        unused["noise_intensity"] = unused["noise_scale"] = "not used when noise = zero"
+    if sc.initial == "smooth":
+        unused["initial_seed"] = "only used when initial = random"
+    return unused
 
 
 def _validate_cross(sc: Scenario, lines: dict) -> None:
@@ -267,32 +231,22 @@ def _validate_cross(sc: Scenario, lines: dict) -> None:
     if sc.step_size > sc.horizon:
         err("step_size must not exceed horizon", "step_size")
 
-    # psi_param pairs with exactly the parameterized kinds
-    if sc.psi in ("scaled_linear", "saturating"):
-        if sc.psi_param is None:
-            err(f"psi = {sc.psi} requires psi_param", "psi_param")
-    elif sc.psi_param is not None:
-        err(f"psi = {sc.psi} takes no psi_param", "psi_param")
-
-    # noise keys pair with the noise kind
-    if sc.noise == "zero":
-        for key in ("noise_intensity", "noise_scale"):
-            if getattr(sc, key):
-                err("not used when noise = zero", key)
-    else:
-        if not sc.noise_intensity:
-            err(f"noise = {sc.noise} requires noise_intensity", "noise_intensity")
-        if not sc.noise_scale:
-            err(f"noise = {sc.noise} requires noise_scale", "noise_scale")
-        if len(sc.noise_intensity) != len(sc.noise_scale):
+    # A key that applies must be set when it has no default of its own; one
+    # that does not apply must not be.
+    unused = _inapplicable(sc)
+    for key, owner in (("psi_param", "psi"), ("noise_intensity", "noise"),
+                       ("noise_scale", "noise"), ("initial_seed", "initial")):
+        if key in unused:
+            if key in lines:
+                err(unused[key], key)
+        elif getattr(sc, key) in (None, ()):
+            err(f"{owner} = {getattr(sc, owner)} requires {key}", key)
+        elif key == "noise_scale" and len(sc.noise_scale) != len(sc.noise_intensity):
             err(
                 f"needs one entry per mark ({len(sc.noise_intensity)} intensities, "
                 f"{len(sc.noise_scale)} scales)",
-                "noise_scale",
+                key,
             )
-
-    if sc.initial == "smooth" and "initial_seed" in lines:
-        err("only used when initial = random", "initial_seed")
 
 
 def load_scenario(path) -> Scenario:
@@ -311,13 +265,7 @@ def _format_value(value) -> str:
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text: every applicable key, declaration order, repr floats."""
-    skip = set()
-    if sc.psi_param is None:
-        skip.add("psi_param")
-    if sc.noise == "zero":
-        skip.update({"noise_intensity", "noise_scale"})
-    if sc.initial == "smooth":
-        skip.add("initial_seed")
+    skip = _inapplicable(sc)
     out = []
     for f in fields(Scenario):
         if f.name in skip:
@@ -338,11 +286,8 @@ def build_operator(sc: Scenario) -> OperatorSpectrum:
 
 
 def build_psi(sc: Scenario) -> NonlinearityPsi:
-    if sc.psi == "scaled_linear":
-        return make_psi(sc.psi, scale=sc.psi_param)
-    if sc.psi == "saturating":
-        return make_psi(sc.psi, cap=sc.psi_param)
-    return make_psi(sc.psi)
+    keyword = PSI_PARAMETERS.get(sc.psi)
+    return make_psi(sc.psi, **({keyword: sc.psi_param} if keyword else {}))
 
 
 def build_noise(sc: Scenario, op: OperatorSpectrum) -> NoiseModel:

@@ -27,6 +27,8 @@ from .operators import OperatorSpectrum
 from .spaces import F_STAR, L2, squared_norm_rows
 
 __all__ = [
+    "INNER_TOLERANCE",
+    "MAX_INNER_ITERATIONS",
     "SolverCounters",
     "StepConfig",
     "StepperConvergenceError",
@@ -43,6 +45,10 @@ __all__ = [
 ]
 
 _INNER_INITIALIZERS = ("rhs", "zero")
+# Defaults of the residual every step is certified to and of the inner
+# iteration budget; plans and scenarios take theirs from here.
+INNER_TOLERANCE = 1e-10
+MAX_INNER_ITERATIONS = 600
 
 
 class StepperConvergenceError(RuntimeError):
@@ -62,8 +68,8 @@ class StepConfig:
     h: float
     epsilon: float
     lam: float = 0.0
-    inner_tolerance: float = 1e-10
-    max_inner_iterations: int = 600
+    inner_tolerance: float = INNER_TOLERANCE
+    max_inner_iterations: int = MAX_INNER_ITERATIONS
     splitting_mu: Optional[float] = None
     inner_initializer: str = "rhs"
 

@@ -1,17 +1,21 @@
 """Scenario grammar, canonical serialization, CLI exit codes and artifacts."""
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levypme.cli import main
 from levypme import cascade, cli, nonlinearity
+from levypme import scenario as scenario_module
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
     Scenario,
@@ -90,6 +94,33 @@ def test_comments_and_blank_lines_ignored():
 def test_value_errors(mutation, pattern):
     with pytest.raises(ScenarioError, match=pattern):
         parse_scenario(_text(mutation))
+
+
+@pytest.mark.parametrize("key,value,line,message", [
+    ("length", "0", 14, "value 0.0 outside (0, inf)"),
+    ("psi_param", "-1", 14, "value -1.0 outside (0, inf)"),
+    ("noise_intensity", "2.0 -1", 5, "value -1.0 outside [0, inf)"),
+    ("noise_scale", "0.08 nan", 6, "value must be finite, got 'nan'"),
+    ("initial_amplitude", "abc", 14, "expected a number, got 'abc'"),
+    ("initial_seed", "1.5", 14, "expected an integer, got '1.5'"),
+    ("epsilon_ladder", "0.2 0", 9, "value 0.0 outside (0, 1)"),
+    # every entry is read before the upper end is checked
+    ("lambda_ladder", "1.5 zero", 8, "expected a number, got 'zero'"),
+    ("step_size", "-0.1", 11, "value -0.1 outside (0, inf)"),
+    ("horizon", "inf", 12, "value must be finite, got 'inf'"),
+    ("master_seed", "-3", 13, "value -3 outside [0, inf)"),
+    ("inner_tolerance", "0", 14, "value 0.0 outside (0, inf)"),
+    ("max_inner_iterations", "0", 14, "value 0 outside [1, inf)"),
+])
+def test_each_key_error_names_line_and_key(key, value, line, message):
+    if key in _BASE:
+        text = _text({key: value})
+    else:
+        text = _text(extra_lines=[f"{key} = {value}"])
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == f"[line {line}, key '{key}'] {message}"
+    assert (caught.value.line, caught.value.key) == (line, key)
 
 
 def test_unknown_key_names_line():
@@ -193,6 +224,66 @@ def test_serialize_skips_inapplicable_keys():
     assert "noise_intensity" not in text
     assert "transform_lipschitz" not in text
     assert "initial_seed" not in text
+
+
+def _key_values(key):
+    """Values the key table accepts for ``key``."""
+    kind, interval = scenario_module._GRAMMAR[key]
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    interval = interval or "(-inf, inf)"
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    if kind is int:  # every int range is [low, inf)
+        return st.integers(min_value=None if low == -math.inf else int(low), max_value=2**70)
+    number = st.floats(
+        min_value=low, max_value=high,
+        exclude_min=interval[0] == "(", exclude_max=interval[-1] == ")",
+        allow_nan=False, allow_infinity=False,
+    )
+    if kind is float:
+        return number
+    if kind == scenario_module._LADDER:
+        return st.lists(number, min_size=1, max_size=4, unique=True).map(
+            lambda values: tuple(sorted(values, reverse=True)))
+    return st.lists(number, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _valid_scenarios(draw):
+    values = {key: draw(_key_values(key)) for key in scenario_module._GRAMMAR}
+    defaults = {f.name: f.default for f in fields(Scenario)}
+    values["report_version"] = SCHEMA_VERSION
+    values["horizon"] = max(values["horizon"], values["step_size"])
+    if values["noise"] == "zero":
+        values["noise_intensity"] = values["noise_scale"] = ()
+    else:
+        marks = min(len(values["noise_intensity"]), len(values["noise_scale"]))
+        values["noise_intensity"] = values["noise_intensity"][:marks]
+        values["noise_scale"] = values["noise_scale"][:marks]
+    # a key that does not apply keeps its default, which the text omits
+    if values["psi"] not in ("scaled_linear", "saturating"):
+        values["psi_param"] = defaults["psi_param"]
+    if values["initial"] == "smooth":
+        values["initial_seed"] = defaults["initial_seed"]
+    return Scenario(**values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_scenarios())
+def test_canonical_text_round_trips(sc):
+    text = serialize_scenario(sc)
+    again = parse_scenario(text)
+    assert again == sc
+    assert scenario_hash(again) == scenario_hash(sc) == hashlib.sha256(text.encode()).hexdigest()
+    unused = set()
+    if sc.psi not in ("scaled_linear", "saturating"):
+        unused.add("psi_param")
+    if sc.noise == "zero":
+        unused |= {"noise_intensity", "noise_scale"}
+    if sc.initial == "smooth":
+        unused.add("initial_seed")
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    assert keys == [f.name for f in fields(Scenario) if f.name not in unused]
 
 
 # -- CLI ----------------------------------------------------------------------
