@@ -69,7 +69,12 @@ def norm(op: OperatorSpectrum, u, kind: NormKind = L2) -> float:
 
 
 def squared_norm_rows(op: OperatorSpectrum, rows: np.ndarray, kind: NormKind = L2) -> np.ndarray:
-    """Squared norms of a stack of coefficient rows (vectorized helper)."""
+    """Squared norms of one coefficient vector or of each row of a stack.
+
+    One einsum pass per call, row-local: a row's value does not depend on the
+    other rows of the stack, so any slice of a batch gives the batch's values
+    to the last bit.
+    """
     rows = _coeffs(op, rows)
-    return (_squared_multiplier(op, kind) * rows * rows).sum(axis=-1)
+    return np.einsum("...k,...k,k->...", rows, rows, _squared_multiplier(op, kind))
 

@@ -244,7 +244,10 @@ def drift_rows(op, psi, u, lam=None):
     diagonal factor -(eps + mu_k), which each caller attaches.  The inner
     solver's certificate passes its per-row lam; the variational audits
     evaluate A(u) = (L - eps) psi(u) and pass none, which skips the shift
-    term and its two passes over the nodal values.
+    term and its two passes over the nodal values.  This is the only place
+    that composes to_physical, psi and to_spectral; the hemicontinuity audit
+    pairs psi's nodal values directly, and a test pins that pairing to this
+    kernel.
     """
     phys = op.to_physical(u)
     values = psi.evaluate(phys)

@@ -8,11 +8,15 @@ coercivity (when psi carries a coercivity constant) and linear growth into the
 dual of L2.  The inequalities hold with slack in the diagonal model, so the
 audits use zero tolerance and report worst-case slack with witnesses.
 
-Hemicontinuity draws its own triples (u, v, w).  The monotonicity pairs
+Every audited state is transformed once.  Hemicontinuity draws its own
+triples (u, v, w) and takes each of its pairings on nodal values, which needs
+one transform of u, of v and of w each and none back.  The monotonicity pairs
 (u1, u2), drawn next, also serve coercivity (on u1) and growth (on u2): the
-drift is evaluated once per state of a pair and feeds all three.  Every draw
-is made block by block (:func:`levypme.operators.by_sample_blocks`): a block
-of ``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
+drift is evaluated once per state of a pair and feeds all three.  Every
+weighted pairing and norm is one row-local einsum pass, so no reduction ties
+a row's value to the block it sits in.  Every draw is made block by block
+(:func:`levypme.operators.by_sample_blocks`): a block of
+``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
 per-sample sides before the next one is drawn, so each (block x modes)
 temporary holds about 2^16 values and no (samples x modes) array exists,
 whatever the sample or mode count.
@@ -136,18 +140,35 @@ def _inequality(name, lhs, rhs, label) -> ConditionResult:
     return ConditionResult(name, lhs.size, float(slack[i_min]), bad, witness)
 
 
+_IOTAS = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+
+
+def _hemicontinuity_pairings(op, psi, u, v, w, dual_factor) -> np.ndarray:
+    """<A(u + iota v), w> for each iota of the mesh (rows) and each sample
+    (columns), from one transform of each of u, v and w and none back.
+
+    to_physical is linear and to_spectral is its weighted transpose, so the
+    pairing of ``drift_rows(u + iota v)`` with ``dual_factor * w`` equals the
+    weighted nodal sum of psi(U + iota V) against Z, where U, V and Z are the
+    nodal values of u, v and ``dual_factor * w``.  Each pairing is one
+    row-local einsum.
+    """
+    nodal_u, nodal_v = op.to_physical(u), op.to_physical(v)
+    weighted_z = op.to_physical(dual_factor * w) * op.weights
+    return np.stack([
+        np.einsum("ij,ij->i", psi.evaluate(nodal_u + iota * nodal_v), weighted_z)
+        for iota in _IOTAS
+    ])
+
+
 def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     """iota -> <A(u + iota v), w> along a mesh of iotas, Lipschitz in iota
     with constant 2 k |v|_2 |w|_2; sample i is the triple (u, v, w) of rows i."""
-    iotas = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
 
     def sides(block):
         u, v, w = block[:, 0], block[:, 1], block[:, 2]
-        pairings = np.stack([
-            (drift_rows(op, psi, u + iota * v) * dual_factor * w).sum(axis=1)
-            for iota in iotas
-        ])
-        return pairings, np.sqrt(squared_norm_rows(op, v)), np.sqrt(squared_norm_rows(op, w))
+        return (_hemicontinuity_pairings(op, psi, u, v, w, dual_factor),
+                np.sqrt(squared_norm_rows(op, v)), np.sqrt(squared_norm_rows(op, w)))
 
     pairings, v_l2, w_l2 = by_sample_blocks(op, rng, count, 3, sides)
     scale = np.abs(pairings).max(axis=0) + v_l2 * w_l2
@@ -155,10 +176,10 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     violations = 0
     min_slack = np.inf
     witness = None
-    for a in range(iotas.size):
-        for b_idx in range(a + 1, iotas.size):
+    for a in range(_IOTAS.size):
+        for b_idx in range(a + 1, _IOTAS.size):
             gap = np.abs(pairings[b_idx] - pairings[a])
-            bound = 2.0 * k * (iotas[b_idx] - iotas[a]) * v_l2 * w_l2 + allowance
+            bound = 2.0 * k * (_IOTAS[b_idx] - _IOTAS[a]) * v_l2 * w_l2 + allowance
             slack = bound - gap
             i_min = int(np.argmin(slack))
             if slack[i_min] < min_slack:
@@ -166,7 +187,7 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
             bad = int(np.count_nonzero(slack < 0.0))
             if bad and witness is None:
                 witness = (
-                    f"sample {i_min}: |pairing({iotas[b_idx]:g}) - pairing({iotas[a]:g})|"
+                    f"sample {i_min}: |pairing({_IOTAS[b_idx]:g}) - pairing({_IOTAS[a]:g})|"
                     f" = {gap[i_min]!r} exceeds Lipschitz bound {bound[i_min]!r}"
                 )
             violations += bad
@@ -192,17 +213,17 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> li
         d1, d2 = drift_rows(op, psi, a), drift_rows(op, psi, b)
         d_rows = a - b
         out = [
-            2.0 * (((d1 - d2) * dual_factor) * d_rows).sum(axis=1)
+            2.0 * np.einsum("ij,ij,j->i", d1 - d2, d_rows, dual_factor)
             + noise_mass_rows(op, model, a, b),
             constants.monotonicity_shift * squared_norm_rows(op, d_rows, F_STAR),
-            # d2 * dual_factor: the coefficients of A u2 over 1+mu
-            np.sqrt(np.square(d2 * dual_factor).sum(axis=1)),
+            # the l2 norm of d2 * dual_factor, the coefficients of A u2 over 1+mu
+            np.sqrt(np.einsum("ij,ij,j->i", d2, d2, np.square(dual_factor))),
             2.0 * k * np.sqrt(squared_norm_rows(op, b)),
         ]
         if c is None:
             return out
         return out + [
-            2.0 * ((d1 * dual_factor) * a).sum(axis=1),
+            2.0 * np.einsum("ij,ij,j->i", d1, a, dual_factor),
             coef_l2 * squared_norm_rows(op, a) + coef_fstar * squared_norm_rows(op, a, F_STAR),
         ]
 

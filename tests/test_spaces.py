@@ -37,12 +37,21 @@ def test_single_mode_frozen_values(single_mode):
 
 
 def test_squared_norm_rows_matches_scalar(torus_small):
+    # the stacked rows match the scalar norm, and a row's squared norm does
+    # not depend on the rest of the batch: every slice, 1-d rows included,
+    # gives the batch's values to the last bit
     rng = np.random.default_rng(4)
-    rows = rng.normal(size=(5, torus_small.mode_count))
+    rows = rng.normal(size=(300, torus_small.mode_count))
     for kind in (L2, F12, F12_star(0.05)):
         stacked = squared_norm_rows(torus_small, rows, kind=kind)
-        singles = [norm(torus_small, row, kind) ** 2 for row in rows]
-        assert np.allclose(stacked, singles, rtol=1e-14, atol=0)
+        singles = [norm(torus_small, row, kind) ** 2 for row in rows[:5]]
+        assert np.allclose(stacked[:5], singles, rtol=1e-14, atol=0)
+        for part in (slice(0, 1), slice(0, 127), slice(5, 6), slice(17, 290),
+                     slice(128, 300), slice(None, None, 7)):
+            assert np.array_equal(squared_norm_rows(torus_small, rows[part], kind), stacked[part])
+        for i in (0, 41, 299):
+            single = squared_norm_rows(torus_small, rows[i], kind)
+            assert single.shape == () and single == stacked[i]
 
 
 def test_epsilon_sandwich(torus_small):

@@ -12,7 +12,8 @@ import pytest
 
 from levypme import operators, variational
 from levypme.nonlinearity import make_psi
-from levypme.operators import build_fractional_laplacian_torus
+from levypme.operators import build_fractional_laplacian_torus, spectrum_from_eigenvalues
+from levypme.stepper import drift_rows
 from levypme.variational import EstimateConstants, check_variational_conditions
 
 from conftest import additive_model, multiplicative_model, zero_model
@@ -159,26 +160,55 @@ def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
 
 
 def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
-    # hemicontinuity evaluates 7 iotas on each of its triples; the pairs
-    # (u1, u2) are evaluated once each and feed monotonicity, coercivity and
-    # growth alike
-    rows = []
-    kernel = variational.drift_rows
+    # hemicontinuity transforms each of u, v and dual_factor * w once per
+    # triple and pairs its 7 iotas on the nodal values, with no transform
+    # back; the pairs (u1, u2) go through the drift kernel once each (one
+    # transform each way) and feed monotonicity, coercivity and growth alike
+    forward, backward = [], []
+    cls = operators.OperatorSpectrum
+    to_physical, to_spectral = cls.to_physical, cls.to_spectral
 
-    def counting(op, psi, u, lam=None):
-        rows.append(u.shape[0])
-        return kernel(op, psi, u, lam)
+    def counting_physical(self, coefficients):
+        forward.append(np.shape(coefficients)[0])
+        return to_physical(self, coefficients)
 
-    monkeypatch.setattr(variational, "drift_rows", counting)
+    def counting_spectral(self, values):
+        backward.append(np.shape(values)[0])
+        return to_spectral(self, values)
+
+    monkeypatch.setattr(cls, "to_physical", counting_physical)
+    monkeypatch.setattr(cls, "to_spectral", counting_spectral)
     for sample_count in (50, 2_500):
-        rows.clear()
+        forward.clear()
+        backward.clear()
         report = check_variational_conditions(
             torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1,
             sample_count=sample_count, seed=4,
         )
-        assert sum(rows) == 2 * sample_count + 7 * max(sample_count // 10, 10)
+        n_h = max(sample_count // 10, 10)
+        assert sum(forward) == 3 * n_h + 2 * sample_count
+        assert sum(backward) == 2 * sample_count
         for name in ("local_monotonicity", "coercivity", "growth"):
             assert report.condition(name).checked == sample_count
+
+
+@pytest.mark.parametrize("spectrum", ["torus", "diagonal"])
+def test_nodal_pairing_matches_drift_kernel(spectrum):
+    # the hemicontinuity pairing, taken on nodal values, is the pairing of the
+    # drift kernel's coefficient rows with dual_factor * w, for any basis and
+    # weights
+    op = {
+        "torus": lambda: build_fractional_laplacian_torus(12, 0.6, length=3.0),
+        "diagonal": lambda: spectrum_from_eigenvalues([0.0, 0.5, 2.0, 3.5, 7.0]),
+    }[spectrum]()
+    psi = make_psi("soft_monotone")
+    dual_factor = -(op.eigenvalues + 0.1) / (1.0 + op.eigenvalues)
+    u, v, w = operators.random_rows(op, np.random.default_rng(6), (3, 40), scale=3.0)
+    nodal = variational._hemicontinuity_pairings(op, psi, u, v, w, dual_factor)
+    assert nodal.shape == (variational._IOTAS.size, 40)
+    for iota, pairing in zip(variational._IOTAS, nodal):
+        kernel = (drift_rows(op, psi, u + iota * v) * dual_factor * w).sum(1)
+        assert np.abs(pairing - kernel).max() <= 1e-12 * np.abs(kernel).max()
 
 
 def test_audit_peak_memory_bounded():
