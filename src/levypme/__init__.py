@@ -51,7 +51,7 @@ from .scenario import (
     serialize_scenario,
 )
 from .spaces import F12, F12_star, F_STAR, L2, NormKind, norm
-from .stepper import StepConfig, Trajectory, implicit_step, solve_regularized_path
+from .stepper import StepConfig, Trajectory, solve_regularized_path
 from .variational import EstimateConstants, check_variational_conditions
 
 __all__ = [
@@ -93,7 +93,6 @@ __all__ = [
     "norm",
     "StepConfig",
     "Trajectory",
-    "implicit_step",
     "solve_regularized_path",
     "EstimateConstants",
     "check_variational_conditions",

@@ -209,6 +209,8 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
                 f"min self slack {psi_report.min_self_slack:.3e}, "
                 f"min slope slack {psi_report.min_slope_slack:.3e} "
                 f"over {psi_report.sample_count} samples"
+                + (f"; witness (r, r', slack) {psi_report.violation_witness}"
+                   if psi_report.violation_witness else "")
             ),
         )
     ]
@@ -242,6 +244,7 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
                 f"closed form {noise_report.h2_l2_closed_form:.6g}; "
                 f"h3 empirical {noise_report.h3_empirical:.6g} <= "
                 f"closed form {noise_report.h3_closed_form:.6g}"
+                + (f"; witness {noise_report.witness}" if noise_report.witness else "")
             ),
         )
     )

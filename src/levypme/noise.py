@@ -93,10 +93,6 @@ class NoiseModel:
             if len(self.coefficient.sigmas) != nu.size:
                 raise ValueError("multiplicative coefficient needs one sigma per mark")
 
-    @property
-    def mark_count(self) -> int:
-        return len(self.marks)
-
     def jump_rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
         """f(., u, z) for every coefficient row of ``u`` (shape (..., modes))."""
         return self.coefficient.rows(u, mark_index)

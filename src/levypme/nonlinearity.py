@@ -29,8 +29,6 @@ class NonlinearityPsi:
         Vectorized psi.
     lipschitz_k : float
         A Lipschitz constant (the slope supremum for the shipped kinds).
-    alpha_tilde : float
-        1 / (lipschitz_k + 1).
     coercivity_c : float or None
         c with psi(r) r >= c r^2 when the kind provides one.
     linear_slope : float or None
@@ -44,7 +42,6 @@ class NonlinearityPsi:
     kind: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     lipschitz_k: float
-    alpha_tilde: float
     coercivity_c: Optional[float] = None
     linear_slope: Optional[float] = None
     slope_min: float = 0.0
@@ -54,11 +51,13 @@ class NonlinearityPsi:
             raise ValueError("lipschitz_k must be nonnegative")
         if not 0.0 <= self.slope_min <= self.lipschitz_k:
             raise ValueError("slope_min must lie within [0, lipschitz_k]")
-        expected = 1.0 / (self.lipschitz_k + 1.0)
-        if abs(self.alpha_tilde - expected) > 1e-15 * (1.0 + expected):
-            raise ValueError("alpha_tilde must equal 1/(lipschitz_k+1)")
         if self.coercivity_c is not None and not self.coercivity_c > 0.0:
             raise ValueError("coercivity_c must be positive when present")
+
+    @property
+    def alpha_tilde(self) -> float:
+        """1 / (lipschitz_k + 1), the constant of the pointwise inequalities."""
+        return 1.0 / (self.lipschitz_k + 1.0)
 
 
 def _eval_identity(r):
@@ -103,26 +102,17 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
             raise ValueError(f"{kind} requires {keyword} > 0")
         param = float(param)
     if kind == "identity":
-        return NonlinearityPsi("identity", _eval_identity, 1.0, 0.5, 1.0, 1.0)
+        return NonlinearityPsi("identity", _eval_identity, 1.0, 1.0, 1.0)
     if kind == "scaled_linear":
         return NonlinearityPsi(
-            "scaled_linear",
-            functools.partial(_eval_scaled, scale=param),
-            param,
-            1.0 / (param + 1.0),
-            param,
-            param,
+            "scaled_linear", functools.partial(_eval_scaled, scale=param), param, param, param
         )
     if kind == "saturating":
-        return NonlinearityPsi(
-            "saturating", functools.partial(_eval_saturating, cap=param), 1.0, 0.5
-        )
+        return NonlinearityPsi("saturating", functools.partial(_eval_saturating, cap=param), 1.0)
     if kind == "soft_monotone":
-        return NonlinearityPsi(
-            "soft_monotone", _eval_soft_monotone, 1.5, 0.4, 1.0, slope_min=1.0
-        )
+        return NonlinearityPsi("soft_monotone", _eval_soft_monotone, 1.5, 1.0, slope_min=1.0)
     if kind == "zero":
-        return NonlinearityPsi("zero", _eval_zero, 0.0, 1.0, None, 0.0)
+        return NonlinearityPsi("zero", _eval_zero, 0.0, None, 0.0)
     raise ValueError(f"unknown nonlinearity kind {kind!r}; choose from {PSI_KINDS}")
 
 
@@ -138,9 +128,7 @@ class PsiInequalityReport:
     kind: str
     sample_count: int
     min_pair_slack: float
-    worst_pair: tuple
     min_self_slack: float
-    worst_self_point: float
     min_slope_slack: float
     violation_count: int
     violation_witness: Optional[tuple]
@@ -197,9 +185,7 @@ def verify_psi_inequalities(
         kind=psi.kind,
         sample_count=r.size,
         min_pair_slack=float(pair_slack[i_pair]),
-        worst_pair=(float(r[i_pair]), float(r_prime[i_pair])),
         min_self_slack=float(self_slack[i_self]),
-        worst_self_point=float(r[i_self]),
         min_slope_slack=float(slope_slack[i_slope]),
         violation_count=violations,
         violation_witness=witness,

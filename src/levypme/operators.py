@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _frozen(a):
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -154,18 +154,16 @@ def build_fractional_laplacian_torus(
     )
 
 
-def spectrum_from_eigenvalues(eigenvalues, labels=None) -> OperatorSpectrum:
-    """Diagonal model for user-supplied eigenpairs.
+def spectrum_from_eigenvalues(eigenvalues) -> OperatorSpectrum:
+    """Diagonal model for user-supplied eigenvalues, labelled 0, 1, ...
 
     The physical nodes coincide with the modes (identity basis, unit weights),
     so pointwise operations act directly on the coordinates.
     """
     mu = np.asarray(eigenvalues, dtype=float)
-    if labels is None:
-        labels = tuple(range(mu.size))
     n = mu.size
     return OperatorSpectrum(
-        mu, tuple(labels), np.eye(n), np.ones(n), info={"family": "custom"}
+        mu, tuple(range(n)), np.eye(n), np.ones(n), info={"family": "custom"}
     )
 
 

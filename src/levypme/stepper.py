@@ -7,10 +7,11 @@ splitting map is Anderson-accelerated, and the residual that certifies a step
 is always taken in the eps-scaled dual norm.
 
 States are plain coefficient arrays.  One kernel solves a whole
-``(rows, modes)`` batch of steps at once, each row with its own dt, cell
+``(rows, modes)`` batch of steps at once, each row with its own dt > 0, cell
 parameters, mixing history and certificate; :func:`march` advances many
-(path, config) rows in lockstep with it, and :func:`implicit_step` and
-:func:`solve_regularized_path` are its one-row and one-path calls.  The drift
+(path, config) rows in lockstep with it, and :func:`solve_regularized_path`
+is its one-path call.  :func:`implicit_step` is the kernel's one-row call,
+kept because the benchmark's tracer counts steps through it.  The drift
 itself is evaluated only by :func:`drift_rows`, which the variational audits
 share.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "drift_rows",
     "effective_splitting_mu",
     "implicit_step",
-    "implicit_steps",
     "iteration_contraction_factor",
     "march",
     "solve_regularized_path",
@@ -111,21 +111,22 @@ def effective_splitting_mu(cfg: StepConfig, psi: NonlinearityPsi) -> float:
 
 
 def iteration_contraction_factor(
-    op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig, dt: Optional[float] = None
+    op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig
 ) -> float:
-    """A priori bound on the Lipschitz constant of the plain splitting map.
+    """A priori bound on the Lipschitz constant of the plain splitting map at
+    the nominal step h.
 
     q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam - m, k + lam - mu_s) with
-    d_max = dt (eps + mu_max) and m, k the slope infimum and supremum of psi.
-    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum.  The inner
-    solver accelerates this map; the bound is recorded next to the observed
-    contraction in the solver counters.
+    d_max = h (eps + mu_max) and m, k the slope infimum and supremum of psi.
+    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum.  No step of
+    :func:`time_grid` is longer than h, and q grows with the step, so it
+    bounds every substep.  The inner solver accelerates this map; the bound is
+    recorded next to the observed contraction in the solver counters.
     """
-    dt = cfg.h if dt is None else dt
     mu_s = effective_splitting_mu(cfg, psi)
     if mu_s == 0.0:
         return 0.0
-    d_max = dt * (cfg.epsilon + float(op.eigenvalues.max()))
+    d_max = cfg.h * (cfg.epsilon + float(op.eigenvalues.max()))
     remainder = max(mu_s - cfg.lam - psi.slope_min, psi.lipschitz_k + cfg.lam - mu_s)
     return d_max / (1.0 + mu_s * d_max) * remainder
 
@@ -254,8 +255,9 @@ def drift_rows(op, psi, u, lam=None):
     return op.to_spectral(values if lam is None else values + lam * phys)
 
 
-def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
-    """The inner solver: every row r solves u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r.
+def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCounters):
+    """The inner solver: every row r solves u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r,
+    with dt_r > 0.
 
     Anderson acceleration (Walker & Ni 2011) of the resolvent-splitting map
     G(u) = (b - d (w(u) - mu_s u)) / (1 + mu_s d), where d = dt (eps - L), w
@@ -268,26 +270,24 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
     returns its best-certified iterate.  A row stops when its residual meets
     its target, or on the floating-point floor (an iteration that does not
     improve on a residual already within inner_tolerance), and then leaves
-    the active set, so the remaining rows run on a compacted array.  Rows
-    with dt = 0 return b after 0 iterations.  Iterations count drift
-    evaluations, the first one included.
+    the active set, so the remaining rows run on a compacted array.
+    Iterations count drift evaluations, the first one included; every row's
+    count, contraction and budget miss is recorded in ``counters``.
 
     Returns the solutions and the per-row iteration counts; raises
     StepperConvergenceError at the first non-finite residual, and for the
     first row whose residual ends above both its target and its tolerance.
     """
     n = b.shape[0]
-    out = b.copy()
+    out = np.empty_like(b)
     iterations = np.zeros(n, dtype=int)
-    first_res = np.zeros(n)
     final_res = np.zeros(n)
-    rows = np.flatnonzero(dt > 0.0)
-    p = params if rows.size == n else params.take(rows)
-    bb, tgt = (b, target) if rows.size == n else (b[rows], target[rows])
-    d = dt[rows, None] * p.eps_plus_mu
-    lam, scale, tol = p.lam, p.dual_scale, p.tolerance
+    rows = np.arange(n)
+    bb, tgt = b, target
+    d = dt[:, None] * params.eps_plus_mu
+    lam, scale, tol = params.lam, params.dual_scale, params.tolerance
     # G(u) = u - sr * step, with sr = scale * r the scaled certificate residual
-    step = 1.0 / (scale * (1.0 + p.mu_s * d))
+    step = 1.0 / (scale * (1.0 + params.mu_s * d))
 
     def certify(u):
         """Scaled residual rows and their norms, the F12_star(eps_r) norms of r."""
@@ -301,15 +301,14 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
             )
         return sr, res
 
-    u = np.where(p.zero_start[:, None], 0.0, bb)
-    sr, res = certify(u)
-    first_res[rows] = res
-    best_u, best = u, res
+    u = np.where(params.zero_start[:, None], 0.0, b)
+    sr, first_res = certify(u)
+    best_u, best = u, first_res
     # History ring: differences of consecutive map values and scaled
     # residuals, and the normal equations of the latter.
-    dG = np.zeros((rows.size, ANDERSON_DEPTH, u.shape[1]))
+    dG = np.zeros((n, ANDERSON_DEPTH, u.shape[1]))
     dS = np.zeros_like(dG)
-    gram = np.tile(np.eye(ANDERSON_DEPTH), (rows.size, 1, 1))
+    gram = np.tile(np.eye(ANDERSON_DEPTH), (n, 1, 1))
     g_prev = sr_prev = None
 
     def retire(done, count):
@@ -326,7 +325,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
             g_prev, sr_prev = g_prev[keep], sr_prev[keep]
 
     done = best <= tgt
-    for k in range(1, p.max_iterations + 1):
+    for k in range(1, params.max_iterations + 1):
         if done.any():
             retire(done, k)
             if not rows.size:
@@ -348,7 +347,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
         # iteration no longer improves on it.
         done = (best <= tgt) | (~improved & (best <= tol))
     if rows.size:
-        retire(np.ones(rows.size, dtype=bool), p.max_iterations)
+        retire(np.ones(rows.size, dtype=bool), params.max_iterations)
 
     failed = final_res > np.maximum(target, params.tolerance)
     if failed.any():
@@ -358,31 +357,8 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters=None):
             f"(target {target[r]:.3e}, splitting_mu {float(params.mu_s[r, 0]):g}, "
             f"dt {float(dt[r]):g})"
         )
-    if counters is not None:
-        stepped = dt > 0.0
-        counters.record(
-            iterations[stepped], first_res[stepped], final_res[stepped],
-            int(np.count_nonzero(final_res > target)),
-        )
+    counters.record(iterations, first_res, final_res, int(np.count_nonzero(final_res > target)))
     return out, iterations
-
-
-def implicit_steps(op, psi, configs, b, dt, *, residual_target=None):
-    """One implicit step per row: row r solves
-    u + dt_r (eps_r - L)(psi(u) + lam_r u) = b_r under ``configs[r]``.
-
-    ``b`` is a (rows, modes) coefficient array and ``dt`` a nonnegative
-    (rows,) array; the targets default to each row's inner_tolerance.
-    Returns the (rows, modes) solutions and the per-row iteration counts.
-    """
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0.0):
-        raise ValueError("dt must be nonnegative")
-    params = _RowParams.from_configs(op, psi, configs)
-    target = params.tolerance if residual_target is None else (
-        np.asarray(residual_target, dtype=float) * np.ones(len(configs))
-    )
-    return _solve_rows(op, psi, params, np.asarray(b, dtype=float), dt, target)
 
 
 def implicit_step(
@@ -392,24 +368,24 @@ def implicit_step(
     b: np.ndarray,
     dt: Optional[float] = None,
     *,
-    residual_target: Optional[float] = None,
     return_iterations: bool = False,
 ):
-    """Solve u + dt (eps - L)(psi(u) + lam u) = b to the residual target.
+    """Solve u + dt (eps - L)(psi(u) + lam u) = b to cfg.inner_tolerance.
 
-    One-row call of :func:`implicit_steps` on the coefficient vector ``b``.
-    Returns the converged coefficient vector (and
-    the iteration count when asked).  The target defaults to
-    cfg.inner_tolerance; convergence is certified by the recomputed residual
-    in the F12_star(eps) norm, never by the update size.
+    One-row call of the inner solver on the coefficient vector ``b``, with
+    dt > 0 (default cfg.h).  Returns the converged coefficient vector (and
+    the iteration count when asked).  Convergence is certified by the
+    recomputed residual in the F12_star(eps) norm, never by the update size.
     """
     dt = cfg.h if dt is None else float(dt)
-    u, iterations = implicit_steps(
-        op, psi, [cfg], op.field_from_coefficients(b)[None, :], [dt],
-        residual_target=residual_target,
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    params = _RowParams.from_configs(op, psi, [cfg])
+    u, iterations = _solve_rows(
+        op, psi, params, op.field_from_coefficients(b)[None, :], np.array([dt]),
+        params.tolerance, SolverCounters(),
     )
-    out = u[0]
-    return (out, int(iterations[0])) if return_iterations else out
+    return (u[0], int(iterations[0])) if return_iterations else u[0]
 
 
 def cadlag_reductions(times, base_mask, right_sq, left_sq):
@@ -451,10 +427,6 @@ class Trajectory:
     base_mask: np.ndarray
     metadata: dict
     counters: SolverCounters
-
-    @property
-    def mode_count(self) -> int:
-        return self.states.shape[1]
 
     def row_squared_norms(self, kind, which: str = "right") -> np.ndarray:
         rows = self.states if which == "right" else self.left_states

@@ -24,8 +24,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _psi(evaluate, lipschitz_k, coercivity_c=None, linear_slope=None, slope_min=0.0):
-    psi = NonlinearityPsi("planted", evaluate, lipschitz_k, 1.0 / (lipschitz_k + 1.0),
-                          coercivity_c, linear_slope, slope_min)
+    psi = NonlinearityPsi("planted", evaluate, lipschitz_k, coercivity_c, linear_slope, slope_min)
     return lambda monkeypatch: monkeypatch.setattr(scenario, "build_psi", lambda sc: psi)
 
 
@@ -122,9 +121,13 @@ def test_planted_defect_fails_gate(tmp_path, monkeypatch, check, command, scn, p
     with np.errstate(all="ignore"):
         code = main([command, "--scenario", str(SCENARIO_DIR / scn), "--out", str(out)])
     assert code == 1
-    failed = {f["name"].partition("[")[0]
-              for f in json.loads((out / "failures.json").read_text())["failures"]}
+    failures = json.loads((out / "failures.json").read_text())["failures"]
+    failed = {f["name"].partition("[")[0] for f in failures}
     assert check in failed, failed
+    if command == "inequalities":
+        # an audit's failure names the sample that violates it
+        detail = next(f["detail"] for f in failures if f["name"] == check)
+        assert "witness" in detail, detail
 
 
 @pytest.mark.parametrize("command,scn", sorted({(g[1], g[2]) for g in GATES}))

@@ -64,7 +64,7 @@ def test_path_times_sorted_in_window(seed, horizon):
         assert path.times[0] > 0.0
         assert path.times[-1] <= horizon
         assert np.all(np.diff(path.times) > 0.0)
-    assert np.all((path.mark_indices >= 0) & (path.mark_indices < model.mark_count))
+    assert np.all((path.mark_indices >= 0) & (path.mark_indices < len(model.marks)))
 
 
 def test_jump_count_distribution_poisson():
@@ -108,7 +108,7 @@ def test_rows_api_matches_fields(torus_small):
     rng = np.random.default_rng(8)
     u = rng.standard_normal((5, torus_small.mode_count))
     for model in (zero_model(), additive_model(torus_small), multiplicative_model()):
-        for j in range(model.mark_count):
+        for j in range(len(model.marks)):
             jumps = model.jump_rows(u, j)
             assert jumps.shape == u.shape
             for row, jump in zip(u, jumps):

@@ -97,14 +97,12 @@ def test_make_psi_validation():
 
 def test_dataclass_invariants_enforced():
     with pytest.raises(ValueError):
-        NonlinearityPsi("bad", lambda r: r, -1.0, 0.5)
+        NonlinearityPsi("bad", lambda r: r, -1.0)
     with pytest.raises(ValueError):
-        NonlinearityPsi("bad", lambda r: r, 1.0, 0.25)  # not 1/(k+1)
-    with pytest.raises(ValueError):
-        NonlinearityPsi("bad", lambda r: r, 1.0, 0.5, coercivity_c=0.0)
+        NonlinearityPsi("bad", lambda r: r, 1.0, coercivity_c=0.0)
     for slope_min in (-0.1, 1.5):  # outside [0, lipschitz_k]
         with pytest.raises(ValueError):
-            NonlinearityPsi("bad", lambda r: r, 1.0, 0.5, slope_min=slope_min)
+            NonlinearityPsi("bad", lambda r: r, 1.0, slope_min=slope_min)
 
 
 def test_linear_slope_tags():

@@ -190,7 +190,7 @@ def test_builders_respect_kinds():
     additive_sc = parse_scenario(_text({"noise": "additive"}))
     add_model = build_noise(additive_sc, build_operator(additive_sc))
     assert add_model.coefficient.state_dependent is False
-    assert add_model.mark_count == 2
+    assert len(add_model.marks) == 2
 
     random_sc = parse_scenario(
         _text({"initial": "random"}, extra_lines=["initial_seed = 12"])
@@ -555,16 +555,26 @@ def test_run_studies_summarizes_null_slope(tmp_path):
     assert "slope n/a [n/a, n/a]" in done.stdout
 
 
-def test_tracer_patches_resolve():
-    # the benchmark's traced pass wraps levypme functions by name; each name
-    # it patches must exist.  A subprocess keeps the patches out of this session.
+def test_tracer_patches_resolve(tmp_path):
+    # the benchmark's traced pass wraps levypme functions by name and then
+    # summarizes its spans; each name it patches must exist, and a traced pass
+    # of the six studies must still summarize.  A subprocess keeps the patches
+    # out of this session.
     root = Path(__file__).resolve().parent.parent
-    code = (
-        f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]; "
-        "from tracer import Tracer, install; install(Tracer())"
+    result = tmp_path / "result.json"
+    done = subprocess.run(
+        [sys.executable, "-B", str(root / "perfbench" / "child.py"),
+         "--src", str(root / "src"), "--scenario", str(SCENARIO_DIR / "multiplicative_small.scn"),
+         "--result", str(result), "--out", str(tmp_path / "runs"),
+         "--studies", "simulate,inequalities,lambda-study,eps-study,apriori,uniqueness",
+         "--trace", str(tmp_path / "spans.npz")],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
-    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    passed = json.loads(result.read_text())
+    assert [run["exit"] for run in passed["runs"]] == [0] * 6, passed["runs"]
+    assert passed["trace"]["layer"]["stepper.solve_regularized_path.calls"] == 1
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -26,8 +26,9 @@ from levypme.stepper import (
     StepperConvergenceError,
     cadlag_reductions,
     effective_splitting_mu,
+    _RowParams,
+    _solve_rows,
     implicit_step,
-    implicit_steps,
     iteration_contraction_factor,
     march,
     solve_regularized_path,
@@ -45,20 +46,11 @@ def test_single_linear_step_frozen():
     assert u[0] == 0.9009009009009008
 
 
-def test_zero_dt_returns_rhs(torus_small, initial_small):
+@pytest.mark.parametrize("dt", [0.0, -0.1], ids=["zero", "negative"])
+def test_non_positive_dt_rejected(torus_small, initial_small, dt):
     cfg = StepConfig(h=0.1, epsilon=0.2)
-    out, iterations = implicit_step(
-        torus_small, make_psi("soft_monotone"), cfg, initial_small, 0.0,
-        return_iterations=True,
-    )
-    assert iterations == 0
-    assert np.array_equal(out, initial_small)
-
-
-def test_negative_dt_rejected(torus_small, initial_small):
-    cfg = StepConfig(h=0.1, epsilon=0.2)
-    with pytest.raises(ValueError):
-        implicit_step(torus_small, make_psi("identity"), cfg, initial_small, -0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        implicit_step(torus_small, make_psi("soft_monotone"), cfg, initial_small, dt)
 
 
 def _step_residual(op, psi, cfg, u, b, dt):
@@ -315,15 +307,24 @@ def test_trajectory_export_readable(torus_small, initial_small):
     assert float(first[2]) == pytest.approx(norm(torus_small, initial_small, L2))
 
 
+def _solve(op, psi, configs, b, dts, counters=None):
+    # one batch of the inner solver, each row certified to its inner_tolerance
+    params = _RowParams.from_configs(op, psi, configs)
+    return _solve_rows(
+        op, psi, params, np.asarray(b, dtype=float), np.asarray(dts, dtype=float),
+        params.tolerance, SolverCounters() if counters is None else counters,
+    )
+
+
 def _equivalence_batch(op):
-    # rows differ in cell (eps, lam), dt (two of them 0) and amplitude of b,
-    # so they stop after different numbers of inner iterations
+    # rows differ in cell (eps, lam), dt and amplitude of b, so they stop
+    # after different numbers of inner iterations
     rng = np.random.default_rng(31)
     configs = [
         StepConfig(h=0.25, epsilon=eps, lam=lam, inner_tolerance=1e-11)
         for eps, lam in [(0.2, 0.1), (0.05, 0.0), (0.5, 0.3), (0.2, 0.1), (0.1, 0.05), (0.3, 0.2)]
     ]
-    dts = np.array([0.25, 0.0, 0.7, 0.01, 0.0, 0.3])
+    dts = np.array([0.25, 0.05, 0.7, 0.01, 0.15, 0.3])
     b = rng.normal(size=(len(configs), op.mode_count)) * np.array([[3.0], [1.0], [0.2], [5.0], [2.0], [0.01]])
     return configs, b, dts
 
@@ -331,8 +332,10 @@ def _equivalence_batch(op):
 def test_batched_kernel_matches_one_row_calls(torus_small):
     psi = make_psi("soft_monotone")
     configs, b, dts = _equivalence_batch(torus_small)
-    batch, iterations = implicit_steps(torus_small, psi, configs, b, dts)
-    assert len(set(iterations[dts > 0].tolist())) > 1
+    counters = SolverCounters()
+    batch, iterations = _solve(torus_small, psi, configs, b, dts, counters)
+    assert len(set(iterations.tolist())) > 1
+    assert np.array_equal(counters.iterations[0], iterations)
     for r, (cfg, dt) in enumerate(zip(configs, dts)):
         single, count = implicit_step(
             torus_small, psi, cfg, torus_small.field_from_coefficients(b[r]), dt,
@@ -340,8 +343,6 @@ def test_batched_kernel_matches_one_row_calls(torus_small):
         )
         assert np.abs(batch[r] - single).max() <= 1e-12
         assert iterations[r] == count
-    assert np.array_equal(batch[dts == 0.0], b[dts == 0.0])
-    assert np.all(iterations[dts == 0.0] == 0)
 
 
 def test_one_failing_row_raises(torus_small):
@@ -351,9 +352,9 @@ def test_one_failing_row_raises(torus_small):
     loose = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1.0, max_inner_iterations=2)
     starved = StepConfig(h=0.1, epsilon=0.2, inner_tolerance=1e-14, max_inner_iterations=2)
     b = np.stack([smooth_field(torus_small, 1.0)] * 2)
-    implicit_steps(torus_small, psi, [loose], b[:1], [0.9])
+    _solve(torus_small, psi, [loose], b[:1], [0.9])
     with pytest.raises(StepperConvergenceError, match=r"residual .* dt 0\.7"):
-        implicit_steps(torus_small, psi, [loose, starved], b, [0.9, 0.7])
+        _solve(torus_small, psi, [loose, starved], b, [0.9, 0.7])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -363,7 +364,7 @@ def test_non_finite_row_raises(torus_small, bad):
     b = smooth_field(torus_small, 1.0).copy()
     b[3] = bad
     with np.errstate(invalid="ignore"), pytest.raises(StepperConvergenceError):
-        implicit_steps(torus_small, psi, [StepConfig(h=0.1, epsilon=0.2)], b[None, :], [0.1])
+        _solve(torus_small, psi, [StepConfig(h=0.1, epsilon=0.2)], b[None, :], [0.1])
 
 
 def test_cadlag_reductions_hand_computed():
