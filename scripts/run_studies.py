@@ -17,16 +17,14 @@ import sys
 import time
 from pathlib import Path
 
-from levypme.cli import main as cli_main
-
-STUDIES = ("simulate", "inequalities", "lambda-study", "eps-study", "apriori", "uniqueness")
+from levypme.cli import STUDIES, main as cli_main
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="scenario file (key = value)")
     parser.add_argument("--out", required=True, help="parent output directory")
-    parser.add_argument("--only", nargs="*", choices=STUDIES, default=None,
+    parser.add_argument("--only", nargs="*", choices=tuple(STUDIES), default=None,
                         help="restrict to a subset of studies")
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--paths", type=int, default=None, help="override path count")
@@ -77,7 +75,7 @@ def summarize(out_dir):
 def main():
     args = parse_args()
     parent = Path(args.out)
-    studies = args.only or STUDIES
+    studies = args.only or tuple(STUDIES)
 
     worst = 0
     rows = []

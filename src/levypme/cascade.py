@@ -10,7 +10,7 @@ parameters:
   ``E[sup_t ||X_lam - X_lam'||^2] <= C * (lam + lam')``, with a log-log slope
   of at least ``0.7`` in the gap.
 * :func:`eps_cauchy_study` repeats the construction across an ``epsilon``
-  ladder at the smallest ``lam``.
+  ladder.
 * :func:`apriori_study` checks the moment bound
   ``E[sup ||X||_2^2] + 4 lam eps E[int ||X||_F12^2] <= exp(C1 T)(2||x||_2^2 + C2)``
   with derived constants, verifies uniformity of the left-hand side along the
@@ -20,6 +20,9 @@ parameters:
   configuration-independent up to the inner residual budget; a perturbed
   initial condition must never have grown by more than the jump budget
   accrued up to each time.
+
+Every study takes only the plan and runs at :attr:`StudyPlan.finest_cell`;
+a ladder study varies its own parameter and holds the other one there.
 
 Every study is one serial pipeline: :func:`levypme.stepper.march` advances
 the rows in lockstep, squared norms are taken at each step, and
@@ -149,6 +152,12 @@ class StudyPlan:
             raise ValueError("step_size and horizon must be positive")
         if self.step_size > self.horizon:
             raise ValueError("step_size must not exceed the horizon")
+
+    @property
+    def finest_cell(self) -> tuple[float, float]:
+        """(epsilon, lam) at the end of both ladders: every study runs here,
+        and every report's ``constants_used`` is this cell's record."""
+        return self.epsilon_ladder[-1], self.lambda_ladder[-1]
 
     def step_config(self, epsilon: float, lam: float) -> StepConfig:
         return StepConfig(
@@ -323,7 +332,9 @@ def _fit_log_slope(gaps, means, stderrs) -> SlopeFit:
     )
 
 
-def _constants_used(plan: StudyPlan, epsilon: float, lam: float) -> dict:
+def _constants_used(plan: StudyPlan) -> dict:
+    """The estimate constants of the plan's finest cell, one record per name."""
+    epsilon, lam = plan.finest_cell
     h2 = plan.noise.h2_closed_form(plan.op)
     h3 = plan.noise.h3_closed_form(plan.op)
     constants = EstimateConstants.from_components(plan.psi, epsilon, h2, h3)
@@ -363,42 +374,34 @@ def _base_parameters(plan: StudyPlan) -> dict:
 # Cauchy studies
 
 
-def _cauchy_study(
-    plan: StudyPlan,
-    cells,
-    gap_values,
-    param_name: str,
-    ladder,
-    kind_label: str,
-    fixed: dict,
-) -> StudyReport:
+def _ladder_cells(plan: StudyPlan, param: str):
+    """The ladder of ``param`` ("lam" or "epsilon"), its (epsilon, lam) cells,
+    and the other parameter by name, held at the finest cell."""
+    epsilon, lam = plan.finest_cell
+    if param == "lam":
+        return plan.lambda_ladder, [(epsilon, v) for v in plan.lambda_ladder], {"epsilon": epsilon}
+    return plan.epsilon_ladder, [(v, lam) for v in plan.epsilon_ladder], {"lam": lam}
+
+
+def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
+    """Coupled contraction of adjacent cells along the ladder of ``param``."""
+    kind_label = {"lam": "lambda_cauchy", "epsilon": "eps_cauchy"}[param]
+    ladder, cells, held = _ladder_cells(plan, param)
+    if len(ladder) < 2:
+        raise ValueError(f"{kind_label}_study needs at least two ladder entries")
     results = _run_cells(plan, cells)
     pair_matrix = results["pair_sup_fstar_sq"]  # paths x pairs
     sup_matrix = results["sup_l2_sq"]  # paths x cells
 
-    pairs: list[PairEstimate] = []
-    means: list[float] = []
-    ses: list[float] = []
-    for j, gap in enumerate(gap_values):
-        mean, se = _mean_se(pair_matrix[:, j])
-        means.append(mean)
-        ses.append(se)
-        pairs.append(
-            PairEstimate(
-                param_hi=ladder[j],
-                param_lo=ladder[j + 1],
-                gap=gap,
-                mean=mean,
-                stderr=se,
-                paths=plan.paths,
-            )
-        )
-
-    fit = _fit_log_slope(gap_values, means, ses)
+    # One estimate per adjacent pair (hi, lo), at the gap hi + lo.
+    pairs = [
+        PairEstimate(hi, lo, hi + lo, *_mean_se(pair_matrix[:, j]), plan.paths)
+        for j, (hi, lo) in enumerate(zip(ladder, ladder[1:]))
+    ]
+    fit = _fit_log_slope([p.gap for p in pairs], [p.mean for p in pairs],
+                         [p.stderr for p in pairs])
     # The contraction constant implied by the worst pair; reported, not gated.
-    envelope_c = max(
-        (m / g for m, g in zip(means, gap_values) if g > 0), default=float("nan")
-    )
+    envelope_c = max((p.mean / p.gap for p in pairs if p.gap > 0), default=float("nan"))
 
     checks = [
         PropertyCheck(
@@ -431,43 +434,32 @@ def _cauchy_study(
             )
         )
 
-    moment_rows = []
-    for j, value in enumerate(ladder):
-        mean, se = _mean_se(sup_matrix[:, j])
-        moment_rows.append((value, mean, se))
-
     tables = [
         Table(
             name=f"{kind_label}_pairs",
-            columns=(
-                param_name + "_hi",
-                param_name + "_lo",
-                "gap",
-                "mean_sup_sq",
-                "stderr",
-            ),
-            rows=tuple(
-                (p.param_hi, p.param_lo, p.gap, p.mean, p.stderr) for p in pairs
-            ),
+            columns=(param + "_hi", param + "_lo", "gap", "mean_sup_sq", "stderr"),
+            rows=tuple((p.param_hi, p.param_lo, p.gap, p.mean, p.stderr) for p in pairs),
         ),
         Table(
             name=f"{kind_label}_moments",
-            columns=(param_name, "mean_sup_l2_sq", "stderr"),
-            rows=tuple(moment_rows),
+            columns=(param, "mean_sup_l2_sq", "stderr"),
+            rows=tuple(
+                (value, *_mean_se(sup_matrix[:, j])) for j, value in enumerate(ladder)
+            ),
         ),
     ]
 
     parameters = _base_parameters(plan)
-    parameters.update(fixed)
-    parameters[param_name + "_ladder"] = list(ladder)
-    parameters["ladder_param"] = param_name
+    parameters.update(held)
+    parameters[param + "_ladder"] = list(ladder)
+    parameters["ladder_param"] = param
 
     return StudyReport(
         kind=kind_label,
         parameters=parameters,
         pairs=pairs,
         slope=fit,
-        constants_used=_constants_used(plan, fixed.get("epsilon", cells[0][0]), cells[0][1]),
+        constants_used=_constants_used(plan),
         checks=checks,
         extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
@@ -475,16 +467,10 @@ def _cauchy_study(
     )
 
 
-def lambda_cauchy_study(plan: StudyPlan, epsilon: float) -> StudyReport:
-    """Coupled contraction study along the nonlinearity-smoothing ladder."""
-    if len(plan.lambda_ladder) < 2:
-        raise ValueError("lambda_cauchy_study needs at least two ladder entries")
-    cells = [(epsilon, lam) for lam in plan.lambda_ladder]
-    gaps = [a + b for a, b in zip(plan.lambda_ladder, plan.lambda_ladder[1:])]
-    return _cauchy_study(
-        plan, cells, gaps, "lam", plan.lambda_ladder, "lambda_cauchy",
-        {"epsilon": epsilon},
-    )
+def lambda_cauchy_study(plan: StudyPlan) -> StudyReport:
+    """Coupled contraction study along the nonlinearity-smoothing ladder, at
+    the finest epsilon."""
+    return _cauchy_study(plan, "lam")
 
 
 def eps_cauchy_study(plan: StudyPlan) -> StudyReport:
@@ -493,15 +479,7 @@ def eps_cauchy_study(plan: StudyPlan) -> StudyReport:
     Runs at the smallest lambda of the plan, mirroring the order in which the
     two regularizations are removed (lambda first inside each epsilon level).
     """
-    if len(plan.epsilon_ladder) < 2:
-        raise ValueError("eps_cauchy_study needs at least two ladder entries")
-    lam = plan.lambda_ladder[-1]
-    cells = [(eps, lam) for eps in plan.epsilon_ladder]
-    gaps = [a + b for a, b in zip(plan.epsilon_ladder, plan.epsilon_ladder[1:])]
-    return _cauchy_study(
-        plan, cells, gaps, "epsilon", plan.epsilon_ladder, "eps_cauchy",
-        {"lam": lam},
-    )
+    return _cauchy_study(plan, "epsilon")
 
 
 # --------------------------------------------------------------------------
@@ -555,9 +533,10 @@ def _fit_exponential_shape(plan, times, curve):
     return c1, float(c2), ratio
 
 
-def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
-    """Moment bound along the lambda ladder: per-cell bound, uniformity, shape."""
-    cells = [(epsilon, lam) for lam in plan.lambda_ladder]
+def apriori_study(plan: StudyPlan) -> StudyReport:
+    """Moment bound along the lambda ladder at the finest epsilon: per-cell
+    bound, uniformity, shape.  Its cells are lambda-study's."""
+    _, cells, held = _ladder_cells(plan, "lam")
     results = _run_cells(plan, cells)
 
     bound = _derived_bound(plan)
@@ -652,7 +631,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
     ]
 
     parameters = _base_parameters(plan)
-    parameters["epsilon"] = epsilon
+    parameters.update(held)
     parameters["lam_ladder"] = list(plan.lambda_ladder)
 
     return StudyReport(
@@ -660,7 +639,7 @@ def apriori_study(plan: StudyPlan, epsilon: float) -> StudyReport:
         parameters=parameters,
         pairs=[],
         slope=None,
-        constants_used=_constants_used(plan, epsilon, plan.lambda_ladder[-1]),
+        constants_used=_constants_used(plan),
         checks=checks,
         extra={
             "solver": dict(results["solver"]),
@@ -706,15 +685,16 @@ def _excess_growth_rate(times, gap, gap0, budget) -> float:
     return float((excess / times[positive]).max())
 
 
-def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
-    """Two solver configurations, one path: the scheme's limit is unique.
+def uniqueness_check(plan: StudyPlan) -> StudyReport:
+    """Two solver configurations, one path, at the finest cell: the scheme's
+    limit is unique.
 
     Also perturbs the initial condition and checks that the coupled distance
     decays, or at worst never grows by more than the jump budget accrued up to
     each time (:func:`_jump_budget`).  The three rows (config a, config b,
     config a from the perturbed start) march in lockstep on the path's grid.
     """
-    lam = plan.lambda_ladder[-1]
+    epsilon, lam = plan.finest_cell
     seed = path_seed(plan.master_seed, 0)
     noise_path = sample_noise_path(plan.noise, plan.horizon, seed)
     times, _ = time_grid(plan.step_size, plan.horizon, noise_path)
@@ -797,7 +777,7 @@ def uniqueness_check(plan: StudyPlan, epsilon: float) -> StudyReport:
         parameters=parameters,
         pairs=[],
         slope=None,
-        constants_used=_constants_used(plan, epsilon, lam),
+        constants_used=_constants_used(plan),
         checks=checks,
         extra={
             "sup_config_gap": sup_diff,

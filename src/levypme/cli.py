@@ -1,16 +1,19 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the studies:
+Subcommands map one-to-one onto the studies of the :data:`STUDIES` table:
 
-- ``simulate``       one path at the smallest (epsilon, lam) cell; exports the
-                     trajectory and the jump skeleton; for zero noise and a
-                     linear nonlinearity the run is gated against the exact
-                     diagonal recursion and the continuum flow.
+- ``simulate``       one path; exports the trajectory and the jump skeleton;
+                     for zero noise and a linear nonlinearity the run is gated
+                     against the exact diagonal recursion and the continuum
+                     flow.
 - ``inequalities``   pointwise, variational and noise-hypothesis audits.
 - ``lambda-study``   coupled Cauchy contraction along the lambda ladder.
 - ``eps-study``      coupled Cauchy contraction along the epsilon ladder.
 - ``apriori``        moment bound, uniformity in lambda, exponential shape.
 - ``uniqueness``     solver-configuration independence + perturbation decay.
+
+Every study takes only the plan and runs at ``plan.finest_cell``, the cell
+every report's ``constants_used`` belongs to.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports are
 still written), 2 usage or scenario errors, 3 numerical or internal failure
@@ -60,41 +63,18 @@ from .spaces import F_STAR, L2, norm
 from .stepper import StepperConvergenceError, solve_regularized_path
 from .variational import check_variational_conditions
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="levypme",
-        description="Simulation and verification harness for jump-driven "
-        "monotone SPDE regularization cascades.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("simulate", "simulate one path at the smallest regularization cell"),
-        ("inequalities", "audit the pointwise/variational/noise hypotheses"),
-        ("lambda-study", "coupled Cauchy study along the lambda ladder"),
-        ("eps-study", "coupled Cauchy study along the epsilon ladder"),
-        ("apriori", "moment bound along the lambda ladder"),
-        ("uniqueness", "solver-configuration independence check"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--scenario", required=True, help="scenario file (key = value)")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--paths", type=int, default=None, help="override path count")
-        p.add_argument("--step", type=float, default=None, help="override step size")
-    return parser
-
 
 # -- simulate ---------------------------------------------------------------------
 
 
-def _linear_oracle_checks(plan, traj, epsilon, lam) -> list:
+def _linear_oracle_checks(plan, traj) -> list:
     """Exact gates available when the drift is diagonal (linear psi, no noise).
 
     The scheme then reduces mode-by-mode to x -> x / (1 + dt kappa_k); the
     trajectory must match that recursion to 1e-10 and stay within the provable
     one-sided distance of the continuum flow exp(-kappa_k t) x.
     """
+    epsilon, lam = plan.finest_cell
     slope = plan.psi.linear_slope
     kappa = (epsilon + plan.op.eigenvalues) * (slope + lam)
     dts = np.diff(traj.times)
@@ -129,9 +109,8 @@ def _linear_oracle_checks(plan, traj, epsilon, lam) -> list:
     ]
 
 
-def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
-    epsilon = plan.epsilon_ladder[-1]
-    lam = plan.lambda_ladder[-1]
+def _run_simulate(plan) -> tuple[StudyReport, dict]:
+    epsilon, lam = plan.finest_cell
     noise_path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, 0))
     config = plan.step_config(epsilon, lam)
     traj = solve_regularized_path(
@@ -148,7 +127,7 @@ def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
     if plan.psi.linear_slope is not None and noise_path.jump_count == 0 and (
         not plan.noise.coefficient.state_dependent
     ) and plan.noise.h2_closed_form(plan.op) == 0.0:
-        checks.extend(_linear_oracle_checks(plan, traj, epsilon, lam))
+        checks.extend(_linear_oracle_checks(plan, traj))
 
     final = traj.states[-1]
     base_times = traj.times[traj.base_mask]
@@ -171,7 +150,7 @@ def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
             "modes": int(plan.op.mode_count),
             "jumps": int(noise_path.jump_count),
         },
-        constants_used=_constants_used(plan, epsilon, lam),
+        constants_used=_constants_used(plan),
         checks=checks,
         extra={
             "final_norm_l2": norm(plan.op, final, L2),
@@ -194,8 +173,8 @@ def _run_simulate(plan, scenario) -> tuple[StudyReport, dict]:
 # -- inequalities ----------------------------------------------------------------
 
 
-def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
-    epsilon = plan.epsilon_ladder[-1]
+def _run_inequalities(plan) -> tuple[StudyReport, dict]:
+    epsilon, _ = plan.finest_cell
     psi_report = verify_psi_inequalities(plan.psi)
     var_report = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
     noise_report = audit_h2_h3(plan.op, plan.noise)
@@ -257,7 +236,7 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
             "noise_kind": plan.noise.coefficient.__class__.__name__,
             "modes": int(plan.op.mode_count),
         },
-        constants_used=_constants_used(plan, epsilon, plan.lambda_ladder[-1]),
+        constants_used=_constants_used(plan),
         checks=checks,
         extra={
             "h2_empirical": noise_report.h2_empirical,
@@ -281,20 +260,41 @@ def _run_inequalities(plan, scenario) -> tuple[StudyReport, dict]:
 # -- driver -----------------------------------------------------------------------
 
 
-def _dispatch(command: str, plan, scenario) -> tuple[StudyReport, dict]:
-    if command == "simulate":
-        return _run_simulate(plan, scenario)
-    if command == "inequalities":
-        return _run_inequalities(plan, scenario)
-    if command == "lambda-study":
-        return lambda_cauchy_study(plan, plan.epsilon_ladder[-1]), {}
-    if command == "eps-study":
-        return eps_cauchy_study(plan), {}
-    if command == "apriori":
-        return apriori_study(plan, plan.epsilon_ladder[-1]), {}
-    if command == "uniqueness":
-        return uniqueness_check(plan, plan.epsilon_ladder[-1]), {}
-    raise AssertionError(command)
+# Subcommand -> (help text, study).  A study maps a plan to its report and
+# artifacts.  The cascade studies are looked up in this module when they run,
+# so a replacement of ``cli.lambda_cauchy_study`` and the like (a test's
+# monkeypatch, the benchmark's tracer) is what gets called.  Run in this
+# order, apriori reuses lambda-study's ensemble.
+STUDIES = {
+    "simulate": ("simulate one path at the finest regularization cell", _run_simulate),
+    "inequalities": ("audit the pointwise/variational/noise hypotheses", _run_inequalities),
+    "lambda-study": ("coupled Cauchy study along the lambda ladder",
+                     lambda plan: (lambda_cauchy_study(plan), {})),
+    "eps-study": ("coupled Cauchy study along the epsilon ladder",
+                  lambda plan: (eps_cauchy_study(plan), {})),
+    "apriori": ("moment bound along the lambda ladder",
+                lambda plan: (apriori_study(plan), {})),
+    "uniqueness": ("solver-configuration independence check",
+                   lambda plan: (uniqueness_check(plan), {})),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="levypme",
+        description="Simulation and verification harness for jump-driven "
+        "monotone SPDE regularization cascades.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _) in STUDIES.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--scenario", required=True, help="scenario file (key = value)")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        p.add_argument("--paths", type=int, default=None, help="override path count")
+        p.add_argument("--step", type=float, default=None, help="override step size")
+    return parser
 
 
 def _environment() -> dict:
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         plan = build_plan(
             scenario, paths=args.paths, step_size=args.step, master_seed=args.seed
         )
-        report, artifacts = _dispatch(args.command, plan, scenario)
+        report, artifacts = STUDIES[args.command][1](plan)
         _write_outputs(Path(args.out), report, artifacts, scenario, args)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

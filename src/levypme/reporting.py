@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,12 +88,8 @@ def _cell(v) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, ConstantRecord):
-        return {"value": _jsonable(v.value), "formula": v.formula}
-    if isinstance(v, (PropertyCheck, PairEstimate, SlopeFit)):
+    if is_dataclass(v):
         return {k: _jsonable(getattr(v, k)) for k in v.__dataclass_fields__}
-    if isinstance(v, Table):
-        return {"columns": list(v.columns), "rows": [_jsonable(r) for r in v.rows]}
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -136,7 +132,7 @@ class StudyReport:
             "kind": self.kind,
             "parameters": _jsonable(self.parameters),
             "pairs": _jsonable(self.pairs),
-            "slope": _jsonable(self.slope) if self.slope is not None else None,
+            "slope": _jsonable(self.slope),
             "constants_used": _jsonable(self.constants_used),
             "checks": _jsonable(self.checks),
             "extra": _jsonable(self.extra),

@@ -163,7 +163,7 @@ def test_criterion_4_lambda_cauchy(capsys, acceptance_plan):
     assert plan.lambda_ladder == (0.2, 0.1, 0.05, 0.025)
 
     start = time.perf_counter()
-    report = lambda_cauchy_study(plan, 0.2)
+    report = lambda_cauchy_study(plan)
     elapsed = time.perf_counter() - start
     fit = report.slope
 
@@ -204,7 +204,7 @@ def test_criterion_5_eps_cauchy(capsys, acceptance_plan):
 
 def test_criterion_6_apriori_bound(capsys, acceptance_plan):
     plan = acceptance_plan
-    report = apriori_study(plan, 0.2)
+    report = apriori_study(plan)
 
     cells = report.extra["cells"]
     lhs_max = max(c["lhs"] for c in cells)
@@ -228,7 +228,7 @@ def test_criterion_6_apriori_bound(capsys, acceptance_plan):
 
 def test_criterion_7_uniqueness(capsys, acceptance_plan):
     plan = acceptance_plan
-    report = uniqueness_check(plan, plan.epsilon_ladder[-1])
+    report = uniqueness_check(plan)
     gap = report.extra["sup_config_gap"]
     rate = report.extra["envelope_rate"]
     cap = report.extra["rate_cap"]

@@ -77,11 +77,12 @@ def test_lambda_pair_matches_scalar_recursion():
         noise=zero_model(),
         initial=op.field_from_coefficients(np.array([x0])),
         lambda_ladder=(0.2, 0.1),
+        epsilon_ladder=(eps,),
         paths=2,
         step_size=h,
         horizon=horizon,
     )
-    report = lambda_cauchy_study(plan, eps)
+    report = lambda_cauchy_study(plan)
 
     steps = int(round(horizon / h))
     states = {}
@@ -101,7 +102,7 @@ def test_lambda_pair_matches_scalar_recursion():
 
 def test_lambda_study_report_layout(torus_small):
     plan = _plan(torus_small)
-    report = lambda_cauchy_study(plan, 0.2)
+    report = lambda_cauchy_study(plan)
     assert report.kind == "lambda_cauchy"
     assert [p.param_hi for p in report.pairs] == [0.2, 0.1]
     assert {t.name for t in report.tables} == {"lambda_cauchy_pairs", "lambda_cauchy_moments"}
@@ -125,7 +126,7 @@ def test_eps_study_runs_at_smallest_lambda(torus_small):
 def test_single_entry_ladders_rejected(torus_small):
     plan = _plan(torus_small, lambda_ladder=(0.1,), epsilon_ladder=(0.2,))
     with pytest.raises(ValueError, match="at least two"):
-        lambda_cauchy_study(plan, 0.2)
+        lambda_cauchy_study(plan)
     with pytest.raises(ValueError, match="at least two"):
         eps_cauchy_study(plan)
 
@@ -177,8 +178,8 @@ def test_gronwall_rate_frozen(torus_small):
     assert _gronwall_rate(_plan(torus_small, noise=zero_model())) == 0.0
 
 
-def _single_cell(plan, epsilon):
-    report = apriori_study(plan, epsilon)
+def _single_cell(plan):
+    report = apriori_study(plan)
     table = next(t for t in report.tables if t.name == "apriori_cells")
     assert len(table.rows) == 1
     return report, dict(zip(table.columns, table.rows[0])), report.extra["cells"][0]
@@ -189,7 +190,7 @@ def test_apriori_cell_zero_noise(torus_small):
     plan = _plan(
         torus_small, psi=make_psi("identity"), noise=zero_model(), lambda_ladder=(0.1,)
     )
-    report, row, cell = _single_cell(plan, 0.2)
+    report, row, cell = _single_cell(plan)
     x0_sq = norm(torus_small, plan.initial, L2) ** 2
     assert cell["bound"] == pytest.approx(2.0 * x0_sq, rel=1e-14)
     assert report.passed, report.failures()
@@ -200,7 +201,7 @@ def test_apriori_cell_zero_noise(torus_small):
 
 def test_apriori_cell_multiplicative(torus_small):
     plan = _plan(torus_small, lambda_ladder=(0.1,))
-    report, row, cell = _single_cell(plan, 0.2)
+    report, row, cell = _single_cell(plan)
     assert next(c for c in report.checks if c.name.startswith("derived_bound")).passed
     assert cell["lhs"] <= cell["bound"], (cell["lhs"], cell["bound"])
     assert row["lhs_stderr"] >= 0
@@ -209,7 +210,7 @@ def test_apriori_cell_multiplicative(torus_small):
 
 def test_apriori_study_full(torus_small):
     plan = _plan(torus_small, paths=6)
-    report = apriori_study(plan, 0.2)
+    report = apriori_study(plan)
     assert report.passed, report.failures()
     assert {t.name for t in report.tables} == {"apriori_cells", "apriori_shape"}
     assert len(report.extra["cells"]) == len(plan.lambda_ladder)
@@ -242,7 +243,7 @@ def test_fit_exponential_shape_short_curve(torus_small):
 
 def test_uniqueness_check_passes(torus_small):
     plan = _plan(torus_small)
-    report = uniqueness_check(plan, 0.2)
+    report = uniqueness_check(plan)
     assert report.passed, report.failures()
     assert report.extra["sup_config_gap"] <= 10.0 * plan.inner_tolerance
     assert report.extra["envelope_rate"] <= report.extra["rate_cap"]
@@ -256,7 +257,7 @@ def test_uniqueness_additive_noise_cancels(torus_small):
     # additive jumps are state-independent, so the perturbation gap sees no
     # jumps at all and must relax monotonically (cap = 0 + headroom)
     plan = _plan(torus_small, noise=additive_model(torus_small))
-    report = uniqueness_check(plan, 0.2)
+    report = uniqueness_check(plan)
     assert report.passed
     assert report.extra["rate_cap"] == pytest.approx(1e-6, abs=1e-12)
     assert report.extra["envelope_rate"] < 0.0
@@ -309,7 +310,7 @@ def test_uniqueness_is_one_march(torus_small, monkeypatch):
 
     monkeypatch.setattr(cascade, "march", recording)
     plan = _plan(torus_small)
-    report = uniqueness_check(plan, 0.2)
+    report = uniqueness_check(plan)
     assert report.passed, report.failures()
     assert len(calls) == 1
     (a, b, p), starts = calls[0]
@@ -324,7 +325,7 @@ ACCEPTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.
 
 def _uniqueness_at(seed):
     plan = build_plan(load_scenario(ACCEPTANCE), master_seed=seed)
-    return uniqueness_check(plan, plan.epsilon_ladder[-1])
+    return uniqueness_check(plan)
 
 
 def test_uniqueness_early_jump_passes():
@@ -358,11 +359,10 @@ SMALL = Path(__file__).resolve().parent.parent / "scenarios" / "multiplicative_s
 
 def test_only_fingerprinted_plans_reuse_ensembles(march_steps):
     plan = build_plan(load_scenario(SMALL))
-    epsilon = plan.epsilon_ladder[-1]
 
     def marched(study, study_plan):
         march_steps.clear()
-        report = study(study_plan, epsilon)
+        report = study(study_plan)
         assert report.ensemble == ("marched" if march_steps else "reused")
         return len(march_steps)
 

@@ -477,12 +477,20 @@ def test_cli_non_finite_psi_fails_fast(tmp_path, capsys, monkeypatch):
 def test_zero_intensities_run_every_study(tmp_path, capsys):
     # zero intensities are a valid scenario: no jumps, zero noise constants
     scn = _write_scenario(tmp_path, _text({"noise_intensity": "0 0"}))
-    for command in ("simulate", "inequalities", "lambda-study", "eps-study",
-                    "apriori", "uniqueness"):
+    constants = {}
+    for command in cli.STUDIES:
         out = tmp_path / command
         assert main([command, "--scenario", scn, "--out", str(out)]) == 0, command
-        assert json.loads((out / "report.json").read_text())["passed"] is True
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is True
+        constants[command] = report["constants_used"]
     assert "all checks passed" in capsys.readouterr().out
+    # one plan, one cell: every study reports the finest cell's constants
+    assert list(constants) == ["simulate", "inequalities", "lambda-study", "eps-study",
+                               "apriori", "uniqueness"]
+    cell = constants["simulate"]
+    assert (cell["epsilon"]["value"], cell["lam"]["value"]) == (0.1, 0.1)
+    assert all(used == cell for used in constants.values())
     simulate = json.loads((tmp_path / "simulate" / "report.json").read_text())
     assert simulate["parameters"]["jumps"] == 0
     extra = json.loads((tmp_path / "inequalities" / "report.json").read_text())["extra"]
@@ -491,7 +499,7 @@ def test_zero_intensities_run_every_study(tmp_path, capsys):
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     # an unexpected exception is a failure of the run, not a failed check
-    def broken(plan, epsilon):
+    def broken(plan):
         raise TypeError("unexpected")
 
     monkeypatch.setattr(cli, "lambda_cauchy_study", broken)
@@ -562,12 +570,12 @@ def test_tracer_patches_resolve(tmp_path):
     # out of this session.
     root = Path(__file__).resolve().parent.parent
     result = tmp_path / "result.json"
+    studies = list(cli.STUDIES)
     done = subprocess.run(
         [sys.executable, "-B", str(root / "perfbench" / "child.py"),
          "--src", str(root / "src"), "--scenario", str(SCENARIO_DIR / "multiplicative_small.scn"),
          "--result", str(result), "--out", str(tmp_path / "runs"),
-         "--studies", "simulate,inequalities,lambda-study,eps-study,apriori,uniqueness",
-         "--trace", str(tmp_path / "spans.npz")],
+         "--studies", ",".join(studies), "--trace", str(tmp_path / "spans.npz")],
         capture_output=True, text=True, cwd=root,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
@@ -575,6 +583,15 @@ def test_tracer_patches_resolve(tmp_path):
     passed = json.loads(result.read_text())
     assert [run["exit"] for run in passed["runs"]] == [0] * 6, passed["runs"]
     assert passed["trace"]["layer"]["stepper.solve_regularized_path.calls"] == 1
+    # the CLI reaches each cascade study through the patched module name: a
+    # study bound at import would run untraced and leave its run no
+    # cascade.study span (the tracer numbers runs from 1 in study order)
+    spans = np.load(tmp_path / "spans.npz")
+    names = list(spans["names"])
+    assert "cascade.study" in names
+    traced = set(spans["run"][spans["name"] == names.index("cascade.study")].tolist())
+    assert traced == {studies.index(s) + 1 for s in
+                      ("lambda-study", "eps-study", "apriori", "uniqueness")}
 
 
 def test_cli_runs_without_scipy(tmp_path):
