@@ -26,17 +26,11 @@ def parse_args():
     parser.add_argument("--out", required=True, help="parent output directory")
     parser.add_argument("--only", nargs="*", choices=tuple(STUDIES), default=None,
                         help="restrict to a subset of studies")
-    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    parser.add_argument("--paths", type=int, default=None, help="override path count")
-    parser.add_argument("--step", type=float, default=None, help="override step size")
     return parser.parse_args()
 
 
 def run_study(name, args, out_dir):
     argv = [name, "--scenario", args.scenario, "--out", str(out_dir)]
-    for flag, value in (("--seed", args.seed), ("--paths", args.paths), ("--step", args.step)):
-        if value is not None:
-            argv += [flag, str(value)]
     started = time.perf_counter()
     code = cli_main(argv)
     return code, time.perf_counter() - started

@@ -109,10 +109,11 @@ class StudyPlan:
     ``lambda_ladder`` and ``epsilon_ladder`` must be strictly decreasing; the
     studies couple adjacent ladder entries through shared noise paths.
 
-    ``fingerprint`` names the configuration for ensemble reuse (see
-    :func:`_run_cells`).  Only :func:`levypme.scenario.build_plan` sets it;
-    a plan built by hand or copied with :func:`dataclasses.replace` has none
-    and never reuses an ensemble.
+    ``fingerprint`` is the canonical scenario hash, which names the
+    configuration for ensemble reuse (see :func:`_run_cells`).  Only
+    :func:`levypme.scenario.build_plan` sets it; a plan built by hand or
+    copied with :func:`dataclasses.replace` has none and never reuses an
+    ensemble.
     """
 
     op: OperatorSpectrum
@@ -127,7 +128,7 @@ class StudyPlan:
     master_seed: int
     inner_tolerance: float = INNER_TOLERANCE
     max_inner_iterations: int = MAX_INNER_ITERATIONS
-    fingerprint: tuple | None = field(default=None, init=False, repr=False)
+    fingerprint: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -192,8 +193,9 @@ def _run_cells(plan: StudyPlan, cells):
     curves at the base grid times, the solver counter summary, and
     ``"ensemble"``: ``"marched"`` when this call simulated the paths
     (:func:`_march_cells`), ``"reused"`` when an earlier call in this
-    interpreter had marched the same cells under the same plan fingerprint.
-    The ensemble is a pure function of the plan and the cells, so a reused
+    interpreter had marched the same cells under the same plan fingerprint,
+    the canonical hash of the scenario the plan was built from.  The
+    ensemble is a pure function of the scenario and the cells, so a reused
     result is the marched one, bit for bit.  Results of a plan without a
     fingerprint are never kept; a new fingerprint drops every kept result.
     The arrays are read-only, so a study cannot alter another's samples.

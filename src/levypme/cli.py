@@ -12,8 +12,10 @@ Subcommands map one-to-one onto the studies of the :data:`STUDIES` table:
 - ``apriori``        moment bound, uniformity in lambda, exponential shape.
 - ``uniqueness``     solver-configuration independence + perturbation decay.
 
-Every study takes only the plan and runs at ``plan.finest_cell``, the cell
-every report's ``constants_used`` belongs to.
+Every subcommand takes only ``--scenario`` and ``--out``: the scenario file
+is the run's whole configuration, so the ``scenario.txt`` a run writes
+reproduces it.  Every study takes only the plan and runs at
+``plan.finest_cell``, the cell every report's ``constants_used`` belongs to.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports are
 still written), 2 usage or scenario errors, 3 numerical or internal failure
@@ -117,13 +119,7 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
         plan.op, plan.psi, plan.noise, noise_path, config, plan.horizon, plan.initial
     )
 
-    checks = [
-        PropertyCheck(
-            name="solver_converged",
-            passed=True,
-            detail=f"{traj.times.size} grid rows, {noise_path.jump_count} jumps",
-        )
-    ]
+    checks = []
     if plan.psi.linear_slope is not None and noise_path.jump_count == 0 and (
         not plan.noise.coefficient.state_dependent
     ) and plan.noise.h2_closed_form(plan.op) == 0.0:
@@ -153,6 +149,7 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
         constants_used=_constants_used(plan),
         checks=checks,
         extra={
+            "grid_rows": int(traj.times.size),
             "final_norm_l2": norm(plan.op, final, L2),
             "final_norm_fstar": norm(plan.op, final, F_STAR),
             "sup_norm_l2": traj.sup_norm(L2),
@@ -291,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", required=True, help="scenario file (key = value)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--paths", type=int, default=None, help="override path count")
-        p.add_argument("--step", type=float, default=None, help="override step size")
     return parser
 
 
@@ -323,11 +317,6 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
         "scenario_file": str(args.scenario),
         "scenario_hash": scenario_hash(scenario),
         "version": __version__,
-        "overrides": {
-            k: v
-            for k, v in (("seed", args.seed), ("paths", args.paths), ("step", args.step))
-            if v is not None
-        },
         "environment": _environment(),
     }
     if report.ensemble is not None:
@@ -351,9 +340,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        plan = build_plan(
-            scenario, paths=args.paths, step_size=args.step, master_seed=args.seed
-        )
+        plan = build_plan(scenario)
         report, artifacts = STUDIES[args.command][1](plan)
         _write_outputs(Path(args.out), report, artifacts, scenario, args)
     except StepperConvergenceError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "audit_h2_h3",
     "export_noise_path",
     "noise_mass_rows",
-    "parse_noise_path",
     "path_seed",
     "sample_noise_path",
 ]
@@ -321,22 +320,3 @@ def export_noise_path(path: NoisePath, model: NoiseModel, file) -> None:
     else:
         Path(file).write_text(text)
 
-
-def parse_noise_path(text: str, model: NoiseModel) -> NoisePath:
-    """Inverse of :func:`export_noise_path` (used by the round-trip tests)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# seed="):
-        raise ValueError("missing noise-path header")
-    seed_part, horizon_part = header[2:].split()
-    seed = int(seed_part.split("=", 1)[1])
-    horizon = float(horizon_part.split("=", 1)[1])
-    if lines[1] != "time,mark":
-        raise ValueError("missing column header")
-    times, marks = [], []
-    label_to_index = {str(m): i for i, m in enumerate(model.marks)}
-    for ln in lines[2:]:
-        t_str, mark = ln.split(",", 1)
-        times.append(float(t_str))
-        marks.append(label_to_index[mark])
-    return NoisePath(np.array(times), np.array(marks, dtype=int), seed, horizon)

@@ -125,7 +125,6 @@ class PsiInequalityReport:
     slope_slack: (psi(r)-psi(r'))(r-r') - slope_min (r-r')^2
     """
 
-    kind: str
     sample_count: int
     min_pair_slack: float
     min_self_slack: float
@@ -182,7 +181,6 @@ def verify_psi_inequalities(
         else:
             witness = (float(r[i_slope]), float(r_prime[i_slope]), float(slope_slack[i_slope]))
     return PsiInequalityReport(
-        kind=psi.kind,
         sample_count=r.size,
         min_pair_slack=float(pair_slack[i_pair]),
         min_self_slack=float(self_slack[i_self]),

@@ -311,18 +311,10 @@ def build_initial(sc: Scenario, op: OperatorSpectrum) -> np.ndarray:
     return random_field(op, np.random.default_rng(sc.initial_seed), scale=sc.initial_amplitude)
 
 
-def build_plan(
-    sc: Scenario,
-    *,
-    paths: int | None = None,
-    step_size: float | None = None,
-    master_seed: int | None = None,
-) -> StudyPlan:
-    """The plan a scenario describes, with the CLI overrides applied.
-
-    The plan is stamped with a fingerprint, the canonical scenario hash and
-    the resolved path count, step size and master seed, which together
-    determine every ensemble the plan's studies march.
+def build_plan(sc: Scenario) -> StudyPlan:
+    """The plan a scenario describes, stamped with the canonical scenario hash
+    as its fingerprint: the scenario alone determines every ensemble the
+    plan's studies march.
     """
     op = build_operator(sc)
     plan = StudyPlan(
@@ -332,16 +324,13 @@ def build_plan(
         initial=build_initial(sc, op),
         lambda_ladder=sc.lambda_ladder,
         epsilon_ladder=sc.epsilon_ladder,
-        paths=sc.paths if paths is None else paths,
-        step_size=sc.step_size if step_size is None else step_size,
+        paths=sc.paths,
+        step_size=sc.step_size,
         horizon=sc.horizon,
-        master_seed=sc.master_seed if master_seed is None else master_seed,
+        master_seed=sc.master_seed,
         inner_tolerance=sc.inner_tolerance,
         max_inner_iterations=sc.max_inner_iterations,
     )
     # Not an __init__ argument, so a hand-built or replace()d plan has none.
-    object.__setattr__(
-        plan, "fingerprint",
-        (scenario_hash(sc), plan.paths, plan.step_size, plan.master_seed),
-    )
+    object.__setattr__(plan, "fingerprint", scenario_hash(sc))
     return plan

@@ -113,8 +113,6 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class VariationalReport:
-    epsilon: float
-    psi_kind: str
     noise_kind: str
     constants: EstimateConstants
     conditions: tuple
@@ -272,8 +270,6 @@ def check_variational_conditions(
         *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, constants),
     ]
     return VariationalReport(
-        epsilon=epsilon,
-        psi_kind=psi.kind,
         noise_kind=type(model.coefficient).__name__,
         constants=constants,
         conditions=tuple(conditions),

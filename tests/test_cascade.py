@@ -33,7 +33,7 @@ from levypme.cascade import (
 from levypme.noise import path_seed, sample_noise_path
 from levypme.nonlinearity import make_psi
 from levypme.operators import smooth_field, spectrum_from_eigenvalues
-from levypme.scenario import build_plan, load_scenario
+from levypme.scenario import build_plan, load_scenario, scenario_hash
 from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import march, solve_regularized_path
 
@@ -324,7 +324,7 @@ ACCEPTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.
 
 
 def _uniqueness_at(seed):
-    plan = build_plan(load_scenario(ACCEPTANCE), master_seed=seed)
+    plan = build_plan(replace(load_scenario(ACCEPTANCE), master_seed=seed))
     return uniqueness_check(plan)
 
 
@@ -344,7 +344,7 @@ def test_uniqueness_inflated_gap_fails():
     report = _uniqueness_at(649757350)
     table = next(t for t in report.tables if t.name == "perturbation_decay")
     times, gaps = (np.array(col) for col in zip(*table.rows))
-    plan = build_plan(load_scenario(ACCEPTANCE), master_seed=649757350)
+    plan = build_plan(replace(load_scenario(ACCEPTANCE), master_seed=649757350))
     path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, 0))
     budget = _jump_budget(plan.noise, path, times)
     assert budget[-1] == pytest.approx(report.extra["jump_budget"], rel=1e-15)
@@ -366,7 +366,7 @@ def test_only_fingerprinted_plans_reuse_ensembles(march_steps):
         assert report.ensemble == ("marched" if march_steps else "reused")
         return len(march_steps)
 
-    assert plan.fingerprint is not None
+    assert plan.fingerprint == scenario_hash(load_scenario(SMALL))
     assert marched(lambda_cauchy_study, plan) > 0
     assert marched(apriori_study, plan) == 0
 
@@ -381,7 +381,7 @@ def test_only_fingerprinted_plans_reuse_ensembles(march_steps):
     assert marched(apriori_study, plan) == 0
 
     # a plan with another fingerprint drops every ensemble of the last one
-    reseeded = build_plan(load_scenario(SMALL), master_seed=plan.master_seed + 1)
+    reseeded = build_plan(replace(load_scenario(SMALL), master_seed=plan.master_seed + 1))
     assert reseeded.fingerprint != plan.fingerprint
     assert marched(lambda_cauchy_study, reseeded) > 0
     assert marched(apriori_study, reseeded) == 0

@@ -4,9 +4,9 @@ exit 1 with that check named in ``failures.json``.
 The defects stand in for faults of the program: a psi whose declared
 constants it does not honour (patched into ``scenario.build_psi``), an
 understated closed-form noise constant, or a ``march`` whose states drift
-from the scheme's (patched into ``cascade.march``).  ``solver_converged`` is
-the one check no defect can fail: a solve that does not converge raises, and
-the run exits 3 instead.
+from the scheme's (patched into ``cascade.march``).  ``GATES`` names every
+check the studies write, so each one can fail; a solve that does not
+converge is no check but a numerical failure, and the run exits 3.
 """
 import json
 from pathlib import Path

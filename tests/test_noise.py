@@ -23,7 +23,6 @@ from levypme.noise import (
     audit_h2_h3,
     export_noise_path,
     noise_mass_rows,
-    parse_noise_path,
     path_seed,
     sample_noise_path,
 )
@@ -277,21 +276,20 @@ def test_additive_h3_vanishes(torus_small):
 
 
 def test_export_parse_round_trip(torus_small):
+    """The export is a seed/horizon header, a column line and one
+    ``repr(t),label`` row per jump, in time order."""
     model = multiplicative_model()
     path = sample_noise_path(model, 1.5, 321)
+    assert path.jump_count > 0
     buf = io.StringIO()
     export_noise_path(path, model, buf)
-    back = parse_noise_path(buf.getvalue(), model)
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.mark_indices, path.mark_indices)
-    assert back.seed == path.seed
-    assert back.horizon == path.horizon
-
-
-def test_parse_rejects_malformed():
-    model = multiplicative_model()
-    with pytest.raises(ValueError):
-        parse_noise_path("time,mark\n0.5,up\n", model)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == f"# seed=321 horizon={1.5!r}"
+    assert lines[1] == "time,mark"
+    assert lines[2:] == [
+        f"{float(t)!r},{model.marks[int(j)]}"
+        for t, j in zip(path.times, path.mark_indices)
+    ] + [""]
 
 
 def test_noise_path_validation():
