@@ -170,28 +170,31 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
 # -- inequalities ----------------------------------------------------------------
 
 
+def _first_witness(conditions) -> str:
+    """``"; witness <name> <witness>"`` of the first failed condition, or ""."""
+    failed = next((c for c in conditions if not c.passed), None)
+    return "" if failed is None else f"; witness {failed.name} {failed.witness}"
+
+
 def _run_inequalities(plan) -> tuple[StudyReport, dict]:
     epsilon, _ = plan.finest_cell
-    psi_report = verify_psi_inequalities(plan.psi)
-    var_report = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
+    psi_conditions = verify_psi_inequalities(plan.psi)
+    min_pair, min_self, min_slope = (c.min_slack for c in psi_conditions)
+    conditions = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
     noise_report = audit_h2_h3(plan.op, plan.noise)
 
     checks = [
         PropertyCheck(
             name="psi_pointwise",
-            passed=psi_report.passed,
+            passed=all(c.passed for c in psi_conditions),
             detail=(
-                f"min pair slack {psi_report.min_pair_slack:.3e}, "
-                f"min self slack {psi_report.min_self_slack:.3e}, "
-                f"min slope slack {psi_report.min_slope_slack:.3e} "
-                f"over {psi_report.sample_count} samples"
-                + (f"; witness (r, r', slack) {psi_report.violation_witness}"
-                   if psi_report.violation_witness else "")
+                f"min pair slack {min_pair:.3e}, min self slack {min_self:.3e}, "
+                f"min slope slack {min_slope:.3e} over {psi_conditions[0].checked} samples"
+                + _first_witness(psi_conditions)
             ),
         )
     ]
-    rows = []
-    for cond in var_report.conditions:
+    for cond in conditions:
         if cond.skipped_reason is not None:
             detail = f"skipped: {cond.skipped_reason}"
         else:
@@ -200,15 +203,6 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
                 + (f"; witness {cond.witness}" if cond.witness else "")
             )
         checks.append(PropertyCheck(name=cond.name, passed=cond.passed, detail=detail))
-        rows.append(
-            (
-                cond.name,
-                cond.checked,
-                cond.min_slack,
-                cond.violation_count,
-                cond.skipped_reason or "",
-            )
-        )
     checks.append(
         PropertyCheck(
             name="noise_h2_h3",
@@ -220,7 +214,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
                 f"closed form {noise_report.h2_l2_closed_form:.6g}; "
                 f"h3 empirical {noise_report.h3_empirical:.6g} <= "
                 f"closed form {noise_report.h3_closed_form:.6g}"
-                + (f"; witness {noise_report.witness}" if noise_report.witness else "")
+                + _first_witness(noise_report.conditions)
             ),
         )
     )
@@ -239,15 +233,18 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
             "h2_empirical": noise_report.h2_empirical,
             "h2_l2_empirical": noise_report.h2_l2_empirical,
             "h3_empirical": noise_report.h3_empirical,
-            "min_pair_slack": psi_report.min_pair_slack,
-            "min_self_slack": psi_report.min_self_slack,
-            "min_slope_slack": psi_report.min_slope_slack,
+            "min_pair_slack": min_pair,
+            "min_self_slack": min_self,
+            "min_slope_slack": min_slope,
         },
         tables=[
             Table(
                 name="variational_conditions",
                 columns=("condition", "checked", "min_slack", "violations", "skipped"),
-                rows=tuple(rows),
+                rows=tuple(
+                    (c.name, c.checked, c.min_slack, c.violation_count, c.skipped_reason or "")
+                    for c in conditions
+                ),
             )
         ],
     )

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .operators import OperatorSpectrum, by_sample_blocks
+from .reporting import verdict
 from .spaces import F_STAR, L2, NormKind, norm, squared_norm_rows
 
 __all__ = [
@@ -202,7 +203,8 @@ def sample_noise_path(model: NoiseModel, horizon: float, seed: int) -> NoisePath
 @dataclass(frozen=True)
 class NoiseAuditReport:
     """Empirical-vs-closed-form audit of the two noise hypotheses, with H2
-    both in F* and in L2."""
+    both in F* and in L2; ``conditions`` holds the H3, H2 and H2 (L2)
+    verdicts, in that order."""
 
     sample_count: int
     h2_empirical: float
@@ -211,12 +213,11 @@ class NoiseAuditReport:
     h2_l2_closed_form: float
     h3_empirical: float
     h3_closed_form: float
-    violation_count: int
-    witness: Optional[str]
+    conditions: tuple
 
     @property
     def passed(self) -> bool:
-        return self.violation_count == 0
+        return all(c.passed for c in self.conditions)
 
 
 def noise_mass_rows(op: OperatorSpectrum, model: NoiseModel, u: np.ndarray,
@@ -250,49 +251,31 @@ def audit_h2_h3(
     and evaluated block by block (:func:`levypme.operators.by_sample_blocks`),
     so no (sample_count x modes) array is allocated.  H3 is audited on the
     pair in F*; H2 on u1 in F*, the norm the hypothesis is stated in, and in
-    L2, the norm of the moment bound that apriori gates on.  Relative slack of
-    1e-9 covers accumulation roundoff in the empirical ratios; anything past
-    it is a violation, and the first violating sample is the witness (H3,
-    then H2 in F*, then H2 in L2).
+    L2, the norm of the moment bound that apriori gates on.  Each ratio is
+    judged against its closed form C by :func:`levypme.reporting.verdict`
+    with rhs C (1 + 1e-9) + 1e-15: the relative 1e-9 covers accumulation
+    roundoff in the empirical ratios.  A pair with u1 = u2 has H3 ratio 0.
     """
     rng = np.random.default_rng(seed)
     h2_closed = model.h2_closed_form(op)
     h2_l2_closed = model.h2_closed_form(op, L2)
     h3_closed = model.h3_closed_form(op)
-    allowance = 1e-9
 
     def ratios(pairs):
         u1, u2 = pairs[:, 0], pairs[:, 1]
         gap_sq = squared_norm_rows(op, u1 - u2, F_STAR)
-        separated = gap_sq > 0.0
         return (
             noise_mass_rows(op, model, u1) / (1.0 + squared_norm_rows(op, u1, F_STAR)),
             noise_mass_rows(op, model, u1, kind=L2) / (1.0 + squared_norm_rows(op, u1)),
             np.divide(noise_mass_rows(op, model, u1, u2), gap_sq,
-                      out=np.zeros(gap_sq.size), where=separated),
-            separated,
+                      out=np.zeros(gap_sq.size), where=gap_sq > 0.0),
         )
 
-    ratio_h2, ratio_h2_l2, ratio_h3, separated = by_sample_blocks(
-        op, rng, sample_count, 2, ratios, scale=2.0
-    )
+    ratio_h2, ratio_h2_l2, ratio_h3 = by_sample_blocks(op, rng, sample_count, 2, ratios, scale=2.0)
 
-    def exceeds(ratio, closed):
-        return ratio > closed * (1.0 + allowance) + 1e-15
+    def within(label, ratio, closed):
+        return verdict(label, ratio, closed * (1.0 + 1e-9) + 1e-15)
 
-    checks = (
-        ("H3", ratio_h3, h3_closed, separated & exceeds(ratio_h3, h3_closed)),
-        ("H2", ratio_h2, h2_closed, exceeds(ratio_h2, h2_closed)),
-        ("H2 (L2)", ratio_h2_l2, h2_l2_closed, exceeds(ratio_h2_l2, h2_l2_closed)),
-    )
-    bad = np.logical_or.reduce([b for *_, b in checks])
-    witness = None
-    if bad.any():
-        i = int(np.argmax(bad))
-        label, ratio, closed = next(
-            (label, ratio, closed) for label, ratio, closed, bad_rows in checks if bad_rows[i]
-        )
-        witness = f"{label} ratio {float(ratio[i])!r} exceeds closed form {closed!r}"
     return NoiseAuditReport(
         sample_count=sample_count,
         h2_empirical=float(ratio_h2.max(initial=0.0)),
@@ -301,8 +284,11 @@ def audit_h2_h3(
         h2_l2_closed_form=h2_l2_closed,
         h3_empirical=float(ratio_h3.max(initial=0.0)),
         h3_closed_form=h3_closed,
-        violation_count=sum(int(np.count_nonzero(b)) for *_, b in checks),
-        witness=witness,
+        conditions=(
+            within("H3", ratio_h3, h3_closed),
+            within("H2", ratio_h2, h2_closed),
+            within("H2 (L2)", ratio_h2_l2, h2_l2_closed),
+        ),
     )
 
 

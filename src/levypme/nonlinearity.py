@@ -7,9 +7,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .reporting import verdict
+
 __all__ = [
     "NonlinearityPsi",
-    "PsiInequalityReport",
     "make_psi",
     "PSI_KINDS",
     "PSI_PARAMETERS",
@@ -116,39 +117,23 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
     raise ValueError(f"unknown nonlinearity kind {kind!r}; choose from {PSI_KINDS}")
 
 
-@dataclass(frozen=True)
-class PsiInequalityReport:
-    """Worst-case slack audit of the two pointwise inequalities.
-
-    pair_slack:  (psi(r)-psi(r'))(r-r') - alpha_tilde (psi(r)-psi(r'))^2
-    self_slack:  psi(r) r - alpha_tilde psi(r)^2
-    slope_slack: (psi(r)-psi(r'))(r-r') - slope_min (r-r')^2
-    """
-
-    sample_count: int
-    min_pair_slack: float
-    min_self_slack: float
-    min_slope_slack: float
-    violation_count: int
-    violation_witness: Optional[tuple]
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_count == 0
-
-
 def verify_psi_inequalities(
     psi: NonlinearityPsi,
     sample_count: int = 100_000,
     bound: float = 1e3,
     seed: int = 41_038,
-) -> PsiInequalityReport:
-    """Sample pairs on [-bound, bound]^2 and audit the inequalities exactly.
+) -> tuple:
+    """Sample pairs on [-bound, bound]^2 and audit three inequalities exactly:
+
+    pair   alpha_tilde (psi(r)-psi(r'))^2 <= (psi(r)-psi(r'))(r-r')
+    self   alpha_tilde psi(r)^2 <= psi(r) r
+    slope  0 <= (psi(r)-psi(r') - slope_min (r-r'))(r-r')
 
     The pair and self inequalities are algebraic consequences of monotonicity
     plus the Lipschitz bound, and the slope inequality is the declared
-    ``slope_min``, so the audit uses zero tolerance: any negative slack
-    counts as a violation and is reported with its witness pair.
+    ``slope_min``, so each is judged by :func:`levypme.reporting.verdict` with
+    zero tolerance; a witness names its sampled r (and r').  Returns the
+    pair, self and slope verdicts, in that order.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -160,31 +145,14 @@ def verify_psi_inequalities(
     r_prime = np.concatenate([r_prime, [0.0, -bound, bound, bound, 0.5]])
 
     psi_r = psi.evaluate(r)
-    psi_rp = psi.evaluate(r_prime)
-    diff_psi = psi_r - psi_rp
-    pair_slack = diff_psi * (r - r_prime) - psi.alpha_tilde * diff_psi * diff_psi
-    self_slack = psi_r * r - psi.alpha_tilde * psi_r * psi_r
-    slope_slack = (diff_psi - psi.slope_min * (r - r_prime)) * (r - r_prime)
+    diff_psi = psi_r - psi.evaluate(r_prime)
 
-    i_pair = int(np.argmin(pair_slack))
-    i_self = int(np.argmin(self_slack))
-    i_slope = int(np.argmin(slope_slack))
-    violations = sum(
-        int(np.count_nonzero(slack < 0.0)) for slack in (pair_slack, self_slack, slope_slack)
-    )
-    witness = None
-    if violations:
-        if pair_slack[i_pair] < 0.0:
-            witness = (float(r[i_pair]), float(r_prime[i_pair]), float(pair_slack[i_pair]))
-        elif self_slack[i_self] < 0.0:
-            witness = (float(r[i_self]), float(r[i_self]), float(self_slack[i_self]))
-        else:
-            witness = (float(r[i_slope]), float(r_prime[i_slope]), float(slope_slack[i_slope]))
-    return PsiInequalityReport(
-        sample_count=r.size,
-        min_pair_slack=float(pair_slack[i_pair]),
-        min_self_slack=float(self_slack[i_self]),
-        min_slope_slack=float(slope_slack[i_slope]),
-        violation_count=violations,
-        violation_witness=witness,
+    def pair(i):
+        return f"(r, r') ({float(r[i])!r}, {float(r_prime[i])!r})"
+
+    return (
+        verdict("pair", psi.alpha_tilde * diff_psi * diff_psi, diff_psi * (r - r_prime), pair),
+        verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r,
+                lambda i: f"r {float(r[i])!r}"),
+        verdict("slope", 0.0, (diff_psi - psi.slope_min * (r - r_prime)) * (r - r_prime), pair),
     )

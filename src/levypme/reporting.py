@@ -1,4 +1,6 @@
-"""Study reports: structured key-value documents plus flat plotting tables.
+"""Study reports: structured key-value documents plus flat plotting tables,
+and the one rule that judges every sampled inequality of the audits
+(:func:`verdict`).
 
 Serialization is fully deterministic: floats use repr (shortest round-trip),
 JSON keys are sorted, and nothing time-dependent enters the report or the
@@ -12,13 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 SCHEMA_VERSION = 1
 
 __all__ = [
+    "ConditionResult",
     "ConstantRecord",
     "PairEstimate",
     "PropertyCheck",
@@ -26,6 +29,7 @@ __all__ = [
     "StudyReport",
     "Table",
     "SCHEMA_VERSION",
+    "verdict",
 ]
 
 
@@ -40,6 +44,40 @@ class PropertyCheck:
     name: str
     passed: bool
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class ConditionResult:
+    """The verdict on one sampled inequality (see :func:`verdict`)."""
+
+    name: str
+    checked: int
+    min_slack: float
+    violation_count: int
+    witness: Optional[str] = None
+    skipped_reason: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.violation_count == 0
+
+
+def verdict(name: str, lhs, rhs, row: Callable[[int], str] = "sample {}".format) -> ConditionResult:
+    """Judge lhs <= rhs row by row, with zero tolerance.
+
+    The slack is ``rhs - lhs`` (either side may be a scalar, broadcast over
+    the rows; a 2-D pair is judged in row-major order).  A row violates
+    unless its slack is >= 0, so a NaN slack fails and +inf passes.  The
+    result holds the worst slack (NaN when any slack is NaN), the number of
+    violating rows and, when there is one, a witness: the worst row i, named
+    ``row(i)``, with both of its sides.
+    """
+    lhs, rhs = (side.ravel() for side in np.broadcast_arrays(lhs, rhs))
+    slack = rhs - lhs
+    i = int(np.argmin(slack))
+    bad = slack.size - int(np.count_nonzero(slack >= 0.0))
+    witness = f"{row(i)}: lhs={float(lhs[i])!r} rhs={float(rhs[i])!r}" if bad else None
+    return ConditionResult(name, slack.size, float(slack[i]), bad, witness)
 
 
 @dataclass(frozen=True)

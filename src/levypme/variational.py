@@ -5,8 +5,9 @@ stepper's own drift kernel (:func:`levypme.stepper.drift_rows`, no lam shift).
 Four conditions are audited over randomly sampled states: hemicontinuity of
 the dualization pairing, local monotonicity against the jump-coefficient gap,
 coercivity (when psi carries a coercivity constant) and linear growth into the
-dual of L2.  The inequalities hold with slack in the diagonal model, so the
-audits use zero tolerance and report worst-case slack with witnesses.
+dual of L2.  The inequalities hold with slack in the diagonal model, so each
+is judged by :func:`levypme.reporting.verdict` with zero tolerance: worst-case
+slack, violation count and a witness.
 
 Every audited state is transformed once.  Hemicontinuity draws its own
 triples (u, v, w) and takes each of its pairings on nodal values, which needs
@@ -32,15 +33,15 @@ import numpy as np
 from .noise import NoiseModel, noise_mass_rows
 from .nonlinearity import NonlinearityPsi
 from .operators import OperatorSpectrum, by_sample_blocks
+from .reporting import ConditionResult, verdict
 from .spaces import F_STAR, squared_norm_rows
 from .stepper import drift_rows
 
 __all__ = [
-    "ConditionResult",
     "EstimateConstants",
-    "VariationalReport",
     "check_variational_conditions",
 ]
+
 
 @dataclass(frozen=True)
 class EstimateConstants:
@@ -97,47 +98,6 @@ class EstimateConstants:
         return rec
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    checked: int
-    min_slack: float
-    violation_count: int
-    witness: Optional[str] = None
-    skipped_reason: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_count == 0
-
-
-@dataclass(frozen=True)
-class VariationalReport:
-    noise_kind: str
-    constants: EstimateConstants
-    conditions: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _inequality(name, lhs, rhs, label) -> ConditionResult:
-    """lhs <= rhs row by row: the worst slack, the violation count and, when
-    any row fails, the worst row as witness."""
-    slack = rhs - lhs
-    i_min = int(np.argmin(slack))
-    bad = int(np.count_nonzero(slack < 0.0))
-    witness = f"{label} {i_min}: lhs={lhs[i_min]!r} rhs={rhs[i_min]!r}" if bad else None
-    return ConditionResult(name, lhs.size, float(slack[i_min]), bad, witness)
-
-
 _IOTAS = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
 
 
@@ -161,7 +121,8 @@ def _hemicontinuity_pairings(op, psi, u, v, w, dual_factor) -> np.ndarray:
 
 def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     """iota -> <A(u + iota v), w> along a mesh of iotas, Lipschitz in iota
-    with constant 2 k |v|_2 |w|_2; sample i is the triple (u, v, w) of rows i."""
+    with constant 2 k |v|_2 |w|_2; sample i is the triple (u, v, w) of rows i.
+    One row per (iota pair, sample), pair-major over the 21 pairs a < b."""
 
     def sides(block):
         u, v, w = block[:, 0], block[:, 1], block[:, 2]
@@ -169,27 +130,16 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
                 np.sqrt(squared_norm_rows(op, v)), np.sqrt(squared_norm_rows(op, w)))
 
     pairings, v_l2, w_l2 = by_sample_blocks(op, rng, count, 3, sides)
-    scale = np.abs(pairings).max(axis=0) + v_l2 * w_l2
-    allowance = 1e-12 * scale
-    violations = 0
-    min_slack = np.inf
-    witness = None
-    for a in range(_IOTAS.size):
-        for b_idx in range(a + 1, _IOTAS.size):
-            gap = np.abs(pairings[b_idx] - pairings[a])
-            bound = 2.0 * k * (_IOTAS[b_idx] - _IOTAS[a]) * v_l2 * w_l2 + allowance
-            slack = bound - gap
-            i_min = int(np.argmin(slack))
-            if slack[i_min] < min_slack:
-                min_slack = float(slack[i_min])
-            bad = int(np.count_nonzero(slack < 0.0))
-            if bad and witness is None:
-                witness = (
-                    f"sample {i_min}: |pairing({_IOTAS[b_idx]:g}) - pairing({_IOTAS[a]:g})|"
-                    f" = {gap[i_min]!r} exceeds Lipschitz bound {bound[i_min]!r}"
-                )
-            violations += bad
-    return ConditionResult("hemicontinuity", count * 21, min_slack, violations, witness)
+    allowance = 1e-12 * (np.abs(pairings).max(axis=0) + v_l2 * w_l2)
+    a, b = np.triu_indices(_IOTAS.size, 1)
+    gap = np.abs(pairings[b] - pairings[a])
+    bound = 2.0 * k * (_IOTAS[b] - _IOTAS[a])[:, None] * v_l2 * w_l2 + allowance
+
+    def row(i):
+        pair, sample = divmod(i, count)
+        return f"sample {sample}, |pairing({_IOTAS[b[pair]]:g}) - pairing({_IOTAS[a[pair]]:g})|"
+
+    return verdict("hemicontinuity", gap, bound, row)
 
 
 def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> list:
@@ -229,9 +179,9 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> li
     skipped = ConditionResult("coercivity", 0, math.inf, 0,
                               skipped_reason="psi has no coercivity constant")
     return [
-        _inequality("local_monotonicity", mono_lhs, mono_rhs, "pair"),
-        _inequality("coercivity", *coer, "sample") if coer else skipped,
-        _inequality("growth", growth_lhs, growth_rhs, "sample"),
+        verdict("local_monotonicity", mono_lhs, mono_rhs, "pair {}".format),
+        verdict("coercivity", *coer) if coer else skipped,
+        verdict("growth", growth_lhs, growth_rhs),
     ]
 
 
@@ -242,7 +192,7 @@ def check_variational_conditions(
     epsilon: float,
     sample_count: int = 10_000,
     seed: int = 90_125,
-) -> VariationalReport:
+) -> list:
     """Audit hemicontinuity, local monotonicity, coercivity and growth.
 
     Draws states with coefficients scaled by (1+mu_k)^(-1/2): first a tenth
@@ -254,7 +204,9 @@ def check_variational_conditions(
     u2, so each condition checks `sample_count` rows from `2 * sample_count`
     drift evaluations.  Inequality slacks use zero tolerance; the
     hemicontinuity curve check carries a roundoff allowance tied to the
-    pairing magnitude because it subtracts near-equal pairings.
+    pairing magnitude because it subtracts near-equal pairings.  Returns the
+    hemicontinuity, local monotonicity, coercivity and growth results, in
+    that order.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be >= 10")
@@ -264,13 +216,8 @@ def check_variational_conditions(
     constants = EstimateConstants.from_components(
         psi, epsilon, model.h2_closed_form(op), model.h3_closed_form(op)
     )
-    k = constants.lipschitz_k
-    conditions = [
-        _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor, k),
+    return [
+        _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor,
+                        constants.lipschitz_k),
         *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, constants),
     ]
-    return VariationalReport(
-        noise_kind=type(model.coefficient).__name__,
-        constants=constants,
-        conditions=tuple(conditions),
-    )

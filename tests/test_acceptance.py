@@ -87,20 +87,19 @@ def test_criterion_2_hypothesis_audits(capsys, torus_small):
     violations = 0
     checked = 0
     for psi in psis:
-        rep = verify_psi_inequalities(psi, sample_count=20_000)
-        violations += rep.violation_count
-        checked += rep.sample_count
+        conditions = verify_psi_inequalities(psi, sample_count=20_000)
+        violations += sum(c.violation_count for c in conditions)
+        checked += conditions[0].checked
     for model in models.values():
         audit = audit_h2_h3(torus_small, model, sample_count=2_000)
-        violations += audit.violation_count
+        violations += sum(c.violation_count for c in audit.conditions)
         checked += audit.sample_count
     for psi in psis:
         for model in models.values():
             for epsilon in (0.01, 0.1, 0.5):
-                var = check_variational_conditions(
+                for cond in check_variational_conditions(
                     torus_small, psi, model, epsilon, sample_count=10_000
-                )
-                for cond in var.conditions:
+                ):
                     violations += cond.violation_count
                     checked += cond.checked
     elapsed = time.perf_counter() - start

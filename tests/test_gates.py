@@ -36,6 +36,11 @@ anti_monotone_psi = _psi(lambda r: -np.asarray(r, dtype=float), 1.0)
 overstated_coercivity = _psi(lambda r: np.asarray(r, dtype=float), 1.0, 5.0, slope_min=1.0)
 # psi = r / 2 declared exactly linear with slope 1
 misdeclared_slope = _psi(lambda r: 0.5 * np.asarray(r, dtype=float), 1.0, linear_slope=1.0)
+# psi = r, but NaN for |r| > 0.3: a NaN slack is a violation, never a pass
+nan_beyond = _psi(
+    lambda r: np.where(np.abs(r) > 0.3, np.nan, np.asarray(r, dtype=float)), 1.0, 1.0,
+    slope_min=1.0,
+)
 
 
 def understated_h3(monkeypatch):
@@ -128,6 +133,22 @@ def test_planted_defect_fails_gate(tmp_path, monkeypatch, check, command, scn, p
         # an audit's failure names the sample that violates it
         detail = next(f["detail"] for f in failures if f["name"] == check)
         assert "witness" in detail, detail
+    # witness numbers are plain floats, whatever the numpy version
+    assert not any("np.float64" in f["detail"] for f in failures), failures
+
+
+def test_non_finite_psi_fails_every_psi_audit(tmp_path, monkeypatch):
+    nan_beyond(monkeypatch)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["inequalities", "--scenario", str(SCENARIO_DIR / SMALL), "--out", str(out)])
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())["failures"]
+    assert [f["name"] for f in failures] == [
+        "psi_pointwise", "hemicontinuity", "local_monotonicity", "coercivity", "growth",
+    ]
+    for failure in failures:
+        assert "witness" in failure["detail"] and "nan" in failure["detail"], failure
 
 
 @pytest.mark.parametrize("command,scn", sorted({(g[1], g[2]) for g in GATES}))

@@ -176,7 +176,8 @@ def test_hypothesis_audit_passes(torus_small, model_factory):
         "multiplicative": lambda: multiplicative_model(),
     }[model_factory]()
     report = audit_h2_h3(torus_small, model, sample_count=500, seed=7)
-    assert report.passed, report.witness
+    assert report.passed, [c.witness for c in report.conditions]
+    assert [c.name for c in report.conditions] == ["H3", "H2", "H2 (L2)"]
     assert report.h2_empirical <= report.h2_closed_form * (1 + 1e-9) + 1e-15
     assert report.h2_l2_empirical <= report.h2_l2_closed_form * (1 + 1e-9) + 1e-15
     assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
@@ -219,9 +220,9 @@ def test_hypothesis_audit_is_one_draw_at_any_block_size(torus_small, monkeypatch
         assert report.h2_empirical == h2.max()
         assert report.h2_l2_empirical == h2_l2.max()
         assert report.h3_empirical == h3.max()
-        assert report.violation_count == 0
+        assert [c.violation_count for c in report.conditions] == [0, 0, 0]
         report = audit_h2_h3(op, halved_l2(model), sample_count=500, seed=7)
-        assert report.violation_count == over_halved
+        assert [c.violation_count for c in report.conditions] == [0, 0, over_halved]
 
 
 @pytest.mark.parametrize("sample_count", [2_000, 20_000])
@@ -245,7 +246,9 @@ def test_hypothesis_audit_flags_understated_l2_growth(torus_small):
     # understated one fails with an H2 (L2) witness while F* H2 and H3 hold
     report = audit_h2_h3(torus_small, halved_l2(multiplicative_model()), sample_count=500, seed=7)
     assert not report.passed
-    assert report.witness.startswith("H2 (L2) ratio")
+    failed = [c for c in report.conditions if not c.passed]
+    assert [c.name for c in failed] == ["H2 (L2)"]
+    assert failed[0].witness.startswith("sample ")
     assert report.h2_l2_empirical > report.h2_l2_closed_form
     assert report.h2_empirical <= report.h2_closed_form
     assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15

@@ -6,6 +6,7 @@ saturating), k = scale (scaled_linear), k = 3/2 (soft_monotone, slope
 tends to 1 at infinity, its declared slope infimum.
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -66,20 +67,20 @@ def test_saturating_pair_slack_by_hand():
 
 @pytest.mark.parametrize("psi", _all_kinds(), ids=lambda p: p.kind)
 def test_inequality_audit_zero_violations(psi):
-    report = verify_psi_inequalities(psi, sample_count=20_000, seed=5)
-    assert report.passed
-    assert report.violation_count == 0
-    assert report.violation_witness is None
-    assert not (report.min_pair_slack < 0.0)
-    assert not (report.min_self_slack < 0.0)
-    assert not (report.min_slope_slack < 0.0)
+    conditions = verify_psi_inequalities(psi, sample_count=20_000, seed=5)
+    assert [c.name for c in conditions] == ["pair", "self", "slope"]
+    for cond in conditions:
+        assert cond.passed
+        assert cond.violation_count == 0
+        assert cond.witness is None
+        assert not (cond.min_slack < 0.0)
 
 
 def test_zero_kind_saturates_self_inequality():
     # psi = 0 makes both slacks identically zero
-    report = verify_psi_inequalities(make_psi("zero"), sample_count=100, seed=1)
-    assert report.min_pair_slack == 0.0
-    assert report.min_self_slack == 0.0
+    pair, self_, _ = verify_psi_inequalities(make_psi("zero"), sample_count=100, seed=1)
+    assert pair.min_slack == 0.0
+    assert self_.min_slack == 0.0
 
 
 def test_make_psi_validation():
@@ -121,13 +122,16 @@ def test_linear_slope_tags():
 ])
 def test_overstated_slope_min_fails_audit(kind, kwargs, declared):
     overstated = dataclasses.replace(make_psi(kind, **kwargs), slope_min=declared)
-    report = verify_psi_inequalities(overstated, sample_count=2_000, seed=3)
-    assert not report.passed
-    assert report.min_slope_slack < 0.0
-    # the witness is a sampled pair whose difference quotient is below the claim
-    r, r_prime, slack = report.violation_witness
+    conditions = verify_psi_inequalities(overstated, sample_count=2_000, seed=3)
+    slope = conditions[2]
+    assert not all(c.passed for c in conditions) and not slope.passed
+    assert slope.min_slack < 0.0
+    # the witness names a sampled pair whose difference quotient is below the claim
+    named = re.fullmatch(r"\(r, r'\) \((\S+), (\S+)\): lhs=(\S+) rhs=(\S+)", slope.witness)
+    r, r_prime, lhs, rhs = map(float, named.groups())
     psi = overstated.evaluate(np.array([r, r_prime]))
-    assert (psi[0] - psi[1]) / (r - r_prime) < declared and slack < 0.0
+    assert (psi[0] - psi[1]) / (r - r_prime) < declared and rhs - lhs < 0.0
+    assert rhs - lhs == slope.min_slack
 
 
 def test_evaluate_preserves_shape():
