@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .nonlinearity import NonlinearityPsi
-from .noise import MultiplicativeCoefficient, NoiseModel, path_seed, sample_noise_path
+from .noise import NoiseModel, path_seed, sample_noise_path
 from .operators import OperatorSpectrum
 from .reporting import (
     ConstantRecord,
@@ -173,9 +173,10 @@ class StudyPlan:
 # --------------------------------------------------------------------------
 # chunked simulation
 
-# Rows (path x ladder cell) one chunk advances in lockstep.  Batched gemms on
-# a 65-mode basis stay fast up to about 64 rows with default BLAS threading;
-# past that, multithreaded gemm dominates the step.
+# Rows (path x ladder cell) one chunk advances in lockstep.  With default
+# threading (OpenBLAS 0.3.31, 2 cores), the (rows, 65) @ basis.T gemm of
+# to_physical stays single-threaded up to 96 rows and runs on two threads
+# (cpu/wall 2.0) from 128 rows; 64 rows keep every chunk single-threaded.
 CHUNK_ROWS = 64
 
 
@@ -657,27 +658,6 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
 # uniqueness / stability of the implicit limit
 
 
-def _jump_budget(noise: NoiseModel, path, times: np.ndarray) -> np.ndarray:
-    """Log growth of a coupled perturbation gap the noise allows up to each t.
-
-    A multiplicative jump scales the gap by |1 + sigma_j| <= 1 + |sigma_j|,
-    and the compensator by 1 - dt sum_j nu_j sigma_j per step, which grows
-    it only when that sum is negative; the drift itself contracts.  So by
-    time t the budget is sum_{tau_j <= t} log1p(|sigma_j|) plus
-    t max(0, -sum_j nu_j sigma_j).  Additive and zero noise cancel exactly in
-    the coupled difference: budget 0.
-    """
-    coefficient = noise.coefficient
-    if not isinstance(coefficient, MultiplicativeCoefficient):
-        return np.zeros_like(times)
-    sigmas = np.asarray(coefficient.sigmas, dtype=float)
-    accrued = np.concatenate(
-        [[0.0], np.cumsum(np.log1p(np.abs(sigmas[path.mark_indices])))]
-    )
-    drift = max(0.0, -float(np.sum(noise.intensities * sigmas)))
-    return accrued[np.searchsorted(path.times, times, side="right")] + drift * times
-
-
 def _excess_growth_rate(times, gap, gap0, budget) -> float:
     """max over t > 0 of (log(gap(t) / gap0) - budget(t)) / t; -inf if no gap."""
     positive = (gap > 0) & (times > 0)
@@ -693,8 +673,9 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
 
     Also perturbs the initial condition and checks that the coupled distance
     decays, or at worst never grows by more than the jump budget accrued up to
-    each time (:func:`_jump_budget`).  The three rows (config a, config b,
-    config a from the perturbed start) march in lockstep on the path's grid.
+    each time (:meth:`levypme.noise.NoiseModel.gap_log_budget`).  The three
+    rows (config a, config b, config a from the perturbed start) march in
+    lockstep on the path's grid.
     """
     epsilon, lam = plan.finest_cell
     seed = path_seed(plan.master_seed, 0)
@@ -740,7 +721,7 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
     ]
 
     d0 = delta_scale / math.sqrt(epsilon + plan.op.eigenvalues[bump_index])
-    budget = _jump_budget(plan.noise, noise_path, times)
+    budget = plan.noise.gap_log_budget(noise_path, times)
     envelope_rate = _excess_growth_rate(times, np.sqrt(gap_sq), d0, budget)
     cap = PERTURBATION_RATE_HEADROOM
     checks.append(

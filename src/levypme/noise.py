@@ -139,6 +139,22 @@ class NoiseModel:
             return float(np.sum(sig * sig * self.intensities))
         return 0.0
 
+    def gap_log_budget(self, path: NoisePath, times: np.ndarray) -> np.ndarray:
+        """Log growth of a coupled perturbation gap the noise allows by each t.
+
+        A multiplicative jump scales the gap by |1 + sigma_j| <= 1 + |sigma_j|
+        and the compensator by 1 - dt sum_j nu_j sigma_j per step, a growth
+        only when that sum is negative; the drift contracts.  So the budget is
+        sum_{tau_j <= t} log1p(|sigma_j|) + t max(0, -sum_j nu_j sigma_j).
+        Additive and zero noise cancel in the coupled difference: budget 0.
+        """
+        if not isinstance(self.coefficient, MultiplicativeCoefficient):
+            return np.zeros_like(times)
+        sigmas = np.asarray(self.coefficient.sigmas, dtype=float)
+        accrued = np.concatenate([[0.0], np.cumsum(np.log1p(np.abs(sigmas[path.mark_indices])))])
+        drift = max(0.0, -float(np.sum(self.intensities * sigmas)))
+        return accrued[np.searchsorted(path.times, times, side="right")] + drift * times
+
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:

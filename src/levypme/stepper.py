@@ -12,8 +12,9 @@ parameters, mixing history and certificate; :func:`march` advances many
 (path, config) rows in lockstep with it, and :func:`solve_regularized_path`
 is its one-path call.  :func:`implicit_step` is the kernel's one-row call,
 kept because the benchmark's tracer counts steps through it.  The drift
-itself is evaluated only by :func:`drift_rows`, which the variational audits
-share.
+itself is evaluated only by :func:`drift_rows`, in the one call shape
+``(op, psi, u)`` that the variational audits share; the inner solver adds the
+lam u term on coefficients, where it is diagonal.
 """
 from __future__ import annotations
 
@@ -238,21 +239,17 @@ def _mixing(g, sr, dG, dS, gram, slot):
     return g - np.einsum("rj,rjn->rn", gamma[..., 0], dG)
 
 
-def drift_rows(op, psi, u, lam=None):
-    """Coefficient rows of psi(u) + lam u, one per row of ``u``.
+def drift_rows(op, psi, u):
+    """Coefficient rows of psi(u), one per row of ``u``.
 
-    The one evaluation of the drift (L - eps)(psi(u) + lam u), less its
-    diagonal factor -(eps + mu_k), which each caller attaches.  The inner
-    solver's certificate passes its per-row lam; the variational audits
-    evaluate A(u) = (L - eps) psi(u) and pass none, which skips the shift
-    term and its two passes over the nodal values.  This is the only place
-    that composes to_physical, psi and to_spectral; the hemicontinuity audit
-    pairs psi's nodal values directly, and a test pins that pairing to this
-    kernel.
+    The one evaluation of the drift (L - eps) psi(u), less its diagonal
+    factor -(eps + mu_k), which each caller attaches.  The inner solver and
+    the variational audits call it alike; the solver adds the lam u term on
+    coefficients, where it is diagonal.  This is the only place that composes
+    to_physical, psi and to_spectral; the hemicontinuity audit pairs psi's
+    nodal values directly, and a test pins that pairing to this kernel.
     """
-    phys = op.to_physical(u)
-    values = psi.evaluate(phys)
-    return op.to_spectral(values if lam is None else values + lam * phys)
+    return op.to_spectral(psi.evaluate(op.to_physical(u)))
 
 
 def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCounters):
@@ -266,13 +263,16 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     certificate residual r = u + d w(u) - b, so each update combines the map
     values of the last ANDERSON_DEPTH + 1 iterates with the weights that
     minimise the combined r in the row's F12_star(eps_r) norm, at no extra
-    drift evaluation.  Each row keeps its own history and certificate and
-    returns its best-certified iterate.  A row stops when its residual meets
-    its target, or on the floating-point floor (an iteration that does not
-    improve on a residual already within inner_tolerance), and then leaves
-    the active set, so the remaining rows run on a compacted array.
-    Iterations count drift evaluations, the first one included; every row's
-    count, contraction and budget miss is recorded in ``counters``.
+    drift evaluation.  The basis is orthonormal, so lam u is diagonal: the
+    scaled residual s r, s = (eps + mu)^(-1/2), is cw psi(u) - sb + cu u on
+    coefficients, with cw = s d, sb = s b and cu = s (1 + lam d).  Each row
+    keeps its own history and certificate and returns its best-certified
+    iterate.  A row stops when its residual meets its target, or on the
+    floating-point floor (an iteration that does not improve on a residual
+    already within inner_tolerance), and then leaves the active set, so the
+    remaining rows run on a compacted array.  Iterations count drift
+    evaluations, the first one included; every row's count, contraction and
+    budget miss is recorded in ``counters``.
 
     Returns the solutions and the per-row iteration counts; raises
     StepperConvergenceError at the first non-finite residual, and for the
@@ -283,15 +283,15 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     iterations = np.zeros(n, dtype=int)
     final_res = np.zeros(n)
     rows = np.arange(n)
-    bb, tgt = b, target
+    tgt, tol, scale = target, params.tolerance, params.dual_scale
     d = dt[:, None] * params.eps_plus_mu
-    lam, scale, tol = params.lam, params.dual_scale, params.tolerance
+    cu, cw, sb = scale * (1.0 + params.lam * d), scale * d, scale * b
     # G(u) = u - sr * step, with sr = scale * r the scaled certificate residual
     step = 1.0 / (scale * (1.0 + params.mu_s * d))
 
     def certify(u):
         """Scaled residual rows and their norms, the F12_star(eps_r) norms of r."""
-        sr = scale * (u + d * drift_rows(op, psi, u, lam) - bb)
+        sr = cw * drift_rows(op, psi, u) - sb + cu * u
         res = np.sqrt(np.einsum("ij,ij->i", sr, sr))
         if not np.isfinite(res).all():
             r = rows[int(np.argmin(np.isfinite(res)))]
@@ -309,29 +309,28 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     dG = np.zeros((n, ANDERSON_DEPTH, u.shape[1]))
     dS = np.zeros_like(dG)
     gram = np.tile(np.eye(ANDERSON_DEPTH), (n, 1, 1))
-    g_prev = sr_prev = None
+    g_prev, sr_prev = u, sr  # placeholders until the first map value
 
     def retire(done, count):
-        nonlocal rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best, dG, dS, gram
+        """Record the finished rows; compact the others, if any are left."""
+        nonlocal rows, sb, cu, cw, step, tgt, tol, u, sr, best_u, best, dG, dS, gram
         nonlocal g_prev, sr_prev
         ids = rows[done]
         out[ids], final_res[ids], iterations[ids] = best_u[done], best[done], count
+        if done.all():
+            return False
         keep = np.flatnonzero(~done)
-        rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best, dG, dS, gram = (
-            a[keep] for a in (rows, bb, tgt, tol, d, lam, scale, step, u, sr, best_u, best,
-                              dG, dS, gram)
-        )
-        if g_prev is not None:
-            g_prev, sr_prev = g_prev[keep], sr_prev[keep]
+        (rows, sb, cu, cw, step, tgt, tol, u, sr, best_u, best, dG, dS, gram, g_prev,
+         sr_prev) = (a[keep] for a in (rows, sb, cu, cw, step, tgt, tol, u, sr, best_u,
+                                       best, dG, dS, gram, g_prev, sr_prev))
+        return True
 
     done = best <= tgt
     for k in range(1, params.max_iterations + 1):
-        if done.any():
-            retire(done, k)
-            if not rows.size:
-                break
+        if done.any() and not retire(done, k):
+            break
         g = u - sr * step
-        if g_prev is None:
+        if k == 1:
             u = g
         else:
             slot = (k - 2) % ANDERSON_DEPTH
@@ -346,7 +345,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
         # Floating-point floor: the contractual tolerance holds but the
         # iteration no longer improves on it.
         done = (best <= tgt) | (~improved & (best <= tol))
-    if rows.size:
+    else:
         retire(np.ones(rows.size, dtype=bool), params.max_iterations)
 
     failed = final_res > np.maximum(target, params.tolerance)

@@ -1,7 +1,8 @@
 """Sampled verification of the variational-framework conditions.
 
 The drift operator under test is A(u) = (L - eps) psi(u), evaluated by the
-stepper's own drift kernel (:func:`levypme.stepper.drift_rows`, no lam shift).
+stepper's own drift kernel :func:`levypme.stepper.drift_rows`, called in the
+one shape ``(op, psi, u)`` the inner solver uses too.
 Four conditions are audited over randomly sampled states: hemicontinuity of
 the dualization pairing, local monotonicity against the jump-coefficient gap,
 coercivity (when psi carries a coercivity constant) and linear growth into the

@@ -23,7 +23,6 @@ from levypme.cascade import (
     _fit_exponential_shape,
     _fit_log_slope,
     _gronwall_rate,
-    _jump_budget,
     _run_cells,
     apriori_study,
     eps_cauchy_study,
@@ -346,7 +345,7 @@ def test_uniqueness_inflated_gap_fails():
     times, gaps = (np.array(col) for col in zip(*table.rows))
     plan = build_plan(replace(load_scenario(ACCEPTANCE), master_seed=649757350))
     path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, 0))
-    budget = _jump_budget(plan.noise, path, times)
+    budget = plan.noise.gap_log_budget(path, times)
     assert budget[-1] == pytest.approx(report.extra["jump_budget"], rel=1e-15)
     honest = _excess_growth_rate(times, gaps, gaps[0], budget)
     assert honest <= PERTURBATION_RATE_HEADROOM

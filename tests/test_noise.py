@@ -278,6 +278,22 @@ def test_additive_h3_vanishes(torus_small):
     assert zero_model().h3_closed_form(torus_small) == 0.0
 
 
+def test_gap_log_budget_closed_form(torus_small):
+    # log1p |sigma| per jump up to t, plus t max(0, -sum nu sigma)
+    path = NoisePath(np.array([0.25, 0.5]), np.array([1, 0]), 0, 1.0)
+    times = np.array([0.0, 0.25, 0.4, 0.5, 1.0])
+    growing = multiplicative_model(sigmas=(0.1, -0.3), intensities=(2.0, 1.0))
+    first, both = math.log1p(0.3), math.log1p(0.3) + math.log1p(0.1)
+    jumps = np.array([0.0, first, first, both, both])
+    assert growing.gap_log_budget(path, times) == pytest.approx(jumps + 0.1 * times, rel=1e-14)
+    damped = multiplicative_model()  # sum nu sigma = 0.11 > 0: no compensator growth
+    first, both = math.log1p(0.05), math.log1p(0.05) + math.log1p(0.08)
+    assert damped.gap_log_budget(path, times) == pytest.approx(
+        [0.0, first, first, both, both], rel=1e-14)
+    for cancels in (additive_model(torus_small), zero_model()):
+        assert not cancels.gap_log_budget(path, times).any()
+
+
 def test_export_parse_round_trip(torus_small):
     """The export is a seed/horizon header, a column line and one
     ``repr(t),label`` row per jump, in time order."""

@@ -1,8 +1,9 @@
 """Implicit stepping: frozen one-step values, residual contract, exact oracles.
 
 The one-step frozen value: for psi = identity, lam = 0 the step is diagonal,
-u_k = b_k / (1 + h (eps + mu_k)); at mu = 1, eps = 0.1, h = 0.1 that factor
-is 1/1.11 = 0.9009009009009008.
+u_k = b_k / (1 + h (eps + mu_k)); at mu = 1, eps = 0.1, h = 0.1 that factor,
+taken exactly on the float inputs and rounded once, is 0.9009009009009009
+(the float quotient 1 / 1.11 rounds to 0.9009009009009008).
 """
 import io
 import json
@@ -43,7 +44,7 @@ def test_single_linear_step_frozen():
     cfg = StepConfig(h=0.1, epsilon=0.1)
     b = op.field_from_coefficients(np.array([1.0]))
     u = implicit_step(op, make_psi("identity"), cfg, b)
-    assert u[0] == 0.9009009009009008
+    assert u[0] == 0.9009009009009009
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1], ids=["zero", "negative"])
@@ -67,11 +68,14 @@ def _step_residual(op, psi, cfg, u, b, dt):
     ("scaled_linear", {"scale": 2.0}),
 ])
 def test_residual_contract(torus_small, kind, kwargs):
+    # the solver's coefficient-space lam u against the physical-space residual,
+    # on both spectrum families
     psi = make_psi(kind, **kwargs)
     cfg = StepConfig(h=0.25, epsilon=0.2, lam=0.1, inner_tolerance=1e-11)
-    b = smooth_field(torus_small, amplitude=1.5)
-    u = implicit_step(torus_small, psi, cfg, b)
-    assert _step_residual(torus_small, psi, cfg, u, b, cfg.h) <= 1e-11
+    for op in (torus_small, spectrum_from_eigenvalues(torus_small.eigenvalues)):
+        b = smooth_field(op, amplitude=1.5)
+        u = implicit_step(op, psi, cfg, b)
+        assert _step_residual(op, psi, cfg, u, b, cfg.h) <= 1e-11
 
 
 def test_step_nonexpansive_in_dual(torus_small):
