@@ -23,6 +23,8 @@ parameters:
 
 Every study takes only the plan and runs at :attr:`StudyPlan.finest_cell`;
 a ladder study varies its own parameter and holds the other one there.
+:func:`constants_used` builds every report's record of that cell's derived
+constants; theta and the monotonicity shift come from :mod:`levypme.variational`.
 
 Every study is one serial pipeline: :func:`levypme.stepper.march` advances
 the rows in lockstep, squared norms are taken at each step, and
@@ -70,10 +72,11 @@ from .stepper import (
     march,
     time_grid,
 )
-from .variational import EstimateConstants
+from .variational import monotonicity_shift, theta
 
 __all__ = [
     "StudyPlan",
+    "constants_used",
     "lambda_cauchy_study",
     "eps_cauchy_study",
     "apriori_study",
@@ -225,10 +228,11 @@ def _march_cells(plan: StudyPlan, cells):
     op = plan.op
     n_cells = len(cells)
     configs = [plan.step_config(epsilon, lam) for epsilon, lam in cells]
-    # Differences are measured in the dual-type norm of the *larger* epsilon:
-    # for the lambda ladder the two epsilons agree, for the epsilon ladder the
-    # larger-epsilon norm is the weaker one, which is the one the continuity
-    # estimate controls.
+    # Differences are measured in the dual-type norm of the *larger* epsilon.
+    # For the lambda ladder the two epsilons agree, so every pair has the same
+    # norm.  For the epsilon ladder it is the weaker of the pair's two norms,
+    # and it changes from pair to pair along the ladder: the pairs are not
+    # measured in one fixed norm.
     pair_kinds = [F12_star(max(a[0], b[0])) for a, b in zip(cells, cells[1:])]
     # Squared-norm columns per row: L2 of each cell, F12 of each cell, then
     # the adjacent pairs.
@@ -307,8 +311,7 @@ def _fit_log_slope(gaps, means, stderrs) -> SlopeFit:
         return SlopeFit(nan, nan, nan, nan, False, int(gaps.size))
     x = np.log(gaps)
     y = np.log(means)
-    rel = np.where(means > 0, stderrs / means, np.inf)
-    var = np.maximum(rel**2, 1e-30)
+    var = np.maximum((stderrs / means) ** 2, 1e-30)
     w = 1.0 / var
     xbar = float((w * x).sum() / w.sum())
     ybar = float((w * y).sum() / w.sum())
@@ -335,29 +338,32 @@ def _fit_log_slope(gaps, means, stderrs) -> SlopeFit:
     )
 
 
-def _constants_used(plan: StudyPlan) -> dict:
-    """The estimate constants of the plan's finest cell, one record per name."""
+def constants_used(plan: StudyPlan) -> dict:
+    """Every derived constant of the plan's finest cell, one record per name:
+    the ``constants_used`` of every report.  ``coercivity_c`` is there only
+    when psi certifies one."""
     epsilon, lam = plan.finest_cell
-    h2 = plan.noise.h2_closed_form(plan.op)
-    h3 = plan.noise.h3_closed_form(plan.op)
-    constants = EstimateConstants.from_components(plan.psi, epsilon, h2, h3)
-    used = {
-        name: ConstantRecord(value, formula)
-        for name, (value, formula) in constants.as_records().items()
+    psi, noise, op = plan.psi, plan.noise, plan.op
+    h3 = noise.h3_closed_form(op)
+    rate, offset, _ = _moment_constants(plan)
+    records = {
+        "lipschitz_k": (psi.lipschitz_k, "slope supremum of psi"),
+        "alpha_tilde": (psi.alpha_tilde, "1 / (lipschitz_k + 1)"),
+        "h2_constant": (noise.h2_closed_form(op), "closed-form growth constant of the noise"),
+        "h3_constant": (h3, "closed-form gap constant of the noise"),
+        "theta": (theta(psi, epsilon), "theta^2 = c / (2 k^2 (1-eps) + c); 1 when c absent"),
+        "monotonicity_shift": (
+            monotonicity_shift(psi, epsilon, h3), "2 (1-eps)^2 / alpha_tilde + h3_constant"
+        ),
+        "moment_gronwall_rate": (rate, "(4 davis^2 + 6) * h2 constant in the L2 norm"),
+        "moment_gronwall_offset": (offset, "moment_gronwall_rate * horizon"),
+        "davis_constant": (DAVIS_CONSTANT, "p=1 martingale maximal-inequality constant"),
+        "lam": (lam, "nonlinearity smoothing level"),
+        "epsilon": (epsilon, "operator shift level"),
     }
-    rate = _gronwall_rate(plan)
-    used["moment_gronwall_rate"] = ConstantRecord(
-        rate, "(4 davis^2 + 6) * h2 constant in the L2 norm"
-    )
-    used["moment_gronwall_offset"] = ConstantRecord(
-        rate * plan.horizon, "moment_gronwall_rate * horizon"
-    )
-    used["davis_constant"] = ConstantRecord(
-        DAVIS_CONSTANT, "p=1 martingale maximal-inequality constant"
-    )
-    used["lam"] = ConstantRecord(lam, "nonlinearity smoothing level")
-    used["epsilon"] = ConstantRecord(epsilon, "operator shift level")
-    return used
+    if psi.coercivity_c is not None:
+        records["coercivity_c"] = (psi.coercivity_c, "psi(r) r >= c r^2")
+    return {name: ConstantRecord(*record) for name, record in records.items()}
 
 
 def _base_parameters(plan: StudyPlan) -> dict:
@@ -404,7 +410,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
     fit = _fit_log_slope([p.gap for p in pairs], [p.mean for p in pairs],
                          [p.stderr for p in pairs])
     # The contraction constant implied by the worst pair; reported, not gated.
-    envelope_c = max((p.mean / p.gap for p in pairs if p.gap > 0), default=float("nan"))
+    envelope_c = max(p.mean / p.gap for p in pairs)
 
     checks = [
         PropertyCheck(
@@ -462,7 +468,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
         parameters=parameters,
         pairs=pairs,
         slope=fit,
-        constants_used=_constants_used(plan),
+        constants_used=constants_used(plan),
         checks=checks,
         extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
@@ -489,18 +495,16 @@ def eps_cauchy_study(plan: StudyPlan) -> StudyReport:
 # a priori moment bound
 
 
-def _gronwall_rate(plan: StudyPlan) -> float:
-    # Chain: Ito in L2; Davis (constant 3) on the linear jump martingale with
-    # Young at eta = 1/2; crude doubling on the quadratic jump martingale;
-    # absorb 1/2 E sup and double.  Rate = 2 (2 davis^2 + 3) h2_L2.
-    h2_l2 = plan.noise.h2_closed_form(plan.op, L2)
-    return (4.0 * DAVIS_CONSTANT**2 + 6.0) * h2_l2
+def _moment_constants(plan: StudyPlan) -> tuple[float, float, float]:
+    """(rate, offset, floor) of the moment bound exp(rate T) (floor + offset):
+    the Gronwall rate, the offset rate * T and the floor 2 |x0|_2^2.
 
-
-def _derived_bound(plan: StudyPlan) -> float:
-    rate = _gronwall_rate(plan)
-    x0_sq = norm(plan.op, plan.initial, L2) ** 2
-    return math.exp(rate * plan.horizon) * (2.0 * x0_sq + rate * plan.horizon)
+    Chain: Ito in L2; Davis (constant 3) on the linear jump martingale with
+    Young at eta = 1/2; crude doubling on the quadratic jump martingale;
+    absorb 1/2 E sup and double.  Rate = 2 (2 davis^2 + 3) h2_L2.
+    """
+    rate = (4.0 * DAVIS_CONSTANT**2 + 6.0) * plan.noise.h2_closed_form(plan.op, L2)
+    return rate, rate * plan.horizon, 2.0 * norm(plan.op, plan.initial, L2) ** 2
 
 
 def _integral_weight(epsilon: float, lam: float) -> float:
@@ -508,30 +512,30 @@ def _integral_weight(epsilon: float, lam: float) -> float:
     return 4.0 * lam * epsilon
 
 
-def _fit_exponential_shape(plan, times, curve):
-    """Fit exp(c1 t) (2 |x|^2 + c2) to a running moment curve.
+def _fit_exponential_shape(floor, times, curve):
+    """Fit exp(c1 t) (floor + c2) to a running moment curve, where floor is
+    the bound's 2 |x0|_2^2.
 
     Least squares in log space with the offset constrained to c2 >= 0 and the
     rate to c1 >= 0; returns (c1, c2, envelope_ratio) where the ratio is
     max_t curve / fit.
     """
-    x0_sq = norm(plan.op, plan.initial, L2) ** 2
     mask = curve > 0
     t = times[mask]
     y = np.log(curve[mask])
     if t.size < 3:
         return float("nan"), float("nan"), float("nan")
     slope, intercept = np.polyfit(t, y, 1)
-    c2 = math.exp(intercept) - 2.0 * x0_sq
+    c2 = math.exp(intercept) - floor
     if c2 < 0 or slope < 0:
         # Constrained refit: pin the offset at zero (the curve already sits
-        # below the 2|x|^2 floor) and keep the growth rate nonnegative.
+        # below the floor) and keep the growth rate nonnegative.
         c2 = max(0.0, c2)
-        base = 2.0 * x0_sq + c2
+        base = floor + c2
         denom = float(np.sum(t * t))
         slope = max(0.0, float(np.sum(t * (y - math.log(base))) / denom))
     c1 = float(slope)
-    fit_curve = np.exp(c1 * times) * (2.0 * x0_sq + c2)
+    fit_curve = np.exp(c1 * times) * (floor + c2)
     ratio = float(np.max(curve / fit_curve)) if np.all(fit_curve > 0) else float("inf")
     return c1, float(c2), ratio
 
@@ -542,7 +546,8 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
     _, cells, held = _ladder_cells(plan, "lam")
     results = _run_cells(plan, cells)
 
-    bound = _derived_bound(plan)
+    _, offset, floor = _moment_constants(plan)
+    bound = math.exp(offset) * (floor + offset)
     checks: list[PropertyCheck] = []
     cell_rows = []
     cell_records = []
@@ -595,7 +600,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         sup_curves = np.ascontiguousarray(results["running_sup_l2"][:, j])
         int_curves = np.ascontiguousarray(results["running_integral_f12"][:, j])
         mean_curve = sup_curves.mean(axis=0) + weight * int_curves.mean(axis=0)
-        c1, c2, ratio = _fit_exponential_shape(plan, base_times, mean_curve)
+        c1, c2, ratio = _fit_exponential_shape(floor, base_times, mean_curve)
         shape_rows.append((lam_j, c1, c2, ratio))
         shape_fits.append(
             {"lam": lam_j, "fit_rate": c1, "fit_offset": c2, "envelope_ratio": ratio}
@@ -642,7 +647,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         parameters=parameters,
         pairs=[],
         slope=None,
-        constants_used=_constants_used(plan),
+        constants_used=constants_used(plan),
         checks=checks,
         extra={
             "solver": dict(results["solver"]),
@@ -716,7 +721,10 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
         PropertyCheck(
             name="solver_config_independent",
             passed=bool(sup_diff <= tolerance),
-            detail=f"sup gap {sup_diff:.3e} <= {tolerance:.1e} (10x inner tolerance)",
+            detail=(
+                f"sup gap {sup_diff:.3e} <= {tolerance:.1e} "
+                f"({UNIQUENESS_TOLERANCE_FACTOR:g}x inner tolerance)"
+            ),
         )
     ]
 
@@ -760,7 +768,7 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
         parameters=parameters,
         pairs=[],
         slope=None,
-        constants_used=_constants_used(plan),
+        constants_used=constants_used(plan),
         checks=checks,
         extra={
             "sup_config_gap": sup_diff,

@@ -46,10 +46,10 @@ import numpy as np
 from . import __version__
 from .cascade import (
     apriori_study,
+    constants_used,
     eps_cauchy_study,
     lambda_cauchy_study,
     uniqueness_check,
-    _constants_used,
 )
 from .noise import audit_h2_h3, export_noise_path, path_seed, sample_noise_path
 from .nonlinearity import verify_psi_inequalities
@@ -146,7 +146,7 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
             "modes": int(plan.op.mode_count),
             "jumps": int(noise_path.jump_count),
         },
-        constants_used=_constants_used(plan),
+        constants_used=constants_used(plan),
         checks=checks,
         extra={
             "grid_rows": int(traj.times.size),
@@ -227,7 +227,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
             "noise_kind": plan.noise.coefficient.__class__.__name__,
             "modes": int(plan.op.mode_count),
         },
-        constants_used=_constants_used(plan),
+        constants_used=constants_used(plan),
         checks=checks,
         extra={
             "h2_empirical": noise_report.h2_empirical,

@@ -585,6 +585,7 @@ def solve_regularized_path(
     ):
         left_states[i], states[i] = left[0], right[0]
     jump_flags = np.isin(grid, path.times)
+    summary = counters.summary()
 
     metadata = {
         "epsilon": cfg.epsilon,
@@ -596,8 +597,8 @@ def solve_regularized_path(
         "psi": psi.kind,
         "inner_tolerance": cfg.inner_tolerance,
         "splitting_mu": effective_splitting_mu(cfg, psi),
-        "contraction_factor": iteration_contraction_factor(op, psi, cfg),
-        "max_inner_iterations_used": counters.summary()["inner_iterations_max"],
+        "contraction_factor": summary["apriori_contraction_factor"],
+        "max_inner_iterations_used": summary["inner_iterations_max"],
     }
     return Trajectory(
         op, grid, states, left_states, jump_flags, base_mask, metadata, counters

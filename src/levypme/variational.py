@@ -10,6 +10,12 @@ dual of L2.  The inequalities hold with slack in the diagonal model, so each
 is judged by :func:`levypme.reporting.verdict` with zero tolerance: worst-case
 slack, violation count and a witness.
 
+The two derived constants the conditions are stated with are plain functions
+of psi's constants, epsilon and the noise's gap constant h3: :func:`theta`
+and :func:`monotonicity_shift`.  The audit and the reports'
+``constants_used`` record (:func:`levypme.cascade.constants_used`) both call
+them.
+
 Every audited state is transformed once.  Hemicontinuity draws its own
 triples (u, v, w) and takes each of its pairings on nodal values, which needs
 one transform of u, of v and of w each and none back.  The monotonicity pairs
@@ -26,8 +32,6 @@ whatever the sample or mode count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,64 +43,26 @@ from .spaces import F_STAR, squared_norm_rows
 from .stepper import drift_rows
 
 __all__ = [
-    "EstimateConstants",
     "check_variational_conditions",
+    "monotonicity_shift",
+    "theta",
 ]
 
 
-@dataclass(frozen=True)
-class EstimateConstants:
-    """Constants feeding the monotonicity/coercivity checks.
+def theta(psi: NonlinearityPsi, epsilon: float) -> float:
+    """theta of the coercivity estimate, from theta^2 = c / (2 k^2 (1-eps) + c),
+    so that -2c + 2 theta^2 k^2 (1-eps) < 0; 1 when psi certifies no
+    coercivity constant c.  k and c are psi's."""
+    k, c = psi.lipschitz_k, psi.coercivity_c
+    if c is None:
+        return 1.0
+    return math.sqrt(c / (2.0 * k * k * (1.0 - epsilon) + c))
 
-    lipschitz_k, alpha_tilde and coercivity_c come from the nonlinearity;
-    h2_constant and h3_constant from the noise audit (closed form);
-    monotonicity_shift is 2 (1-eps)^2 / alpha_tilde + h3_constant;
-    theta solves -2c + 2 theta^2 k^2 (1-eps) < 0 via
-    theta^2 = c / (2 k^2 (1-eps) + c) and defaults to 1 when c is absent.
-    """
 
-    lipschitz_k: float
-    alpha_tilde: float
-    coercivity_c: Optional[float]
-    epsilon: float
-    h2_constant: float
-    h3_constant: float
-    theta: float
-    monotonicity_shift: float
-
-    @classmethod
-    def from_components(
-        cls,
-        psi: NonlinearityPsi,
-        epsilon: float,
-        h2_constant: float,
-        h3_constant: float,
-    ) -> "EstimateConstants":
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must be within (0, 1)")
-        k, c = psi.lipschitz_k, psi.coercivity_c
-        if c is not None:
-            theta = math.sqrt(c / (2.0 * k * k * (1.0 - epsilon) + c))
-        else:
-            theta = 1.0
-        shift = 2.0 * (1.0 - epsilon) ** 2 / psi.alpha_tilde + h3_constant
-        return cls(k, psi.alpha_tilde, c, epsilon, h2_constant, h3_constant, theta, shift)
-
-    def as_records(self) -> dict:
-        rec = {
-            "lipschitz_k": (self.lipschitz_k, "slope supremum of psi"),
-            "alpha_tilde": (self.alpha_tilde, "1 / (lipschitz_k + 1)"),
-            "h2_constant": (self.h2_constant, "closed-form growth constant of the noise"),
-            "h3_constant": (self.h3_constant, "closed-form gap constant of the noise"),
-            "theta": (self.theta, "theta^2 = c / (2 k^2 (1-eps) + c); 1 when c absent"),
-            "monotonicity_shift": (
-                self.monotonicity_shift,
-                "2 (1-eps)^2 / alpha_tilde + h3_constant",
-            ),
-        }
-        if self.coercivity_c is not None:
-            rec["coercivity_c"] = (self.coercivity_c, "psi(r) r >= c r^2")
-        return rec
+def monotonicity_shift(psi: NonlinearityPsi, epsilon: float, h3: float) -> float:
+    """Shift of the local monotonicity condition: 2 (1-eps)^2 / alpha_tilde + h3,
+    with alpha_tilde psi's and h3 the noise's gap constant."""
+    return 2.0 * (1.0 - epsilon) ** 2 / psi.alpha_tilde + h3
 
 
 _IOTAS = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
@@ -143,19 +109,21 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
     return verdict("hemicontinuity", gap, bound, row)
 
 
-def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> list:
+def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
     """From one drift evaluation per state of the pairs (u1, u2):
     local monotonicity  2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2;
     coercivity on u1    2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
                           + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
                         skipped when psi certifies no coercivity constant c;
     growth on u2        ||A u||_(L2)* <= 2 k |u|_2.
+    k and c are psi's, h2 and h3 (in the shift) the noise's closed forms.
     Sample i is the pair (u1, u2) of rows i."""
-    k, c, eps = constants.lipschitz_k, constants.coercivity_c, constants.epsilon
+    k, c = psi.lipschitz_k, psi.coercivity_c
+    shift = monotonicity_shift(psi, eps, model.h3_closed_form(op))
     if c is not None:
-        theta2 = constants.theta**2
+        theta2 = theta(psi, eps) ** 2
         coef_l2 = -2.0 * c + 2.0 * theta2 * k * k * (1.0 - eps)
-        coef_fstar = 2.0 * (1.0 - eps) / theta2 + constants.h2_constant
+        coef_fstar = 2.0 * (1.0 - eps) / theta2 + model.h2_closed_form(op)
 
     def sides(block):
         a, b = block[:, 0], block[:, 1]
@@ -164,7 +132,7 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, constants) -> li
         out = [
             2.0 * np.einsum("ij,ij,j->i", d1 - d2, d_rows, dual_factor)
             + noise_mass_rows(op, model, a, b),
-            constants.monotonicity_shift * squared_norm_rows(op, d_rows, F_STAR),
+            shift * squared_norm_rows(op, d_rows, F_STAR),
             # the l2 norm of d2 * dual_factor, the coefficients of A u2 over 1+mu
             np.sqrt(np.einsum("ij,ij,j->i", d2, d2, np.square(dual_factor))),
             2.0 * k * np.sqrt(squared_norm_rows(op, b)),
@@ -207,18 +175,17 @@ def check_variational_conditions(
     hemicontinuity curve check carries a roundoff allowance tied to the
     pairing magnitude because it subtracts near-equal pairings.  Returns the
     hemicontinuity, local monotonicity, coercivity and growth results, in
-    that order.
+    that order.  ``epsilon`` must lie in (0, 1).
     """
     if sample_count < 10:
         raise ValueError("sample_count must be >= 10")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be within (0, 1)")
     rng = np.random.default_rng(seed)
     mu = op.eigenvalues
     dual_factor = -(mu + epsilon) / (1.0 + mu)  # pairing weight of A against (1+mu)^-1
-    constants = EstimateConstants.from_components(
-        psi, epsilon, model.h2_closed_form(op), model.h3_closed_form(op)
-    )
     return [
         _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor,
-                        constants.lipschitz_k),
-        *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, constants),
+                        psi.lipschitz_k),
+        *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, epsilon),
     ]

@@ -22,9 +22,10 @@ from levypme.cascade import (
     _excess_growth_rate,
     _fit_exponential_shape,
     _fit_log_slope,
-    _gronwall_rate,
+    _moment_constants,
     _run_cells,
     apriori_study,
+    constants_used,
     eps_cauchy_study,
     lambda_cauchy_study,
     uniqueness_check,
@@ -35,6 +36,7 @@ from levypme.operators import smooth_field, spectrum_from_eigenvalues
 from levypme.scenario import build_plan, load_scenario, scenario_hash
 from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import march, solve_regularized_path
+from levypme.variational import monotonicity_shift, theta
 
 from conftest import additive_model, multiplicative_model, zero_model
 
@@ -173,8 +175,38 @@ def test_gronwall_rate_frozen(torus_small):
     # (4 * 3^2 + 6) * h2_L2 = 42 * 0.0225 for sigmas (0.1, -0.05), nu (2, 1)
     plan = _plan(torus_small, noise=multiplicative_model(sigmas=(0.1, -0.05)))
     assert DAVIS_CONSTANT == 3.0
-    assert _gronwall_rate(plan) == pytest.approx(42.0 * 0.0225, rel=1e-15)
-    assert _gronwall_rate(_plan(torus_small, noise=zero_model())) == 0.0
+    rate, offset, floor = _moment_constants(plan)
+    assert rate == pytest.approx(42.0 * 0.0225, rel=1e-15)
+    assert offset == rate * plan.horizon
+    assert floor == 2.0 * norm(torus_small, plan.initial, L2) ** 2
+    assert _moment_constants(_plan(torus_small, noise=zero_model()))[0] == 0.0
+
+
+def test_constants_used_layout(torus_small):
+    # every report's record of the finest cell's constants, built in one place
+    plan = _plan(torus_small, psi=make_psi("soft_monotone"))
+    epsilon, lam = plan.finest_cell
+    rec = constants_used(plan)
+    assert set(rec) == {
+        "lipschitz_k", "alpha_tilde", "h2_constant", "h3_constant",
+        "theta", "monotonicity_shift", "coercivity_c",
+        "moment_gronwall_rate", "moment_gronwall_offset", "davis_constant",
+        "lam", "epsilon",
+    }
+    shift = rec["monotonicity_shift"]
+    assert shift.value == monotonicity_shift(
+        plan.psi, epsilon, plan.noise.h3_closed_form(torus_small)
+    )
+    assert "alpha_tilde" in shift.formula
+    assert rec["theta"].value == theta(plan.psi, epsilon)
+    assert (rec["epsilon"].value, rec["lam"].value) == (epsilon, lam)
+    rate, offset, _ = _moment_constants(plan)
+    assert (rec["moment_gronwall_rate"].value, rec["moment_gronwall_offset"].value) == (
+        rate, offset,
+    )
+    # coercivity row disappears when psi does not certify one
+    rec_zero = constants_used(_plan(torus_small, psi=make_psi("zero")))
+    assert set(rec) - set(rec_zero) == {"coercivity_c"}
 
 
 def _single_cell(plan):
@@ -228,15 +260,16 @@ def test_fit_exponential_shape_recovers_synthetic(torus_small):
     x0_sq = norm(torus_small, plan.initial, L2) ** 2
     times = np.linspace(0.0, 1.0, 33)
     curve = np.exp(0.5 * times) * (2.0 * x0_sq + 0.3)
-    c1, c2, ratio = _fit_exponential_shape(plan, times, curve)
+    _, _, floor = _moment_constants(plan)
+    c1, c2, ratio = _fit_exponential_shape(floor, times, curve)
     assert c1 == pytest.approx(0.5, rel=1e-9)
     assert c2 == pytest.approx(0.3, rel=1e-8)
     assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fit_exponential_shape_short_curve(torus_small):
-    plan = _plan(torus_small, noise=zero_model())
-    c1, c2, ratio = _fit_exponential_shape(plan, np.array([0.0, 0.5]), np.array([1.0, 1.0]))
+    _, _, floor = _moment_constants(_plan(torus_small, noise=zero_model()))
+    c1, c2, ratio = _fit_exponential_shape(floor, np.array([0.0, 0.5]), np.array([1.0, 1.0]))
     assert math.isnan(c1) and math.isnan(c2) and math.isnan(ratio)
 
 

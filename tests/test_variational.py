@@ -2,7 +2,8 @@
 
 theta is frozen from theta^2 = c / (2 k^2 (1-eps) + c): identity psi at
 eps = 1/2 gives theta^2 = 1/(2*1*0.5 + 1) = 1/2.  The monotonicity shift is
-2 (1-eps)^2 / alpha_tilde + h3.
+2 (1-eps)^2 / alpha_tilde + h3.  The reports' record of these constants is
+tested with the cascade (``test_constants_used_layout``).
 """
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ from levypme import operators, variational
 from levypme.nonlinearity import make_psi
 from levypme.operators import build_fractional_laplacian_torus, spectrum_from_eigenvalues
 from levypme.stepper import drift_rows
-from levypme.variational import EstimateConstants, check_variational_conditions
+from levypme.variational import check_variational_conditions, monotonicity_shift, theta
 
 from conftest import additive_model, multiplicative_model, zero_model
 
@@ -49,19 +50,17 @@ def test_all_conditions_pass(torus_small, noise, kind, kwargs, epsilon):
 
 
 def test_theta_frozen():
-    con = EstimateConstants.from_components(make_psi("identity"), 0.5, 0.0, 0.0)
-    assert con.theta == math.sqrt(0.5)
+    assert theta(make_psi("identity"), 0.5) == math.sqrt(0.5)
     # no coercivity constant -> theta defaults to 1
-    con_zero = EstimateConstants.from_components(make_psi("zero"), 0.5, 0.0, 0.0)
-    assert con_zero.theta == 1.0
-    assert con_zero.coercivity_c is None
+    psi_zero = make_psi("zero")
+    assert theta(psi_zero, 0.5) == 1.0
+    assert psi_zero.coercivity_c is None
 
 
 def test_monotonicity_shift_frozen():
-    con = EstimateConstants.from_components(make_psi("identity"), 0.5, 0.0, 0.0)
-    assert con.monotonicity_shift == pytest.approx(1.0, rel=1e-15)
-    con2 = EstimateConstants.from_components(make_psi("soft_monotone"), 0.1, 0.0, 0.0225)
-    assert con2.monotonicity_shift == pytest.approx(4.0725, rel=1e-14)
+    assert monotonicity_shift(make_psi("identity"), 0.5, 0.0) == pytest.approx(1.0, rel=1e-15)
+    shift = monotonicity_shift(make_psi("soft_monotone"), 0.1, 0.0225)
+    assert shift == pytest.approx(4.0725, rel=1e-14)
 
 
 def test_coercivity_skip_policy(torus_small):
@@ -105,27 +104,12 @@ def test_noise_kind_labels(torus_small):
     assert model.h3_closed_form(torus_small) > 0.0
 
 
-def test_from_components_epsilon_validation():
+def test_epsilon_validation(torus_small):
     psi = make_psi("identity")
     with pytest.raises(ValueError):
-        EstimateConstants.from_components(psi, 0.0, 0.0, 0.0)
+        check_variational_conditions(torus_small, psi, zero_model(), 0.0)
     with pytest.raises(ValueError):
-        EstimateConstants.from_components(psi, 1.0, 0.0, 0.0)
-
-
-def test_records_layout():
-    con = EstimateConstants.from_components(make_psi("soft_monotone"), 0.2, 0.5, 0.1)
-    rec = con.as_records()
-    assert set(rec) == {
-        "lipschitz_k", "alpha_tilde", "h2_constant", "h3_constant",
-        "theta", "monotonicity_shift", "coercivity_c",
-    }
-    value, formula = rec["monotonicity_shift"]
-    assert value == con.monotonicity_shift
-    assert "alpha_tilde" in formula
-    # coercivity row disappears when psi does not certify one
-    rec_zero = EstimateConstants.from_components(make_psi("zero"), 0.2, 0.0, 0.0).as_records()
-    assert "coercivity_c" not in rec_zero
+        check_variational_conditions(torus_small, psi, zero_model(), 1.0)
 
 
 def test_sample_count_floor(torus_small):
