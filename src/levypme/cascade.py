@@ -26,13 +26,13 @@ a ladder study varies its own parameter and holds the other one there.
 :func:`constants_used` builds every report's record of that cell's derived
 constants; theta and the monotonicity shift come from :mod:`levypme.variational`.
 
-Every study is one serial pipeline: :func:`levypme.stepper.march` advances
-the rows in lockstep, squared norms are taken at each step, and
+In every study :func:`levypme.stepper.march` advances the rows in lockstep,
+squared norms are taken at each step, and
 :func:`levypme.stepper.cadlag_reductions` turns them into sups, trapezoids
 and running curves.  The Monte Carlo studies run their paths in fixed chunks
 of ``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at
-once; ``uniqueness_check`` marches its three rows together.  All studies are
-deterministic for a fixed master seed.
+once, on one process per usable CPU; ``uniqueness_check`` marches its three
+rows together.  All studies are deterministic for a fixed master seed.
 
 The Monte Carlo studies are reductions of an ensemble: the per-path sups,
 integrals and running curves of every path under a list of cells.  An
@@ -46,6 +46,8 @@ Python session); a lone CLI process marches everything it reports on.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -178,8 +180,8 @@ class StudyPlan:
 
 # Rows (path x ladder cell) one chunk advances in lockstep.  With default
 # threading (OpenBLAS 0.3.31, 2 cores), the (rows, 65) @ basis.T gemm of
-# to_physical stays single-threaded up to 96 rows and runs on two threads
-# (cpu/wall 2.0) from 128 rows; 64 rows keep every chunk single-threaded.
+# to_physical runs on two threads (cpu/wall 2.0) from 128 rows; 64 rows keep
+# it single-threaded, and further CPUs march other chunks (_deal).
 CHUNK_ROWS = 64
 
 
@@ -207,7 +209,7 @@ def _run_cells(plan: StudyPlan, cells):
     key = (plan.fingerprint, tuple(cells))
     if key in _ENSEMBLES:
         return {**_ENSEMBLES[key], "ensemble": "reused"}
-    results = _march_cells(plan, cells)
+    results, workers = _march_cells(plan, cells)
     for value in results.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -215,7 +217,7 @@ def _run_cells(plan: StudyPlan, cells):
         if any(fingerprint != plan.fingerprint for fingerprint, _ in _ENSEMBLES):
             _ENSEMBLES.clear()
         _ENSEMBLES[key] = results
-    return {**results, "ensemble": "marched"}
+    return {**results, "ensemble": "marched", "march_workers": workers}
 
 
 def _march_cells(plan: StudyPlan, cells):
@@ -223,7 +225,8 @@ def _march_cells(plan: StudyPlan, cells):
 
     Chunks hold ``CHUNK_ROWS // len(cells)`` paths, whose rows (paths x
     cells) advance in lockstep; norms are reduced on the fly by
-    :func:`cadlag_reductions` and no trajectory is stored.
+    :func:`cadlag_reductions` and no trajectory is stored.  Returns the
+    results and the number of processes that marched them (:func:`_deal`).
     """
     op = plan.op
     n_cells = len(cells)
@@ -249,10 +252,9 @@ def _march_cells(plan: StudyPlan, cells):
             axis=1,
         )
 
-    reduced = []  # per path: sup, trapezoid, running sup, running trapezoid
-    counters = SolverCounters()
-    per_chunk = max(1, CHUNK_ROWS // n_cells)
-    for first in range(0, plan.paths, per_chunk):
+    def march_chunk(first):
+        """Per-path reductions, base times and counters of the chunk at ``first``."""
+        counters = SolverCounters()
         paths = [
             sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
             for i in range(first, min(first + per_chunk, plan.paths))
@@ -267,21 +269,74 @@ def _march_cells(plan: StudyPlan, cells):
             at_right = squared_norms(right)
             sq[0, active, :, i] = at_right
             sq[1, active, :, i] = at_right if left is right else squared_norms(left)
+        reduced = []
         for k, (times, base_mask) in enumerate(grids):
             reduced.append(cadlag_reductions(
                 times, base_mask, sq[0, k, :, : times.size], sq[1, k, :, : times.size]
             ))
+        return reduced, times[base_mask], counters  # every path shares the base grid
+
+    per_chunk = max(1, CHUNK_ROWS // n_cells)
+    # Chunks march side by side only while OpenBLAS runs their transforms on
+    # one thread: it threads a gemm from M N K = 2**19 on, and the threaded
+    # gemms of several processes contend for the cores (97 modes: 3-4x slower).
+    one_thread = per_chunk * n_cells * op.basis.size < 2**19
+    chunks, workers = _deal(march_chunk, range(0, plan.paths, per_chunk), one_thread)
+    reduced = [path for chunk, _, _ in chunks for path in chunk]
     sup, integral, running_sup, running_integral = (np.stack(r) for r in zip(*reduced))
     return {
         "sup_l2_sq": sup[:, l2],
         "integral_f12": integral[:, f12],
         "pair_sup_fstar_sq": sup[:, pair],
-        "base_times": times[base_mask],  # every path shares the base grid
+        "base_times": chunks[-1][1],
         # Copies: a kept ensemble holds only the running curves studies read.
         "running_sup_l2": running_sup[:, l2].copy(),
         "running_integral_f12": running_integral[:, f12].copy(),
-        "solver": counters.summary(),
-    }
+        "solver": SolverCounters.merged([counters for _, _, counters in chunks]).summary(),
+    }, workers
+
+
+def _deal(work, items, spread):
+    """``[work(item) for item in items]`` and the number of processes that ran
+    it: this one and, if ``spread``, ``os.fork``ed children, one per usable
+    CPU, dealt the items round-robin.  Each stops at its first failure; the
+    lowest item's is raised, as the plain loop would.  Every child is reaped."""
+    cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items)) if hasattr(os, "fork") else 1
+
+    def share(start):  # (index, result or exception), up to the first failure
+        done = []
+        for index in range(start, len(items), workers):
+            try:
+                done.append((index, work(items[index])))
+            except Exception as exc:
+                return done + [(index, exc)]
+        return done
+
+    pipes = {}  # child pid -> read end of its pipe
+    try:
+        for start in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child pickles its share and leaves
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(share(start), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            pipes[pid] = os.fdopen(read, "rb")
+        done = share(0) + [outcome for pipe in pipes.values() for outcome in pickle.load(pipe)]
+    finally:
+        for pipe in pipes.values():  # a child blocked on a full pipe ends now
+            pipe.close()
+        for pid in pipes:
+            os.waitpid(pid, 0)
+    done.sort(key=lambda outcome: outcome[0])
+    for _, value in done:
+        if isinstance(value, Exception):
+            raise value
+    return [value for _, value in done], workers
 
 
 # --------------------------------------------------------------------------
@@ -473,6 +528,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
         extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
         ensemble=results["ensemble"],
+        march_workers=results.get("march_workers"),
     )
 
 
@@ -656,6 +712,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         },
         tables=tables,
         ensemble=results["ensemble"],
+        march_workers=results.get("march_workers"),
     )
 
 

@@ -17,9 +17,9 @@ is the run's whole configuration, so the ``scenario.txt`` a run writes
 reproduces it.  Every study takes only the plan and runs at
 ``plan.finest_cell``, the cell every report's ``constants_used`` belongs to.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (reports are
-still written), 2 usage or scenario errors, 3 numerical or internal failure
-(inner iteration did not converge, or any other error).
+Exit codes: 0 all checks passed or none applies, 1 a check failed (reports
+are still written), 2 usage or scenario errors, 3 numerical or internal
+failure (inner iteration did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
@@ -28,7 +28,8 @@ timestamp and the environment (Python and numpy versions,
 byte-identical across reruns.  For ``lambda-study``, ``eps-study`` and
 ``apriori`` the metadata also says whether the study marched its ensemble or
 reused one an earlier study of the same plan marched in this interpreter
-(``"ensemble": "marched"`` or ``"reused"``).
+(``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
+marched it).  ``"child_cpu_s"`` is the CPU time of the children it reaped.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
+def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir)
     (out_dir / "scenario.txt").write_text(serialize_scenario(scenario))
@@ -315,9 +316,12 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
         "scenario_hash": scenario_hash(scenario),
         "version": __version__,
         "environment": _environment(),
+        "child_cpu_s": round(sum(os.times()[2:4]) - children, 6),  # RUSAGE_CHILDREN
     }
     if report.ensemble is not None:
         metadata["ensemble"] = report.ensemble
+    if report.march_workers is not None:
+        metadata["march_workers"] = report.march_workers
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, sort_keys=True, indent=2) + "\n"
     )
@@ -338,8 +342,9 @@ def main(argv=None) -> int:
 
     try:
         plan = build_plan(scenario)
+        children = sum(os.times()[2:4])
         report, artifacts = STUDIES[args.command][1](plan)
-        _write_outputs(Path(args.out), report, artifacts, scenario, args)
+        _write_outputs(Path(args.out), report, artifacts, scenario, args, children)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -353,10 +358,9 @@ def main(argv=None) -> int:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.detail}")
-    print(
-        f"{args.command}: {'all checks passed' if report.passed else 'CHECKS FAILED'}; "
-        f"outputs in {args.out}"
-    )
+    verdict = ("no check applies" if not report.checks
+               else "all checks passed" if report.passed else "CHECKS FAILED")
+    print(f"{args.command}: {verdict}; outputs in {args.out}")
     return 0 if report.passed else 1
 
 

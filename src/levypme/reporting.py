@@ -152,10 +152,11 @@ class StudyReport:
     extra: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
-    # How a Monte Carlo study got its samples, "marched" or "reused" (see
-    # cascade._run_cells).  Run metadata: kept out of report.json, which is
-    # the same either way.
+    # How a Monte Carlo study got its samples ("marched" or "reused") and by
+    # how many processes (cascade._run_cells).  Run metadata: kept out of
+    # report.json, which is the same either way.
     ensemble: Optional[str] = None
+    march_workers: Optional[int] = None
 
     @property
     def passed(self) -> bool:

@@ -198,6 +198,12 @@ class SolverCounters:
         )
         self.budget_misses += misses
 
+    @classmethod
+    def merged(cls, parts) -> SolverCounters:
+        """The counters of ``parts`` recorded one after another."""
+        return cls(sum((c.iterations for c in parts), []), sum((c.contractions for c in parts), []),
+                   sum(c.budget_misses for c in parts), max(c.apriori_contraction for c in parts))
+
     def summary(self) -> dict:
         counts = np.concatenate(self.iterations) if self.iterations else np.zeros(0, int)
         rates = np.concatenate(self.contractions) if self.contractions else np.zeros(0)

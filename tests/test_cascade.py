@@ -6,13 +6,14 @@ pair moment E[sup ||X_lam - X_lam'||^2] is computable in closed form and the
 study must reproduce it exactly.
 """
 import math
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levypme import cascade
+from levypme import cascade, cli
 from levypme.cascade import (
     CHUNK_ROWS,
     DAVIS_CONSTANT,
@@ -32,10 +33,14 @@ from levypme.cascade import (
 )
 from levypme.noise import path_seed, sample_noise_path
 from levypme.nonlinearity import make_psi
-from levypme.operators import smooth_field, spectrum_from_eigenvalues
+from levypme.operators import (
+    build_fractional_laplacian_torus,
+    smooth_field,
+    spectrum_from_eigenvalues,
+)
 from levypme.scenario import build_plan, load_scenario, scenario_hash
 from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
-from levypme.stepper import march, solve_regularized_path
+from levypme.stepper import StepperConvergenceError, march, solve_regularized_path
 from levypme.variational import monotonicity_shift, theta
 
 from conftest import additive_model, multiplicative_model, zero_model
@@ -295,16 +300,22 @@ def test_uniqueness_additive_noise_cancels(torus_small):
     assert report.extra["envelope_rate"] < 0.0
 
 
-def test_chunk_reductions_match_trajectory_formulas(torus_small):
-    # the chunked run reduces norms on the fly; the stored-trajectory
-    # formulas of Trajectory are the reference.  3 cells -> 21 paths per
-    # chunk; 45 paths span 3 chunks, the last partial.  Paths 0, 19-22 and
-    # 44 are the first path, both sides of the first chunk boundary and the
-    # last path, in the partial chunk.
-    plan = _plan(torus_small, paths=45,
+def _three_chunks(op):
+    """A plan and 3 cells: 21 paths per chunk, so 45 paths span 3 chunks,
+    the last partial."""
+    plan = _plan(op, paths=45,
                  noise=multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0)))
     cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
     assert plan.paths > 2 * (CHUNK_ROWS // len(cells))
+    return plan, cells
+
+
+def test_chunk_reductions_match_trajectory_formulas(torus_small):
+    # the chunked run reduces norms on the fly; the stored-trajectory
+    # formulas of Trajectory are the reference.  Paths 0, 19-22 and 44 are
+    # the first path, both sides of the first chunk boundary and the last
+    # path, in the partial chunk.
+    plan, cells = _three_chunks(torus_small)
     out = _run_cells(plan, cells)
     assert out["sup_l2_sq"].shape == (45, 3) and out["pair_sup_fstar_sq"].shape == (45, 2)
     for index in (0, 19, 20, 21, 22, 44):
@@ -329,6 +340,72 @@ def test_chunk_reductions_match_trajectory_formulas(torus_small):
             assert out["pair_sup_fstar_sq"][index, c] == pytest.approx(pair, rel=1e-12)
         assert np.array_equal(out["base_times"], trajs[0].times[trajs[0].base_mask])
     assert out["solver"]["implicit_steps"] > 0
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_split_changes_no_bit(torus_small, monkeypatch):
+    # three usable CPUs give each of the three chunks its own process; on
+    # one, this process marches them all.  The chunks are the same either
+    # way, and so are the bits.
+    plan, cells = _three_chunks(torus_small)
+    _usable_cpus(monkeypatch, 3)
+    split = _run_cells(plan, cells)
+    _usable_cpus(monkeypatch, 1)
+    alone = _run_cells(plan, cells)
+    assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
+    assert split.keys() == alone.keys()
+    for key, value in split.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, alone[key]), key
+    assert split["solver"] == alone["solver"]
+
+
+def test_threaded_transforms_march_in_one_process(monkeypatch):
+    # 63 rows of 93 modes reach OpenBLAS's threading floor, M N K = 2**19,
+    # where chunks in several processes would contend with its threads
+    op = build_fractional_laplacian_torus(46, 0.5)
+    plan, cells = _three_chunks(op)
+    plan = replace(plan, paths=22)  # two chunks
+    assert 21 * len(cells) * op.basis.size >= 2**19
+    _usable_cpus(monkeypatch, 3)
+    assert _run_cells(plan, cells)["march_workers"] == 1
+
+
+def test_worker_failure_reaches_the_caller(torus_small, monkeypatch, tmp_path, capsys):
+    # chunks 1 and 2 fail.  On 3 CPUs both belong to children; on 2 chunk 2
+    # is this process's own and chunk 1 a child's.  Either way the caller
+    # gets chunk 1's error, as from the plain loop, and no child is left.
+    def plant(plan, failing):
+        seeds = {path_seed(plan.master_seed, first): first for first in failing}
+
+        def planted(op, psi, model, paths, *rest):
+            if paths[0].seed in seeds:
+                raise StepperConvergenceError(f"planted failure at path {seeds[paths[0].seed]}")
+            return march(op, psi, model, paths, *rest)
+
+        monkeypatch.setattr(cascade, "march", planted)
+
+    plan, cells = _three_chunks(torus_small)
+    per_chunk = CHUNK_ROWS // len(cells)
+    plant(plan, (per_chunk, 2 * per_chunk))
+    for cpus in (3, 2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        with pytest.raises(StepperConvergenceError, match=f"^planted failure at path {per_chunk}$"):
+            _run_cells(plan, cells)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # through the CLI: acceptance.scn marches 4 chunks of 16 paths; on 2
+    # CPUs chunk 1 is a child's and chunk 2 this process's own
+    plant(build_plan(load_scenario(ACCEPTANCE)), (16, 32))
+    _usable_cpus(monkeypatch, 2)
+    assert cli.main(["lambda-study", "--scenario", str(ACCEPTANCE), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: planted failure at path 16\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_uniqueness_is_one_march(torus_small, monkeypatch):

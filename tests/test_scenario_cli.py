@@ -299,8 +299,9 @@ def test_cli_simulate_success(tmp_path, capsys):
     scn = _write_scenario(tmp_path, _text())
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "all checks passed" in printed
+    # no oracle applies to this noisy path: the run claims no check
+    assert capsys.readouterr().out == f"simulate: no check applies; outputs in {out}\n"
+    assert json.loads((out / "report.json").read_text())["checks"] == []
     for artifact in (
         "report.json", "scenario.txt", "metadata.json",
         "trajectory.csv", "noise_path.csv", "norm_summary.csv",
@@ -381,6 +382,22 @@ def test_apriori_reuses_lambda_study_ensemble(tmp_path, march_steps):
     assert {"report.json", "apriori_cells.csv", "apriori_shape.csv"} <= set(names)
     for name in names:
         assert (cold / name).read_bytes() == (tmp_path / "apriori" / name).read_bytes(), name
+
+
+def test_metadata_counts_march_workers(tmp_path, monkeypatch):
+    # 40 paths under 4 cells are 3 chunks of at most 16 paths: on 2 CPUs a
+    # child marches one of them.  A reused ensemble was marched by no one.
+    text = (SCENARIO_DIR / "multiplicative_small.scn").read_text()
+    assert "paths = 16" in text.splitlines()
+    scn = _write_scenario(tmp_path, text.replace("paths = 16", "paths = 40"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    meta = {}
+    for command in ("lambda-study", "apriori"):
+        assert main([command, "--scenario", scn, "--out", str(tmp_path / command)]) == 0
+        meta[command] = json.loads((tmp_path / command / "metadata.json").read_text())
+    assert meta["lambda-study"]["march_workers"] == 2
+    assert meta["apriori"]["ensemble"] == "reused" and "march_workers" not in meta["apriori"]
+    assert all(m["child_cpu_s"] >= 0.0 for m in meta.values())
 
 
 @pytest.mark.parametrize("edit", [
