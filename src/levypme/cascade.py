@@ -13,8 +13,8 @@ parameters:
   ladder.
 * :func:`apriori_study` checks the moment bound
   ``E[sup ||X||_2^2] + 4 lam eps E[int ||X||_F12^2] <= exp(C1 T)(2||x||_2^2 + C2)``
-  with derived constants, verifies uniformity of the left-hand side along the
-  ``lam`` ladder, and fits the exponential shape to the running curve.
+  with derived constants, and verifies uniformity of the left-hand side along
+  the ``lam`` ladder.
 * :func:`uniqueness_check` reruns one path under a different inner-solver
   configuration (splitting constant + initializer) and asserts the limit is
   configuration-independent up to the inner residual budget; a perturbed
@@ -28,19 +28,19 @@ constants; theta and the monotonicity shift come from :mod:`levypme.variational`
 
 In every study :func:`levypme.stepper.march` advances the rows in lockstep,
 squared norms are taken at each step, and
-:func:`levypme.stepper.cadlag_reductions` turns them into sups, trapezoids
-and running curves.  The Monte Carlo studies run their paths in fixed chunks
-of ``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at
-once, on one process per usable CPU; ``uniqueness_check`` marches its three
-rows together.  All studies are deterministic for a fixed master seed.
+:func:`levypme.stepper.cadlag_reductions` turns them into sups and
+trapezoids.  The Monte Carlo studies run their paths in fixed chunks of
+``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at once,
+on one process per usable CPU; ``uniqueness_check`` marches its three rows
+together.  All studies are deterministic for a fixed master seed.
 
-The Monte Carlo studies are reductions of an ensemble: the per-path sups,
-integrals and running curves of every path under a list of cells.  An
-ensemble is marched once per interpreter for each (plan fingerprint, cells)
-pair (:func:`_run_cells`); ``apriori_study`` asks for the cells
-``lambda_cauchy_study`` marched, so after it, apriori marches nothing.  Only
-studies in one interpreter share ensembles (``scripts/run_studies.py``, a
-Python session); a lone CLI process marches everything it reports on.
+The Monte Carlo studies are reductions of an ensemble: the per-path sups and
+integrals of every path under a list of cells.  An ensemble is marched once
+per interpreter for each (plan fingerprint, cells) pair (:func:`_run_cells`);
+``apriori_study`` asks for the cells ``lambda_cauchy_study`` marched, so
+after it, apriori marches nothing.  Only studies in one interpreter share
+ensembles (``scripts/run_studies.py``, a Python session); a lone CLI process
+marches everything it reports on.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ __all__ = [
     "apriori_study",
     "uniqueness_check",
     "CAUCHY_SLOPE_FLOOR",
-    "SHAPE_ENVELOPE_MARGIN",
     "UNIQUENESS_TOLERANCE_FACTOR",
     "DAVIS_CONSTANT",
 ]
@@ -94,7 +93,6 @@ __all__ = [
 # lam + lam'), so it separates "contracts like the estimate" from "does not
 # contract" without being brittle at small sample counts.
 CAUCHY_SLOPE_FLOOR = 0.7
-SHAPE_ENVELOPE_MARGIN = 1.25
 UNIQUENESS_TOLERANCE_FACTOR = 10.0
 # Float headroom on the perturbation's log-scale growth rate.
 PERTURBATION_RATE_HEADROOM = 1e-6
@@ -195,15 +193,14 @@ _ENSEMBLES: dict[tuple, dict] = {}
 def _run_cells(plan: StudyPlan, cells):
     """The per-path reductions of every path under every (epsilon, lam) cell.
 
-    Returns arrays indexed [path, cell] (pairs: [path, pair]), the running
-    curves at the base grid times, the solver counter summary, and
-    ``"ensemble"``: ``"marched"`` when this call simulated the paths
-    (:func:`_march_cells`), ``"reused"`` when an earlier call in this
-    interpreter had marched the same cells under the same plan fingerprint,
-    the canonical hash of the scenario the plan was built from.  The
-    ensemble is a pure function of the scenario and the cells, so a reused
-    result is the marched one, bit for bit.  Results of a plan without a
-    fingerprint are never kept; a new fingerprint drops every kept result.
+    Returns arrays indexed [path, cell] (pairs: [path, pair]), the solver
+    counter summary, and ``"ensemble"``: ``"marched"`` when this call
+    simulated the paths (:func:`_march_cells`), ``"reused"`` when an earlier
+    call in this interpreter had marched the same cells under the same plan
+    fingerprint, the canonical hash of the scenario the plan was built from.
+    The ensemble is a pure function of the scenario and the cells, so a
+    reused result is the marched one, bit for bit.  Results of a plan without
+    a fingerprint are never kept; a new fingerprint drops every kept result.
     The arrays are read-only, so a study cannot alter another's samples.
     """
     key = (plan.fingerprint, tuple(cells))
@@ -253,7 +250,7 @@ def _march_cells(plan: StudyPlan, cells):
         )
 
     def march_chunk(first):
-        """Per-path reductions, base times and counters of the chunk at ``first``."""
+        """Per-path (sup, trapezoid) and counters of the chunk at ``first``."""
         counters = SolverCounters()
         paths = [
             sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
@@ -269,12 +266,12 @@ def _march_cells(plan: StudyPlan, cells):
             at_right = squared_norms(right)
             sq[0, active, :, i] = at_right
             sq[1, active, :, i] = at_right if left is right else squared_norms(left)
-        reduced = []
-        for k, (times, base_mask) in enumerate(grids):
-            reduced.append(cadlag_reductions(
-                times, base_mask, sq[0, k, :, : times.size], sq[1, k, :, : times.size]
-            ))
-        return reduced, times[base_mask], counters  # every path shares the base grid
+        reduced = [
+            cadlag_reductions(times, base_mask, sq[0, k, :, : times.size],
+                              sq[1, k, :, : times.size])[:2]
+            for k, (times, base_mask) in enumerate(grids)
+        ]
+        return reduced, counters
 
     per_chunk = max(1, CHUNK_ROWS // n_cells)
     # Chunks march side by side only while OpenBLAS runs their transforms on
@@ -282,17 +279,13 @@ def _march_cells(plan: StudyPlan, cells):
     # gemms of several processes contend for the cores (97 modes: 3-4x slower).
     one_thread = per_chunk * n_cells * op.basis.size < 2**19
     chunks, workers = _deal(march_chunk, range(0, plan.paths, per_chunk), one_thread)
-    reduced = [path for chunk, _, _ in chunks for path in chunk]
-    sup, integral, running_sup, running_integral = (np.stack(r) for r in zip(*reduced))
+    reduced = [path for chunk, _ in chunks for path in chunk]
+    sup, integral = (np.stack(r) for r in zip(*reduced))
     return {
         "sup_l2_sq": sup[:, l2],
         "integral_f12": integral[:, f12],
         "pair_sup_fstar_sq": sup[:, pair],
-        "base_times": chunks[-1][1],
-        # Copies: a kept ensemble holds only the running curves studies read.
-        "running_sup_l2": running_sup[:, l2].copy(),
-        "running_integral_f12": running_integral[:, f12].copy(),
-        "solver": SolverCounters.merged([counters for _, _, counters in chunks]).summary(),
+        "solver": SolverCounters.merged([counters for _, counters in chunks]).summary(),
     }, workers
 
 
@@ -568,37 +561,9 @@ def _integral_weight(epsilon: float, lam: float) -> float:
     return 4.0 * lam * epsilon
 
 
-def _fit_exponential_shape(floor, times, curve):
-    """Fit exp(c1 t) (floor + c2) to a running moment curve, where floor is
-    the bound's 2 |x0|_2^2.
-
-    Least squares in log space with the offset constrained to c2 >= 0 and the
-    rate to c1 >= 0; returns (c1, c2, envelope_ratio) where the ratio is
-    max_t curve / fit.
-    """
-    mask = curve > 0
-    t = times[mask]
-    y = np.log(curve[mask])
-    if t.size < 3:
-        return float("nan"), float("nan"), float("nan")
-    slope, intercept = np.polyfit(t, y, 1)
-    c2 = math.exp(intercept) - floor
-    if c2 < 0 or slope < 0:
-        # Constrained refit: pin the offset at zero (the curve already sits
-        # below the floor) and keep the growth rate nonnegative.
-        c2 = max(0.0, c2)
-        base = floor + c2
-        denom = float(np.sum(t * t))
-        slope = max(0.0, float(np.sum(t * (y - math.log(base))) / denom))
-    c1 = float(slope)
-    fit_curve = np.exp(c1 * times) * (floor + c2)
-    ratio = float(np.max(curve / fit_curve)) if np.all(fit_curve > 0) else float("inf")
-    return c1, float(c2), ratio
-
-
 def apriori_study(plan: StudyPlan) -> StudyReport:
     """Moment bound along the lambda ladder at the finest epsilon: per-cell
-    bound, uniformity, shape.  Its cells are lambda-study's."""
+    bound and uniformity.  Its cells are lambda-study's."""
     _, cells, held = _ladder_cells(plan, "lam")
     results = _run_cells(plan, cells)
 
@@ -647,31 +612,6 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         )
     )
 
-    # Shape fit on the running functional m(t) = E[sup_{s<=t}] + w E[int_0^t].
-    base_times = results["base_times"]
-    shape_rows = []
-    shape_fits = []
-    for j, (eps_j, lam_j) in enumerate(cells):
-        weight = _integral_weight(eps_j, lam_j)
-        sup_curves = np.ascontiguousarray(results["running_sup_l2"][:, j])
-        int_curves = np.ascontiguousarray(results["running_integral_f12"][:, j])
-        mean_curve = sup_curves.mean(axis=0) + weight * int_curves.mean(axis=0)
-        c1, c2, ratio = _fit_exponential_shape(floor, base_times, mean_curve)
-        shape_rows.append((lam_j, c1, c2, ratio))
-        shape_fits.append(
-            {"lam": lam_j, "fit_rate": c1, "fit_offset": c2, "envelope_ratio": ratio}
-        )
-        checks.append(
-            PropertyCheck(
-                name=f"shape_fit[lam={lam_j!r}]",
-                passed=bool(np.isfinite(ratio) and ratio <= SHAPE_ENVELOPE_MARGIN),
-                detail=(
-                    f"fit c1={c1:.4g}, c2={c2:.4g}; envelope ratio {ratio:.4f} "
-                    f"<= {SHAPE_ENVELOPE_MARGIN}"
-                ),
-            )
-        )
-
     tables = [
         Table(
             name="apriori_cells",
@@ -686,11 +626,6 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
                 "bound",
             ),
             rows=tuple(cell_rows),
-        ),
-        Table(
-            name="apriori_shape",
-            columns=("lam", "fit_rate", "fit_offset", "envelope_ratio"),
-            rows=tuple(shape_rows),
         ),
     ]
 
@@ -707,7 +642,6 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         checks=checks,
         extra={
             "solver": dict(results["solver"]),
-            "shape_fits": shape_fits,
             "cells": cell_records,
         },
         tables=tables,

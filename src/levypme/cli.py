@@ -9,7 +9,7 @@ Subcommands map one-to-one onto the studies of the :data:`STUDIES` table:
 - ``inequalities``   pointwise, variational and noise-hypothesis audits.
 - ``lambda-study``   coupled Cauchy contraction along the lambda ladder.
 - ``eps-study``      coupled Cauchy contraction along the epsilon ladder.
-- ``apriori``        moment bound, uniformity in lambda, exponential shape.
+- ``apriori``        moment bound and its uniformity in lambda.
 - ``uniqueness``     solver-configuration independence + perturbation decay.
 
 Every subcommand takes only ``--scenario`` and ``--out``: the scenario file
@@ -127,10 +127,9 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
         checks.extend(_linear_oracle_checks(plan, traj))
 
     final = traj.states[-1]
-    base_times = traj.times[traj.base_mask]
     summary_rows = tuple(
         zip(
-            base_times.tolist(),
+            traj.times[traj.base_mask].tolist(),
             np.sqrt(traj.running_sup_squared(L2)).tolist(),
             traj.running_integral_squared(L2).tolist(),
         )

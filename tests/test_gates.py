@@ -83,8 +83,11 @@ def _grow_along_ladder(i, rows, cells):
     return rows
 
 
-def _late_burst(i, rows, cells):
-    return 4.0 * rows if i >= 12 else rows
+def _nudge_last_cell(i, rows, cells):
+    # On multiplicative_small.scn the last cell's lhs, 0.034 below the first
+    # cell's, ends 0.003 above it: about 4 paired standard errors (0.00072).
+    _by_cell(rows, cells)[:, -1] *= 1.0087
+    return rows
 
 
 def _offset_config_b(i, rows, cells):
@@ -113,13 +116,18 @@ GATES = [
     ("cauchy_rate", "lambda-study", SMALL, _warped_march(_offset_last_cell)),
     ("derived_bound", "apriori", SMALL, _warped_march(lambda i, rows, cells: 3.0 * rows)),
     ("uniform_in_lambda", "apriori", SMALL, _warped_march(_grow_along_ladder)),
-    ("shape_fit", "apriori", SMALL, _warped_march(_late_burst)),
+    ("uniform_in_lambda", "apriori", SMALL, _warped_march(_nudge_last_cell)),
     ("solver_config_independent", "uniqueness", SMALL, _warped_march(_offset_config_b)),
     ("perturbation_contracts", "uniqueness", SMALL, _warped_march(_grow_perturbation)),
 ]
 
 
-@pytest.mark.parametrize("check,command,scn,plant", GATES, ids=[g[0] for g in GATES])
+# A check's first row is named after the check, a later one also by its index.
+GATE_IDS = [check if all(g[0] != check for g in GATES[:n]) else f"{check}-{n}"
+            for n, (check, *_) in enumerate(GATES)]
+
+
+@pytest.mark.parametrize("check,command,scn,plant", GATES, ids=GATE_IDS)
 def test_planted_defect_fails_gate(tmp_path, monkeypatch, check, command, scn, plant):
     plant(monkeypatch)
     out = tmp_path / "out"

@@ -379,7 +379,7 @@ def test_apriori_reuses_lambda_study_ensemble(tmp_path, march_steps):
     names = sorted(p.name for p in cold.iterdir() if p.name != "metadata.json")
     assert names == sorted(p.name for p in (tmp_path / "apriori").iterdir()
                            if p.name != "metadata.json")
-    assert {"report.json", "apriori_cells.csv", "apriori_shape.csv"} <= set(names)
+    assert {"report.json", "apriori_cells.csv"} <= set(names)
     for name in names:
         assert (cold / name).read_bytes() == (tmp_path / "apriori" / name).read_bytes(), name
 
@@ -418,6 +418,19 @@ def test_other_plan_marches_again(tmp_path, march_steps, edit):
     assert main(["apriori", "--scenario", scn, "--out", str(out)]) == 0
     assert march_steps
     assert _ensemble(out) == "marched"
+
+
+def test_apriori_passes_a_small_start(tmp_path):
+    # a small start the noise drives up to a plateau is within the paper's
+    # bound by eight orders of magnitude; apriori gates nothing else
+    text = (SCENARIO_DIR / "additive_saturating.scn").read_text()
+    for line in ("initial_amplitude = 1.2", "horizon = 0.5"):
+        assert line in text.splitlines()
+    text = text.replace("initial_amplitude = 1.2", "initial_amplitude = 0.1")
+    scn = _write_scenario(tmp_path, text.replace("horizon = 0.5", "horizon = 2.0"))
+    out = tmp_path / "out"
+    assert main(["apriori", "--scenario", scn, "--out", str(out)]) == 0
+    assert not (out / "failures.json").exists()
 
 
 def test_cli_inequalities_success(tmp_path, capsys):
