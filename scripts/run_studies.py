@@ -3,8 +3,10 @@
 
 Each study lands in its own subdirectory of --out (report.json, tables,
 scenario.txt, metadata.json), exactly as the CLI writes them; afterwards the
-script prints a cross-study summary: Cauchy slopes with confidence intervals,
-the worst moment-bound slack, and the uniqueness gaps.
+script prints a cross-study summary: how many checks each study wrote (a
+report lists only the checks that ran, so a study with 1 check gated only on
+finiteness), Cauchy slopes with confidence intervals, the worst moment-bound
+slack, and the uniqueness gaps.
 
     python3 scripts/run_studies.py scenarios/multiplicative_small.scn --out runs/demo
 
@@ -46,7 +48,8 @@ def summarize(out_dir):
     if not report_file.exists():
         return "no report written"
     report = json.loads(report_file.read_text())
-    bits = ["ok" if report["passed"] else "FAILED"]
+    count = len(report["checks"])
+    bits = [f"{'ok' if report['passed'] else 'FAILED'}, {count} check{'' if count == 1 else 's'}"]
     slope = report.get("slope")
     if slope:
         bits.append(

@@ -374,7 +374,7 @@ def _fit_log_slope(gaps, means, stderrs) -> SlopeFit:
         var_slope *= max(1.0, chi2 / dof)
     half = 1.96 * math.sqrt(var_slope)
     # With fewer than 3 points the residual check above is vacuous; flag the
-    # fit as insignificant so downstream checks report rather than gate.
+    # fit as insignificant, so no check gates on it and only ``slope`` reports it.
     significant = gaps.size >= 3 and math.isfinite(half)
     return SlopeFit(
         slope=slope,
@@ -467,6 +467,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
             detail="every path produced a finite coupled sup-difference",
         )
     ]
+    # A fit from fewer than 3 pairs gates nothing; ``slope`` still reports it.
     if fit.significant:
         checks.append(
             PropertyCheck(
@@ -476,17 +477,6 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
                     f"log-log slope {fit.slope:.3f} "
                     f"[{fit.ci_low:.3f}, {fit.ci_high:.3f}] "
                     f"vs floor {CAUCHY_SLOPE_FLOOR}"
-                ),
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="cauchy_rate",
-                passed=True,
-                detail=(
-                    f"fit not significant ({fit.pairs_used} pair(s)); "
-                    f"slope {fit.slope!r} reported only"
                 ),
             )
         )
@@ -589,28 +579,24 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         cell_rows.append((lam_j, *_mean_se(sup_sq), *_mean_se(integrals), lhs, lhs_se, bound))
         cell_records.append({"lam": lam_j, "lhs": lhs, "bound": bound, "slack": bound - lhs})
 
-    # Uniformity along the ladder: paired differences (same noise) between the
-    # largest-lambda cell and every other cell must stay within two standard
-    # errors, i.e. no systematic growth as lambda decreases.
-    uniform = True
-    uniform_details = []
+    # Uniformity along the ladder, from a second cell on: paired differences
+    # (same noise) between the largest-lambda cell and every other cell must
+    # stay within two standard errors, i.e. no systematic growth as lambda
+    # decreases.  A NaN difference fails.
     reference = lhs_samples_per_cell[0]
-    for j in range(1, len(cells)):
-        diff = lhs_samples_per_cell[j] - reference
-        mean_d, se_d = _mean_se(diff)
-        margin = 2.0 * se_d
-        grew = mean_d > margin
-        uniform = uniform and not grew
-        uniform_details.append(
-            f"lam={cells[j][1]!r}: paired diff {mean_d:.3g} (2se {margin:.3g})"
+    paired = [(lam_j, *_mean_se(lhs_j - reference))
+              for (_, lam_j), lhs_j in zip(cells[1:], lhs_samples_per_cell[1:])]
+    if paired:
+        checks.append(
+            PropertyCheck(
+                name="uniform_in_lambda",
+                passed=all(mean_d <= 2.0 * se_d for _, mean_d, se_d in paired),
+                detail="; ".join(
+                    f"lam={lam_j!r}: paired diff {mean_d:.3g} (2se {2.0 * se_d:.3g})"
+                    for lam_j, mean_d, se_d in paired
+                ),
+            )
         )
-    checks.append(
-        PropertyCheck(
-            name="uniform_in_lambda",
-            passed=bool(uniform),
-            detail="; ".join(uniform_details) if uniform_details else "single cell",
-        )
-    )
 
     tables = [
         Table(
@@ -719,7 +705,7 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
         )
     ]
 
-    d0 = delta_scale / math.sqrt(epsilon + plan.op.eigenvalues[bump_index])
+    d0 = math.sqrt(gap_sq[0])
     budget = plan.noise.gap_log_budget(noise_path, times)
     envelope_rate = _excess_growth_rate(times, np.sqrt(gap_sq), d0, budget)
     cap = PERTURBATION_RATE_HEADROOM

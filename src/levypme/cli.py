@@ -195,13 +195,10 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
         )
     ]
     for cond in conditions:
-        if cond.skipped_reason is not None:
-            detail = f"skipped: {cond.skipped_reason}"
-        else:
-            detail = (
-                f"min slack {cond.min_slack:.3e} over {cond.checked} samples"
-                + (f"; witness {cond.witness}" if cond.witness else "")
-            )
+        detail = (
+            f"min slack {cond.min_slack:.3e} over {cond.checked} samples"
+            + (f"; witness {cond.witness}" if cond.witness else "")
+        )
         checks.append(PropertyCheck(name=cond.name, passed=cond.passed, detail=detail))
     checks.append(
         PropertyCheck(
@@ -240,10 +237,9 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
         tables=[
             Table(
                 name="variational_conditions",
-                columns=("condition", "checked", "min_slack", "violations", "skipped"),
+                columns=("condition", "checked", "min_slack", "violations"),
                 rows=tuple(
-                    (c.name, c.checked, c.min_slack, c.violation_count, c.skipped_reason or "")
-                    for c in conditions
+                    (c.name, c.checked, c.min_slack, c.violation_count) for c in conditions
                 ),
             )
         ],

@@ -6,8 +6,7 @@ standing in for the reference measure, maps spectral coefficients to physical
 nodal values and back, for one vector or a ``(rows, modes)`` stack at once.
 A state is its coefficient vector, and a batch of states a stack of such
 rows; physical values are computed only where a pointwise map needs them.
-Two models are built here: the fractional Laplacian on a 1-d torus and a
-diagonal model for given eigenvalues.
+One model is built here: the fractional Laplacian on a 1-d torus.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ __all__ = [
     "random_field",
     "random_rows",
     "smooth_field",
-    "spectrum_from_eigenvalues",
 ]
 
 
@@ -151,19 +149,6 @@ def build_fractional_laplacian_torus(
             "alpha": float(alpha),
             "length": float(length),
         },
-    )
-
-
-def spectrum_from_eigenvalues(eigenvalues) -> OperatorSpectrum:
-    """Diagonal model for user-supplied eigenvalues, labelled 0, 1, ...
-
-    The physical nodes coincide with the modes (identity basis, unit weights),
-    so pointwise operations act directly on the coordinates.
-    """
-    mu = np.asarray(eigenvalues, dtype=float)
-    n = mu.size
-    return OperatorSpectrum(
-        mu, tuple(range(n)), np.eye(n), np.ones(n), info={"family": "custom"}
     )
 
 

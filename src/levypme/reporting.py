@@ -55,7 +55,6 @@ class ConditionResult:
     min_slack: float
     violation_count: int
     witness: Optional[str] = None
-    skipped_reason: Optional[str] = None
 
     @property
     def passed(self) -> bool:

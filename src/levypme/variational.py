@@ -114,7 +114,7 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
     local monotonicity  2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2;
     coercivity on u1    2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
                           + (2 (1-eps)/theta^2 + h2) ||u||_F*^2,
-                        skipped when psi certifies no coercivity constant c;
+                        only when psi certifies a coercivity constant c;
     growth on u2        ||A u||_(L2)* <= 2 k |u|_2.
     k and c are psi's, h2 and h3 (in the shift) the noise's closed forms.
     Sample i is the pair (u1, u2) of rows i."""
@@ -145,11 +145,9 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
         ]
 
     mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer = by_sample_blocks(op, rng, count, 2, sides)
-    skipped = ConditionResult("coercivity", 0, math.inf, 0,
-                              skipped_reason="psi has no coercivity constant")
     return [
         verdict("local_monotonicity", mono_lhs, mono_rhs, "pair {}".format),
-        verdict("coercivity", *coer) if coer else skipped,
+        *([verdict("coercivity", *coer)] if coer else []),
         verdict("growth", growth_lhs, growth_rhs),
     ]
 
@@ -162,7 +160,8 @@ def check_variational_conditions(
     sample_count: int = 10_000,
     seed: int = 90_125,
 ) -> list:
-    """Audit hemicontinuity, local monotonicity, coercivity and growth.
+    """Audit hemicontinuity, local monotonicity, coercivity (when psi
+    certifies a coercivity constant) and growth.
 
     Draws states with coefficients scaled by (1+mu_k)^(-1/2): first a tenth
     of `sample_count` (at least 10) triples (u, v, w) for hemicontinuity, then
@@ -175,7 +174,9 @@ def check_variational_conditions(
     hemicontinuity curve check carries a roundoff allowance tied to the
     pairing magnitude because it subtracts near-equal pairings.  Returns the
     hemicontinuity, local monotonicity, coercivity and growth results, in
-    that order.  ``epsilon`` must lie in (0, 1).
+    that order; the coercivity result only when psi certifies a coercivity
+    constant, so every returned result is an audit that ran.  ``epsilon``
+    must lie in (0, 1).
     """
     if sample_count < 10:
         raise ValueError("sample_count must be >= 10")

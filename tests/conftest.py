@@ -8,7 +8,12 @@ from levypme.noise import (
     NoiseModel,
     ZeroCoefficient,
 )
-from levypme.operators import build_fractional_laplacian_torus, random_field, smooth_field
+from levypme.operators import (
+    OperatorSpectrum,
+    build_fractional_laplacian_torus,
+    random_field,
+    smooth_field,
+)
 from levypme.stepper import march
 
 
@@ -47,6 +52,15 @@ def torus_small():
 @pytest.fixture(scope="session")
 def torus_medium():
     return build_fractional_laplacian_torus(16, 0.75)
+
+
+def spectrum_from_eigenvalues(eigenvalues):
+    """Diagonal model for given eigenvalues, labelled 0, 1, ...: the physical
+    nodes are the modes (identity basis, unit weights), so pointwise maps act
+    on the coefficients directly."""
+    mu = np.asarray(eigenvalues, dtype=float)
+    n = mu.size
+    return OperatorSpectrum(mu, tuple(range(n)), np.eye(n), np.ones(n), info={"family": "custom"})
 
 
 def zero_model():

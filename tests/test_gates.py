@@ -90,6 +90,12 @@ def _nudge_last_cell(i, rows, cells):
     return rows
 
 
+def _nan_last_cell(i, rows, cells):
+    # one path's last cell turns NaN: its paired difference is NaN, not a pass
+    _by_cell(rows, cells)[0, -1] = np.nan
+    return rows
+
+
 def _offset_config_b(i, rows, cells):
     rows[1] += 1e-6
     return rows
@@ -117,6 +123,7 @@ GATES = [
     ("derived_bound", "apriori", SMALL, _warped_march(lambda i, rows, cells: 3.0 * rows)),
     ("uniform_in_lambda", "apriori", SMALL, _warped_march(_grow_along_ladder)),
     ("uniform_in_lambda", "apriori", SMALL, _warped_march(_nudge_last_cell)),
+    ("uniform_in_lambda", "apriori", SMALL, _warped_march(_nan_last_cell)),
     ("solver_config_independent", "uniqueness", SMALL, _warped_march(_offset_config_b)),
     ("perturbation_contracts", "uniqueness", SMALL, _warped_march(_grow_perturbation)),
 ]
@@ -165,3 +172,7 @@ def test_gates_pass_without_defect(tmp_path, command, scn):
     out = tmp_path / "out"
     assert main([command, "--scenario", str(SCENARIO_DIR / scn), "--out", str(out)]) == 0
     assert not (out / "failures.json").exists()
+    # every check a clean run writes has a planted defect above that fails it
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    unplanted = {c["name"].partition("[")[0] for c in checks} - {g[0] for g in GATES}
+    assert not unplanted, unplanted

@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypme.operators import (
-    build_fractional_laplacian_torus,
-    random_field,
-    smooth_field,
-    spectrum_from_eigenvalues,
-)
+from levypme.operators import build_fractional_laplacian_torus, random_field, smooth_field
+
+from conftest import spectrum_from_eigenvalues
 
 
 def test_torus_eigenvalues_frozen():

@@ -443,6 +443,35 @@ def test_cli_inequalities_success(tmp_path, capsys):
     assert (out / "variational_conditions.csv").exists()
 
 
+def test_inequalities_writes_no_coercivity_without_constant(tmp_path, capsys):
+    # saturating psi certifies no coercivity constant: the audit does not run,
+    # so neither a check nor a table row stands for it
+    out = tmp_path / "out"
+    scn = str(SCENARIO_DIR / "additive_saturating.scn")
+    assert main(["inequalities", "--scenario", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "coercivity" not in {c["name"] for c in report["checks"]}
+    assert "coercivity_c" not in report["constants_used"]
+    rows = (out / "variational_conditions.csv").read_text().splitlines()
+    assert rows[0] == "condition,checked,min_slack,violations"
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        "hemicontinuity", "local_monotonicity", "growth",
+    ]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("inequalities: all checks passed")
+
+
+def test_apriori_single_cell_gates_only_its_bound(tmp_path):
+    # one lam cell leaves nothing to compare along the ladder: no uniformity check
+    text = (SCENARIO_DIR / "multiplicative_small.scn").read_text()
+    line = "lambda_ladder = 0.2 0.1 0.05 0.025"
+    assert line in text.splitlines()
+    scn = _write_scenario(tmp_path, text.replace(line, "lambda_ladder = 0.1"))
+    out = tmp_path / "out"
+    assert main(["apriori", "--scenario", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["derived_bound[lam=0.1]"]
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.scn")
     assert main(["simulate", "--scenario", missing, "--out", str(tmp_path / "o")]) == 2
@@ -585,7 +614,7 @@ def test_run_studies_summarizes_null_slope(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "lambda-study  exit 0" in done.stdout
-    assert "slope n/a [n/a, n/a]" in done.stdout
+    assert "ok, 1 check; slope n/a [n/a, n/a]" in done.stdout
 
 
 def test_tracer_patches_resolve(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypme.operators import random_field, spectrum_from_eigenvalues
+from levypme.operators import random_field
 from levypme.spaces import (
     F12,
     F12_star,
@@ -19,6 +19,8 @@ from levypme.spaces import (
     norm,
     squared_norm_rows,
 )
+
+from conftest import spectrum_from_eigenvalues
 
 
 @pytest.fixture(scope="session")

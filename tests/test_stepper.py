@@ -12,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from levypme import stepper
 from levypme.nonlinearity import make_psi
 from levypme.noise import NoisePath, sample_noise_path
 from levypme.operators import (
     build_fractional_laplacian_torus,
     random_field,
     smooth_field,
-    spectrum_from_eigenvalues,
 )
 from levypme.spaces import F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import (
@@ -36,7 +36,7 @@ from levypme.stepper import (
     time_grid,
 )
 
-from conftest import additive_model, multiplicative_model, zero_model
+from conftest import additive_model, multiplicative_model, spectrum_from_eigenvalues, zero_model
 
 
 def test_single_linear_step_frozen():
@@ -419,6 +419,31 @@ def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
         assert len(rows) == traj.times.size
         assert np.abs(np.array([r[0] for r in rows]) - traj.left_states).max() <= 1e-12
         assert np.abs(np.array([r[1] for r in rows]) - traj.states).max() <= 1e-12
+
+
+def test_march_targets_the_per_substep_budget(torus_small, initial_small, monkeypatch):
+    # a jump at 0.3 splits the base step [0.25, 0.375] of h = T / 8, so the
+    # substeps have three different dt; each solve must target exactly
+    # inner_tolerance * min(1, dt / (2 T))
+    horizon = 1.0
+    cfg = StepConfig(h=horizon / 8, epsilon=0.1, lam=0.05)
+    path = NoisePath(np.array([0.3]), np.array([0]), 0, horizon)
+    grid, _ = time_grid(cfg.h, horizon, path)
+    calls = []
+    solve_rows = stepper._solve_rows
+
+    def recording(op, psi, params, b, dt, target, counters):
+        calls.append((dt.copy(), target.copy()))
+        return solve_rows(op, psi, params, b, dt, target, counters)
+
+    monkeypatch.setattr(stepper, "_solve_rows", recording)
+    for _ in march(torus_small, make_psi("soft_monotone"), multiplicative_model(), [path],
+                   [grid], [cfg], horizon, initial_small, SolverCounters()):
+        pass
+    assert len(calls) == grid.size - 1
+    assert np.unique(np.round([dt[0] for dt, _ in calls], 12)).size == 3
+    for dt, target in calls:
+        assert np.array_equal(target, cfg.inner_tolerance * np.minimum(1.0, dt / (2.0 * horizon)))
 
 
 def test_solver_counters(torus_small, initial_small):
