@@ -417,7 +417,7 @@ def constants_used(plan: StudyPlan) -> dict:
 def _base_parameters(plan: StudyPlan) -> dict:
     return {
         "psi_kind": plan.psi.kind,
-        "noise_kind": plan.noise.coefficient.__class__.__name__,
+        "noise_kind": plan.noise.label,
         "paths": plan.paths,
         "step_size": plan.step_size,
         "horizon": plan.horizon,

@@ -71,7 +71,8 @@ from .variational import check_variational_conditions
 
 
 def _linear_oracle_checks(plan, traj) -> list:
-    """Exact gates available when the drift is diagonal (linear psi, no noise).
+    """Exact gates available when the drift is diagonal: linear psi, and a
+    zero H2 constant, so every jump the path takes is zero.
 
     The scheme then reduces mode-by-mode to x -> x / (1 + dt kappa_k); the
     trajectory must match that recursion to 1e-10 and stay within the provable
@@ -121,9 +122,7 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
     )
 
     checks = []
-    if plan.psi.linear_slope is not None and noise_path.jump_count == 0 and (
-        not plan.noise.coefficient.state_dependent
-    ) and plan.noise.h2_closed_form(plan.op) == 0.0:
+    if plan.psi.linear_slope is not None and plan.noise.h2_closed_form(plan.op) == 0.0:
         checks.extend(_linear_oracle_checks(plan, traj))
 
     final = traj.states[-1]
@@ -221,7 +220,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
         parameters={
             "epsilon": epsilon,
             "psi_kind": plan.psi.kind,
-            "noise_kind": plan.noise.coefficient.__class__.__name__,
+            "noise_kind": plan.noise.label,
             "modes": int(plan.op.mode_count),
         },
         constants_used=constants_used(plan),

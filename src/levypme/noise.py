@@ -1,16 +1,17 @@
 """Finite-activity compensated Poisson forcing.
 
-A :class:`NoiseModel` couples a finite mark set with per-mark intensities and a
-jump-coefficient descriptor.  Three descriptors ship: zero, additive (per-mark
-fields, state independent) and multiplicative (per-mark scalars times the
-state).  Every descriptor acts on a ``(rows, modes)`` array of coefficient
-rows at once; the stepper and the hypothesis audits share that rows API.
-Paths are sorted (time, mark) tables; sampling is deterministic in
+A :class:`NoiseModel` couples a finite mark set with per-mark intensities and
+one affine jump coefficient f(u, z_j) = a_j + s_j u, held as data: per-mark
+coefficient rows a_j (``fields``) and scalars s_j (``sigmas``).  The shipped
+kinds are its special cases: zero (a = s = 0), additive (s = 0) and
+multiplicative (a = 0).  The coefficient acts on a ``(rows, modes)`` array of
+coefficient rows at once; the stepper and the hypothesis audits share that
+rows API.  Paths are sorted (time, mark) tables; sampling is deterministic in
 (model, horizon, seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -21,12 +22,9 @@ from .reporting import verdict
 from .spaces import F_STAR, L2, NormKind, norm, squared_norm_rows
 
 __all__ = [
-    "AdditiveCoefficient",
-    "MultiplicativeCoefficient",
     "NoiseAuditReport",
     "NoiseModel",
     "NoisePath",
-    "ZeroCoefficient",
     "audit_h2_h3",
     "export_noise_path",
     "noise_mass_rows",
@@ -34,75 +32,68 @@ __all__ = [
     "sample_noise_path",
 ]
 
-
-@dataclass(frozen=True)
-class ZeroCoefficient:
-    """f(t, u, z) = 0."""
-
-    state_dependent = False
-
-    def rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
-        return np.zeros_like(u)
-
-
-@dataclass(frozen=True, eq=False)
-class AdditiveCoefficient:
-    """f(t, u, z) = sigma_z, a fixed coefficient vector per mark."""
-
-    fields: tuple
-
-    state_dependent = False
-
-    def rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
-        return np.broadcast_to(self.fields[mark_index], u.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplicativeCoefficient:
-    """f(t, u, z) = sigma_z * u."""
-
-    sigmas: tuple
-
-    state_dependent = True
-
-    def rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
-        return self.sigmas[mark_index] * u
+# Report names of the coefficient, indexed by which parts are given:
+# fields (1) and sigmas (2).
+_LABELS = ("ZeroCoefficient", "AdditiveCoefficient", "MultiplicativeCoefficient", "AffineCoefficient")
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Mark set, intensities and jump coefficient of the driving measure."""
+    """Mark set, intensities and affine jump coefficient f(u, z_j) = a_j + s_j u
+    of the driving measure.
+
+    ``fields`` is (marks, modes), the a_j; ``sigmas`` is (marks,), the s_j.  A
+    part that is not given is zero.  ``label`` names the parts given, the
+    ``noise_kind`` of every report.
+    """
 
     marks: tuple
     intensities: np.ndarray
-    coefficient: object
+    fields: Optional[np.ndarray] = None
+    sigmas: Optional[np.ndarray] = None
+    label: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(self.marks))
         nu = np.array(self.intensities, dtype=float)
-        nu.setflags(write=False)
-        object.__setattr__(self, "intensities", nu)
         if len(self.marks) != nu.size or nu.size == 0:
             raise ValueError("marks and intensities must be nonempty and equal length")
         if np.any(~np.isfinite(nu)) or np.any(nu < 0.0):
             raise ValueError("intensities must be finite and nonnegative")
-        if isinstance(self.coefficient, AdditiveCoefficient):
-            if len(self.coefficient.fields) != nu.size:
-                raise ValueError("additive coefficient needs one field per mark")
-        if isinstance(self.coefficient, MultiplicativeCoefficient):
-            if len(self.coefficient.sigmas) != nu.size:
-                raise ValueError("multiplicative coefficient needs one sigma per mark")
+        given = (self.fields is not None) + 2 * (self.sigmas is not None)
+        # an absent fields part is one zero column, broadcast over the modes
+        fields = np.array(np.zeros((nu.size, 1)) if self.fields is None else self.fields, dtype=float)
+        sigmas = np.array(np.zeros(nu.size) if self.sigmas is None else self.sigmas, dtype=float)
+        if fields.ndim != 2 or len(fields) != nu.size:
+            raise ValueError("coefficient needs one field per mark")
+        if sigmas.shape != nu.shape:
+            raise ValueError("coefficient needs one sigma per mark")
+        for name, value in (("intensities", nu), ("fields", fields), ("sigmas", sigmas)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "label", _LABELS[given])
+
+    @property
+    def state_dependent(self) -> bool:
+        """True when some jump depends on the state (a non-zero sigma)."""
+        return bool(np.any(self.sigmas))
 
     def jump_rows(self, u: np.ndarray, mark_index: int) -> np.ndarray:
-        """f(., u, z) for every coefficient row of ``u`` (shape (..., modes))."""
-        return self.coefficient.rows(u, mark_index)
+        """f(., u, z) for every coefficient row of ``u`` (shape (..., modes)).
+
+        The field is added in place: a second temporary the size of ``u``
+        costs more than the sum.
+        """
+        rows = self.sigmas[mark_index] * u
+        rows += self.fields[mark_index]
+        return rows
 
     def compensator_rows(self, u: np.ndarray) -> np.ndarray:
         """sum_z f(., u, z) nu(z) per row, the drift removed by compensation."""
         total = np.zeros(np.shape(u))
         for j, nu_j in enumerate(self.intensities):
             if nu_j > 0.0:
-                total = total + nu_j * self.coefficient.rows(u, j)
+                total = total + nu_j * self.jump_rows(u, j)
         return total
 
     def jump_field(self, op, t, state, mark_index) -> np.ndarray:
@@ -116,43 +107,38 @@ class NoiseModel:
     # -- closed-form hypothesis constants -------------------------------------
 
     def h2_closed_form(self, op, kind=F_STAR) -> float:
-        """Smallest advertised C with int ||f(u,z)||^2 nu(dz) <= C (1+||u||^2).
+        """Advertised C with int ||f(u,z)||^2 nu(dz) <= C (1+||u||^2):
+        sum_j nu_j (||a_j||^2 + s_j^2).
 
-        The norm defaults to the dual norm the hypothesis is stated in; the
-        moment-bound chain asks for the same constant in the L2 norm, which
-        only changes the additive case (scalar sigmas are norm-independent).
+        By Cauchy-Schwarz, ||a + s u||^2 <= (||a||^2 + s^2)(1 + ||u||^2), so C
+        bounds any affine coefficient; it is the smallest such C for each
+        shipped kind, where a_j or s_j is zero.  The norm defaults to the dual
+        norm the hypothesis is stated in; the moment-bound chain asks for the
+        same constant in the L2 norm, which changes only the fields' part.
         """
-        if isinstance(self.coefficient, ZeroCoefficient):
-            return 0.0
-        if isinstance(self.coefficient, AdditiveCoefficient):
-            return float(sum(
-                nu_j * norm(op, f, kind) ** 2
-                for nu_j, f in zip(self.intensities, self.coefficient.fields)
-            ))
-        sig = np.asarray(self.coefficient.sigmas, dtype=float)
-        return float(np.sum(sig * sig * self.intensities))
+        fields = np.broadcast_to(self.fields, (self.intensities.size, op.mode_count))
+        return float(sum(
+            nu_j * (norm(op, a, kind) ** 2 + s * s)
+            for nu_j, a, s in zip(self.intensities, fields, self.sigmas)
+        ))
 
     def h3_closed_form(self, op) -> float:
-        """Smallest advertised C with int ||f(u1,z)-f(u2,z)||_F*^2 nu(dz) <= C ||u1-u2||_F*^2."""
-        if isinstance(self.coefficient, MultiplicativeCoefficient):
-            sig = np.asarray(self.coefficient.sigmas, dtype=float)
-            return float(np.sum(sig * sig * self.intensities))
-        return 0.0
+        """Smallest advertised C with int ||f(u1,z)-f(u2,z)||_F*^2 nu(dz) <= C ||u1-u2||_F*^2:
+        sum_j nu_j s_j^2, since the fields cancel in the difference."""
+        return float(np.sum(self.sigmas * self.sigmas * self.intensities))
 
     def gap_log_budget(self, path: NoisePath, times: np.ndarray) -> np.ndarray:
         """Log growth of a coupled perturbation gap the noise allows by each t.
 
-        A multiplicative jump scales the gap by |1 + sigma_j| <= 1 + |sigma_j|
-        and the compensator by 1 - dt sum_j nu_j sigma_j per step, a growth
-        only when that sum is negative; the drift contracts.  So the budget is
-        sum_{tau_j <= t} log1p(|sigma_j|) + t max(0, -sum_j nu_j sigma_j).
-        Additive and zero noise cancel in the coupled difference: budget 0.
+        The fields cancel in the coupled difference; a jump scales the gap by
+        |1 + sigma_j| <= 1 + |sigma_j| and the compensator by
+        1 - dt sum_j nu_j sigma_j per step, a growth only when that sum is
+        negative; the drift contracts.  So the budget is
+        sum_{tau_j <= t} log1p(|sigma_j|) + t max(0, -sum_j nu_j sigma_j),
+        zero when every sigma is.
         """
-        if not isinstance(self.coefficient, MultiplicativeCoefficient):
-            return np.zeros_like(times)
-        sigmas = np.asarray(self.coefficient.sigmas, dtype=float)
-        accrued = np.concatenate([[0.0], np.cumsum(np.log1p(np.abs(sigmas[path.mark_indices])))])
-        drift = max(0.0, -float(np.sum(self.intensities * sigmas)))
+        accrued = np.concatenate([[0.0], np.cumsum(np.log1p(np.abs(self.sigmas[path.mark_indices])))])
+        drift = max(0.0, -float(np.sum(self.intensities * self.sigmas)))
         return accrued[np.searchsorted(path.times, times, side="right")] + drift * times
 
 
@@ -239,16 +225,13 @@ class NoiseAuditReport:
 def noise_mass_rows(op: OperatorSpectrum, model: NoiseModel, u: np.ndarray,
                     v: Optional[np.ndarray] = None, kind: NormKind = F_STAR) -> np.ndarray:
     """Per row, int ||f(u,z)||^2 nu(dz), or int ||f(u,z) - f(v,z)||^2 nu(dz)
-    when ``v`` is given (zero for state-independent coefficients), in the
-    norm ``kind`` (F* by default)."""
+    when ``v`` is given, in the norm ``kind`` (F* by default)."""
     total = np.zeros(u.shape[0])
-    if v is not None and not model.coefficient.state_dependent:
-        return total
     for j, nu_j in enumerate(model.intensities):
         if nu_j > 0.0:
             f = model.jump_rows(u, j)
             if v is not None:
-                f = f - model.jump_rows(v, j)
+                f -= model.jump_rows(v, j)
             total = total + nu_j * squared_norm_rows(op, f, kind)
     return total
 
@@ -260,7 +243,7 @@ def audit_h2_h3(
     seed: int = 7,
 ) -> NoiseAuditReport:
     """Sample states and state pairs, compare the tightest empirical constants
-    with the closed-form ones implied by the coefficient descriptor.
+    with the closed-form ones implied by the coefficient.
 
     Sample i is the pair (u1, u2) of rows i of one sample-major draw of shape
     (sample_count, 2, modes), coefficients scaled by 2 (1+mu_k)^(-1/2), made

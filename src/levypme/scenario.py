@@ -26,12 +26,7 @@ import numpy as np
 
 from .cascade import StudyPlan
 from .nonlinearity import PSI_KINDS, PSI_PARAMETERS, NonlinearityPsi, make_psi
-from .noise import (
-    AdditiveCoefficient,
-    MultiplicativeCoefficient,
-    NoiseModel,
-    ZeroCoefficient,
-)
+from .noise import NoiseModel
 from .operators import (
     OperatorSpectrum,
     build_fractional_laplacian_torus,
@@ -292,17 +287,14 @@ def build_psi(sc: Scenario) -> NonlinearityPsi:
 
 def build_noise(sc: Scenario, op: OperatorSpectrum) -> NoiseModel:
     if sc.noise == "zero":
-        return NoiseModel(marks=("null",), intensities=(0.0,), coefficient=ZeroCoefficient())
+        return NoiseModel(marks=("null",), intensities=(0.0,))
     marks = tuple(f"z{j}" for j in range(len(sc.noise_intensity)))
     if sc.noise == "additive":
-        noise_fields = tuple(
+        return NoiseModel(marks, sc.noise_intensity, fields=[
             random_field(op, np.random.default_rng(_ADDITIVE_FIELD_SEED + j), scale=s)
             for j, s in enumerate(sc.noise_scale)
-        )
-        coefficient = AdditiveCoefficient(fields=noise_fields)
-    else:
-        coefficient = MultiplicativeCoefficient(sigmas=tuple(sc.noise_scale))
-    return NoiseModel(marks=marks, intensities=sc.noise_intensity, coefficient=coefficient)
+        ])
+    return NoiseModel(marks, sc.noise_intensity, sigmas=sc.noise_scale)
 
 
 def build_initial(sc: Scenario, op: OperatorSpectrum) -> np.ndarray:

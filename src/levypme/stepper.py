@@ -489,8 +489,8 @@ def time_grid(h: float, horizon: float, path: NoisePath):
     base = np.minimum(np.arange(n + 1) * h, horizon)
     base[-1] = horizon
     grid = np.unique(np.concatenate([base, path.times]))
-    base_set = set(base.tolist())
-    base_mask = np.array([t in base_set for t in grid])
+    base_mask = np.zeros(grid.size, dtype=bool)
+    base_mask[np.searchsorted(grid, base)] = True  # each base point is a grid entry
     return grid, base_mask
 
 
@@ -537,7 +537,7 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
     active = np.arange(len(paths))
     yield 0, active, state, state
 
-    state_dependent = model.coefficient.state_dependent
+    state_dependent = model.state_dependent
     rate = None if state_dependent else model.compensator_rows(state[:1])
     for i in range(1, lengths.max()):
         alive = lengths[active] > i

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levypme import cascade
-from levypme.noise import (
-    AdditiveCoefficient,
-    MultiplicativeCoefficient,
-    NoiseModel,
-    ZeroCoefficient,
-)
+from levypme.noise import NoiseModel
 from levypme.operators import (
     OperatorSpectrum,
     build_fractional_laplacian_torus,
@@ -15,6 +11,11 @@ from levypme.operators import (
     smooth_field,
 )
 from levypme.stepper import march
+
+# Every Hypothesis test draws the same examples on every run; each test's own
+# ``max_examples`` still applies.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)
@@ -64,18 +65,18 @@ def spectrum_from_eigenvalues(eigenvalues):
 
 
 def zero_model():
-    return NoiseModel(marks=("null",), intensities=(0.0,), coefficient=ZeroCoefficient())
+    return NoiseModel(marks=("null",), intensities=(0.0,))
 
 
 def additive_model(op, scales=(0.1, 0.06), intensities=(3.0, 1.5)):
-    fields = tuple(
+    fields = [
         random_field(op, np.random.default_rng(977 + j), scale=s)
         for j, s in enumerate(scales)
-    )
+    ]
     return NoiseModel(
         marks=tuple(f"z{j}" for j in range(len(scales))),
         intensities=intensities,
-        coefficient=AdditiveCoefficient(fields=fields),
+        fields=fields,
     )
 
 
@@ -83,7 +84,7 @@ def multiplicative_model(sigmas=(0.08, -0.05), intensities=(2.0, 1.0)):
     return NoiseModel(
         marks=tuple(f"z{j}" for j in range(len(sigmas))),
         intensities=intensities,
-        coefficient=MultiplicativeCoefficient(sigmas=sigmas),
+        sigmas=sigmas,
     )
 
 

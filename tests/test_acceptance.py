@@ -136,7 +136,7 @@ def test_criterion_3_deterministic_oracles(capsys):
     path = sample_noise_path(model, horizon, 314)
     traj = solve_regularized_path(op, make_psi("zero"), model, path, cfg, horizon, initial)
     comp = model.compensator_rate(op, initial)
-    fields = np.stack(model.coefficient.fields)
+    fields = model.fields
     jump_gap = 0.0
     for i, t in enumerate(traj.times):
         upto = path.times <= t + 1e-15

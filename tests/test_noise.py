@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 
 from levypme import operators
 from levypme.noise import (
-    AdditiveCoefficient,
-    MultiplicativeCoefficient,
     NoiseModel,
     NoisePath,
-    ZeroCoefficient,
     audit_h2_h3,
     export_noise_path,
     noise_mass_rows,
@@ -45,6 +42,17 @@ def test_path_sampling_deterministic(torus_small):
     export_noise_path(a, model, buf_a)
     export_noise_path(b, model, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def test_path_sampling_frozen():
+    # a fixed seed gives byte-identical reports only while it draws the same
+    # path: seed 0 on intensities (2, 1) over (0, 1]
+    path = sample_noise_path(multiplicative_model(), 1.0, 0)
+    assert path.times.tolist() == [
+        0.06492757621223177, 0.18414644587846785, 0.18672976079972758,
+        0.9834723644714709, 0.9972614998298519,
+    ]
+    assert path.mark_indices.tolist() == [1, 1, 0, 0, 1]
 
 
 def test_path_seed_spreads_streams():
@@ -88,7 +96,7 @@ def test_jump_count_distribution_poisson():
 
 def test_compensator_rate_closed_form(torus_small):
     model = additive_model(torus_small, intensities=(3.0, 1.5))
-    f0, f1 = model.coefficient.fields
+    f0, f1 = model.fields
     rate = model.compensator_rate(torus_small, np.zeros(torus_small.mode_count))
     assert np.allclose(
         rate, 3.0 * f0 + 1.5 * f1, atol=1e-14
@@ -192,7 +200,7 @@ class HalvedL2(NoiseModel):
 
 
 def halved_l2(model):
-    return HalvedL2(model.marks, model.intensities, model.coefficient)
+    return HalvedL2(model.marks, model.intensities, model.fields, model.sigmas)
 
 
 @pytest.mark.parametrize("model_factory", ["additive", "multiplicative"])
@@ -241,6 +249,22 @@ def test_hypothesis_audit_peak_memory_bounded(sample_count):
     assert peak <= 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
 
+class SlightlyUnderstatedH3(NoiseModel):
+    """A model whose advertised gap constant is 1e-7 relative below the true one."""
+
+    def h3_closed_form(self, op):
+        return super().h3_closed_form(op) * (1.0 - 1e-7)
+
+
+def test_hypothesis_audit_allowance_is_roundoff_only(torus_small):
+    # multiplicative noise attains h3 on every pair: the audit's relative
+    # allowance of 1e-9 covers roundoff, not an understatement of 1e-7
+    model = multiplicative_model()
+    understated = SlightlyUnderstatedH3(model.marks, model.intensities, sigmas=model.sigmas)
+    report = audit_h2_h3(torus_small, understated, sample_count=500, seed=7)
+    assert [c.name for c in report.conditions if not c.passed] == ["H3"]
+
+
 def test_hypothesis_audit_flags_understated_l2_growth(torus_small):
     # the moment bound's L2 growth constant is audited on the same draws: an
     # understated one fails with an H2 (L2) witness while F* H2 and H3 hold
@@ -267,10 +291,25 @@ def test_h2_norm_dependence_additive(torus_small):
     in_dual = model.h2_closed_form(torus_small, kind=F_STAR)
     in_l2 = model.h2_closed_form(torus_small, kind=L2)
     assert in_l2 > in_dual  # the dual norm shrinks every nonconstant mode
-    f0, f1 = model.coefficient.fields
+    f0, f1 = model.fields
     assert in_l2 == pytest.approx(
         3.0 * norm(torus_small, f0, L2) ** 2 + 1.5 * norm(torus_small, f1, L2) ** 2
     )
+
+
+def test_h2_closed_form_bounds_a_mixed_coefficient(torus_small):
+    # f = a_j + s_j u with both parts non-zero: by Cauchy-Schwarz
+    # sum nu_j (||a_j||^2 + s_j^2) bounds the growth, in F* and in L2, and the
+    # gap constant is the sigmas' part alone, 3 * 0.08^2 + 1.5 * 0.05^2
+    additive = additive_model(torus_small)
+    model = NoiseModel(additive.marks, additive.intensities, additive.fields, (0.08, -0.05))
+    assert model.state_dependent
+    report = audit_h2_h3(torus_small, model, sample_count=500, seed=7)
+    assert report.passed, [c.witness for c in report.conditions]
+    assert report.h3_closed_form == pytest.approx(0.02295, rel=1e-14)
+    for kind in (F_STAR, L2):
+        assert model.h2_closed_form(torus_small, kind) == pytest.approx(
+            additive.h2_closed_form(torus_small, kind) + 0.02295, rel=1e-14)
 
 
 def test_additive_h3_vanishes(torus_small):
@@ -290,8 +329,9 @@ def test_gap_log_budget_closed_form(torus_small):
     first, both = math.log1p(0.05), math.log1p(0.05) + math.log1p(0.08)
     assert damped.gap_log_budget(path, times) == pytest.approx(
         [0.0, first, first, both, both], rel=1e-14)
-    for cancels in (additive_model(torus_small), zero_model()):
-        assert not cancels.gap_log_budget(path, times).any()
+    assert not additive_model(torus_small).gap_log_budget(path, times).any()
+    one_mark = NoisePath(path.times, np.array([0, 0]), 0, 1.0)  # the zero model's only mark
+    assert not zero_model().gap_log_budget(one_mark, times).any()
 
 
 def test_export_parse_round_trip(torus_small):
@@ -324,17 +364,13 @@ def test_noise_path_validation():
 
 def test_model_validation(torus_small):
     with pytest.raises(ValueError, match="equal length"):
-        NoiseModel(("a", "b"), np.array([1.0]), ZeroCoefficient())
+        NoiseModel(("a", "b"), np.array([1.0]))
     with pytest.raises(ValueError, match="nonnegative"):
-        NoiseModel(("a",), np.array([-1.0]), ZeroCoefficient())
+        NoiseModel(("a",), np.array([-1.0]))
     with pytest.raises(ValueError, match="one field per mark"):
-        NoiseModel(
-            ("a", "b"),
-            np.array([1.0, 1.0]),
-            AdditiveCoefficient((smooth_field(torus_small),)),
-        )
+        NoiseModel(("a", "b"), np.array([1.0, 1.0]), fields=[smooth_field(torus_small)])
     with pytest.raises(ValueError, match="one sigma per mark"):
-        NoiseModel(("a", "b"), np.array([1.0, 1.0]), MultiplicativeCoefficient((0.1,)))
+        NoiseModel(("a", "b"), np.array([1.0, 1.0]), sigmas=(0.1,))
 
 
 def test_zero_model_has_no_jumps(torus_small):

@@ -186,10 +186,12 @@ def test_builders_respect_kinds():
     assert op.mode_count == 9
     model = build_noise(zero_sc, op)
     assert model.h2_closed_form(op) == 0.0
+    assert model.label == "ZeroCoefficient"
 
     additive_sc = parse_scenario(_text({"noise": "additive"}))
     add_model = build_noise(additive_sc, build_operator(additive_sc))
-    assert add_model.coefficient.state_dependent is False
+    assert add_model.state_dependent is False
+    assert add_model.label == "AdditiveCoefficient"
     assert len(add_model.marks) == 2
 
     random_sc = parse_scenario(
@@ -197,6 +199,7 @@ def test_builders_respect_kinds():
     )
     plan = build_plan(random_sc)
     assert plan.paths == 2
+    assert plan.noise.label == "MultiplicativeCoefficient"
     plan_bigger = build_plan(replace(random_sc, paths=5, master_seed=1))
     assert plan_bigger.paths == 5 and plan_bigger.master_seed == 1
 

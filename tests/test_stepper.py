@@ -156,7 +156,7 @@ def test_pure_jump_exact(torus_small, initial_small):
         torus_small, make_psi("zero"), model, path, cfg, 1.0, initial_small
     )
     comp = model.compensator_rate(torus_small, initial_small)
-    fields = np.stack(model.coefficient.fields)
+    fields = model.fields
     worst = 0.0
     for i, t in enumerate(traj.times):
         before = path.times < t - 1e-15
@@ -165,6 +165,28 @@ def test_pure_jump_exact(torus_small, initial_small):
         exact_right = initial_small + fields[path.mark_indices[upto]].sum(axis=0) - t * comp
         worst = max(worst, np.abs(traj.left_states[i] - exact_left).max())
         worst = max(worst, np.abs(traj.states[i] - exact_right).max())
+    assert worst <= 1e-10, f"pure-jump gap {worst:.3e}"
+
+
+def test_pure_multiplicative_jump_exact(torus_small, initial_small):
+    # psi = 0, lam = 0, sigmas (0.08, -0.05) at intensities (2, 1): each
+    # substep scales the state by 1 - dt (2 * 0.08 - 0.05), from its own left
+    # end, and a jump of mark j by 1 + sigma_j
+    model = multiplicative_model()
+    cfg = StepConfig(h=0.125, epsilon=0.2, lam=0.0)
+    path = sample_noise_path(model, 1.0, 17)
+    assert path.jump_count > 0
+    traj = solve_regularized_path(
+        torus_small, make_psi("zero"), model, path, cfg, 1.0, initial_small
+    )
+    scale, worst = 1.0, 0.0
+    for i, t in enumerate(traj.times):
+        if i:
+            scale *= 1.0 - (t - traj.times[i - 1]) * 0.11
+        worst = max(worst, np.abs(traj.left_states[i] - scale * initial_small).max())
+        for j in path.mark_indices[path.times == t]:
+            scale *= 1.0 + (0.08, -0.05)[j]
+        worst = max(worst, np.abs(traj.states[i] - scale * initial_small).max())
     assert worst <= 1e-10, f"pure-jump gap {worst:.3e}"
 
 
