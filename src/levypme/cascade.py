@@ -28,7 +28,7 @@ constants; theta and the monotonicity shift come from :mod:`levypme.variational`
 
 In every study :func:`levypme.stepper.march` advances the rows in lockstep,
 squared norms are taken at each step, and
-:func:`levypme.stepper.cadlag_reductions` turns them into sups and
+:func:`levypme.stepper.cadlag_totals` turns them into sups and
 trapezoids.  The Monte Carlo studies run their paths in fixed chunks of
 ``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at once,
 on one process per usable CPU; ``uniqueness_check`` marches its three rows
@@ -46,15 +46,13 @@ marches everything it reports on.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, path_seed, sample_noise_path
-from .operators import OperatorSpectrum
+from .operators import OperatorSpectrum, deal
 from .reporting import (
     ConstantRecord,
     PairEstimate,
@@ -69,7 +67,7 @@ from .stepper import (
     MAX_INNER_ITERATIONS,
     SolverCounters,
     StepConfig,
-    cadlag_reductions,
+    cadlag_totals,
     effective_splitting_mu,
     march,
     time_grid,
@@ -176,10 +174,9 @@ class StudyPlan:
 # --------------------------------------------------------------------------
 # chunked simulation
 
-# Rows (path x ladder cell) one chunk advances in lockstep.  With default
-# threading (OpenBLAS 0.3.31, 2 cores), the (rows, 65) @ basis.T gemm of
-# to_physical runs on two threads (cpu/wall 2.0) from 128 rows; 64 rows keep
-# it single-threaded, and further CPUs march other chunks (_deal).
+# Rows (path x ladder cell) one chunk advances in lockstep.  A chunk is the
+# unit of work operators.deal hands to a process.  The value is part of the
+# reports: a gemm's last bits depend on its row count.
 CHUNK_ROWS = 64
 
 
@@ -222,8 +219,9 @@ def _march_cells(plan: StudyPlan, cells):
 
     Chunks hold ``CHUNK_ROWS // len(cells)`` paths, whose rows (paths x
     cells) advance in lockstep; norms are reduced on the fly by
-    :func:`cadlag_reductions` and no trajectory is stored.  Returns the
-    results and the number of processes that marched them (:func:`_deal`).
+    :func:`cadlag_totals` and no trajectory is stored.  Returns the
+    results and the number of processes that marched them
+    (:func:`levypme.operators.deal`).
     """
     op = plan.op
     n_cells = len(cells)
@@ -267,18 +265,13 @@ def _march_cells(plan: StudyPlan, cells):
             sq[0, active, :, i] = at_right
             sq[1, active, :, i] = at_right if left is right else squared_norms(left)
         reduced = [
-            cadlag_reductions(times, base_mask, sq[0, k, :, : times.size],
-                              sq[1, k, :, : times.size])[:2]
-            for k, (times, base_mask) in enumerate(grids)
+            cadlag_totals(times, sq[0, k, :, : times.size], sq[1, k, :, : times.size])
+            for k, (times, _) in enumerate(grids)
         ]
         return reduced, counters
 
     per_chunk = max(1, CHUNK_ROWS // n_cells)
-    # Chunks march side by side only while OpenBLAS runs their transforms on
-    # one thread: it threads a gemm from M N K = 2**19 on, and the threaded
-    # gemms of several processes contend for the cores (97 modes: 3-4x slower).
-    one_thread = per_chunk * n_cells * op.basis.size < 2**19
-    chunks, workers = _deal(march_chunk, range(0, plan.paths, per_chunk), one_thread)
+    chunks, workers = deal(march_chunk, range(0, plan.paths, per_chunk))
     reduced = [path for chunk, _ in chunks for path in chunk]
     sup, integral = (np.stack(r) for r in zip(*reduced))
     return {
@@ -287,49 +280,6 @@ def _march_cells(plan: StudyPlan, cells):
         "pair_sup_fstar_sq": sup[:, pair],
         "solver": SolverCounters.merged([counters for _, counters in chunks]).summary(),
     }, workers
-
-
-def _deal(work, items, spread):
-    """``[work(item) for item in items]`` and the number of processes that ran
-    it: this one and, if ``spread``, ``os.fork``ed children, one per usable
-    CPU, dealt the items round-robin.  Each stops at its first failure; the
-    lowest item's is raised, as the plain loop would.  Every child is reaped."""
-    cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items)) if hasattr(os, "fork") else 1
-
-    def share(start):  # (index, result or exception), up to the first failure
-        done = []
-        for index in range(start, len(items), workers):
-            try:
-                done.append((index, work(items[index])))
-            except Exception as exc:
-                return done + [(index, exc)]
-        return done
-
-    pipes = {}  # child pid -> read end of its pipe
-    try:
-        for start in range(1, workers):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child pickles its share and leaves
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(share(start), pipe)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            pipes[pid] = os.fdopen(read, "rb")
-        done = share(0) + [outcome for pipe in pipes.values() for outcome in pickle.load(pipe)]
-    finally:
-        for pipe in pipes.values():  # a child blocked on a full pipe ends now
-            pipe.close()
-        for pid in pipes:
-            os.waitpid(pid, 0)
-    done.sort(key=lambda outcome: outcome[0])
-    for _, value in done:
-        if isinstance(value, Exception):
-            raise value
-    return [value for _, value in done], workers
 
 
 # --------------------------------------------------------------------------

@@ -24,10 +24,14 @@ failure (inner iteration did not converge, or any other error).
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
 canonical scenario) and ``metadata.json``; only the metadata carries a
 timestamp and the environment (Python and numpy versions,
-``OPENBLAS_NUM_THREADS``, CPU count), so reports and tables are
-byte-identical across reruns.  For ``lambda-study``, ``eps-study`` and
-``apriori`` the metadata also says whether the study marched its ensemble or
-reused one an earlier study of the same plan marched in this interpreter
+``OPENBLAS_NUM_THREADS``, ``"blas_pin"``: the OpenBLAS pinned to one thread,
+CPU count), so reports and tables are byte-identical across reruns.  Since
+:mod:`levypme.operators` runs numpy's OpenBLAS on one thread whatever
+``OPENBLAS_NUM_THREADS`` says, they are also identical across its values
+(``"blas_pin": null`` records a BLAS that is not OpenBLAS and was left as
+configured).  For ``lambda-study``, ``eps-study`` and ``apriori`` the
+metadata also says whether the study marched its ensemble or reused one an
+earlier study of the same plan marched in this interpreter
 (``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
 marched it).  ``"child_cpu_s"`` is the CPU time of the children it reaped.
 """
@@ -54,6 +58,7 @@ from .cascade import (
 )
 from .noise import audit_h2_h3, export_noise_path, path_seed, sample_noise_path
 from .nonlinearity import verify_psi_inequalities
+from .operators import pin_blas_threads
 from .reporting import PropertyCheck, StudyReport, Table
 from .scenario import (
     ScenarioError,
@@ -284,11 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _environment() -> dict:
-    """Interpreter and numpy versions and the thread settings a timing depends on."""
+    """Interpreter and numpy versions and the thread settings a timing depends
+    on: ``OPENBLAS_NUM_THREADS`` as set, and ``blas_pin``, each OpenBLAS
+    pinned with the thread count it reports, or None when none is loaded."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_pin": pin_blas_threads(),
         "cpu_count": os.cpu_count(),
     }
 

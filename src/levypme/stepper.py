@@ -36,6 +36,7 @@ __all__ = [
     "StepperConvergenceError",
     "Trajectory",
     "cadlag_reductions",
+    "cadlag_totals",
     "drift_rows",
     "effective_splitting_mu",
     "implicit_step",
@@ -393,18 +394,31 @@ def implicit_step(
     return (u[0], int(iterations[0])) if return_iterations else u[0]
 
 
+def _cadlag_terms(times, right_sq, left_sq):
+    """The larger of value and left limit at each time, and each segment's
+    trapezoid area, from the right value at its start to the left limit at
+    its end, so jumps add no area."""
+    both = np.maximum(right_sq, left_sq)
+    seg = 0.5 * np.diff(times) * (right_sq[..., :-1] + left_sq[..., 1:])
+    return both, seg
+
+
+def cadlag_totals(times, right_sq, left_sq):
+    """Sup and trapezoid of a cadlag quantity over the whole grid: the first
+    two results of :func:`cadlag_reductions`, bit for bit."""
+    both, seg = _cadlag_terms(times, right_sq, left_sq)
+    return both.max(axis=-1), seg.sum(axis=-1)
+
+
 def cadlag_reductions(times, base_mask, right_sq, left_sq):
     """Sup and trapezoid of a cadlag quantity, in total and running.
 
     ``right_sq[..., i]`` is the value at ``times[i]`` and ``left_sq[..., i]``
     its left limit; leading axes are independent sequences on the one grid.
-    The trapezoid takes each segment from the right value at its start to the
-    left limit at its end, so jumps add no area.  Returns (sup, trapezoid,
-    running sup, running trapezoid), the running values at the ``base_mask``
-    rows.
+    Returns (sup, trapezoid, running sup, running trapezoid), the running
+    values at the ``base_mask`` rows.
     """
-    both = np.maximum(right_sq, left_sq)
-    seg = 0.5 * np.diff(times) * (right_sq[..., :-1] + left_sq[..., 1:])
+    both, seg = _cadlag_terms(times, right_sq, left_sq)
     running = np.concatenate(
         [np.zeros(seg.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1
     )

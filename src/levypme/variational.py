@@ -27,7 +27,9 @@ a row's value to the block it sits in.  Every draw is made block by block
 ``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
 per-sample sides before the next one is drawn, so each (block x modes)
 temporary holds about 2^16 values and no (samples x modes) array exists,
-whatever the sample or mode count.
+whatever the sample or mode count.  From 128 modes on the blocks are shared
+among one process per usable CPU; every block is evaluated the same way
+wherever it runs.
 """
 from __future__ import annotations
 

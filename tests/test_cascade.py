@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levypme import cascade, cli
+from levypme import cascade, cli, operators
 from levypme.cascade import (
     CHUNK_ROWS,
     DAVIS_CONSTANT,
@@ -355,6 +355,14 @@ def _usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _assert_same_ensemble(a, b):
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, b[key]), key
+    assert a["solver"] == b["solver"]
+
+
 def test_split_changes_no_bit(torus_small, monkeypatch):
     # three usable CPUs give each of the three chunks its own process; on
     # one, this process marches them all.  The chunks are the same either
@@ -365,22 +373,35 @@ def test_split_changes_no_bit(torus_small, monkeypatch):
     _usable_cpus(monkeypatch, 1)
     alone = _run_cells(plan, cells)
     assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
-    assert split.keys() == alone.keys()
-    for key, value in split.items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(value, alone[key]), key
-    assert split["solver"] == alone["solver"]
+    _assert_same_ensemble(split, alone)
 
 
-def test_threaded_transforms_march_in_one_process(monkeypatch):
-    # 63 rows of 93 modes reach OpenBLAS's threading floor, M N K = 2**19,
-    # where chunks in several processes would contend with its threads
+def test_wide_transforms_march_on_every_cpu(monkeypatch):
+    # 63 rows of 93 modes, a gemm OpenBLAS would thread (M N K >= 2**19);
+    # pinned to one thread it leaves the cores to the processes, so the two
+    # chunks march on two of them, bit for bit as on one
     op = build_fractional_laplacian_torus(46, 0.5)
     plan, cells = _three_chunks(op)
     plan = replace(plan, paths=22)  # two chunks
     assert 21 * len(cells) * op.basis.size >= 2**19
     _usable_cpus(monkeypatch, 3)
-    assert _run_cells(plan, cells)["march_workers"] == 1
+    split = _run_cells(plan, cells)
+    _usable_cpus(monkeypatch, 1)
+    alone = _run_cells(plan, cells)
+    assert (split.pop("march_workers"), alone.pop("march_workers")) == (2, 1)
+    _assert_same_ensemble(split, alone)
+
+
+def test_unpinned_blas_marches_in_one_process(torus_small, monkeypatch):
+    # with no OpenBLAS found, BLAS keeps its own threads, so the chunks stay
+    # in this process whatever the CPU count; the bits are the split run's
+    plan, cells = _three_chunks(torus_small)
+    _usable_cpus(monkeypatch, 3)
+    split = _run_cells(plan, cells)
+    monkeypatch.setattr(operators, "_loaded_openblas", lambda: [])
+    alone = _run_cells(plan, cells)
+    assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
+    _assert_same_ensemble(split, alone)
 
 
 def test_worker_failure_reaches_the_caller(torus_small, monkeypatch, tmp_path, capsys):

@@ -3,14 +3,25 @@
 Frozen eigenvalues below are computed by hand from the closed form
 mu_k = |2 pi k / length|^(2 alpha).
 """
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypme.operators import build_fractional_laplacian_torus, random_field, smooth_field
+from levypme import operators
+from levypme.operators import (
+    build_fractional_laplacian_torus,
+    by_sample_blocks,
+    random_field,
+    smooth_field,
+)
 
 from conftest import spectrum_from_eigenvalues
 
@@ -86,3 +97,63 @@ def test_roundtrip_property(cutoff, alpha, seed):
     op = build_fractional_laplacian_torus(cutoff, alpha)
     c = np.random.default_rng(seed).standard_normal(op.mode_count)
     assert np.abs(op.to_spectral(op.to_physical(c)) - c).max() < 1e-10
+
+
+# Reads the thread count of every OpenBLAS mapped into the process, found
+# without levypme's help, before and after importing levypme.operators.
+_THREADS_AROUND_IMPORT = """
+import ctypes, json, sys
+import numpy
+
+def threads():
+    fields = [line.split(None, 5) for line in open("/proc/self/maps")]
+    out = {}
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                out[path] = getattr(lib, name)()
+                break
+    return out
+
+before = threads()
+sys.path.insert(0, sys.argv[1])
+import levypme.operators
+print(json.dumps([before, threads()]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_import_pins_openblas_to_one_thread():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _THREADS_AROUND_IMPORT, str(src)],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout.splitlines()[-1])
+    if not before:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    if (os.cpu_count() or 1) >= 2:
+        assert set(before.values()) == {2}
+    assert after == dict.fromkeys(before, 1)
+
+
+def test_sample_blocks_split_changes_no_bit(monkeypatch):
+    # 8 blocks of at most 4 samples, dealt to 3 processes (this one evaluates
+    # blocks 0, 3 and 6, then draws block 7) or evaluated here alone:
+    # the outputs are the same bits, those of one whole draw, and the
+    # generator goes on as after that one draw
+    op = build_fractional_laplacian_torus(64, 0.5)
+    assert op.mode_count >= operators._DEALT_MODES
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 4 * op.mode_count)
+    whole_rng = np.random.default_rng(11)
+    whole = operators.random_rows(op, whole_rng, (30, 2))
+    expected = (whole.sum(axis=(1, 2)), whole[:, 1, 3], whole_rng.random())
+    for cpus in (3, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rng = np.random.default_rng(11)
+        out = by_sample_blocks(op, rng, 30, 2, lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3]))
+        assert np.array_equal(out[0], expected[0]) and np.array_equal(out[1], expected[1])
+        assert rng.random() == expected[2]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levypme.cli import main
-from levypme import cascade, cli, nonlinearity
+from levypme import cascade, cli, nonlinearity, operators
 from levypme import scenario as scenario_module
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
@@ -318,8 +318,9 @@ def test_cli_simulate_success(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["scenario_hash"] == scenario_hash(parse_scenario(_text()))
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "openblas_num_threads", "cpu_count"}
+    assert set(env) == {"python", "numpy", "openblas_num_threads", "blas_pin", "cpu_count"}
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
+    assert env["blas_pin"] is None or set(env["blas_pin"].values()) == {1}
     solver = report["extra"]["solver"]
     assert 0.0 < solver["observed_contraction_p50"] <= solver["observed_contraction_max"]
     assert 0.0 < solver["apriori_contraction_factor"] < 1.0
@@ -401,6 +402,15 @@ def test_metadata_counts_march_workers(tmp_path, monkeypatch):
     assert meta["lambda-study"]["march_workers"] == 2
     assert meta["apriori"]["ensemble"] == "reused" and "march_workers" not in meta["apriori"]
     assert all(m["child_cpu_s"] >= 0.0 for m in meta.values())
+    # with no OpenBLAS to pin, the metadata says so and one process marches
+    monkeypatch.setattr(operators, "_loaded_openblas", lambda: [])
+    cascade._ENSEMBLES.clear()
+    out = tmp_path / "unpinned"
+    assert main(["lambda-study", "--scenario", scn, "--out", str(out)]) == 0
+    unpinned = json.loads((out / "metadata.json").read_text())
+    assert unpinned["environment"]["blas_pin"] is None and unpinned["march_workers"] == 1
+    for name in ("report.json", "lambda_cauchy_pairs.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "lambda-study" / name).read_bytes()
 
 
 @pytest.mark.parametrize("edit", [

@@ -26,6 +26,7 @@ from levypme.stepper import (
     StepConfig,
     StepperConvergenceError,
     cadlag_reductions,
+    cadlag_totals,
     effective_splitting_mu,
     _RowParams,
     _solve_rows,
@@ -411,6 +412,11 @@ def test_cadlag_reductions_hand_computed():
     )
     for got, want in zip(stacked, expected):
         assert np.array_equal(got, np.stack([want, 2.0 * np.asarray(want)]))
+    # cadlag_totals is the first two reductions alone, bit for bit
+    right, left = np.random.default_rng(3).random((2, 5, times.size))
+    totals = cadlag_totals(times, right, left)
+    for got, want in zip(totals, cadlag_reductions(times, base_mask, right, left)[:2]):
+        assert np.array_equal(got, want)
 
 
 def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
