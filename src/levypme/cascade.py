@@ -615,7 +615,7 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
     times, _ = time_grid(plan.step_size, plan.horizon, noise_path)
 
     config_a = plan.step_config(epsilon, lam)
-    auto_mu = effective_splitting_mu(config_a, plan.psi)
+    auto_mu = effective_splitting_mu(plan.op, plan.psi, config_a)
     config_b = replace(
         config_a,
         splitting_mu=2.0 * auto_mu + 0.1,

@@ -4,7 +4,12 @@ One step solves  u + h (eps - L)(psi(u) + lambda u) = b  by a resolvent
 splitting: the linear shift mu_s u is kept implicit (diagonal resolvent), the
 remainder psi(u) + lambda u - mu_s u is frozen at the previous iterate.  The
 splitting map is Anderson-accelerated, and the residual that certifies a step
-is always taken in the eps-scaled dual norm.
+is always taken in the eps-scaled dual norm.  The split has two regimes
+(:func:`effective_splitting_mu`): near the centre of the drift's slope range
+with a 3-deep mixing history while the centre split's a-priori factor is
+below 1/2, and at the top of the range with a 6-deep history from 1/2 on,
+where psi's flat parts make the centre split's two-signed remainder slow to
+mix away.
 
 States are plain coefficient arrays.  One kernel solves a whole
 ``(rows, modes)`` batch of steps at once, each row with its own dt > 0, cell
@@ -51,6 +56,18 @@ _INNER_INITIALIZERS = ("rhs", "zero")
 # iteration budget; plans and scenarios take theirs from here.
 INNER_TOLERANCE = 1e-10
 MAX_INNER_ITERATIONS = 600
+# History depth of the Anderson mixing: how many past differences of map
+# values each update combines, under the centre split and under the top split.
+ANDERSON_DEPTH = 3
+TOP_SPLIT_DEPTH = 6
+# The centre split's a-priori factor from which the automatic split moves to
+# the top of psi's slope range (effective_splitting_mu).
+TOP_SPLIT_FACTOR = 0.5
+# Relative diagonal loading of the mixing's normal equations.  It bounds the
+# weights when the history columns are nearly dependent, and it decides the
+# update when two columns are equal: their Gram is then exactly singular, and
+# the unloaded solve fails.
+_MIXING_LOADING = 1e-4
 
 
 class StepperConvergenceError(RuntimeError):
@@ -92,45 +109,90 @@ class StepConfig:
             raise ValueError(f"inner_initializer must be one of {_INNER_INITIALIZERS}")
 
 
-def effective_splitting_mu(cfg: StepConfig, psi: NonlinearityPsi) -> float:
+def _centre_mu(psi: NonlinearityPsi, cfg: StepConfig) -> float:
+    """(m + k + lam)/2 + 0.05 (1 + k - m): lam/2 below the centre (m + k)/2 +
+    lam of the drift's slope range [m + lam, k + lam], nudged up so the frozen
+    remainder stays a pointwise contraction relative to the implicit shift."""
+    k, m = psi.lipschitz_k, psi.slope_min
+    return 0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m)
+
+
+def _split_factor(op, psi, cfg, mu_s: float) -> float:
+    """The a-priori factor of the splitting map with shift ``mu_s``."""
+    if mu_s == 0.0:
+        return 0.0
+    d_max = cfg.h * (cfg.epsilon + float(op.eigenvalues.max()))
+    remainder = max(mu_s - cfg.lam - psi.slope_min, psi.lipschitz_k + cfg.lam - mu_s)
+    return d_max / (1.0 + mu_s * d_max) * remainder
+
+
+def _splits_at_top(op, psi, cfg) -> bool:
+    """Whether the automatic split of a nonlinear psi is stiff enough for the
+    top of the slope range: the centre split's factor is at least
+    TOP_SPLIT_FACTOR."""
+    return (
+        cfg.splitting_mu is None
+        and psi.linear_slope is None
+        and _split_factor(op, psi, cfg, _centre_mu(psi, cfg)) >= TOP_SPLIT_FACTOR
+    )
+
+
+def effective_splitting_mu(
+    op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig
+) -> float:
     """Splitting constant actually used by the inner iteration.
 
-    Exactly linear kinds use slope + lam, which makes the split remainder
-    vanish and the step a single diagonal solve.  Otherwise, with slope
-    infimum m and supremum k of psi, (m + k + lam)/2 + 0.05 (1 + k - m).
-    Its first term sits lam/2 below the centre (m + k)/2 + lam of the drift's
-    slope range [m + lam, k + lam]; the second nudges it up so the frozen
-    remainder stays a pointwise contraction relative to the implicit shift.
-    Adopting the centre would change the solver's iteration counts and its
-    last bits.
+    An explicit ``cfg.splitting_mu`` is used as given.  Exactly linear kinds
+    use slope + lam, which makes the split remainder vanish and the step a
+    single diagonal solve.  Otherwise, with slope infimum m and supremum k of
+    psi, there are two regimes:
+
+    - the centre split (m + k + lam)/2 + 0.05 (1 + k - m), lam/2 below the
+      centre of the drift's slope range [m + lam, k + lam] and nudged up so
+      the frozen remainder stays a pointwise contraction relative to the
+      implicit shift; its remainder is two-signed, and Anderson mixing
+      resolves it quickly while its :func:`iteration_contraction_factor` is
+      small;
+    - the top split k + lam, taken when the centre split's factor is at least
+      TOP_SPLIT_FACTOR = 1/2 (stiff steps: many modes, a long step, a flat
+      psi).  Its frozen remainder (k - psi') u is one-signed and vanishes
+      wherever psi sits at slope k, so only the nodes on psi's flat parts are
+      left to the mixing, which gets a TOP_SPLIT_DEPTH-deep history.
+
+    1/2 separates the shipped cases with room on both sides: the shipped
+    scenarios' centre factors are at most 0.29 and the 257-mode saturating
+    cells' at least 0.69, so any threshold in (0.29, 0.69) selects the same
+    cells.  Below it the top split's longer one-signed steps and the deeper
+    history cost more than they save.
     """
     if cfg.splitting_mu is not None:
         return cfg.splitting_mu
     if psi.linear_slope is not None:
         return psi.linear_slope + cfg.lam
-    k, m = psi.lipschitz_k, psi.slope_min
-    return 0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m)
+    if _splits_at_top(op, psi, cfg):
+        return psi.lipschitz_k + cfg.lam
+    return _centre_mu(psi, cfg)
 
 
 def iteration_contraction_factor(
     op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig
 ) -> float:
     """A priori bound on the Lipschitz constant of the plain splitting map at
-    the nominal step h.
+    the nominal step h, for the split :func:`effective_splitting_mu` uses.
 
     q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam - m, k + lam - mu_s) with
     d_max = h (eps + mu_max) and m, k the slope infimum and supremum of psi.
-    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum.  No step of
-    :func:`time_grid` is longer than h, and q grows with the step, so it
-    bounds every substep.  The inner solver accelerates this map; the bound is
-    recorded next to the observed contraction in the solver counters.
+    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum; the top
+    split mu_s = k + lam gives d_max (k - m) / (1 + (k + lam) d_max) < 1.
+    No step of :func:`time_grid` is longer than h, and q grows with the step,
+    so it bounds every substep.  The inner solver accelerates this map; the
+    bound is recorded next to the observed contraction in the solver
+    counters.  The centre split's q decides the regime (see
+    :func:`effective_splitting_mu`); where the top split is taken, this is
+    the top split's q (at most 0.933 on the 257-mode stiff cells, whose
+    centre q is at most 0.889).
     """
-    mu_s = effective_splitting_mu(cfg, psi)
-    if mu_s == 0.0:
-        return 0.0
-    d_max = cfg.h * (cfg.epsilon + float(op.eigenvalues.max()))
-    remainder = max(mu_s - cfg.lam - psi.slope_min, psi.lipschitz_k + cfg.lam - mu_s)
-    return d_max / (1.0 + mu_s * d_max) * remainder
+    return _split_factor(op, psi, cfg, effective_splitting_mu(op, psi, cfg))
 
 
 @dataclass(frozen=True)
@@ -144,10 +206,13 @@ class _RowParams:
     tolerance: np.ndarray  # (rows,)
     zero_start: np.ndarray  # (rows,) bool: "zero" initializer
     max_iterations: int
+    depth: int  # Anderson history depth of the batch
 
     @classmethod
     def from_configs(cls, op, psi, configs, repeat: int = 1) -> "_RowParams":
-        """Rows cycle through ``configs``, ``repeat`` times (path-major)."""
+        """Rows cycle through ``configs``, ``repeat`` times (path-major).  The
+        batch mixes with a TOP_SPLIT_DEPTH-deep history if any config takes the
+        top split, and an ANDERSON_DEPTH-deep one otherwise."""
         if len({cfg.max_inner_iterations for cfg in configs}) != 1:
             raise ValueError("batched rows must share max_inner_iterations")
         epm = np.stack([cfg.epsilon + op.eigenvalues for cfg in configs])
@@ -159,17 +224,19 @@ class _RowParams:
             eps_plus_mu=rows(epm),
             dual_scale=rows(1.0 / np.sqrt(epm)),
             lam=rows([[cfg.lam] for cfg in configs]),
-            mu_s=rows([[effective_splitting_mu(cfg, psi)] for cfg in configs]),
+            mu_s=rows([[effective_splitting_mu(op, psi, cfg)] for cfg in configs]),
             tolerance=rows([cfg.inner_tolerance for cfg in configs]),
             zero_start=rows([cfg.inner_initializer == "zero" for cfg in configs]),
             max_iterations=configs[0].max_inner_iterations,
+            depth=(TOP_SPLIT_DEPTH if any(_splits_at_top(op, psi, cfg) for cfg in configs)
+                   else ANDERSON_DEPTH),
         )
 
     def take(self, index: np.ndarray) -> "_RowParams":
         return _RowParams(
             self.eps_plus_mu[index], self.dual_scale[index], self.lam[index],
             self.mu_s[index], self.tolerance[index], self.zero_start[index],
-            self.max_iterations,
+            self.max_iterations, self.depth,
         )
 
 
@@ -221,19 +288,11 @@ class SolverCounters:
         }
 
 
-# History depth of the Anderson mixing: how many past differences of map
-# values each update combines.
-ANDERSON_DEPTH = 3
-# Relative diagonal loading of the mixing's normal equations; bounds the
-# weights when the history columns are nearly dependent.
-_MIXING_LOADING = 1e-4
-
-
 def _mixing(g, sr, dG, dS, gram, slot):
     """Anderson update g - sum_j gamma_j dG[:, j] of each row, where gamma
     minimises the Euclidean norm of sr - sum_j gamma_j dS[:, j] per row.
 
-    ``dG`` and ``dS`` are (rows, ANDERSON_DEPTH, modes) history rings whose
+    ``dG`` and ``dS`` are (rows, depth, modes) history rings whose
     column ``slot`` was just written; ``gram`` holds their loaded normal
     equations and is brought up to date here.  An all-zero column gets a
     unit diagonal and so weight 0.
@@ -268,16 +327,21 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     is the drift psi(u) + lam u and the shift mu_s u is implicit.  Its
     fixed-point residual G(u) - u = -r / (1 + mu_s d) is a scaling of the
     certificate residual r = u + d w(u) - b, so each update combines the map
-    values of the last ANDERSON_DEPTH + 1 iterates with the weights that
+    values of the last ``params.depth`` + 1 iterates with the weights that
     minimise the combined r in the row's F12_star(eps_r) norm, at no extra
-    drift evaluation.  The basis is orthonormal, so lam u is diagonal: the
-    scaled residual s r, s = (eps + mu)^(-1/2), is cw psi(u) - sb + cu u on
-    coefficients, with cw = s d, sb = s b and cu = s (1 + lam d).  Each row
-    keeps its own history and certificate and returns its best-certified
-    iterate.  A row stops when its residual meets its target, or on the
-    floating-point floor (an iteration that does not improve on a residual
-    already within inner_tolerance), and then leaves the active set, so the
-    remaining rows run on a compacted array.  Iterations count drift
+    drift evaluation.  The depth is ANDERSON_DEPTH under the centre split and
+    TOP_SPLIT_DEPTH when a row of the batch takes the top split, from a
+    centre factor of 1/2 on (:func:`effective_splitting_mu` says why): its
+    one-signed remainder leaves only psi's flat nodes to the mixing, which a
+    longer history resolves in fewer drift evaluations.  The basis is
+    orthonormal, so lam u is diagonal: the scaled residual s r,
+    s = (eps + mu)^(-1/2), is cw psi(u) - sb + cu u on coefficients, with
+    cw = s d, sb = s b and cu = s (1 + lam d).  Each row keeps its own
+    history and certificate and returns its best-certified iterate.  A row
+    stops when its residual meets its target, or on the floating-point floor
+    (an iteration that does not improve on a residual already within
+    inner_tolerance), and then leaves the active set, so the remaining rows
+    run on a compacted array.  Iterations count drift
     evaluations, the first one included; every row's count, contraction and
     budget miss is recorded in ``counters``.
 
@@ -313,9 +377,9 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     best_u, best = u, first_res
     # History ring: differences of consecutive map values and scaled
     # residuals, and the normal equations of the latter.
-    dG = np.zeros((n, ANDERSON_DEPTH, u.shape[1]))
+    dG = np.zeros((n, params.depth, u.shape[1]))
     dS = np.zeros_like(dG)
-    gram = np.tile(np.eye(ANDERSON_DEPTH), (n, 1, 1))
+    gram = np.tile(np.eye(params.depth), (n, 1, 1))
     g_prev, sr_prev = u, sr  # placeholders until the first map value
 
     def retire(done, count):
@@ -340,7 +404,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
         if k == 1:
             u = g
         else:
-            slot = (k - 2) % ANDERSON_DEPTH
+            slot = (k - 2) % params.depth
             np.subtract(g, g_prev, out=dG[:, slot])
             np.subtract(sr, sr_prev, out=dS[:, slot])
             u = _mixing(g, sr, dG, dS, gram, slot)
@@ -616,7 +680,7 @@ def solve_regularized_path(
         "mode_cutoff": op.info.get("mode_cutoff", op.mode_count),
         "psi": psi.kind,
         "inner_tolerance": cfg.inner_tolerance,
-        "splitting_mu": effective_splitting_mu(cfg, psi),
+        "splitting_mu": effective_splitting_mu(op, psi, cfg),
         "contraction_factor": summary["apriori_contraction_factor"],
         "max_inner_iterations_used": summary["inner_iterations_max"],
     }

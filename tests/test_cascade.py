@@ -314,6 +314,28 @@ def test_uniqueness_additive_noise_cancels(torus_small):
     assert report.extra["envelope_rate"] < 0.0
 
 
+def test_uniqueness_config_gap_includes_left_limits(torus_small, monkeypatch):
+    # a gap planted only in config b's left limit at one time, where no jump
+    # moves the right value, must reach the config gap and fail its check
+    delta, planted_at = 1e-6, 3
+
+    def left_gap(*args):
+        for i, active, left, right in march(*args):
+            if i == planted_at:
+                left = left.copy()
+                left[1, 1] += delta
+            yield i, active, left, right
+
+    monkeypatch.setattr(cascade, "march", left_gap)
+    plan = _plan(torus_small)
+    report = uniqueness_check(plan)
+    epsilon, _ = plan.finest_cell
+    expected = delta / math.sqrt(epsilon + torus_small.eigenvalues[1])
+    assert report.extra["sup_config_gap"] == pytest.approx(expected, rel=1e-4)
+    check = next(c for c in report.checks if c.name == "solver_config_independent")
+    assert not check.passed
+
+
 def _three_chunks(op):
     """A plan and 3 cells: 21 paths per chunk, so 45 paths span 3 chunks,
     the last partial."""

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from levypme import operators
 from levypme.operators import (
+    OperatorSpectrum,
     build_fractional_laplacian_torus,
     by_sample_blocks,
     random_field,
@@ -54,6 +55,14 @@ def test_basis_orthonormality_and_roundtrip(torus_small):
     c = rng.standard_normal(op.mode_count)
     back = op.to_spectral(op.to_physical(c))
     assert np.abs(back - c).max() < 1e-12
+
+
+def test_basis_slightly_off_orthonormal_rejected():
+    # a basis whose Gram is 1e-6 off the identity is not orthonormal
+    basis = np.eye(3)
+    basis[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpectrum(np.array([0.0, 1.0, 4.0]), (0, 1, 2), basis, np.ones(3))
 
 
 def test_parseval(torus_small):

@@ -8,11 +8,13 @@ taken exactly on the float inputs and rounded once, is 0.9009009009009009
 import io
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levypme import stepper
+from levypme import cascade, stepper
 from levypme.nonlinearity import make_psi
 from levypme.noise import NoisePath, sample_noise_path
 from levypme.operators import (
@@ -20,8 +22,11 @@ from levypme.operators import (
     random_field,
     smooth_field,
 )
+from levypme.scenario import build_plan, load_scenario
 from levypme.spaces import F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import (
+    ANDERSON_DEPTH,
+    TOP_SPLIT_DEPTH,
     SolverCounters,
     StepConfig,
     StepperConvergenceError,
@@ -29,7 +34,9 @@ from levypme.stepper import (
     cadlag_totals,
     effective_splitting_mu,
     _RowParams,
+    _mixing,
     _solve_rows,
+    drift_rows,
     implicit_step,
     iteration_contraction_factor,
     march,
@@ -38,6 +45,8 @@ from levypme.stepper import (
 )
 
 from conftest import additive_model, multiplicative_model, spectrum_from_eigenvalues, zero_model
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_single_linear_step_frozen():
@@ -219,16 +228,93 @@ def test_convergence_error_when_starved(torus_small):
         implicit_step(torus_small, psi, cfg, b)
 
 
-def test_splitting_policy():
+def test_splitting_policy(torus_small):
+    # 17 modes at h = 0.1: every centre split's factor is below 1/2
     cfg = StepConfig(h=0.1, epsilon=0.2, lam=0.1)
-    assert effective_splitting_mu(cfg, make_psi("identity")) == 1.1
-    assert effective_splitting_mu(cfg, make_psi("zero")) == 0.1
+    assert effective_splitting_mu(torus_small, make_psi("identity"), cfg) == 1.1
+    assert effective_splitting_mu(torus_small, make_psi("zero"), cfg) == 0.1
     # (m + k + lam)/2 + 0.05 (1 + k - m) at m = 1, k = 3/2
-    assert effective_splitting_mu(cfg, make_psi("soft_monotone")) == pytest.approx(1.375)
+    soft, saturating = make_psi("soft_monotone"), make_psi("saturating", cap=1.0)
+    assert effective_splitting_mu(torus_small, soft, cfg) == pytest.approx(1.375)
     # m = 0 keeps (k + lam)/2 + 0.05 (1 + k)
-    assert effective_splitting_mu(cfg, make_psi("saturating", cap=1.0)) == pytest.approx(0.65)
+    assert effective_splitting_mu(torus_small, saturating, cfg) == pytest.approx(0.65)
     cfg_override = StepConfig(h=0.1, epsilon=0.2, splitting_mu=2.5)
-    assert effective_splitting_mu(cfg_override, make_psi("soft_monotone")) == 2.5
+    assert effective_splitting_mu(torus_small, soft, cfg_override) == 2.5
+
+
+def _plan_cells(name, mode_cutoff=None):
+    """A shipped scenario's plan and the step configs of all its ladder cells."""
+    sc = load_scenario(SCENARIO_DIR / name)
+    plan = build_plan(sc if mode_cutoff is None else replace(sc, mode_cutoff=mode_cutoff))
+    cells = {cell for param in ("lam", "epsilon")
+             for cell in cascade._ladder_cells(plan, param)[1]}
+    return plan, [plan.step_config(eps, lam) for eps, lam in sorted(cells)]
+
+
+def _centre_factor(plan, cfg):
+    # the a-priori factor of the centre split (m + k + lam)/2 + 0.05 (1 + k - m)
+    k, m = plan.psi.lipschitz_k, plan.psi.slope_min
+    centre = replace(cfg, splitting_mu=0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m))
+    return iteration_contraction_factor(plan.op, plan.psi, centre), centre.splitting_mu
+
+
+def test_stiff_cells_split_at_the_top():
+    # 257-mode additive_saturating: every cell's centre split has a factor of
+    # at least 1/2 (0.69-0.89), so the split moves to k + lam, the batch
+    # mixes with the deeper history and the reported factor is the top
+    # split's, still below 1
+    plan, configs = _plan_cells("additive_saturating.scn", mode_cutoff=128)
+    for cfg in configs:
+        factor, _ = _centre_factor(plan, cfg)
+        assert 0.69 <= factor <= 0.89
+        mu_s = effective_splitting_mu(plan.op, plan.psi, cfg)
+        assert mu_s == plan.psi.lipschitz_k + cfg.lam
+        assert factor < iteration_contraction_factor(plan.op, plan.psi, cfg) < 1.0
+    assert _RowParams.from_configs(plan.op, plan.psi, configs).depth == TOP_SPLIT_DEPTH
+
+
+def test_acceptance_cells_keep_the_centre_split():
+    # acceptance.scn: factors 0.08-0.09, far below 1/2; nothing changes
+    plan, configs = _plan_cells("acceptance.scn")
+    for cfg in configs:
+        factor, centre = _centre_factor(plan, cfg)
+        assert 0.08 <= factor <= 0.095
+        assert effective_splitting_mu(plan.op, plan.psi, cfg) == centre
+        assert iteration_contraction_factor(plan.op, plan.psi, cfg) == factor
+    assert _RowParams.from_configs(plan.op, plan.psi, configs).depth == ANDERSON_DEPTH
+
+
+def test_linear_psi_and_explicit_split_untouched():
+    # on the stiff cells, a linear psi keeps slope + lam and an explicit
+    # splitting_mu is used as given, each with the 3-deep history
+    plan, configs = _plan_cells("additive_saturating.scn", mode_cutoff=128)
+    identity = make_psi("identity")
+    explicit = [replace(cfg, splitting_mu=2.2) for cfg in configs]
+    for cfg, given in zip(configs, explicit):
+        assert effective_splitting_mu(plan.op, identity, cfg) == 1.0 + cfg.lam
+        assert effective_splitting_mu(plan.op, plan.psi, given) == 2.2
+    for psi, batch in [(identity, configs), (plan.psi, explicit)]:
+        assert _RowParams.from_configs(plan.op, psi, batch).depth == ANDERSON_DEPTH
+
+
+def test_top_split_with_deep_history_cuts_stiff_iterations():
+    # one implicit step of 48 rows on the 257-mode torus, as in a stiff
+    # chunk: 16 random states, each under the three lambda cells of the stiff
+    # workload, saturating psi mostly on its slope-1 part.  The rule takes
+    # 683 row-iterations here; the top split at depth 3 took 825, the centre
+    # split at depth 6 took 962 and both halves removed 1211
+    op = build_fractional_laplacian_torus(128, 0.75)
+    psi = make_psi("saturating", cap=1.0)
+    configs = [StepConfig(h=1 / 32, epsilon=0.05, lam=lam) for lam in (0.2, 0.1, 0.05)]
+    b = np.repeat(
+        np.stack([random_field(op, np.random.default_rng(s), scale=0.6) for s in range(16)]),
+        len(configs), axis=0,
+    )
+    params = _RowParams.from_configs(op, psi, configs, repeat=16)
+    assert params.depth == TOP_SPLIT_DEPTH
+    _, iterations = _solve_rows(op, psi, params, b, np.full(48, 1 / 32), params.tolerance,
+                                SolverCounters())
+    assert iterations.sum() <= 750
 
 
 def test_contraction_factor_below_one(torus_small):
@@ -392,6 +478,82 @@ def test_non_finite_row_raises(torus_small, bad):
     b[3] = bad
     with np.errstate(invalid="ignore"), pytest.raises(StepperConvergenceError):
         _solve(torus_small, psi, [StepConfig(h=0.1, epsilon=0.2)], b[None, :], [0.1])
+
+
+@pytest.mark.parametrize("loading", [stepper._MIXING_LOADING, 0.0], ids=["loaded", "unloaded"])
+def test_mixing_loading_decides_equal_columns(monkeypatch, loading):
+    # the ring fills as in the kernel, one column per update, and the third
+    # difference repeats the first: the unloaded normal equations are then
+    # exactly singular and their solve fails, the loaded ones give finite
+    # weights
+    monkeypatch.setattr(stepper, "_MIXING_LOADING", loading)
+    columns = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 2.0, 0.0]])
+    dS = np.zeros((1, 3, 3))
+    dG = np.zeros_like(dS)
+    gram = np.eye(3)[None]
+    sr = np.array([[1.0, 1.0, 1.0]])
+    g = np.array([[2.0, -1.0, 0.5]])
+    for slot, column in enumerate(columns):
+        dS[0, slot], dG[0, slot] = column, 0.5 * column
+        if slot == 2 and loading == 0.0:
+            with pytest.raises(np.linalg.LinAlgError):
+                _mixing(g, sr, dG, dS, gram, slot)
+            return
+        u = _mixing(g, sr, dG, dS, gram, slot)
+        assert np.isfinite(u).all()
+        assert np.abs(u - g).max() < 1.0
+
+
+class _RecordingCounters(SolverCounters):
+    """Counters that also keep the final residuals and targets of each call."""
+
+    def record(self, iterations, first_res, final_res, misses):
+        self.final_res = final_res.copy()
+        super().record(iterations, first_res, final_res, misses)
+
+
+def test_returned_rows_carry_their_recorded_residual():
+    # each returned row is the best-certified iterate: its recomputed
+    # certificate residual equals the recorded final residual bit for bit.
+    # A zero target makes every row stop on the floor, after an iteration
+    # that did not improve.  The model's transforms are exact (identity
+    # basis), so the recomputation is the kernel's arithmetic
+    op = spectrum_from_eigenvalues(build_fractional_laplacian_torus(64, 0.75).eigenvalues)
+    psi = make_psi("saturating", cap=1.0)
+    configs = [StepConfig(h=1 / 32, epsilon=eps, lam=lam)
+               for eps, lam in [(0.05, 0.05), (0.2, 0.1)]]
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(6, op.mode_count)) * np.array([[0.5], [1.5], [3.0], [0.5], [1.5], [3.0]])
+    dt = np.array([1 / 32, 1 / 64, 1 / 32, 1 / 32, 1 / 100, 1 / 32])
+    params = _RowParams.from_configs(op, psi, configs, repeat=3)
+    counters = _RecordingCounters()
+    out, _ = _solve_rows(op, psi, params, b, dt, np.zeros(6), counters)
+    scale, d = params.dual_scale, dt[:, None] * params.eps_plus_mu
+    sr = scale * d * drift_rows(op, psi, out) - scale * b + scale * (1.0 + params.lam * d) * out
+    res = np.sqrt(np.einsum("ij,ij->i", sr, sr))
+    assert np.all(counters.final_res > 0.0)
+    assert np.array_equal(res, counters.final_res)
+
+
+def test_budget_misses_count_final_residuals_above_target(torus_small):
+    # two rows: one meets its target; the other's target is 3/4 of the floor
+    # it stalls at, so it ends above the target but below twice the target
+    psi = make_psi("soft_monotone")
+    cfg = StepConfig(h=0.25, epsilon=0.2, lam=0.1)
+    b = np.stack([smooth_field(torus_small, 1.0), smooth_field(torus_small, 2.0)])
+    dt = np.array([0.25, 0.2])
+    params = _RowParams.from_configs(torus_small, psi, [cfg], repeat=2)
+    probe = _RecordingCounters()
+    _solve_rows(torus_small, psi, params, b, dt, np.array([1e-10, 0.0]), probe)
+    floor = probe.final_res[1]
+    target = np.array([1e-10, 0.75 * floor])
+    counters = _RecordingCounters()
+    _solve_rows(torus_small, psi, params, b, dt, target, counters)
+    assert counters.final_res[0] <= target[0]
+    assert target[1] < counters.final_res[1] == floor <= 2.0 * target[1]
+    misses = int(np.count_nonzero(counters.final_res > target))
+    assert misses == 1
+    assert counters.summary()["residual_budget_misses"] == misses
 
 
 def test_cadlag_reductions_hand_computed():
