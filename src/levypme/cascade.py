@@ -30,9 +30,12 @@ In every study :func:`levypme.stepper.march` advances the rows in lockstep,
 squared norms are taken at each step, and
 :func:`levypme.stepper.cadlag_totals` turns them into sups and
 trapezoids.  The Monte Carlo studies run their paths in fixed chunks of
-``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at once,
-on one process per usable CPU; ``uniqueness_check`` marches its three rows
-together.  All studies are deterministic for a fixed master seed.
+``CHUNK_ROWS // len(cells)`` paths, all (path, cell) rows of a chunk at
+once, on one process per usable CPU; from 128 modes on, paths that fit one
+chunk are split into two, so that such a ladder still marches on two CPUs
+(see :data:`CHUNK_ROWS`).  The layout depends on the plan alone.
+``uniqueness_check`` marches its three rows together.  All studies are
+deterministic for a fixed master seed.
 
 The Monte Carlo studies are reductions of an ensemble: the per-path sups and
 integrals of every path under a list of cells.  An ensemble is marched once
@@ -52,7 +55,7 @@ import numpy as np
 
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, path_seed, sample_noise_path
-from .operators import OperatorSpectrum, deal
+from .operators import _DEALT_MODES, OperatorSpectrum, deal
 from .reporting import (
     ConstantRecord,
     PairEstimate,
@@ -175,9 +178,25 @@ class StudyPlan:
 # chunked simulation
 
 # Rows (path x ladder cell) one chunk advances in lockstep.  A chunk is the
-# unit of work operators.deal hands to a process.  The value is part of the
-# reports: a gemm's last bits depend on its row count.
+# unit of work operators.deal hands to a process.  A chunk holds
+# CHUNK_ROWS // cells paths, the last one the rest.  From _DEALT_MODES modes
+# on, paths that fit one chunk are split into two halves, one per CPU on two:
+# 16 paths x 3 cells on 2 CPUs as 2 chunks of 24 rows against one of 48 took
+# about 28% less wall at 257 modes, broke even at 129 and were slower at 65,
+# for 45-80% more CPU.  Ladders of several chunks already use every CPU and
+# keep their layout.  The layout depends on the plan alone, never on the CPU
+# count, and is part of the reports: a gemm's last bits depend on its row
+# count.
 CHUNK_ROWS = 64
+
+
+def _chunk_bounds(modes: int, paths: int, cells: int) -> list:
+    """(first, stop) path ranges of the chunks a march of ``paths`` paths
+    under ``cells`` cells at ``modes`` modes splits into (see CHUNK_ROWS)."""
+    size = max(1, CHUNK_ROWS // cells)
+    if modes >= _DEALT_MODES and paths <= size:
+        size = -(-paths // 2)
+    return [(first, min(first + size, paths)) for first in range(0, paths, size)]
 
 
 # Ensembles marched in this interpreter, keyed by (plan fingerprint, cells);
@@ -192,7 +211,8 @@ def _run_cells(plan: StudyPlan, cells):
 
     Returns arrays indexed [path, cell] (pairs: [path, pair]), the solver
     counter summary, and ``"ensemble"``: ``"marched"`` when this call
-    simulated the paths (:func:`_march_cells`), ``"reused"`` when an earlier
+    simulated the paths (:func:`_march_cells`, whose ``march_workers`` and
+    ``march_chunks`` come along), ``"reused"`` when an earlier
     call in this interpreter had marched the same cells under the same plan
     fingerprint, the canonical hash of the scenario the plan was built from.
     The ensemble is a pure function of the scenario and the cells, so a
@@ -203,7 +223,7 @@ def _run_cells(plan: StudyPlan, cells):
     key = (plan.fingerprint, tuple(cells))
     if key in _ENSEMBLES:
         return {**_ENSEMBLES[key], "ensemble": "reused"}
-    results, workers = _march_cells(plan, cells)
+    results, marched = _march_cells(plan, cells)
     for value in results.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -211,17 +231,18 @@ def _run_cells(plan: StudyPlan, cells):
         if any(fingerprint != plan.fingerprint for fingerprint, _ in _ENSEMBLES):
             _ENSEMBLES.clear()
         _ENSEMBLES[key] = results
-    return {**results, "ensemble": "marched", "march_workers": workers}
+    return {**results, "ensemble": "marched", **marched}
 
 
 def _march_cells(plan: StudyPlan, cells):
     """Simulate every path under every (epsilon, lam) cell, chunk by chunk.
 
-    Chunks hold ``CHUNK_ROWS // len(cells)`` paths, whose rows (paths x
-    cells) advance in lockstep; norms are reduced on the fly by
-    :func:`cadlag_totals` and no trajectory is stored.  Returns the
-    results and the number of processes that marched them
-    (:func:`levypme.operators.deal`).
+    A chunk's rows (paths x cells) advance in lockstep; norms are reduced
+    on the fly by :func:`cadlag_totals` and no trajectory is stored.  Chunks
+    hold ``CHUNK_ROWS // len(cells)`` paths; from 128 modes on, paths that
+    fit one chunk are split into two (:func:`_chunk_bounds`).  Returns the
+    results and ``{"march_workers": processes that marched them
+    (:func:`levypme.operators.deal`), "march_chunks": chunks}``.
     """
     op = plan.op
     n_cells = len(cells)
@@ -247,12 +268,12 @@ def _march_cells(plan: StudyPlan, cells):
             axis=1,
         )
 
-    def march_chunk(first):
-        """Per-path (sup, trapezoid) and counters of the chunk at ``first``."""
+    def march_chunk(bounds):
+        """Per-path (sup, trapezoid) and counters of the paths ``range(*bounds)``."""
         counters = SolverCounters()
         paths = [
             sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, i))
-            for i in range(first, min(first + per_chunk, plan.paths))
+            for i in range(*bounds)
         ]
         grids = [time_grid(plan.step_size, plan.horizon, path) for path in paths]
         # [right value / left limit, path, column, grid row]
@@ -270,8 +291,8 @@ def _march_cells(plan: StudyPlan, cells):
         ]
         return reduced, counters
 
-    per_chunk = max(1, CHUNK_ROWS // n_cells)
-    chunks, workers = deal(march_chunk, range(0, plan.paths, per_chunk))
+    bounds = _chunk_bounds(op.mode_count, plan.paths, n_cells)
+    chunks, workers = deal(march_chunk, bounds)
     reduced = [path for chunk, _ in chunks for path in chunk]
     sup, integral = (np.stack(r) for r in zip(*reduced))
     return {
@@ -279,7 +300,12 @@ def _march_cells(plan: StudyPlan, cells):
         "integral_f12": integral[:, f12],
         "pair_sup_fstar_sq": sup[:, pair],
         "solver": SolverCounters.merged([counters for _, counters in chunks]).summary(),
-    }, workers
+    }, {"march_workers": workers, "march_chunks": len(bounds)}
+
+
+def _how_marched(results) -> dict:
+    """The run metadata of a StudyReport whose ensemble came from :func:`_run_cells`."""
+    return {key: results.get(key) for key in ("ensemble", "march_workers", "march_chunks")}
 
 
 # --------------------------------------------------------------------------
@@ -460,8 +486,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
         checks=checks,
         extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
-        ensemble=results["ensemble"],
-        march_workers=results.get("march_workers"),
+        **_how_marched(results),
     )
 
 
@@ -581,8 +606,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
             "cells": cell_records,
         },
         tables=tables,
-        ensemble=results["ensemble"],
-        march_workers=results.get("march_workers"),
+        **_how_marched(results),
     )
 
 

@@ -33,7 +33,8 @@ configured).  For ``lambda-study``, ``eps-study`` and ``apriori`` the
 metadata also says whether the study marched its ensemble or reused one an
 earlier study of the same plan marched in this interpreter
 (``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
-marched it).  ``"child_cpu_s"`` is the CPU time of the children it reaped.
+marched its ``"march_chunks"`` chunks).  ``"child_cpu_s"`` is the CPU time
+of the children it reaped.
 """
 
 from __future__ import annotations
@@ -320,10 +321,9 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children) -
         "environment": _environment(),
         "child_cpu_s": round(sum(os.times()[2:4]) - children, 6),  # RUSAGE_CHILDREN
     }
-    if report.ensemble is not None:
-        metadata["ensemble"] = report.ensemble
-    if report.march_workers is not None:
-        metadata["march_workers"] = report.march_workers
+    for key in ("ensemble", "march_workers", "march_chunks"):
+        if getattr(report, key) is not None:
+            metadata[key] = getattr(report, key)
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, sort_keys=True, indent=2) + "\n"
     )

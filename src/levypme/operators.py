@@ -20,12 +20,14 @@ import ctypes
 import math
 import os
 import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "OperatorSpectrum",
+    "WorkerError",
     "build_fractional_laplacian_torus",
     "by_sample_blocks",
     "deal",
@@ -183,6 +185,8 @@ _BLOCK_VALUES = 1 << 16
 # every block, and a draw costs as much below about 129 modes as evaluating
 # a block does: the inequalities audits on 2 CPUs took 100 ms alone against
 # 107 ms dealt at 65 modes, 179 against 176 at 129, 411 against 323 at 257.
+# From here on, too, a study's march splits a ladder whose paths fit one
+# chunk (cascade.CHUNK_ROWS) into two, so that it is dealt as two.
 _DEALT_MODES = 128
 
 
@@ -234,11 +238,19 @@ def smooth_field(op: OperatorSpectrum, amplitude: float = 1.0) -> np.ndarray:
 # -- processes and BLAS threads ------------------------------------------------------
 
 
+class WorkerError(RuntimeError):
+    """A :func:`deal` worker died, or failed with an exception that does not
+    survive pickling (sent as its class name and message)."""
+
+
 def deal(work, items):
     """``[work(item) for item in items]`` and the number of processes that ran
     it: this one and ``os.fork``ed children, one per usable CPU, dealt the
     items round-robin.  Each stops at its first failure; the lowest item's is
-    raised, as the plain loop would.  Every child is reaped.
+    raised, as the plain loop would.  A child sends a byte as it ends each
+    item and its outcomes when it ends its share, so one that dies fails,
+    with a :class:`WorkerError` naming its signal or exit status, at the
+    first of its items it did not end.  Every child is reaped.
 
     The items are dealt only while BLAS is pinned to one thread: a threaded
     gemm in each of several processes would contend for the cores (four
@@ -248,33 +260,66 @@ def deal(work, items):
     cpus = len(os.sched_getaffinity(0)) if spread else 1
     workers = min(cpus, len(items)) if hasattr(os, "fork") else 1
 
-    def share(start):  # (index, result or exception), up to the first failure
-        done = []
+    def share(start):  # (index, result or exception) of each item, up to the first failure
         for index in range(start, len(items), workers):
             try:
-                done.append((index, work(items[index])))
+                yield index, work(items[index])
             except Exception as exc:
-                return done + [(index, exc)]
-        return done
+                yield index, exc
+                return
 
-    pipes = {}  # child pid -> read end of its pipe
+    def sendable(index, value):  # a failure as one that unpickles
+        if isinstance(value, Exception):
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception:
+                value = WorkerError(f"{type(value).__name__}: {value}")
+        return index, value
+
+    def received(start, data, status):  # the outcomes a child sent, and how it ended
+        ended = len(data) - len(data.lstrip(b"+"))  # items it ended; a pickle starts b"\x80"
+        if status == 0:
+            return pickle.loads(data[ended:])
+        if os.WIFSIGNALED(status):
+            how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        index = start + ended * workers
+        where = f"at item {items[index]!r}" if index < len(items) else "after its last item"
+        return [(index, WorkerError(f"a worker process {how} {where}"))]
+
+    pipes = {}  # unreaped child pid -> (its first index, read end of its pipe)
     try:
         for start in range(1, workers):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child pickles its share and leaves
+            if (pid := os.fork()) == 0:  # the child sends its share and leaves
+                status = 1
                 try:
                     os.close(read)
                     with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(share(start), pipe)
+                        # a byte as each item ends, the outcomes at the end: sent
+                        # one by one they would fill the pipe while this process
+                        # waits for its parent to read, which it does last
+                        done = []
+                        for outcome in share(start):
+                            done.append(sendable(*outcome))
+                            pipe.write(b"+")
+                            pipe.flush()
+                        pickle.dump(done, pipe)
+                    status = 0
                 finally:
-                    os._exit(0)
+                    os._exit(status)
             os.close(write)
-            pipes[pid] = os.fdopen(read, "rb")
-        done = share(0) + [outcome for pipe in pipes.values() for outcome in pickle.load(pipe)]
+            pipes[pid] = (start, os.fdopen(read, "rb"))
+        done = list(share(0))
+        for pid, (start, pipe) in list(pipes.items()):
+            with pipe:
+                data = pipe.read()
+            del pipes[pid]
+            done += received(start, data, os.waitpid(pid, 0)[1])
     finally:
-        for pipe in pipes.values():  # a child blocked on a full pipe ends now
+        for pid, (_, pipe) in pipes.items():  # a child blocked on a full pipe ends now
             pipe.close()
-        for pid in pipes:
             os.waitpid(pid, 0)
     done.sort(key=lambda outcome: outcome[0])
     for _, value in done:

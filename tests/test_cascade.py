@@ -7,6 +7,7 @@ study must reproduce it exactly.
 """
 import math
 import os
+import signal
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from levypme.cascade import (
 from levypme.noise import path_seed, sample_noise_path
 from levypme.nonlinearity import make_psi
 from levypme.operators import build_fractional_laplacian_torus, smooth_field
-from levypme.scenario import build_plan, load_scenario, scenario_hash
+from levypme.scenario import build_plan, load_scenario, scenario_hash, serialize_scenario
 from levypme.spaces import F12, F12_star, L2, norm, squared_norm_rows
 from levypme.stepper import StepperConvergenceError, march, solve_regularized_path
 from levypme.variational import monotonicity_shift, theta
@@ -41,6 +42,7 @@ from conftest import additive_model, multiplicative_model, spectrum_from_eigenva
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SMALL = SCENARIO_DIR / "multiplicative_small.scn"
+ACCEPTANCE = SCENARIO_DIR / "acceptance.scn"
 
 
 def _plan(op, psi=None, noise=None, **overrides):
@@ -460,6 +462,90 @@ def test_worker_failure_reaches_the_caller(torus_small, monkeypatch, tmp_path, c
         os.waitpid(-1, os.WNOHANG)
 
 
+def _dealt_items(monkeypatch):
+    """The items of every cascade.deal call from here on, one list a call."""
+    seen = []
+
+    def recording(work, items):
+        seen.append(list(items))
+        return operators.deal(work, items)
+
+    monkeypatch.setattr(cascade, "deal", recording)
+    return seen
+
+
+def test_chunk_bounds_gate_at_128_modes():
+    # CHUNK_ROWS // cells paths a chunk, the rest in the last; from 128 modes
+    # on, paths that fit one chunk are split into two halves
+    assert cascade._chunk_bounds(127, 16, 3) == [(0, 16)]
+    assert cascade._chunk_bounds(127, 45, 3) == [(0, 21), (21, 42), (42, 45)]
+    assert cascade._chunk_bounds(129, 16, 3) == [(0, 8), (8, 16)]
+    assert cascade._chunk_bounds(129, 21, 3) == [(0, 11), (11, 21)]
+    assert cascade._chunk_bounds(129, 45, 3) == [(0, 21), (21, 42), (42, 45)]
+    assert cascade._chunk_bounds(513, 64, 4) == [(k, k + 16) for k in range(0, 64, 16)]
+    assert cascade._chunk_bounds(257, 3, 40) == [(0, 1), (1, 2), (2, 3)]
+    assert cascade._chunk_bounds(257, 1, 3) == [(0, 1)]
+
+
+@pytest.mark.parametrize("scenario, chunks", [
+    (ACCEPTANCE, [(0, 16), (16, 32), (32, 48), (48, 64)]),
+    (SCENARIO_DIR / "additive_saturating.scn", [(0, 16)]),
+    (SMALL, [(0, 16)]),
+])
+def test_chunks_below_128_modes_are_unchanged(scenario, chunks, monkeypatch):
+    # acceptance.scn (65 modes, 64 paths x 4 cells) marches 4 chunks of 16
+    # paths and each 17-mode ladder (16 paths) one chunk; a short horizon
+    # keeps the march cheap and leaves the layout alone
+    plan = build_plan(replace(load_scenario(scenario), horizon=0.0625, step_size=0.0625))
+    assert plan.op.mode_count < operators._DEALT_MODES
+    seen = _dealt_items(monkeypatch)
+    cells = [(plan.epsilon_ladder[-1], lam) for lam in plan.lambda_ladder]
+    assert _run_cells(plan, cells)["march_chunks"] == len(chunks)
+    assert seen == [chunks]
+
+
+def test_wide_ladder_marches_two_chunks_on_two_cpus(monkeypatch):
+    # from 128 modes a 16-path ladder under 3 cells (48 rows) is 2 chunks of
+    # 8 paths whatever the CPU count: on 2 CPUs they march in 2 processes, on
+    # 1 in this one, bit for bit alike
+    op = build_fractional_laplacian_torus(64, 0.5)
+    assert op.mode_count >= operators._DEALT_MODES
+    plan = _plan(op, paths=16, horizon=0.125)
+    cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
+    seen = _dealt_items(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    split = _run_cells(plan, cells)
+    _usable_cpus(monkeypatch, 1)
+    alone = _run_cells(plan, cells)
+    assert seen == [[(0, 8), (8, 16)]] * 2
+    assert (split.pop("march_workers"), alone.pop("march_workers")) == (2, 1)
+    assert split["march_chunks"] == 2
+    _assert_same_ensemble(split, alone)
+
+
+def test_dead_worker_is_named(tmp_path, monkeypatch, capsys):
+    # the child marching acceptance.scn's chunk 1 on 2 CPUs is killed: the
+    # CLI exits 3 naming the signal and the chunk, and no child is left
+    scenario = replace(load_scenario(ACCEPTANCE), horizon=0.0625, step_size=0.0625)
+    scn = tmp_path / "short.scn"
+    scn.write_text(serialize_scenario(scenario))
+    doomed, parent = path_seed(scenario.master_seed, 16), os.getpid()
+
+    def killed(op, psi, model, paths, *rest):
+        if paths[0].seed == doomed and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return march(op, psi, model, paths, *rest)
+
+    monkeypatch.setattr(cascade, "march", killed)
+    _usable_cpus(monkeypatch, 2)
+    assert cli.main(["lambda-study", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: WorkerError: a worker process was killed by SIGKILL at item (16, 32)\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_uniqueness_is_one_march(torus_small, monkeypatch):
     # config a, config b (other splitting constant and initializer) and
     # config a from the perturbed start march together as one call
@@ -479,9 +565,6 @@ def test_uniqueness_is_one_march(torus_small, monkeypatch):
     assert b.splitting_mu != a.splitting_mu and b.inner_initializer != a.inner_initializer
     assert np.array_equal(starts[0], starts[1])
     assert np.count_nonzero(starts[2] != starts[0]) == 1
-
-
-ACCEPTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.scn"
 
 
 def _uniqueness_at(seed):

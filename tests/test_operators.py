@@ -6,6 +6,7 @@ mu_k = |2 pi k / length|^(2 alpha).
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from levypme import operators
 from levypme.operators import (
     OperatorSpectrum,
+    WorkerError,
     build_fractional_laplacian_torus,
     by_sample_blocks,
     random_field,
@@ -166,3 +168,59 @@ def test_sample_blocks_split_changes_no_bit(monkeypatch):
         out = by_sample_blocks(op, rng, 30, 2, lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3]))
         assert np.array_equal(out[0], expected[0]) and np.array_equal(out[1], expected[1])
         assert rng.random() == expected[2]
+
+
+class _KeywordOnly(Exception):
+    def __init__(self, *, why):
+        super().__init__(why)
+
+
+def _raise_keyword_only():
+    raise _KeywordOnly(why="planted")
+
+
+@pytest.mark.parametrize("planted, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "a worker process was killed by SIGKILL at item 3"),
+    (lambda: os._exit(7), "a worker process exited with status 7 at item 3"),
+    (_raise_keyword_only, "_KeywordOnly: planted"),
+])
+def test_deal_names_what_a_child_could_not_send(planted, message, monkeypatch):
+    # on 2 CPUs the child works items 1, 3 and 5; after item 1 it dies at
+    # item 3, or raises an exception that pickles but does not unpickle (its
+    # constructor takes a keyword only); the caller gets a WorkerError that
+    # says so at item 3, and no child is left
+    parent = os.getpid()
+
+    def work(item):
+        if item == 3 and os.getpid() != parent:
+            planted()
+        return item
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(WorkerError, match=f"^{message}$"):
+        operators.deal(work, range(6))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_deal_places_a_dead_worker_after_its_last_item(monkeypatch):
+    # the child finishes item 1 and is killed at item 3, the parent fails at
+    # item 2: the plain loop would raise item 2's error, and so does deal;
+    # with the parent well, the death is raised at item 3
+    parent = os.getpid()
+
+    def work(item, parent_fails):
+        if item == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if item == 2 and parent_fails:
+            raise ValueError("item 2")
+        return item
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ValueError, match="^item 2$"):
+        operators.deal(lambda item: work(item, True), range(6))
+    with pytest.raises(WorkerError, match="at item 3$"):
+        operators.deal(lambda item: work(item, False), range(6))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

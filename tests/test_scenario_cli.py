@@ -680,6 +680,28 @@ def test_cli_runs_without_scipy(tmp_path):
         assert (tmp_path / command / "metadata.json").exists(), command
 
 
+def test_marching_imports_no_numpy_ma(tmp_path):
+    # numpy 2.x's unique, percentile and median import numpy.ma on their
+    # first call; simulate and lambda-study call none of them.  numpy 1.x
+    # imports numpy.ma with numpy itself.
+    root = Path(__file__).resolve().parent.parent
+    scn = str(SCENARIO_DIR / "multiplicative_small.scn")
+    code = (
+        "import sys\nimport numpy\nloaded = 'numpy.ma' in sys.modules\n"
+        "from levypme.cli import main\n"
+        f"codes = [main([c, '--scenario', {scn!r}, '--out', {str(tmp_path)!r} + '/' + c])"
+        " for c in ('simulate', 'lambda-study')]\n"
+        "print(codes, loaded, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    if last.endswith("True True"):
+        pytest.skip("this numpy imports numpy.ma with numpy")
+    assert last == "[0, 0] False False", done.stdout
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -220,6 +220,17 @@ def test_grid_refinement_and_flags(torus_small, initial_small):
     assert np.all(row_gap[~traj.jump_flags] == 0)
 
 
+def test_grid_is_uniques_when_jumps_meet_base_points():
+    # jumps at the base point 0.5 and at the horizon appear once each, as
+    # np.unique would keep them
+    path = NoisePath(np.array([0.123, 0.5, 1.0]), np.array([0, 1, 0]), 9, 1.0)
+    grid, base_mask = time_grid(0.25, 1.0, path)
+    base = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(grid, np.unique(np.concatenate([base, path.times])))
+    assert grid.size == 6
+    assert np.array_equal(grid[base_mask], base)
+
+
 def test_convergence_error_when_starved(torus_small):
     psi = make_psi("soft_monotone")
     cfg = StepConfig(h=0.9, epsilon=0.2, inner_tolerance=1e-14, max_inner_iterations=1)
@@ -657,3 +668,16 @@ def test_solver_counters(torus_small, initial_small):
         "observed_contraction_p50": 0.25, "observed_contraction_max": 0.5,
         "apriori_contraction_factor": 0.75,
     }
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50, 101, 867, 4000])
+def test_summary_quantiles_are_numpys(size):
+    # the p99 and the median are numpy's bit for bit (numpy's own calls would
+    # import numpy.ma), on odd and even counts and on both sides of the
+    # interpolation's t = 1/2
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        counts, rates = rng.integers(1, 90, size), rng.random(size) ** 3
+        summary = SolverCounters([counts], [rates]).summary()
+        assert summary["inner_iterations_p99"] == np.percentile(counts, 99)
+        assert summary["observed_contraction_p50"] == np.median(rates)
