@@ -71,8 +71,8 @@ from .stepper import (
     SolverCounters,
     StepConfig,
     cadlag_totals,
-    effective_splitting_mu,
     march,
+    splitting,
     time_grid,
 )
 from .variational import monotonicity_shift, theta
@@ -639,7 +639,7 @@ def uniqueness_check(plan: StudyPlan) -> StudyReport:
     times, _ = time_grid(plan.step_size, plan.horizon, noise_path)
 
     config_a = plan.step_config(epsilon, lam)
-    auto_mu = effective_splitting_mu(plan.op, plan.psi, config_a)
+    auto_mu = splitting(plan.op, plan.psi, config_a).mu
     config_b = replace(
         config_a,
         splitting_mu=2.0 * auto_mu + 0.1,

@@ -4,12 +4,13 @@ One step solves  u + h (eps - L)(psi(u) + lambda u) = b  by a resolvent
 splitting: the linear shift mu_s u is kept implicit (diagonal resolvent), the
 remainder psi(u) + lambda u - mu_s u is frozen at the previous iterate.  The
 splitting map is Anderson-accelerated, and the residual that certifies a step
-is always taken in the eps-scaled dual norm.  The split has two regimes
-(:func:`effective_splitting_mu`): near the centre of the drift's slope range
-with a 3-deep mixing history while the centre split's a-priori factor is
-below 1/2, and at the top of the range with a 6-deep history from 1/2 on,
-where psi's flat parts make the centre split's two-signed remainder slow to
-mix away.
+is always taken in the eps-scaled dual norm.  Each cell's split is decided
+once, by :func:`splitting`, whose :class:`Splitting` record holds the shift,
+the a-priori factor and the mixing depth.  A nonlinear psi has two regimes:
+near the centre of the drift's slope range with a 3-deep mixing history
+while the centre split's a-priori factor is below 1/2, and at the top of the
+range with a 6-deep history from 1/2 on, where psi's flat parts make the
+centre split's two-signed remainder slow to mix away.
 
 States are plain coefficient arrays.  One kernel solves a whole
 ``(rows, modes)`` batch of steps at once, each row with its own dt > 0, cell
@@ -37,17 +38,17 @@ __all__ = [
     "INNER_TOLERANCE",
     "MAX_INNER_ITERATIONS",
     "SolverCounters",
+    "Splitting",
     "StepConfig",
     "StepperConvergenceError",
     "Trajectory",
     "cadlag_reductions",
     "cadlag_totals",
     "drift_rows",
-    "effective_splitting_mu",
     "implicit_step",
-    "iteration_contraction_factor",
     "march",
     "solve_regularized_path",
+    "splitting",
     "time_grid",
 ]
 
@@ -61,7 +62,7 @@ MAX_INNER_ITERATIONS = 600
 ANDERSON_DEPTH = 3
 TOP_SPLIT_DEPTH = 6
 # The centre split's a-priori factor from which the automatic split moves to
-# the top of psi's slope range (effective_splitting_mu).
+# the top of psi's slope range (splitting).
 TOP_SPLIT_FACTOR = 0.5
 # Relative diagonal loading of the mixing's normal equations.  It bounds the
 # weights when the history columns are nearly dependent, and it decides the
@@ -109,90 +110,64 @@ class StepConfig:
             raise ValueError(f"inner_initializer must be one of {_INNER_INITIALIZERS}")
 
 
-def _centre_mu(psi: NonlinearityPsi, cfg: StepConfig) -> float:
-    """(m + k + lam)/2 + 0.05 (1 + k - m): lam/2 below the centre (m + k)/2 +
-    lam of the drift's slope range [m + lam, k + lam], nudged up so the frozen
-    remainder stays a pointwise contraction relative to the implicit shift."""
-    k, m = psi.lipschitz_k, psi.slope_min
-    return 0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m)
+@dataclass(frozen=True)
+class Splitting:
+    """One cell's resolvent split: the implicit shift ``mu``, the a-priori
+    ``factor`` of its plain splitting map at the nominal step, and the
+    Anderson history ``depth`` it mixes with."""
+
+    mu: float
+    factor: float
+    depth: int
 
 
-def _split_factor(op, psi, cfg, mu_s: float) -> float:
-    """The a-priori factor of the splitting map with shift ``mu_s``."""
-    if mu_s == 0.0:
-        return 0.0
-    d_max = cfg.h * (cfg.epsilon + float(op.eigenvalues.max()))
-    remainder = max(mu_s - cfg.lam - psi.slope_min, psi.lipschitz_k + cfg.lam - mu_s)
-    return d_max / (1.0 + mu_s * d_max) * remainder
+def splitting(op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig) -> Splitting:
+    """The split the inner iteration uses for one cell.
 
+    With slope infimum m and supremum k of psi, d_max = h (eps + mu_max) and
+    the shift mu_s, the a-priori factor of the plain splitting map is
+    q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam - m, k + lam - mu_s).
+    No step of :func:`time_grid` is longer than h, and q grows with the
+    step, so it bounds every substep.  The inner solver accelerates this
+    map; q is recorded next to the observed contraction in the solver
+    counters.  The branches:
 
-def _splits_at_top(op, psi, cfg) -> bool:
-    """Whether the automatic split of a nonlinear psi is stiff enough for the
-    top of the slope range: the centre split's factor is at least
-    TOP_SPLIT_FACTOR."""
-    return (
-        cfg.splitting_mu is None
-        and psi.linear_slope is None
-        and _split_factor(op, psi, cfg, _centre_mu(psi, cfg)) >= TOP_SPLIT_FACTOR
-    )
-
-
-def effective_splitting_mu(
-    op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig
-) -> float:
-    """Splitting constant actually used by the inner iteration.
-
-    An explicit ``cfg.splitting_mu`` is used as given.  Exactly linear kinds
-    use slope + lam, which makes the split remainder vanish and the step a
-    single diagonal solve.  Otherwise, with slope infimum m and supremum k of
-    psi, there are two regimes:
-
+    - an explicit ``cfg.splitting_mu`` is used as given;
+    - exactly linear kinds use slope + lam, which makes the split remainder
+      vanish and the step a single diagonal solve, so q = 0;
     - the centre split (m + k + lam)/2 + 0.05 (1 + k - m), lam/2 below the
       centre of the drift's slope range [m + lam, k + lam] and nudged up so
       the frozen remainder stays a pointwise contraction relative to the
-      implicit shift; its remainder is two-signed, and Anderson mixing
-      resolves it quickly while its :func:`iteration_contraction_factor` is
-      small;
-    - the top split k + lam, taken when the centre split's factor is at least
+      implicit shift; q < 1 on a finite spectrum.  Its remainder is
+      two-signed, and Anderson mixing resolves it quickly while q is small;
+    - the top split k + lam, taken when the centre split's q is at least
       TOP_SPLIT_FACTOR = 1/2 (stiff steps: many modes, a long step, a flat
-      psi).  Its frozen remainder (k - psi') u is one-signed and vanishes
-      wherever psi sits at slope k, so only the nodes on psi's flat parts are
-      left to the mixing, which gets a TOP_SPLIT_DEPTH-deep history.
+      psi), with q = d_max (k - m) / (1 + (k + lam) d_max) < 1.  Its frozen
+      remainder (k - psi') u is one-signed and vanishes wherever psi sits at
+      slope k, so only the nodes on psi's flat parts are left to the mixing,
+      which gets a TOP_SPLIT_DEPTH-deep history.
 
     1/2 separates the shipped cases with room on both sides: the shipped
     scenarios' centre factors are at most 0.29 and the 257-mode saturating
-    cells' at least 0.69, so any threshold in (0.29, 0.69) selects the same
-    cells.  Below it the top split's longer one-signed steps and the deeper
-    history cost more than they save.
+    cells' at least 0.69 (their top q is at most 0.933), so any threshold in
+    (0.29, 0.69) selects the same cells.  Below it the top split's longer
+    one-signed steps and the deeper history cost more than they save.
     """
+    k, m, lam = psi.lipschitz_k, psi.slope_min, cfg.lam
+    d_max = cfg.h * (cfg.epsilon + float(op.eigenvalues.max()))
+
+    def factor(mu_s):
+        return d_max / (1.0 + mu_s * d_max) * max(mu_s - lam - m, k + lam - mu_s)
+
     if cfg.splitting_mu is not None:
-        return cfg.splitting_mu
+        return Splitting(cfg.splitting_mu, factor(cfg.splitting_mu), ANDERSON_DEPTH)
     if psi.linear_slope is not None:
-        return psi.linear_slope + cfg.lam
-    if _splits_at_top(op, psi, cfg):
-        return psi.lipschitz_k + cfg.lam
-    return _centre_mu(psi, cfg)
-
-
-def iteration_contraction_factor(
-    op: OperatorSpectrum, psi: NonlinearityPsi, cfg: StepConfig
-) -> float:
-    """A priori bound on the Lipschitz constant of the plain splitting map at
-    the nominal step h, for the split :func:`effective_splitting_mu` uses.
-
-    q = [d_max / (1 + mu_s d_max)] * max(mu_s - lam - m, k + lam - mu_s) with
-    d_max = h (eps + mu_max) and m, k the slope infimum and supremum of psi.
-    q < 1 whenever mu_s >= (m + k + lam)/2 on a finite spectrum; the top
-    split mu_s = k + lam gives d_max (k - m) / (1 + (k + lam) d_max) < 1.
-    No step of :func:`time_grid` is longer than h, and q grows with the step,
-    so it bounds every substep.  The inner solver accelerates this map; the
-    bound is recorded next to the observed contraction in the solver
-    counters.  The centre split's q decides the regime (see
-    :func:`effective_splitting_mu`); where the top split is taken, this is
-    the top split's q (at most 0.933 on the 257-mode stiff cells, whose
-    centre q is at most 0.889).
-    """
-    return _split_factor(op, psi, cfg, effective_splitting_mu(op, psi, cfg))
+        return Splitting(psi.linear_slope + lam, 0.0, ANDERSON_DEPTH)
+    centre = 0.5 * (m + k + lam) + 0.05 * (1.0 + k - m)
+    q = factor(centre)
+    if q >= TOP_SPLIT_FACTOR:
+        return Splitting(k + lam, factor(k + lam), TOP_SPLIT_DEPTH)
+    return Splitting(centre, q, ANDERSON_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -210,12 +185,13 @@ class _RowParams:
 
     @classmethod
     def from_configs(cls, op, psi, configs, repeat: int = 1) -> "_RowParams":
-        """Rows cycle through ``configs``, ``repeat`` times (path-major).  The
-        batch mixes with a TOP_SPLIT_DEPTH-deep history if any config takes the
-        top split, and an ANDERSON_DEPTH-deep one otherwise."""
+        """Rows cycle through ``configs``, ``repeat`` times (path-major).  Each
+        row shifts by its cell's :func:`splitting` mu, and the batch mixes with
+        the deepest history of its cells."""
         if len({cfg.max_inner_iterations for cfg in configs}) != 1:
             raise ValueError("batched rows must share max_inner_iterations")
         epm = np.stack([cfg.epsilon + op.eigenvalues for cfg in configs])
+        splits = [splitting(op, psi, cfg) for cfg in configs]
 
         def rows(values):
             return np.tile(np.asarray(values), (repeat,) + (1,) * (np.ndim(values) - 1))
@@ -224,12 +200,11 @@ class _RowParams:
             eps_plus_mu=rows(epm),
             dual_scale=rows(1.0 / np.sqrt(epm)),
             lam=rows([[cfg.lam] for cfg in configs]),
-            mu_s=rows([[effective_splitting_mu(op, psi, cfg)] for cfg in configs]),
+            mu_s=rows([[split.mu] for split in splits]),
             tolerance=rows([cfg.inner_tolerance for cfg in configs]),
             zero_start=rows([cfg.inner_initializer == "zero" for cfg in configs]),
             max_iterations=configs[0].max_inner_iterations,
-            depth=(TOP_SPLIT_DEPTH if any(_splits_at_top(op, psi, cfg) for cfg in configs)
-                   else ANDERSON_DEPTH),
+            depth=max(split.depth for split in splits),
         )
 
     def take(self, index: np.ndarray) -> "_RowParams":
@@ -249,8 +224,8 @@ class SolverCounters:
     applied the map at least once, (res_final / res_0)^(1 / applications);
     a budget miss is a step accepted above its per-substep residual budget
     but within ``inner_tolerance``.  ``apriori_contraction`` is the largest
-    :func:`iteration_contraction_factor` of the plain splitting map over the
-    marched configurations, at their step size.
+    a-priori factor (:attr:`Splitting.factor`) of the plain splitting map
+    over the marched configurations, at their step size.
     """
 
     iterations: list = field(default_factory=list)
@@ -358,7 +333,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     minimise the combined r in the row's F12_star(eps_r) norm, at no extra
     drift evaluation.  The depth is ANDERSON_DEPTH under the centre split and
     TOP_SPLIT_DEPTH when a row of the batch takes the top split, from a
-    centre factor of 1/2 on (:func:`effective_splitting_mu` says why): its
+    centre factor of 1/2 on (:func:`splitting` says why): its
     one-signed remainder leaves only psi's flat nodes to the mixing, which a
     longer history resolves in fewer drift evaluations.  The basis is
     orthonormal, so lam u is diagonal: the scaled residual s r,
@@ -637,8 +612,7 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
 
     params = _RowParams.from_configs(op, psi, configs, repeat=len(paths))
     counters.apriori_contraction = max(
-        [counters.apriori_contraction]
-        + [iteration_contraction_factor(op, psi, cfg) for cfg in configs]
+        [counters.apriori_contraction] + [splitting(op, psi, cfg).factor for cfg in configs]
     )
     starts = np.broadcast_to(np.asarray(initial, dtype=float), (n_cells, op.mode_count))
     state = np.tile(starts, (len(paths), 1))
@@ -710,7 +684,7 @@ def solve_regularized_path(
         "mode_cutoff": op.info.get("mode_cutoff", op.mode_count),
         "psi": psi.kind,
         "inner_tolerance": cfg.inner_tolerance,
-        "splitting_mu": effective_splitting_mu(op, psi, cfg),
+        "splitting_mu": splitting(op, psi, cfg).mu,
         "contraction_factor": summary["apriori_contraction_factor"],
         "max_inner_iterations_used": summary["inner_iterations_max"],
     }

@@ -32,15 +32,14 @@ from levypme.stepper import (
     StepperConvergenceError,
     cadlag_reductions,
     cadlag_totals,
-    effective_splitting_mu,
     _RowParams,
     _mixing,
     _solve_rows,
     drift_rows,
     implicit_step,
-    iteration_contraction_factor,
     march,
     solve_regularized_path,
+    splitting,
     time_grid,
 )
 
@@ -242,15 +241,15 @@ def test_convergence_error_when_starved(torus_small):
 def test_splitting_policy(torus_small):
     # 17 modes at h = 0.1: every centre split's factor is below 1/2
     cfg = StepConfig(h=0.1, epsilon=0.2, lam=0.1)
-    assert effective_splitting_mu(torus_small, make_psi("identity"), cfg) == 1.1
-    assert effective_splitting_mu(torus_small, make_psi("zero"), cfg) == 0.1
+    assert splitting(torus_small, make_psi("identity"), cfg).mu == 1.1
+    assert splitting(torus_small, make_psi("zero"), cfg).mu == 0.1
     # (m + k + lam)/2 + 0.05 (1 + k - m) at m = 1, k = 3/2
     soft, saturating = make_psi("soft_monotone"), make_psi("saturating", cap=1.0)
-    assert effective_splitting_mu(torus_small, soft, cfg) == pytest.approx(1.375)
+    assert splitting(torus_small, soft, cfg).mu == pytest.approx(1.375)
     # m = 0 keeps (k + lam)/2 + 0.05 (1 + k)
-    assert effective_splitting_mu(torus_small, saturating, cfg) == pytest.approx(0.65)
+    assert splitting(torus_small, saturating, cfg).mu == pytest.approx(0.65)
     cfg_override = StepConfig(h=0.1, epsilon=0.2, splitting_mu=2.5)
-    assert effective_splitting_mu(torus_small, soft, cfg_override) == 2.5
+    assert splitting(torus_small, soft, cfg_override).mu == 2.5
 
 
 def _plan_cells(name, mode_cutoff=None):
@@ -266,7 +265,7 @@ def _centre_factor(plan, cfg):
     # the a-priori factor of the centre split (m + k + lam)/2 + 0.05 (1 + k - m)
     k, m = plan.psi.lipschitz_k, plan.psi.slope_min
     centre = replace(cfg, splitting_mu=0.5 * (m + k + cfg.lam) + 0.05 * (1.0 + k - m))
-    return iteration_contraction_factor(plan.op, plan.psi, centre), centre.splitting_mu
+    return splitting(plan.op, plan.psi, centre).factor, centre.splitting_mu
 
 
 def test_stiff_cells_split_at_the_top():
@@ -278,9 +277,9 @@ def test_stiff_cells_split_at_the_top():
     for cfg in configs:
         factor, _ = _centre_factor(plan, cfg)
         assert 0.69 <= factor <= 0.89
-        mu_s = effective_splitting_mu(plan.op, plan.psi, cfg)
-        assert mu_s == plan.psi.lipschitz_k + cfg.lam
-        assert factor < iteration_contraction_factor(plan.op, plan.psi, cfg) < 1.0
+        split = splitting(plan.op, plan.psi, cfg)
+        assert split.mu == plan.psi.lipschitz_k + cfg.lam
+        assert factor < split.factor < 1.0
     assert _RowParams.from_configs(plan.op, plan.psi, configs).depth == TOP_SPLIT_DEPTH
 
 
@@ -290,8 +289,9 @@ def test_acceptance_cells_keep_the_centre_split():
     for cfg in configs:
         factor, centre = _centre_factor(plan, cfg)
         assert 0.08 <= factor <= 0.095
-        assert effective_splitting_mu(plan.op, plan.psi, cfg) == centre
-        assert iteration_contraction_factor(plan.op, plan.psi, cfg) == factor
+        split = splitting(plan.op, plan.psi, cfg)
+        assert split.mu == centre
+        assert split.factor == factor
     assert _RowParams.from_configs(plan.op, plan.psi, configs).depth == ANDERSON_DEPTH
 
 
@@ -302,10 +302,52 @@ def test_linear_psi_and_explicit_split_untouched():
     identity = make_psi("identity")
     explicit = [replace(cfg, splitting_mu=2.2) for cfg in configs]
     for cfg, given in zip(configs, explicit):
-        assert effective_splitting_mu(plan.op, identity, cfg) == 1.0 + cfg.lam
-        assert effective_splitting_mu(plan.op, plan.psi, given) == 2.2
+        assert splitting(plan.op, identity, cfg).mu == 1.0 + cfg.lam
+        assert splitting(plan.op, plan.psi, given).mu == 2.2
     for psi, batch in [(identity, configs), (plan.psi, explicit)]:
         assert _RowParams.from_configs(plan.op, psi, batch).depth == ANDERSON_DEPTH
+
+
+def test_linear_split_reports_factor_zero(torus_small):
+    # an exactly linear psi shifts by slope + lam, so the frozen remainder is
+    # zero and so is the a-priori factor, although identity and scaled_linear
+    # keep slope_min = 0
+    cfg = StepConfig(h=0.1, epsilon=0.2, lam=0.1)
+    for psi in (make_psi("identity"), make_psi("scaled_linear", scale=2.7)):
+        split = splitting(torus_small, psi, cfg)
+        assert split.mu == psi.linear_slope + cfg.lam
+        assert split.factor == 0.0
+        assert split.depth == ANDERSON_DEPTH
+
+
+def test_uniqueness_mixes_top_and_explicit_splits():
+    # uniqueness's stiff batch at 257 modes: config a takes the top split,
+    # config b an explicit splitting_mu; the batch mixes with the deeper
+    # history, each row shifts by its own cell's mu, and march records the
+    # larger factor of the two cells
+    plan, _ = _plan_cells("additive_saturating.scn", mode_cutoff=128)
+    report = cascade.uniqueness_check(plan)
+    config_a = plan.step_config(*plan.finest_cell)
+    config_b = replace(config_a, splitting_mu=report.parameters["splitting_mu_b"],
+                       inner_initializer="zero")
+    configs = [config_a, config_b, config_a]
+    split_a, split_b = (splitting(plan.op, plan.psi, cfg) for cfg in (config_a, config_b))
+    assert split_a.depth == TOP_SPLIT_DEPTH and split_b.depth == ANDERSON_DEPTH
+    assert config_b.splitting_mu == 2.0 * split_a.mu + 0.1 == split_b.mu
+    params = _RowParams.from_configs(plan.op, plan.psi, configs)
+    assert params.depth == TOP_SPLIT_DEPTH
+    assert params.mu_s[:, 0].tolist() == [split_a.mu, split_b.mu, split_a.mu]
+
+    path = sample_noise_path(plan.noise, plan.horizon, 0)
+    grid, _ = time_grid(plan.step_size, plan.horizon, path)
+    counters = SolverCounters()
+    for _ in march(plan.op, plan.psi, plan.noise, [path], [grid], configs, plan.horizon,
+                   plan.initial, counters):
+        pass
+    largest = max(split_a.factor, split_b.factor)
+    assert split_a.factor != split_b.factor
+    assert counters.apriori_contraction == largest
+    assert report.extra["solver"]["apriori_contraction_factor"] == largest
 
 
 def test_top_split_with_deep_history_cuts_stiff_iterations():
@@ -328,10 +370,32 @@ def test_top_split_with_deep_history_cuts_stiff_iterations():
     assert iterations.sum() <= 750
 
 
+@pytest.mark.parametrize("mode_cutoff", [8, 32, 128], ids=["17", "65", "257"])
+def test_zero_target_runs_rows_to_the_floor(mode_cutoff):
+    # with a zero target no row meets its target, so each stops only on the
+    # floating-point floor, once an iteration no longer improves its best
+    # residual; stopping as soon as the residual is within inner_tolerance
+    # leaves rows near 1e-10
+    op = build_fractional_laplacian_torus(mode_cutoff, 0.75)
+    psi = make_psi("saturating", cap=1.0)
+    configs = [StepConfig(h=1 / 32, epsilon=0.05, lam=lam) for lam in (0.2, 0.1, 0.05)]
+    b = np.repeat(
+        np.stack([random_field(op, np.random.default_rng(s), scale=0.6) for s in range(4)]),
+        len(configs), axis=0,
+    )
+    params = _RowParams.from_configs(op, psi, configs, repeat=4)
+    dt = np.full(b.shape[0], 1 / 32)
+    u, _ = _solve_rows(op, psi, params, b, dt, np.zeros(b.shape[0]), SolverCounters())
+    d = dt[:, None] * params.eps_plus_mu
+    sr = params.dual_scale * (u + d * (drift_rows(op, psi, u) + params.lam * u) - b)
+    final = np.sqrt(np.einsum("ij,ij->i", sr, sr))
+    assert final.max() <= 1e-3 * configs[0].inner_tolerance
+
+
 def test_contraction_factor_below_one(torus_small):
     cfg = StepConfig(h=0.125, epsilon=0.2, lam=0.1)
     for kind, kwargs in [("soft_monotone", {}), ("saturating", {"cap": 1.0})]:
-        q = iteration_contraction_factor(torus_small, make_psi(kind, **kwargs), cfg)
+        q = splitting(torus_small, make_psi(kind, **kwargs), cfg).factor
         assert 0.0 < q < 1.0
 
 
@@ -340,7 +404,7 @@ def test_contraction_factor_uses_slope_infimum():
     # lam = 0.1: mu_s = 1.375, remainder max(mu_s - lam - 1, 3/2 + lam - mu_s)
     op = spectrum_from_eigenvalues([1.8])
     cfg = StepConfig(h=0.5, epsilon=0.2, lam=0.1)
-    q = iteration_contraction_factor(op, make_psi("soft_monotone"), cfg)
+    q = splitting(op, make_psi("soft_monotone"), cfg).factor
     assert q == pytest.approx(0.275 / 2.375, rel=1e-14)
 
 
