@@ -33,8 +33,9 @@ configured).  For ``lambda-study``, ``eps-study`` and ``apriori`` the
 metadata also says whether the study marched its ensemble or reused one an
 earlier study of the same plan marched in this interpreter
 (``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
-marched its ``"march_chunks"`` chunks).  ``"child_cpu_s"`` is the CPU time
-of the children it reaped.
+marched its ``"march_chunks"`` chunks).  For ``inequalities`` it records
+``"audit_workers"``, the processes that drew and evaluated the audits' sample
+blocks.  ``"child_cpu_s"`` is the CPU time of the children it reaped.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
     epsilon, _ = plan.finest_cell
     psi_conditions = verify_psi_inequalities(plan.psi)
     min_pair, min_self, min_slope = (c.min_slack for c in psi_conditions)
-    conditions = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
+    conditions, workers = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
     noise_report = audit_h2_h3(plan.op, plan.noise)
 
     checks = [
@@ -248,6 +249,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
                 ),
             )
         ],
+        audit_workers=max(workers, noise_report.workers),
     )
     return report, {}
 
@@ -321,7 +323,7 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children) -
         "environment": _environment(),
         "child_cpu_s": round(sum(os.times()[2:4]) - children, 6),  # RUSAGE_CHILDREN
     }
-    for key in ("ensemble", "march_workers", "march_chunks"):
+    for key in ("ensemble", "march_workers", "march_chunks", "audit_workers"):
         if getattr(report, key) is not None:
             metadata[key] = getattr(report, key)
     (out_dir / "metadata.json").write_text(

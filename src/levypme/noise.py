@@ -206,7 +206,8 @@ def sample_noise_path(model: NoiseModel, horizon: float, seed: int) -> NoisePath
 class NoiseAuditReport:
     """Empirical-vs-closed-form audit of the two noise hypotheses, with H2
     both in F* and in L2; ``conditions`` holds the H3, H2 and H2 (L2)
-    verdicts, in that order."""
+    verdicts, in that order, and ``workers`` counts the processes that drew
+    and evaluated the samples (:func:`levypme.operators.by_sample_blocks`)."""
 
     sample_count: int
     h2_empirical: float
@@ -216,6 +217,7 @@ class NoiseAuditReport:
     h3_empirical: float
     h3_closed_form: float
     conditions: tuple
+    workers: int
 
     @property
     def passed(self) -> bool:
@@ -248,9 +250,11 @@ def audit_h2_h3(
     Sample i is the pair (u1, u2) of rows i of one sample-major draw of shape
     (sample_count, 2, modes), coefficients scaled by 2 (1+mu_k)^(-1/2), made
     and evaluated block by block (:func:`levypme.operators.by_sample_blocks`),
-    so no (sample_count x modes) array is allocated.  H3 is audited on the
-    pair in F*; H2 on u1 in F*, the norm the hypothesis is stated in, and in
-    L2, the norm of the moment bound that apriori gates on.  Each ratio is
+    so no (sample_count x modes) array is allocated; from 128 modes on the
+    blocks are dealt to one process per usable CPU, each of which draws and
+    evaluates only its own.  H3 is audited on the pair in F*; H2 on u1 in F*,
+    the norm the hypothesis is stated in, and in L2, the norm of the moment
+    bound that apriori gates on.  Each ratio is
     judged against its closed form C by :func:`levypme.reporting.verdict`
     with rhs C (1 + 1e-9) + 1e-15: the relative 1e-9 covers accumulation
     roundoff in the empirical ratios.  A pair with u1 = u2 has H3 ratio 0.
@@ -270,7 +274,8 @@ def audit_h2_h3(
                       out=np.zeros(gap_sq.size), where=gap_sq > 0.0),
         )
 
-    ratio_h2, ratio_h2_l2, ratio_h3 = by_sample_blocks(op, rng, sample_count, 2, ratios, scale=2.0)
+    (ratio_h2, ratio_h2_l2, ratio_h3), workers = by_sample_blocks(
+        op, rng, sample_count, 2, ratios, scale=2.0)
 
     def within(label, ratio, closed):
         return verdict(label, ratio, closed * (1.0 + 1e-9) + 1e-15)
@@ -288,6 +293,7 @@ def audit_h2_h3(
             within("H2", ratio_h2, h2_closed),
             within("H2 (L2)", ratio_h2_l2, h2_l2_closed),
         ),
+        workers=workers,
     )
 
 

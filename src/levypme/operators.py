@@ -12,7 +12,8 @@ The transforms are dense gemms, so importing this module pins numpy's
 OpenBLAS to one thread (:func:`pin_blas_threads`): a transform's bits do not
 depend on ``OPENBLAS_NUM_THREADS``, and the program's only parallelism is its
 own processes, one per usable CPU (:func:`deal`), which march the studies'
-chunks and evaluate the audits' sample blocks.
+chunks and draw and evaluate the audits' sample blocks, each process only
+its own blocks (:func:`by_sample_blocks`).
 """
 from __future__ import annotations
 
@@ -181,12 +182,12 @@ def random_rows(op: OperatorSpectrum, rng: np.random.Generator, shape: tuple = (
 # max(1, _BLOCK_VALUES // modes) samples, so each (block x modes) temporary is
 # 512 KiB, small enough to stay in cache and to be reused from the heap.
 _BLOCK_VALUES = 1 << 16
-# Modes from which the blocks are dealt to processes.  Every process draws
-# every block, and a draw costs as much below about 129 modes as evaluating
-# a block does: the inequalities audits on 2 CPUs took 100 ms alone against
-# 107 ms dealt at 65 modes, 179 against 176 at 129, 411 against 323 at 257.
+# Modes from which the blocks are dealt to processes.  Each process draws only
+# its own blocks, so on 2 CPUs the inequalities audits took 112-117 ms alone
+# against 89-92 ms dealt at 65 modes, and 243-265 against 172-179 at 129.
 # From here on, too, a study's march splits a ladder whose paths fit one
-# chunk (cascade.CHUNK_ROWS) into two, so that it is dealt as two.
+# chunk (cascade.CHUNK_ROWS) into two, so that it is dealt as two; that split
+# is slower below 128 modes (BENCH_27.json), so the audits keep its gate.
 _DEALT_MODES = 128
 
 
@@ -194,35 +195,78 @@ def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
                      states: int, rows_of, scale: float = 1.0) -> tuple:
     """Draw ``count`` samples of ``states`` coefficient rows each and evaluate
     ``rows_of(block)`` a block at a time, joining each of its outputs along the
-    last (sample) axis.
+    last (sample) axis; return those outputs and the number of processes that
+    drew and evaluated the blocks.
 
     A block is one :func:`random_rows` draw of shape (b, states, modes), with
     b = max(1, _BLOCK_VALUES // modes) but fewer in the last block.  Draws on
     one generator continue its stream in C order, so the samples, and every
     result, are those of one (count, states, modes) draw whatever the block
     size; no array of every sample ever exists.  From ``_DEALT_MODES`` modes
-    on the blocks are evaluated by :func:`deal`'s processes: each draws every
-    block up to its next own one from its copy of ``rng``, and this process
-    then draws the rest, so ``rng`` continues as after the one draw.
+    on the blocks are dealt to :func:`deal`'s processes, and each process
+    draws only its own: the generator state goes round a ring of pipes, from
+    the process that drew a block to the one that draws the next, before
+    either evaluates.  The process that draws the last block returns the
+    state it leaves, so ``rng`` continues as after the one draw.
     """
     step = max(1, _BLOCK_VALUES // op.mode_count)
     starts = range(0, count, step)
-    draws = enumerate(random_rows(op, rng, (min(step, count - start), states), scale)
-                      for start in starts)
 
-    def evaluate(index):
-        for drawn, block in draws:
-            if drawn == index:
-                return rows_of(block)
+    def draw(index):
+        return random_rows(op, rng, (min(step, count - starts[index]), states), scale)
 
     blocks = range(len(starts))
-    if op.mode_count >= _DEALT_MODES:
-        parts, _ = deal(evaluate, blocks)
+    workers = _workers(len(blocks)) if op.mode_count >= _DEALT_MODES else 1
+    if workers == 1:
+        parts = [rows_of(draw(index)) for index in blocks]
     else:
-        parts = [evaluate(index) for index in blocks]
-    for _ in draws:
-        pass
-    return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts))
+        parts = _drawn_in_turn(draw, rows_of, rng, blocks, workers)
+    return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts)), workers
+
+
+def _drawn_in_turn(draw, rows_of, rng, blocks, workers) -> list:
+    """``[rows_of(draw(index)) for index in blocks]`` on :func:`deal`'s
+    ``workers`` processes, with ``rng`` at the state the plain loop leaves.
+
+    Process p draws blocks p, p + workers, ...  Pipe p of the ring carries
+    the state left after each of them to process p + 1 (mod workers), which
+    draws the next block.  Each process closes the ends of the pipes that are
+    not its own, and its sending end as soon as it fails (a child's closes as
+    it exits), so the next process reads an end of file instead of waiting
+    for ever; that one fails too, at a later block than the failure
+    :func:`deal` raises.  Each also keeps the reading end of its own pipe
+    open, so that a send never meets a closed pipe.
+    """
+    ring = [(os.fdopen(read, "rb"), os.fdopen(write, "wb"))
+            for read, write in (os.pipe() for _ in range(workers))]
+    held = {end for pipe in ring for end in pipe}  # this process's open ends
+    last = len(blocks) - 1
+
+    def evaluate(index):
+        inbox, (unread, outbox) = ring[index % workers - 1][0], ring[index % workers]
+        for end in held - {inbox, unread, outbox}:  # on the first call in each process
+            end.close()
+        held.intersection_update((inbox, unread, outbox))
+        try:
+            if index > 0:
+                rng.bit_generator.state = pickle.load(inbox)
+            block = draw(index)
+            if index < last:
+                pickle.dump(rng.bit_generator.state, outbox)
+                outbox.flush()
+            final = rng.bit_generator.state if index == last else None
+            return rows_of(block), final
+        except BaseException:
+            outbox.close()
+            raise
+
+    try:
+        parts, _ = deal(evaluate, blocks)
+    finally:
+        for end in held:
+            end.close()
+    rng.bit_generator.state = parts[-1][1]
+    return [outputs for outputs, _ in parts]
 
 
 def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -243,22 +287,31 @@ class WorkerError(RuntimeError):
     survive pickling (sent as its class name and message)."""
 
 
-def deal(work, items):
-    """``[work(item) for item in items]`` and the number of processes that ran
-    it: this one and ``os.fork``ed children, one per usable CPU, dealt the
-    items round-robin.  Each stops at its first failure; the lowest item's is
-    raised, as the plain loop would.  A child sends a byte as it ends each
-    item and its outcomes when it ends its share, so one that dies fails,
-    with a :class:`WorkerError` naming its signal or exit status, at the
-    first of its items it did not end.  Every child is reaped.
+def _workers(items: int) -> int:
+    """The number of processes :func:`deal` runs ``items`` items on, and
+    :func:`by_sample_blocks` draws its dealt blocks on: one per usable CPU
+    (``os.sched_getaffinity``), but no more than there are items, and one
+    where there is no ``os.fork``.
 
     The items are dealt only while BLAS is pinned to one thread: a threaded
     gemm in each of several processes would contend for the cores (four
     march chunks at 97 modes took 3-4 times as long).  Without a loaded
     OpenBLAS this process runs them all."""
-    spread = pin_blas_threads() is not None and hasattr(os, "sched_getaffinity")
+    spread = (pin_blas_threads() is not None and hasattr(os, "sched_getaffinity")
+              and hasattr(os, "fork"))
     cpus = len(os.sched_getaffinity(0)) if spread else 1
-    workers = min(cpus, len(items)) if hasattr(os, "fork") else 1
+    return max(1, min(cpus, items))
+
+
+def deal(work, items):
+    """``[work(item) for item in items]`` and the number of processes that ran
+    it: this one and ``os.fork``ed children, :func:`_workers` of them in all,
+    dealt the items round-robin.  Each stops at its first failure; the lowest
+    item's is raised, as the plain loop would.  A child sends a byte as it
+    ends each item and its outcomes when it ends its share, so one that dies
+    fails, with a :class:`WorkerError` naming its signal or exit status, at
+    the first of its items it did not end.  Every child is reaped."""
+    workers = _workers(len(items))
 
     def share(start):  # (index, result or exception) of each item, up to the first failure
         for index in range(start, len(items), workers):

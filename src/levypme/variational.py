@@ -27,9 +27,10 @@ a row's value to the block it sits in.  Every draw is made block by block
 ``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
 per-sample sides before the next one is drawn, so each (block x modes)
 temporary holds about 2^16 values and no (samples x modes) array exists,
-whatever the sample or mode count.  From 128 modes on the blocks are shared
-among one process per usable CPU; every block is evaluated the same way
-wherever it runs.
+whatever the sample or mode count.  From 128 modes on the blocks are dealt
+to one process per usable CPU, and each process draws and evaluates only its
+own blocks, taking the generator's state from the process that drew the block
+before; every block is drawn and evaluated the same way wherever it runs.
 """
 from __future__ import annotations
 
@@ -88,17 +89,18 @@ def _hemicontinuity_pairings(op, psi, u, v, w, dual_factor) -> np.ndarray:
     ])
 
 
-def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
+def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> tuple[ConditionResult, int]:
     """iota -> <A(u + iota v), w> along a mesh of iotas, Lipschitz in iota
     with constant 2 k |v|_2 |w|_2; sample i is the triple (u, v, w) of rows i.
-    One row per (iota pair, sample), pair-major over the 21 pairs a < b."""
+    One row per (iota pair, sample), pair-major over the 21 pairs a < b.
+    Returns the result and the processes that evaluated the samples."""
 
     def sides(block):
         u, v, w = block[:, 0], block[:, 1], block[:, 2]
         return (_hemicontinuity_pairings(op, psi, u, v, w, dual_factor),
                 np.sqrt(squared_norm_rows(op, v)), np.sqrt(squared_norm_rows(op, w)))
 
-    pairings, v_l2, w_l2 = by_sample_blocks(op, rng, count, 3, sides)
+    (pairings, v_l2, w_l2), workers = by_sample_blocks(op, rng, count, 3, sides)
     allowance = 1e-12 * (np.abs(pairings).max(axis=0) + v_l2 * w_l2)
     a, b = np.triu_indices(_IOTAS.size, 1)
     gap = np.abs(pairings[b] - pairings[a])
@@ -108,10 +110,10 @@ def _hemicontinuity(op, psi, rng, count, dual_factor, k) -> ConditionResult:
         pair, sample = divmod(i, count)
         return f"sample {sample}, |pairing({_IOTAS[b[pair]]:g}) - pairing({_IOTAS[a[pair]]:g})|"
 
-    return verdict("hemicontinuity", gap, bound, row)
+    return verdict("hemicontinuity", gap, bound, row), workers
 
 
-def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
+def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> tuple[list, int]:
     """From one drift evaluation per state of the pairs (u1, u2):
     local monotonicity  2 <A u1 - A u2, u1 - u2> + noise gap mass <= shift ||u1 - u2||_F*^2;
     coercivity on u1    2 <A u, u> <= (-2c + 2 theta^2 k^2 (1-eps)) |u|_2^2
@@ -119,7 +121,8 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
                         only when psi certifies a coercivity constant c;
     growth on u2        ||A u||_(L2)* <= 2 k |u|_2.
     k and c are psi's, h2 and h3 (in the shift) the noise's closed forms.
-    Sample i is the pair (u1, u2) of rows i."""
+    Sample i is the pair (u1, u2) of rows i.  Returns the results and the
+    processes that evaluated the samples."""
     k, c = psi.lipschitz_k, psi.coercivity_c
     shift = monotonicity_shift(psi, eps, model.h3_closed_form(op))
     if c is not None:
@@ -146,12 +149,13 @@ def _paired_conditions(op, psi, model, rng, count, dual_factor, eps) -> list:
             coef_l2 * squared_norm_rows(op, a) + coef_fstar * squared_norm_rows(op, a, F_STAR),
         ]
 
-    mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer = by_sample_blocks(op, rng, count, 2, sides)
+    (mono_lhs, mono_rhs, growth_lhs, growth_rhs, *coer), workers = by_sample_blocks(
+        op, rng, count, 2, sides)
     return [
         verdict("local_monotonicity", mono_lhs, mono_rhs, "pair {}".format),
         *([verdict("coercivity", *coer)] if coer else []),
         verdict("growth", growth_lhs, growth_rhs),
-    ]
+    ], workers
 
 
 def check_variational_conditions(
@@ -161,7 +165,7 @@ def check_variational_conditions(
     epsilon: float,
     sample_count: int = 10_000,
     seed: int = 90_125,
-) -> list:
+) -> tuple[list, int]:
     """Audit hemicontinuity, local monotonicity, coercivity (when psi
     certifies a coercivity constant) and growth.
 
@@ -177,8 +181,10 @@ def check_variational_conditions(
     pairing magnitude because it subtracts near-equal pairings.  Returns the
     hemicontinuity, local monotonicity, coercivity and growth results, in
     that order; the coercivity result only when psi certifies a coercivity
-    constant, so every returned result is an audit that ran.  ``epsilon``
-    must lie in (0, 1).
+    constant, so every returned result is an audit that ran.  Returns them
+    with the number of processes that drew and evaluated the samples, the
+    larger of the two draws' (:func:`levypme.operators.by_sample_blocks`).
+    ``epsilon`` must lie in (0, 1).
     """
     if sample_count < 10:
         raise ValueError("sample_count must be >= 10")
@@ -187,8 +193,8 @@ def check_variational_conditions(
     rng = np.random.default_rng(seed)
     mu = op.eigenvalues
     dual_factor = -(mu + epsilon) / (1.0 + mu)  # pairing weight of A against (1+mu)^-1
-    return [
-        _hemicontinuity(op, psi, rng, max(sample_count // 10, 10), dual_factor,
-                        psi.lipschitz_k),
-        *_paired_conditions(op, psi, model, rng, sample_count, dual_factor, epsilon),
-    ]
+    hemicontinuity, hemi_workers = _hemicontinuity(
+        op, psi, rng, max(sample_count // 10, 10), dual_factor, psi.lipschitz_k)
+    paired, paired_workers = _paired_conditions(
+        op, psi, model, rng, sample_count, dual_factor, epsilon)
+    return [hemicontinuity, *paired], max(hemi_workers, paired_workers)

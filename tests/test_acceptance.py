@@ -96,9 +96,10 @@ def test_criterion_2_hypothesis_audits(capsys, torus_small):
     for psi in psis:
         for model in models.values():
             for epsilon in (0.01, 0.1, 0.5):
-                for cond in check_variational_conditions(
+                conditions, _ = check_variational_conditions(
                     torus_small, psi, model, epsilon, sample_count=10_000
-                ):
+                )
+                for cond in conditions:
                     violations += cond.violation_count
                     checked += cond.checked
     elapsed = time.perf_counter() - start

@@ -9,6 +9,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -151,23 +153,131 @@ def test_import_pins_openblas_to_one_thread():
     assert after == dict.fromkeys(before, 1)
 
 
-def test_sample_blocks_split_changes_no_bit(monkeypatch):
-    # 8 blocks of at most 4 samples, dealt to 3 processes (this one evaluates
-    # blocks 0, 3 and 6, then draws block 7) or evaluated here alone:
-    # the outputs are the same bits, those of one whole draw, and the
-    # generator goes on as after that one draw
+def _blocks_of_four(monkeypatch, cpus):
+    """A 129-mode spectrum, whose sample blocks are dealt, with blocks of at
+    most 4 samples and ``cpus`` usable CPUs."""
     op = build_fractional_laplacian_torus(64, 0.5)
     assert op.mode_count >= operators._DEALT_MODES
     monkeypatch.setattr(operators, "_BLOCK_VALUES", 4 * op.mode_count)
-    whole_rng = np.random.default_rng(11)
-    whole = operators.random_rows(op, whole_rng, (30, 2))
-    expected = (whole.sum(axis=(1, 2)), whole[:, 1, 3], whole_rng.random())
-    for cpus in (3, 1):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return op
+
+
+def test_sample_blocks_split_changes_no_bit(monkeypatch):
+    # blocks of at most 4 samples (8 of them for 30 samples, 2 for 8, 1 for
+    # 3), dealt to one process per CPU but at most one per block, or drawn
+    # here alone: the outputs are the same bits, those of one whole draw,
+    # and the generator goes on as after that one draw
+    for count, cpus, workers in [(30, 3, 3), (30, 2, 2), (30, 1, 1), (8, 3, 2), (3, 3, 1)]:
+        op = _blocks_of_four(monkeypatch, cpus)
+        whole_rng = np.random.default_rng(11)
+        whole = operators.random_rows(op, whole_rng, (count, 2))
         rng = np.random.default_rng(11)
-        out = by_sample_blocks(op, rng, 30, 2, lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3]))
-        assert np.array_equal(out[0], expected[0]) and np.array_equal(out[1], expected[1])
-        assert rng.random() == expected[2]
+        out, used = by_sample_blocks(op, rng, count, 2,
+                                     lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3]))
+        assert used == workers
+        assert np.array_equal(out[0], whole.sum(axis=(1, 2)))
+        assert np.array_equal(out[1], whole[:, 1, 3])
+        assert rng.random() == whole_rng.random()
+
+
+def test_each_process_draws_only_its_own_blocks(monkeypatch):
+    # 8 blocks on 3 processes: process p draws and evaluates blocks p, p + 3,
+    # ..., so the block it evaluates k-th is the k-th block it drew, and this
+    # process (blocks 0, 3 and 6) drew 3 blocks in all
+    op = _blocks_of_four(monkeypatch, 3)
+    drawn = []  # this process's draws; a forked process starts from its copy
+    random_rows = operators.random_rows
+
+    def counting(*args, **kwargs):
+        drawn.append(1)
+        return random_rows(*args, **kwargs)
+
+    def rows_of(block):
+        return np.full(len(block), os.getpid()), np.full(len(block), len(drawn))
+
+    monkeypatch.setattr(operators, "random_rows", counting)
+    (pids, draws), workers = by_sample_blocks(op, np.random.default_rng(2), 30, 2, rows_of)
+    assert workers == 3
+    first = np.arange(0, 30, 4)  # each block's first sample
+    assert pids[0] == os.getpid() and len(set(pids[first[:3]])) == 3
+    assert list(pids[first]) == [pids[first[b % 3]] for b in range(8)]
+    assert list(draws[first]) == [b // 3 + 1 for b in range(8)]
+    assert len(drawn) == 3
+
+
+def _within(seconds, scenario):
+    """Run ``scenario()`` in a forked process that leads a session of its own
+    and fail with its traceback if it fails; kill the session and fail if it
+    runs longer than ``seconds``, so that a hang fails the test at once."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.setsid()
+            scenario()
+            status = 0
+        except BaseException:
+            os.write(write, traceback.format_exc()[-4000:].encode())
+        finally:
+            os._exit(status)
+    os.close(write)
+    deadline = time.monotonic() + seconds
+    with os.fdopen(read, "rb") as pipe:
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.killpg(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"still running after {seconds} s")
+            time.sleep(0.01)
+        message = pipe.read().decode()
+    assert done[1] == 0, message or f"wait status {done[1]}"
+
+
+@pytest.mark.parametrize("killed_at, raised_at, expected, message", [
+    ((True, 2), None, WorkerError, "^a worker process was killed by SIGKILL at item 3$"),
+    (None, (True, 1), ValueError, "^child's evaluation 1$"),
+    (None, (False, 2), ValueError, "^parent's evaluation 2$"),
+], ids=["child killed", "child raises", "parent raises"])
+def test_dealt_draw_failure_is_raised_and_no_child_left(killed_at, raised_at, expected,
+                                                       message, monkeypatch):
+    # 8 blocks on 2 processes, the child drawing blocks 1, 3, 5 and 7: the
+    # child is killed as it draws block 3, before it passes the state on; or
+    # it raises evaluating block 1; or this process raises evaluating block
+    # 2, after passing the state on to block 3, while the child will wait
+    # for the state after block 4.  The failure deal raises is the one
+    # raised, no process waits for a state that never comes, and every child
+    # is reaped.  A (process, n) pair plants a fault at that process's n-th
+    # draw or evaluation; the process is True for the child.
+    op = _blocks_of_four(monkeypatch, 2)
+    parent = None  # the process that calls by_sample_blocks
+    draws, evaluations = [], []  # this process's; a forked one starts from its copy
+    random_rows = operators.random_rows
+
+    def drawing(*args, **kwargs):
+        draws.append(1)
+        if (os.getpid() != parent, len(draws)) == killed_at:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return random_rows(*args, **kwargs)
+
+    def rows_of(block):
+        evaluations.append(1)
+        in_child = os.getpid() != parent
+        if (in_child, len(evaluations)) == raised_at:
+            raise ValueError(f"{'child' if in_child else 'parent'}'s evaluation {len(evaluations)}")
+        return (block[:, 0, 0],)
+
+    def scenario():
+        nonlocal parent
+        parent = os.getpid()
+        with pytest.raises(expected, match=message):
+            by_sample_blocks(op, np.random.default_rng(3), 30, 2, rows_of)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setattr(operators, "random_rows", drawing)
+    _within(10.0, scenario)
 
 
 class _KeywordOnly(Exception):

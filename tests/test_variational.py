@@ -39,7 +39,7 @@ def test_all_conditions_pass(torus_small, noise, kind, kwargs, epsilon):
         "multiplicative": lambda: multiplicative_model(),
     }[noise]()
     psi = make_psi(kind, **kwargs)
-    conditions = check_variational_conditions(
+    conditions, _ = check_variational_conditions(
         torus_small, psi, model, epsilon, sample_count=300, seed=11
     )
     assert all(c.passed for c in conditions), [
@@ -75,7 +75,7 @@ def test_coercivity_skip_policy(torus_small):
         ("saturating", {"cap": 1.0}, True),
         ("zero", {}, True),
     ]:
-        conditions = check_variational_conditions(
+        conditions, _ = check_variational_conditions(
             torus_small, make_psi(kind, **kwargs), zero_model(), 0.2,
             sample_count=50, seed=2,
         )
@@ -88,7 +88,7 @@ def test_coercivity_skip_policy(torus_small):
 
 def test_condition_accessor(torus_small):
     # the conditions come in one fixed order, the rows of the CLI's table
-    conditions = check_variational_conditions(
+    conditions, _ = check_variational_conditions(
         torus_small, make_psi("identity"), zero_model(), 0.2, sample_count=50, seed=3
     )
     assert [c.name for c in conditions] == [
@@ -99,7 +99,7 @@ def test_condition_accessor(torus_small):
 def test_noise_kind_labels(torus_small):
     # multiplicative noise has a gap constant, which the monotonicity shift carries
     model = multiplicative_model()
-    conditions = check_variational_conditions(
+    conditions, _ = check_variational_conditions(
         torus_small, make_psi("identity"), model, 0.2, sample_count=50, seed=3,
     )
     assert all(c.passed for c in conditions)
@@ -122,7 +122,7 @@ def test_sample_count_floor(torus_small):
 
 
 def test_min_slack_reported_nonnegative(torus_small):
-    conditions = check_variational_conditions(
+    conditions, _ = check_variational_conditions(
         torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1,
         sample_count=200, seed=8,
     )
@@ -138,9 +138,9 @@ def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
     modes = torus_small.mode_count
     args = (torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1)
     monkeypatch.setattr(operators, "_BLOCK_VALUES", 1_024 * modes)
-    blocked = check_variational_conditions(*args, sample_count=2_500, seed=5)
+    blocked, _ = check_variational_conditions(*args, sample_count=2_500, seed=5)
     monkeypatch.setattr(operators, "_BLOCK_VALUES", 4_096 * modes)
-    whole = check_variational_conditions(*args, sample_count=2_500, seed=5)
+    whole, _ = check_variational_conditions(*args, sample_count=2_500, seed=5)
     assert {c.name: c for c in blocked}["coercivity"].checked == 2_500
     assert blocked == whole
 
@@ -167,7 +167,7 @@ def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
     for sample_count in (50, 2_500):
         forward.clear()
         backward.clear()
-        conditions = check_variational_conditions(
+        conditions, _ = check_variational_conditions(
             torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1,
             sample_count=sample_count, seed=4,
         )
