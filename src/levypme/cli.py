@@ -35,7 +35,10 @@ earlier study of the same plan marched in this interpreter
 (``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
 marched its ``"march_chunks"`` chunks).  For ``inequalities`` it records
 ``"audit_workers"``, the processes that drew and evaluated the audits' sample
-blocks.  ``"child_cpu_s"`` is the CPU time of the children it reaped.
+blocks.  ``"child_cpu_s"`` is the CPU time of the children it reaped, and
+``"transform"`` says how the plan's operator changes representation:
+``"dense"`` gemms against its basis or real ``"fft"``s
+(:attr:`levypme.operators.OperatorSpectrum.transform`).
 """
 
 from __future__ import annotations
@@ -304,7 +307,8 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children) -> None:
+def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children,
+                   transform) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir)
     (out_dir / "scenario.txt").write_text(serialize_scenario(scenario))
@@ -322,6 +326,7 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children) -
         "version": __version__,
         "environment": _environment(),
         "child_cpu_s": round(sum(os.times()[2:4]) - children, 6),  # RUSAGE_CHILDREN
+        "transform": transform,
     }
     for key in ("ensemble", "march_workers", "march_chunks", "audit_workers"):
         if getattr(report, key) is not None:
@@ -348,7 +353,8 @@ def main(argv=None) -> int:
         plan = build_plan(scenario)
         children = sum(os.times()[2:4])
         report, artifacts = STUDIES[args.command][1](plan)
-        _write_outputs(Path(args.out), report, artifacts, scenario, args, children)
+        _write_outputs(Path(args.out), report, artifacts, scenario, args, children,
+                       plan.op.transform)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

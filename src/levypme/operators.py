@@ -8,12 +8,15 @@ A state is its coefficient vector, and a batch of states a stack of such
 rows; physical values are computed only where a pointwise map needs them.
 One model is built here: the fractional Laplacian on a 1-d torus.
 
-The transforms are dense gemms, so importing this module pins numpy's
-OpenBLAS to one thread (:func:`pin_blas_threads`): a transform's bits do not
-depend on ``OPENBLAS_NUM_THREADS``, and the program's only parallelism is its
-own processes, one per usable CPU (:func:`deal`), which march the studies'
-chunks and draw and evaluate the audits' sample blocks, each process only
-its own blocks (:func:`by_sample_blocks`).
+The transforms are dense gemms against the basis, except on a torus whose
+node count :func:`_fft_sized` admits (385 nodes or more, no prime factor
+above 41: 513 nodes, not 17, 65 or 257), where the same maps are real FFTs;
+a spectrum decides which once, when it is built (``transform``).  Importing
+this module pins numpy's OpenBLAS to one thread (:func:`pin_blas_threads`):
+a gemm's bits do not depend on ``OPENBLAS_NUM_THREADS``, and the program's
+only parallelism is its own processes, one per usable CPU (:func:`deal`),
+which march the studies' chunks and draw and evaluate the audits' sample
+blocks, each process only its own blocks (:func:`by_sample_blocks`).
 """
 from __future__ import annotations
 
@@ -60,6 +63,10 @@ class OperatorSpectrum:
         orthonormal under `weights`.
     weights : ndarray, shape (n_phys,)
         Positive quadrature weights of the physical nodes.
+    transform : str
+        ``"fft"`` when :meth:`to_physical` and :meth:`to_spectral` are real
+        FFTs, ``"dense"`` when they are gemms against the basis; decided once,
+        at construction (:func:`_fft_scales`).
     """
 
     eigenvalues: np.ndarray
@@ -67,6 +74,8 @@ class OperatorSpectrum:
     basis: np.ndarray
     weights: np.ndarray
     info: dict = field(default_factory=dict)
+    # to_physical's input scale and to_spectral's output scale on the FFT path
+    _fft: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
@@ -87,20 +96,37 @@ class OperatorSpectrum:
         gram = self.basis.T @ (self.weights[:, None] * self.basis)
         if np.abs(gram - np.eye(mu.size)).max() > 1e-10:
             raise ValueError("basis columns are not orthonormal under weights")
+        object.__setattr__(self, "_fft", _fft_scales(self))
 
     @property
     def mode_count(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def transform(self) -> str:
+        return "dense" if self._fft is None else "fft"
+
     # -- representation changes ------------------------------------------------
+    #
+    # On the FFT path an entry of either map differs from the dense product by
+    # at most n eps |row|_1 max|basis|, |row|_1 taken of the weighted nodal
+    # values for to_spectral.  At 385 to 1025 nodes and N(0, 1) coefficients
+    # the differences came to at most a fifth of that bound: 3.2e-12 in
+    # to_physical and 4.6e-13 in to_spectral at 513 nodes on the 2 pi torus.
+    # Each row is transformed alone, so a row's values do not depend on the
+    # rows stacked with it (the dense gemm gives no such promise).
 
     def to_physical(self, coefficients: np.ndarray) -> np.ndarray:
         """Nodal values of one coefficient vector or of each row of a stack."""
-        return np.asarray(coefficients, dtype=float) @ self.basis.T
+        if self._fft is None:
+            return np.asarray(coefficients, dtype=float) @ self.basis.T
+        return _inverse_rfft(coefficients, self._fft[0])
 
     def to_spectral(self, physical_values: np.ndarray) -> np.ndarray:
         """Coefficients of one nodal vector or of each row of a stack."""
-        return (self.weights * np.asarray(physical_values, dtype=float)) @ self.basis
+        if self._fft is None:
+            return (self.weights * np.asarray(physical_values, dtype=float)) @ self.basis
+        return _rfft(physical_values, self._fft[1])
 
     def field_from_coefficients(self, coefficients) -> np.ndarray:
         """Read-only copy of one coefficient vector, checked against the modes.
@@ -114,6 +140,84 @@ class OperatorSpectrum:
                 f"expected {self.mode_count} coefficients, got shape {c.shape}"
             )
         return c
+
+
+# Node counts n whose torus transforms are real FFTs: from _FFT_NODES nodes on,
+# with no prime factor above _FFT_LARGEST_FACTOR.  A large prime factor sends
+# pocketfft to Bluestein's algorithm: at 64 rows or more the FFT took 2.4-3.1
+# times the gemm's time at 257 nodes, 1.4-1.8 times at 449, 521 and 601, and
+# as long at 769.  Below 385 nodes smooth counts gain less, and a single row
+# at 225 or 275 nodes loses.  From 385 on smooth counts win at every row count
+# tried (1 row, 16, 64 and an audit block): 1.5-3.5 times faster at 385-451
+# nodes, 3.2-5.0 at 513 and 5.3-12.6 at 1025 (BENCH_30.json).
+_FFT_NODES = 385
+_FFT_LARGEST_FACTOR = 41
+
+
+def _fft_sized(n: int) -> bool:
+    """Whether a torus of ``n`` nodes is transformed by real FFT."""
+    if n < _FFT_NODES:
+        return False
+    for p in range(2, _FFT_LARGEST_FACTOR + 1):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _fft_scales(op: OperatorSpectrum):
+    """The scales that make real FFTs compute ``op``'s transforms:
+    (to_physical's input scale, to_spectral's output scale), or None when
+    the transforms stay dense gemms.
+
+    The FFTs need the trigonometric basis on n = 2N + 1 uniform nodes from
+    the node at 0, labelled 0, 1, -1, ..., N, -N (constant, then cosine and
+    sine of each frequency k), and an n that :func:`_fft_sized` admits.  The
+    scales are read off the basis's node-0 row, which holds the constant
+    and each cosine's amplitude, and both FFTs must agree with the dense
+    products on the coefficient row (1, 1/2, ..., 1/n) to 1e-10 relative:
+    far above their roundoff, far below the gap that a basis of other
+    signs, phases or nodes leaves.
+    """
+    n = op.mode_count
+    labels = (0, *(sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)))
+    if (not _fft_sized(n) or op.labels != labels or op.weights.size != n
+            or np.any(op.weights != op.weights[0])):
+        return None
+    physical = np.empty(n)
+    physical[0] = op.basis[0, 0]
+    physical[1::2] = op.basis[0, 1::2] / 2.0
+    physical[2::2] = -physical[1::2]
+    spectral = 2.0 * op.weights[0] * physical
+    spectral[0] = op.weights[0] * physical[0]
+    row = 1.0 / np.arange(1.0, n + 1.0)
+    nodal = row @ op.basis.T
+    back = (op.weights * nodal) @ op.basis
+    if (np.abs(_inverse_rfft(row, physical) - nodal).max() > 1e-10 * np.abs(nodal).max()
+            or np.abs(_rfft(nodal, spectral) - back).max() > 1e-10 * np.abs(back).max()):
+        return None
+    return _frozen(physical), _frozen(spectral)
+
+
+def _inverse_rfft(coefficients, scale) -> np.ndarray:
+    """Nodal values of coefficient rows in the torus label order: the rows
+    times ``scale`` are the real and imaginary parts of the half spectrum,
+    after the constant mode, whose imaginary part is 0."""
+    c = np.asarray(coefficients, dtype=float)
+    n = c.shape[-1]
+    half = np.empty((*c.shape[:-1], n + 1))
+    np.multiply(c, scale, out=half[..., 1:])
+    half[..., 0] = half[..., 1]
+    half[..., 1] = 0.0
+    return np.fft.irfft(half.view(complex), n, norm="forward")
+
+
+def _rfft(physical_values, scale) -> np.ndarray:
+    """Coefficient rows of nodal rows: the real and imaginary parts of each
+    row's half spectrum, the constant mode's imaginary part dropped, times
+    ``scale``."""
+    half = np.fft.rfft(np.asarray(physical_values, dtype=float)).view(float)
+    half[..., 1] = half[..., 0]
+    return np.multiply(half[..., 1:], scale)
 
 
 # -- constructors ---------------------------------------------------------------

@@ -112,6 +112,59 @@ def test_roundtrip_property(cutoff, alpha, seed):
     assert np.abs(op.to_spectral(op.to_physical(c)) - c).max() < 1e-10
 
 
+@pytest.mark.parametrize("cutoff", [8, 16, 32, 128])
+def test_dense_transforms_are_the_basis_products(cutoff):
+    # 17, 33 and 65 nodes (every shipped scenario) and 257 (prime) stay
+    # dense gemms, bit for bit, so no shipped report moves
+    op = build_fractional_laplacian_torus(cutoff, 0.5)
+    assert op.transform == "dense"
+    c = np.random.default_rng(cutoff).standard_normal((9, op.mode_count))
+    x = c @ op.basis.T
+    assert np.array_equal(op.to_physical(c), x)
+    assert np.array_equal(op.to_spectral(x), (op.weights * x) @ op.basis)
+
+
+@pytest.mark.parametrize("cutoff, transform", [(192, "fft"), (256, "fft"), (260, "dense")])
+def test_fft_transforms_match_the_basis(cutoff, transform):
+    # 385 = 5 7 11 and 513 = 3^3 19 nodes are transformed by real FFT, 521
+    # (prime) by the dense basis.  Every entry is within n eps |row|_1
+    # max|basis| of the dense product, for one row, a stack and a strided
+    # stack, and a row's values are the same bits alone as in a block of 127
+    op = build_fractional_laplacian_torus(cutoff, 0.6, length=3.0)
+    assert op.transform == transform
+    n = op.mode_count
+    c = np.random.default_rng(n).standard_normal((127, 2 * n))[:, ::2]
+    x = np.ascontiguousarray(c) @ op.basis.T
+    bound = n * np.finfo(float).eps * np.abs(op.basis).max()
+    for rows in (c[3], np.ascontiguousarray(c), c, c[::3]):
+        dense_x = np.ascontiguousarray(rows) @ op.basis.T
+        dense_c = (op.weights * dense_x) @ op.basis
+        tol_x = bound * np.abs(rows).sum(axis=-1, keepdims=True)
+        tol_c = bound * np.abs(op.weights * dense_x).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(op.to_physical(rows) - dense_x) <= tol_x)
+        assert np.all(np.abs(op.to_spectral(dense_x) - dense_c) <= tol_c)
+    if transform == "fft":
+        assert np.array_equal(op.to_physical(c[40]), op.to_physical(c)[40])
+        assert np.array_equal(op.to_spectral(x[40]), op.to_spectral(x)[40])
+
+
+def test_fft_needs_the_torus_basis():
+    # the FFT is taken only for node counts from 385 on with no prime factor
+    # above 41, and only for the trigonometric basis on uniform nodes in the
+    # torus label order: the same 513 modes in another order, or with a sign
+    # flipped, stay dense
+    sizes = (17, 33, 65, 257, 351, 385, 387, 513, 521, 697, 1025)
+    assert [n for n in sizes if operators._fft_sized(n)] == [385, 513, 697, 1025]
+    op = build_fractional_laplacian_torus(256, 0.5)
+    order = np.r_[0, 2:op.mode_count, 1]
+    flipped = op.basis.copy()
+    flipped[:, 2] *= -1.0
+    assert OperatorSpectrum(op.eigenvalues[order], np.array(op.labels)[order],
+                            op.basis[:, order], op.weights).transform == "dense"
+    assert OperatorSpectrum(op.eigenvalues, op.labels, flipped, op.weights).transform == "dense"
+    assert OperatorSpectrum(op.eigenvalues, op.labels, op.basis, op.weights).transform == "fft"
+
+
 # Reads the thread count of every OpenBLAS mapped into the process, found
 # without levypme's help, before and after importing levypme.operators.
 _THREADS_AROUND_IMPORT = """

@@ -317,6 +317,7 @@ def test_cli_simulate_success(tmp_path, capsys):
     assert report["extra"]["grid_rows"] == len(data) > 1
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["scenario_hash"] == scenario_hash(parse_scenario(_text()))
+    assert meta["transform"] == "dense"
     env = meta["environment"]
     assert set(env) == {"python", "numpy", "openblas_num_threads", "blas_pin", "cpu_count"}
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levypme import cascade, stepper
+from levypme import cascade, operators, stepper
 from levypme.nonlinearity import make_psi
 from levypme.noise import NoisePath, sample_noise_path
 from levypme.operators import (
@@ -684,6 +684,25 @@ def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):
         assert len(rows) == traj.times.size
         assert np.abs(np.array([r[0] for r in rows]) - traj.left_states).max() <= 1e-12
         assert np.abs(np.array([r[1] for r in rows]) - traj.states).max() <= 1e-12
+
+
+def test_fft_solve_matches_dense_solve(monkeypatch):
+    # on 513 modes the transforms are real FFTs; a path solved with them
+    # keeps within the inner tolerance of the path solved with the dense
+    # basis, jumps and all
+    model = multiplicative_model(sigmas=(0.3, -0.2), intensities=(4.0, 2.0))
+    psi = make_psi("saturating", cap=0.5)
+    cfg = StepConfig(h=0.125, epsilon=0.1, lam=0.05)
+    path = sample_noise_path(model, 0.5, 1)
+    assert path.times.size == 3
+    fft = build_fractional_laplacian_torus(256, 0.5)
+    monkeypatch.setattr(operators, "_fft_sized", lambda n: False)
+    dense = build_fractional_laplacian_torus(256, 0.5)
+    assert (fft.transform, dense.transform) == ("fft", "dense")
+    u0 = random_field(fft, np.random.default_rng(1))
+    a, b = (solve_regularized_path(op, psi, model, path, cfg, 0.5, u0) for op in (fft, dense))
+    assert np.abs(a.states - b.states).max() <= cfg.inner_tolerance
+    assert np.abs(a.left_states - b.left_states).max() <= cfg.inner_tolerance
 
 
 def test_march_targets_the_per_substep_budget(torus_small, initial_small, monkeypatch):

@@ -134,15 +134,19 @@ def test_min_slack_reported_nonnegative(torus_small):
 def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
     # 1,024 rows per block on the 17 modes: 2,500 samples span three blocks,
     # the last one partial; one block holding every row must give the same
-    # results to the last bit
-    modes = torus_small.mode_count
-    args = (torus_small, make_psi("soft_monotone"), multiplicative_model(), 0.1)
-    monkeypatch.setattr(operators, "_BLOCK_VALUES", 1_024 * modes)
-    blocked, _ = check_variational_conditions(*args, sample_count=2_500, seed=5)
-    monkeypatch.setattr(operators, "_BLOCK_VALUES", 4_096 * modes)
-    whole, _ = check_variational_conditions(*args, sample_count=2_500, seed=5)
-    assert {c.name: c for c in blocked}["coercivity"].checked == 2_500
-    assert blocked == whole
+    # results to the last bit.  So must 16-row blocks of 300 samples on 513
+    # modes, whose transforms are real FFTs, against one block of 512 rows
+    torus_wide = build_fractional_laplacian_torus(256, 0.5)
+    assert torus_wide.transform == "fft"
+    for op, count, rows, whole_rows in [(torus_small, 2_500, 1_024, 4_096),
+                                        (torus_wide, 300, 16, 512)]:
+        args = (op, make_psi("soft_monotone"), multiplicative_model(), 0.1)
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", rows * op.mode_count)
+        blocked, _ = check_variational_conditions(*args, sample_count=count, seed=5)
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", whole_rows * op.mode_count)
+        whole, _ = check_variational_conditions(*args, sample_count=count, seed=5)
+        assert {c.name: c for c in blocked}["coercivity"].checked == count
+        assert blocked == whole
 
 
 def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
@@ -179,15 +183,17 @@ def test_audit_evaluates_each_state_once(torus_small, monkeypatch):
             assert checked[name] == sample_count
 
 
-@pytest.mark.parametrize("spectrum", ["torus", "diagonal"])
+@pytest.mark.parametrize("spectrum", ["torus", "torus-fft", "diagonal"])
 def test_nodal_pairing_matches_drift_kernel(spectrum):
     # the hemicontinuity pairing, taken on nodal values, is the pairing of the
     # drift kernel's coefficient rows with dual_factor * w, for any basis and
-    # weights
+    # weights, and on 513 modes, whose transforms are real FFTs
     op = {
         "torus": lambda: build_fractional_laplacian_torus(12, 0.6, length=3.0),
+        "torus-fft": lambda: build_fractional_laplacian_torus(256, 0.6, length=3.0),
         "diagonal": lambda: spectrum_from_eigenvalues([0.0, 0.5, 2.0, 3.5, 7.0]),
     }[spectrum]()
+    assert op.transform == ("fft" if spectrum == "torus-fft" else "dense")
     psi = make_psi("soft_monotone")
     dual_factor = -(op.eigenvalues + 0.1) / (1.0 + op.eigenvalues)
     u, v, w = operators.random_rows(op, np.random.default_rng(6), (3, 40), scale=3.0)
