@@ -3,6 +3,7 @@ SPDEs driven by compensated Poisson jumps.
 
 The package is organized bottom-up:
 
+- :mod:`levypme.parallel` — worker processes, OpenBLAS pinned to one thread
 - :mod:`levypme.operators` — diagonal operator models
 - :mod:`levypme.spaces` — the norm family
 - :mod:`levypme.nonlinearity` — monotone scalar nonlinearities + audits

@@ -55,7 +55,8 @@ import numpy as np
 
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, path_seed, sample_noise_path
-from .operators import _DEALT_MODES, OperatorSpectrum, deal
+from .operators import OperatorSpectrum
+from .parallel import deal
 from .reporting import (
     ConstantRecord,
     PairEstimate,
@@ -178,23 +179,24 @@ class StudyPlan:
 # chunked simulation
 
 # Rows (path x ladder cell) one chunk advances in lockstep.  A chunk is the
-# unit of work operators.deal hands to a process.  A chunk holds
-# CHUNK_ROWS // cells paths, the last one the rest.  From _DEALT_MODES modes
-# on, paths that fit one chunk are split into two halves, one per CPU on two:
-# 16 paths x 3 cells on 2 CPUs as 2 chunks of 24 rows against one of 48 took
-# about 28% less wall at 257 modes, broke even at 129 and were slower at 65,
-# for 45-80% more CPU.  Ladders of several chunks already use every CPU and
-# keep their layout.  The layout depends on the plan alone, never on the CPU
-# count, and is part of the reports: a gemm's last bits depend on its row
-# count.
+# unit of work parallel.deal hands to a process.  A chunk holds
+# CHUNK_ROWS // cells paths, the last one the rest.  The layout depends on the
+# plan alone, never on the CPU count, and is part of the reports: a gemm's
+# last bits depend on its row count.
 CHUNK_ROWS = 64
+# Modes from which paths that fit one chunk are split into two halves, one per
+# CPU on two: 16 paths x 3 cells on 2 CPUs as 2 chunks of 24 rows against one
+# of 48 took about 28% less wall at 257 modes, broke even at 129 and were
+# slower at 65, for 45-80% more CPU (BENCH_27.json).  Ladders of several
+# chunks already use every CPU and keep their layout.
+_HALVED_MODES = 128
 
 
 def _chunk_bounds(modes: int, paths: int, cells: int) -> list:
     """(first, stop) path ranges of the chunks a march of ``paths`` paths
     under ``cells`` cells at ``modes`` modes splits into (see CHUNK_ROWS)."""
     size = max(1, CHUNK_ROWS // cells)
-    if modes >= _DEALT_MODES and paths <= size:
+    if modes >= _HALVED_MODES and paths <= size:
         size = -(-paths // 2)
     return [(first, min(first + size, paths)) for first in range(0, paths, size)]
 
@@ -242,7 +244,7 @@ def _march_cells(plan: StudyPlan, cells):
     hold ``CHUNK_ROWS // len(cells)`` paths; from 128 modes on, paths that
     fit one chunk are split into two (:func:`_chunk_bounds`).  Returns the
     results and ``{"march_workers": processes that marched them
-    (:func:`levypme.operators.deal`), "march_chunks": chunks}``.
+    (:func:`levypme.parallel.deal`), "march_chunks": chunks}``.
     """
     op = plan.op
     n_cells = len(cells)

@@ -26,7 +26,7 @@ canonical scenario) and ``metadata.json``; only the metadata carries a
 timestamp and the environment (Python and numpy versions,
 ``OPENBLAS_NUM_THREADS``, ``"blas_pin"``: the OpenBLAS pinned to one thread,
 CPU count), so reports and tables are byte-identical across reruns.  Since
-:mod:`levypme.operators` runs numpy's OpenBLAS on one thread whatever
+:mod:`levypme.parallel` runs numpy's OpenBLAS on one thread whatever
 ``OPENBLAS_NUM_THREADS`` says, they are also identical across its values
 (``"blas_pin": null`` records a BLAS that is not OpenBLAS and was left as
 configured).  For ``lambda-study``, ``eps-study`` and ``apriori`` the
@@ -63,7 +63,7 @@ from .cascade import (
 )
 from .noise import audit_h2_h3, export_noise_path, path_seed, sample_noise_path
 from .nonlinearity import verify_psi_inequalities
-from .operators import pin_blas_threads
+from .parallel import pin_blas_threads
 from .reporting import PropertyCheck, StudyReport, Table
 from .scenario import (
     ScenarioError,

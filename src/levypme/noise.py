@@ -251,10 +251,10 @@ def audit_h2_h3(
     (sample_count, 2, modes), coefficients scaled by 2 (1+mu_k)^(-1/2), made
     and evaluated block by block (:func:`levypme.operators.by_sample_blocks`),
     so no (sample_count x modes) array is allocated; from 128 modes on the
-    blocks are dealt to one process per usable CPU, each of which draws and
-    evaluates only its own.  H3 is audited on the pair in F*; H2 on u1 in F*,
-    the norm the hypothesis is stated in, and in L2, the norm of the moment
-    bound that apriori gates on.  Each ratio is
+    blocks are dealt to one process per usable CPU (:mod:`levypme.parallel`),
+    each of which draws and evaluates only its own.  H3 is audited on the
+    pair in F*; H2 on u1 in F*, the norm the hypothesis is stated in, and in
+    L2, the norm of the moment bound that apriori gates on.  Each ratio is
     judged against its closed form C by :func:`levypme.reporting.verdict`
     with rhs C (1 + 1e-9) + 1e-15: the relative 1e-9 covers accumulation
     roundoff in the empirical ratios.  A pair with u1 = u2 has H3 ratio 0.

@@ -11,31 +11,21 @@ One model is built here: the fractional Laplacian on a 1-d torus.
 The transforms are dense gemms against the basis, except on a torus whose
 node count :func:`_fft_sized` admits (385 nodes or more, no prime factor
 above 41: 513 nodes, not 17, 65 or 257), where the same maps are real FFTs;
-a spectrum decides which once, when it is built (``transform``).  Importing
-this module pins numpy's OpenBLAS to one thread (:func:`pin_blas_threads`):
-a gemm's bits do not depend on ``OPENBLAS_NUM_THREADS``, and the program's
-only parallelism is its own processes, one per usable CPU (:func:`deal`),
-which march the studies' chunks and draw and evaluate the audits' sample
-blocks, each process only its own blocks (:func:`by_sample_blocks`).
+a spectrum decides which once, when it is built (``transform``).
 """
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel  # importing it pins OpenBLAS to one thread, before any gemm
+
 __all__ = [
     "OperatorSpectrum",
-    "WorkerError",
     "build_fractional_laplacian_torus",
     "by_sample_blocks",
-    "deal",
-    "pin_blas_threads",
     "random_field",
     "random_rows",
     "smooth_field",
@@ -288,10 +278,8 @@ def random_rows(op: OperatorSpectrum, rng: np.random.Generator, shape: tuple = (
 _BLOCK_VALUES = 1 << 16
 # Modes from which the blocks are dealt to processes.  Each process draws only
 # its own blocks, so on 2 CPUs the inequalities audits took 112-117 ms alone
-# against 89-92 ms dealt at 65 modes, and 243-265 against 172-179 at 129.
-# From here on, too, a study's march splits a ladder whose paths fit one
-# chunk (cascade.CHUNK_ROWS) into two, so that it is dealt as two; that split
-# is slower below 128 modes (BENCH_27.json), so the audits keep its gate.
+# against 89-92 ms dealt at 65 modes, and 243-265 against 172-179 at 129
+# (BENCH_29.json).
 _DEALT_MODES = 128
 
 
@@ -307,11 +295,12 @@ def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
     one generator continue its stream in C order, so the samples, and every
     result, are those of one (count, states, modes) draw whatever the block
     size; no array of every sample ever exists.  From ``_DEALT_MODES`` modes
-    on the blocks are dealt to :func:`deal`'s processes, and each process
-    draws only its own: the generator state goes round a ring of pipes, from
-    the process that drew a block to the one that draws the next, before
-    either evaluates.  The process that draws the last block returns the
-    state it leaves, so ``rng`` continues as after the one draw.
+    on the blocks are dealt to processes (:func:`levypme.parallel.deal`), and
+    each process draws only its own: the generator state goes round a ring of
+    pipes (:func:`levypme.parallel.drawn_in_turn`), from the process that
+    drew a block to the one that draws the next, before either evaluates.
+    The process that draws the last block returns the state it leaves, so
+    ``rng`` continues as after the one draw.
     """
     step = max(1, _BLOCK_VALUES // op.mode_count)
     starts = range(0, count, step)
@@ -320,57 +309,12 @@ def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
         return random_rows(op, rng, (min(step, count - starts[index]), states), scale)
 
     blocks = range(len(starts))
-    workers = _workers(len(blocks)) if op.mode_count >= _DEALT_MODES else 1
+    workers = parallel.processes(len(blocks)) if op.mode_count >= _DEALT_MODES else 1
     if workers == 1:
         parts = [rows_of(draw(index)) for index in blocks]
     else:
-        parts = _drawn_in_turn(draw, rows_of, rng, blocks, workers)
+        parts = parallel.drawn_in_turn(draw, rows_of, rng, blocks, workers)
     return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts)), workers
-
-
-def _drawn_in_turn(draw, rows_of, rng, blocks, workers) -> list:
-    """``[rows_of(draw(index)) for index in blocks]`` on :func:`deal`'s
-    ``workers`` processes, with ``rng`` at the state the plain loop leaves.
-
-    Process p draws blocks p, p + workers, ...  Pipe p of the ring carries
-    the state left after each of them to process p + 1 (mod workers), which
-    draws the next block.  Each process closes the ends of the pipes that are
-    not its own, and its sending end as soon as it fails (a child's closes as
-    it exits), so the next process reads an end of file instead of waiting
-    for ever; that one fails too, at a later block than the failure
-    :func:`deal` raises.  Each also keeps the reading end of its own pipe
-    open, so that a send never meets a closed pipe.
-    """
-    ring = [(os.fdopen(read, "rb"), os.fdopen(write, "wb"))
-            for read, write in (os.pipe() for _ in range(workers))]
-    held = {end for pipe in ring for end in pipe}  # this process's open ends
-    last = len(blocks) - 1
-
-    def evaluate(index):
-        inbox, (unread, outbox) = ring[index % workers - 1][0], ring[index % workers]
-        for end in held - {inbox, unread, outbox}:  # on the first call in each process
-            end.close()
-        held.intersection_update((inbox, unread, outbox))
-        try:
-            if index > 0:
-                rng.bit_generator.state = pickle.load(inbox)
-            block = draw(index)
-            if index < last:
-                pickle.dump(rng.bit_generator.state, outbox)
-                outbox.flush()
-            final = rng.bit_generator.state if index == last else None
-            return rows_of(block), final
-        except BaseException:
-            outbox.close()
-            raise
-
-    try:
-        parts, _ = deal(evaluate, blocks)
-    finally:
-        for end in held:
-            end.close()
-    rng.bit_generator.state = parts[-1][1]
-    return [outputs for outputs, _ in parts]
 
 
 def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -381,157 +325,3 @@ def random_field(op: OperatorSpectrum, rng: np.random.Generator, scale: float = 
 def smooth_field(op: OperatorSpectrum, amplitude: float = 1.0) -> np.ndarray:
     """Deterministic smooth profile with coefficients amplitude / (1+mu_k)."""
     return op.field_from_coefficients(amplitude / (1.0 + op.eigenvalues))
-
-
-# -- processes and BLAS threads ------------------------------------------------------
-
-
-class WorkerError(RuntimeError):
-    """A :func:`deal` worker died, or failed with an exception that does not
-    survive pickling (sent as its class name and message)."""
-
-
-def _workers(items: int) -> int:
-    """The number of processes :func:`deal` runs ``items`` items on, and
-    :func:`by_sample_blocks` draws its dealt blocks on: one per usable CPU
-    (``os.sched_getaffinity``), but no more than there are items, and one
-    where there is no ``os.fork``.
-
-    The items are dealt only while BLAS is pinned to one thread: a threaded
-    gemm in each of several processes would contend for the cores (four
-    march chunks at 97 modes took 3-4 times as long).  Without a loaded
-    OpenBLAS this process runs them all."""
-    spread = (pin_blas_threads() is not None and hasattr(os, "sched_getaffinity")
-              and hasattr(os, "fork"))
-    cpus = len(os.sched_getaffinity(0)) if spread else 1
-    return max(1, min(cpus, items))
-
-
-def deal(work, items):
-    """``[work(item) for item in items]`` and the number of processes that ran
-    it: this one and ``os.fork``ed children, :func:`_workers` of them in all,
-    dealt the items round-robin.  Each stops at its first failure; the lowest
-    item's is raised, as the plain loop would.  A child sends a byte as it
-    ends each item and its outcomes when it ends its share, so one that dies
-    fails, with a :class:`WorkerError` naming its signal or exit status, at
-    the first of its items it did not end.  Every child is reaped."""
-    workers = _workers(len(items))
-
-    def share(start):  # (index, result or exception) of each item, up to the first failure
-        for index in range(start, len(items), workers):
-            try:
-                yield index, work(items[index])
-            except Exception as exc:
-                yield index, exc
-                return
-
-    def sendable(index, value):  # a failure as one that unpickles
-        if isinstance(value, Exception):
-            try:
-                pickle.loads(pickle.dumps(value))
-            except Exception:
-                value = WorkerError(f"{type(value).__name__}: {value}")
-        return index, value
-
-    def received(start, data, status):  # the outcomes a child sent, and how it ended
-        ended = len(data) - len(data.lstrip(b"+"))  # items it ended; a pickle starts b"\x80"
-        if status == 0:
-            return pickle.loads(data[ended:])
-        if os.WIFSIGNALED(status):
-            how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
-        else:
-            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
-        index = start + ended * workers
-        where = f"at item {items[index]!r}" if index < len(items) else "after its last item"
-        return [(index, WorkerError(f"a worker process {how} {where}"))]
-
-    pipes = {}  # unreaped child pid -> (its first index, read end of its pipe)
-    try:
-        for start in range(1, workers):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child sends its share and leaves
-                status = 1
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        # a byte as each item ends, the outcomes at the end: sent
-                        # one by one they would fill the pipe while this process
-                        # waits for its parent to read, which it does last
-                        done = []
-                        for outcome in share(start):
-                            done.append(sendable(*outcome))
-                            pipe.write(b"+")
-                            pipe.flush()
-                        pickle.dump(done, pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            pipes[pid] = (start, os.fdopen(read, "rb"))
-        done = list(share(0))
-        for pid, (start, pipe) in list(pipes.items()):
-            with pipe:
-                data = pipe.read()
-            del pipes[pid]
-            done += received(start, data, os.waitpid(pid, 0)[1])
-    finally:
-        for pid, (_, pipe) in pipes.items():  # a child blocked on a full pipe ends now
-            pipe.close()
-            os.waitpid(pid, 0)
-    done.sort(key=lambda outcome: outcome[0])
-    for _, value in done:
-        if isinstance(value, Exception):
-            raise value
-    return [value for _, value in done], workers
-
-
-# The thread-count entry points of the OpenBLAS builds numpy links: the
-# scipy-openblas of numpy 2.x wheels, the OpenBLAS of numpy 1.x wheels (both
-# with 64-bit integers) and a system OpenBLAS.
-_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                   "openblas_{}_num_threads")
-
-
-def _loaded_openblas() -> list:
-    """(file name, set_num_threads, get_num_threads) of every OpenBLAS mapped
-    into this process, as ``/proc/self/maps`` lists them; empty where no
-    mapped file named OpenBLAS exports those entry points, or where the maps
-    cannot be read."""
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(None, 5) for line in maps]
-    except OSError:
-        return []
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _THREAD_SYMBOLS:
-            if hasattr(lib, symbol.format("set")) and hasattr(lib, symbol.format("get")):
-                set_threads, get_threads = lib[symbol.format("set")], lib[symbol.format("get")]
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                found.append((os.path.basename(path), set_threads, get_threads))
-                break
-    return found
-
-
-def pin_blas_threads():
-    """Set every loaded OpenBLAS to one thread; return ``{file name: thread
-    count read back}``, or None when no OpenBLAS is loaded and BLAS is left
-    as configured.
-
-    Runs when this module is imported, after numpy has loaded its BLAS, and
-    again before :func:`deal` forks and when a run records its environment.
-    Forked processes inherit the setting.
-    """
-    found = _loaded_openblas()
-    for _, set_threads, _ in found:
-        set_threads(1)
-    return {name: int(get_threads()) for name, _, get_threads in found} or None
-
-
-pin_blas_threads()

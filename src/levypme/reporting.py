@@ -152,10 +152,11 @@ class StudyReport:
     tables: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
     # How a Monte Carlo study got its samples ("marched" or "reused"), by how
-    # many processes and in how many chunks (cascade._run_cells), and by how
-    # many processes the audits drew and evaluated their sample blocks
-    # (operators.by_sample_blocks).  Run metadata: kept out of report.json,
-    # which is the same either way.
+    # many processes (parallel.deal) and in how many chunks
+    # (cascade._run_cells), and by how many processes the audits drew and
+    # evaluated their sample blocks (operators.by_sample_blocks, through
+    # parallel.drawn_in_turn).  Run metadata: kept out of report.json, which
+    # is the same either way.
     ensemble: Optional[str] = None
     march_workers: Optional[int] = None
     march_chunks: Optional[int] = None

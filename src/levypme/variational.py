@@ -28,9 +28,10 @@ a row's value to the block it sits in.  Every draw is made block by block
 per-sample sides before the next one is drawn, so each (block x modes)
 temporary holds about 2^16 values and no (samples x modes) array exists,
 whatever the sample or mode count.  From 128 modes on the blocks are dealt
-to one process per usable CPU, and each process draws and evaluates only its
-own blocks, taking the generator's state from the process that drew the block
-before; every block is drawn and evaluated the same way wherever it runs.
+to one process per usable CPU (:mod:`levypme.parallel`), and each process
+draws and evaluates only its own blocks, taking the generator's state from
+the process that drew the block before; every block is drawn and evaluated
+the same way wherever it runs.
 """
 from __future__ import annotations
 

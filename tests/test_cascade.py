@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levypme import cascade, cli, operators
+from levypme import cascade, cli, parallel
 from levypme.cascade import (
     CHUNK_ROWS,
     DAVIS_CONSTANT,
@@ -422,7 +422,7 @@ def test_unpinned_blas_marches_in_one_process(torus_small, monkeypatch):
     plan, cells = _three_chunks(torus_small)
     _usable_cpus(monkeypatch, 3)
     split = _run_cells(plan, cells)
-    monkeypatch.setattr(operators, "_loaded_openblas", lambda: [])
+    monkeypatch.setattr(parallel, "_loaded_openblas", lambda: [])
     alone = _run_cells(plan, cells)
     assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
     _assert_same_ensemble(split, alone)
@@ -468,7 +468,7 @@ def _dealt_items(monkeypatch):
 
     def recording(work, items):
         seen.append(list(items))
-        return operators.deal(work, items)
+        return parallel.deal(work, items)
 
     monkeypatch.setattr(cascade, "deal", recording)
     return seen
@@ -497,7 +497,7 @@ def test_chunks_below_128_modes_are_unchanged(scenario, chunks, monkeypatch):
     # paths and each 17-mode ladder (16 paths) one chunk; a short horizon
     # keeps the march cheap and leaves the layout alone
     plan = build_plan(replace(load_scenario(scenario), horizon=0.0625, step_size=0.0625))
-    assert plan.op.mode_count < operators._DEALT_MODES
+    assert plan.op.mode_count < cascade._HALVED_MODES
     seen = _dealt_items(monkeypatch)
     cells = [(plan.epsilon_ladder[-1], lam) for lam in plan.lambda_ladder]
     assert _run_cells(plan, cells)["march_chunks"] == len(chunks)
@@ -509,7 +509,7 @@ def test_wide_ladder_marches_two_chunks_on_two_cpus(monkeypatch):
     # 8 paths whatever the CPU count: on 2 CPUs they march in 2 processes, on
     # 1 in this one, bit for bit alike
     op = build_fractional_laplacian_torus(64, 0.5)
-    assert op.mode_count >= operators._DEALT_MODES
+    assert op.mode_count >= cascade._HALVED_MODES
     plan = _plan(op, paths=16, horizon=0.125)
     cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
     seen = _dealt_items(monkeypatch)

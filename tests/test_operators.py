@@ -3,30 +3,26 @@
 Frozen eigenvalues below are computed by hand from the closed form
 mu_k = |2 pi k / length|^(2 alpha).
 """
-import json
 import math
 import os
 import signal
-import subprocess
-import sys
 import time
 import traceback
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypme import operators
+from levypme import cascade, operators
 from levypme.operators import (
     OperatorSpectrum,
-    WorkerError,
     build_fractional_laplacian_torus,
     by_sample_blocks,
     random_field,
     smooth_field,
 )
+from levypme.parallel import WorkerError
 
 from conftest import spectrum_from_eigenvalues
 
@@ -165,47 +161,6 @@ def test_fft_needs_the_torus_basis():
     assert OperatorSpectrum(op.eigenvalues, op.labels, op.basis, op.weights).transform == "fft"
 
 
-# Reads the thread count of every OpenBLAS mapped into the process, found
-# without levypme's help, before and after importing levypme.operators.
-_THREADS_AROUND_IMPORT = """
-import ctypes, json, sys
-import numpy
-
-def threads():
-    fields = [line.split(None, 5) for line in open("/proc/self/maps")]
-    out = {}
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                out[path] = getattr(lib, name)()
-                break
-    return out
-
-before = threads()
-sys.path.insert(0, sys.argv[1])
-import levypme.operators
-print(json.dumps([before, threads()]))
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
-def test_import_pins_openblas_to_one_thread():
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-B", "-c", _THREADS_AROUND_IMPORT, str(src)],
-        capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
-    )
-    assert done.returncode == 0, done.stderr
-    before, after = json.loads(done.stdout.splitlines()[-1])
-    if not before:
-        pytest.skip("numpy's BLAS is not an OpenBLAS")
-    if (os.cpu_count() or 1) >= 2:
-        assert set(before.values()) == {2}
-    assert after == dict.fromkeys(before, 1)
-
-
 def _blocks_of_four(monkeypatch, cpus):
     """A 129-mode spectrum, whose sample blocks are dealt, with blocks of at
     most 4 samples and ``cpus`` usable CPUs."""
@@ -214,6 +169,26 @@ def _blocks_of_four(monkeypatch, cpus):
     monkeypatch.setattr(operators, "_BLOCK_VALUES", 4 * op.mode_count)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return op
+
+
+def test_each_threshold_decides_only_its_own_dealing(monkeypatch):
+    # on 2 CPUs 2 blocks of a 129-mode audit are dealt to 2 processes
+    # (operators._DEALT_MODES) and a 257-mode ladder of 16 paths x 3 cells
+    # is halved into 2 chunks (cascade._HALVED_MODES); moving either
+    # threshold out of reach changes its own decision and not the other's
+    op = _blocks_of_four(monkeypatch, 2)
+
+    def audit_processes():  # 8 samples in 2 blocks of 4
+        return by_sample_blocks(op, np.random.default_rng(1), 8, 1, lambda b: (b[:, 0, 0],))[1]
+
+    halved = cascade._HALVED_MODES
+    monkeypatch.setattr(cascade, "_HALVED_MODES", 10**6)
+    assert cascade._chunk_bounds(257, 16, 3) == [(0, 16)]
+    assert audit_processes() == 2
+    monkeypatch.setattr(cascade, "_HALVED_MODES", halved)
+    monkeypatch.setattr(operators, "_DEALT_MODES", 10**6)
+    assert audit_processes() == 1
+    assert cascade._chunk_bounds(257, 16, 3) == [(0, 8), (8, 16)]
 
 
 def test_sample_blocks_split_changes_no_bit(monkeypatch):
@@ -331,59 +306,3 @@ def test_dealt_draw_failure_is_raised_and_no_child_left(killed_at, raised_at, ex
 
     monkeypatch.setattr(operators, "random_rows", drawing)
     _within(10.0, scenario)
-
-
-class _KeywordOnly(Exception):
-    def __init__(self, *, why):
-        super().__init__(why)
-
-
-def _raise_keyword_only():
-    raise _KeywordOnly(why="planted")
-
-
-@pytest.mark.parametrize("planted, message", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL),
-     "a worker process was killed by SIGKILL at item 3"),
-    (lambda: os._exit(7), "a worker process exited with status 7 at item 3"),
-    (_raise_keyword_only, "_KeywordOnly: planted"),
-])
-def test_deal_names_what_a_child_could_not_send(planted, message, monkeypatch):
-    # on 2 CPUs the child works items 1, 3 and 5; after item 1 it dies at
-    # item 3, or raises an exception that pickles but does not unpickle (its
-    # constructor takes a keyword only); the caller gets a WorkerError that
-    # says so at item 3, and no child is left
-    parent = os.getpid()
-
-    def work(item):
-        if item == 3 and os.getpid() != parent:
-            planted()
-        return item
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(WorkerError, match=f"^{message}$"):
-        operators.deal(work, range(6))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_deal_places_a_dead_worker_after_its_last_item(monkeypatch):
-    # the child finishes item 1 and is killed at item 3, the parent fails at
-    # item 2: the plain loop would raise item 2's error, and so does deal;
-    # with the parent well, the death is raised at item 3
-    parent = os.getpid()
-
-    def work(item, parent_fails):
-        if item == 3 and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        if item == 2 and parent_fails:
-            raise ValueError("item 2")
-        return item
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(ValueError, match="^item 2$"):
-        operators.deal(lambda item: work(item, True), range(6))
-    with pytest.raises(WorkerError, match="at item 3$"):
-        operators.deal(lambda item: work(item, False), range(6))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

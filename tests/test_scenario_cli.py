@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levypme.cli import main
-from levypme import cascade, cli, nonlinearity, operators
+from levypme import cascade, cli, nonlinearity, parallel
 from levypme import scenario as scenario_module
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
@@ -404,7 +404,7 @@ def test_metadata_counts_march_workers(tmp_path, monkeypatch):
     assert meta["apriori"]["ensemble"] == "reused" and "march_workers" not in meta["apriori"]
     assert all(m["child_cpu_s"] >= 0.0 for m in meta.values())
     # with no OpenBLAS to pin, the metadata says so and one process marches
-    monkeypatch.setattr(operators, "_loaded_openblas", lambda: [])
+    monkeypatch.setattr(parallel, "_loaded_openblas", lambda: [])
     cascade._ENSEMBLES.clear()
     out = tmp_path / "unpinned"
     assert main(["lambda-study", "--scenario", scn, "--out", str(out)]) == 0
