@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .reporting import verdict
+from .reporting import merged, verdict
 
 __all__ = [
     "NonlinearityPsi",
@@ -117,6 +117,12 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
     raise ValueError(f"unknown nonlinearity kind {kind!r}; choose from {PSI_KINDS}")
 
 
+# Samples per block of the inequality audit: each block's temporaries are
+# 64 KiB arrays, below glibc's mmap threshold, so the heap reuses them block
+# after block.
+_AUDIT_BLOCK = 1 << 13
+
+
 def verify_psi_inequalities(
     psi: NonlinearityPsi,
     sample_count: int = 100_000,
@@ -132,27 +138,39 @@ def verify_psi_inequalities(
     The pair and self inequalities are algebraic consequences of monotonicity
     plus the Lipschitz bound, and the slope inequality is the declared
     ``slope_min``, so each is judged by :func:`levypme.reporting.verdict` with
-    zero tolerance; a witness names its sampled r (and r').  Returns the
-    pair, self and slope verdicts, in that order.
+    zero tolerance; a witness names its sampled r (and r').  The samples are
+    ``sample_count`` uniform draws of r, then as many of r', then five pinned
+    pairs; they are judged ``_AUDIT_BLOCK`` pairs at a time, and the blocks'
+    verdicts merged (:func:`levypme.reporting.merged`) are those of all pairs
+    at once.  Returns the pair, self and slope verdicts, in that order.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    r = rng.uniform(-bound, bound, size=sample_count)
-    r_prime = rng.uniform(-bound, bound, size=sample_count)
     # Pin the corners and the diagonal, where equality is most delicate.
-    r = np.concatenate([r, [0.0, bound, -bound, bound, 0.5]])
-    r_prime = np.concatenate([r_prime, [0.0, -bound, bound, bound, 0.5]])
+    pinned = ((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5))
+    r, r_prime = np.empty((2, sample_count + len(pinned[0])))
+    for values, pins in zip((r, r_prime), pinned):
+        drawn = values[:sample_count]
+        rng.random(out=drawn)  # rng.uniform(-bound, bound)'s draws, bit for bit
+        drawn *= 2.0 * bound
+        drawn -= bound
+        values[sample_count:] = pins
 
-    psi_r = psi.evaluate(r)
-    diff_psi = psi_r - psi.evaluate(r_prime)
+    blocks = []
+    for start in range(0, r.size, _AUDIT_BLOCK):
+        r_s, r_prime_s = r[start:start + _AUDIT_BLOCK], r_prime[start:start + _AUDIT_BLOCK]
+        psi_r = psi.evaluate(r_s)
+        diff_psi = psi_r - psi.evaluate(r_prime_s)
+        gap = r_s - r_prime_s
 
-    def pair(i):
-        return f"(r, r') ({float(r[i])!r}, {float(r_prime[i])!r})"
+        def pair(i, start=start):
+            return f"(r, r') ({float(r[start + i])!r}, {float(r_prime[start + i])!r})"
 
-    return (
-        verdict("pair", psi.alpha_tilde * diff_psi * diff_psi, diff_psi * (r - r_prime), pair),
-        verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r,
-                lambda i: f"r {float(r[i])!r}"),
-        verdict("slope", 0.0, (diff_psi - psi.slope_min * (r - r_prime)) * (r - r_prime), pair),
-    )
+        blocks.append((
+            verdict("pair", psi.alpha_tilde * diff_psi * diff_psi, diff_psi * gap, pair),
+            verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r_s,
+                    lambda i, start=start: f"r {float(r[start + i])!r}"),
+            verdict("slope", 0.0, (diff_psi - psi.slope_min * gap) * gap, pair),
+        ))
+    return tuple(merged(verdicts) for verdicts in zip(*blocks))

@@ -6,7 +6,11 @@ standing in for the reference measure, maps spectral coefficients to physical
 nodal values and back, for one vector or a ``(rows, modes)`` stack at once.
 A state is its coefficient vector, and a batch of states a stack of such
 rows; physical values are computed only where a pointwise map needs them.
-One model is built here: the fractional Laplacian on a 1-d torus.
+One model is built here: the fractional Laplacian on a 1-d torus, its basis
+filled in place in one (n, n) array that the spectrum keeps without a copy.
+A spectrum checks that its basis is orthonormal by comparing every entry of
+the Gram matrix with the identity, a block of columns at a time, so building
+one allocates about 1.5 times the basis's own bytes.
 
 The transforms are dense gemms against the basis, except on a torus whose
 node count :func:`_fft_sized` admits (385 nodes or more, no prime factor
@@ -32,8 +36,17 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """An array built in this module that no caller holds (the torus basis,
+    filled in place): a spectrum keeps it, read-only, without a copy."""
+
+    array: np.ndarray
+
+
 def _frozen(a):
-    out = np.array(a, dtype=float)
+    """Read-only float copy of ``a``; an :class:`_Owned` array is kept itself."""
+    out = a.array if isinstance(a, _Owned) else np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -83,8 +96,7 @@ class OperatorSpectrum:
             raise ValueError("basis must be (n_phys, n_modes)")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        gram = self.basis.T @ (self.weights[:, None] * self.basis)
-        if np.abs(gram - np.eye(mu.size)).max() > 1e-10:
+        if not _orthonormal(self.basis, self.weights):
             raise ValueError("basis columns are not orthonormal under weights")
         object.__setattr__(self, "_fft", _fft_scales(self))
 
@@ -130,6 +142,31 @@ class OperatorSpectrum:
                 f"expected {self.mode_count} coefficients, got shape {c.shape}"
             )
         return c
+
+
+# Column blocks of the orthonormality check: each block's Gram columns and
+# weighted copy hold at most a quarter of the basis's values, so the check
+# allocates at most half the basis's bytes at once.  At 513 nodes it took
+# 7.0 ms against the whole Gram's 7.8, and at 1025 nodes 52 against 47.
+_GRAM_BLOCKS = 4
+
+
+def _orthonormal(basis, weights) -> bool:
+    """Whether every entry of the Gram matrix basis^T W basis is within 1e-10
+    of the identity's (a NaN entry is not), computed _GRAM_BLOCKS blocks of
+    columns at a time: no (modes, modes) array is allocated."""
+    modes = basis.shape[1]
+    step = -(-modes // _GRAM_BLOCKS)
+    for start in range(0, modes, step):
+        stop = min(start + step, modes)
+        gram = basis.T @ (weights[:, None] * basis[:, start:stop])
+        diagonal = np.arange(stop - start)
+        gram[start + diagonal, diagonal] -= 1.0
+        worst = np.abs(gram, out=gram).max()
+        del gram  # freed before the next block's product is computed
+        if not worst <= 1e-10:
+            return False
+    return True
 
 
 # Node counts n whose torus transforms are real FFTs: from _FFT_NODES nodes on,
@@ -235,21 +272,24 @@ def build_fractional_laplacian_torus(
     x = np.arange(n_phys) * (length / n_phys)
     weights = np.full(n_phys, length / n_phys)
 
+    # filled in place and handed over as _Owned, so the spectrum keeps it
+    # without a copy
+    basis = np.empty((n_phys, n_phys))
+    basis[:, 0] = 1.0 / math.sqrt(length)
     labels = [0]
-    columns = [np.full(n_phys, 1.0 / math.sqrt(length))]
     eigenvalues = [0.0]
     amp = math.sqrt(2.0 / length)
     for k in range(1, mode_cutoff + 1):
         phase = 2.0 * math.pi * k * x / length
-        columns.append(amp * np.cos(phase))
+        basis[:, 2 * k - 1] = amp * np.cos(phase)
         labels.append(k)
-        columns.append(amp * np.sin(phase))
+        basis[:, 2 * k] = amp * np.sin(phase)
         labels.append(-k)
         eigenvalues.extend([(2.0 * math.pi * k / length) ** (2.0 * alpha)] * 2)
     return OperatorSpectrum(
         np.array(eigenvalues),
         tuple(labels),
-        np.column_stack(columns),
+        _Owned(basis),
         weights,
         info={
             "family": "fractional_laplacian_torus",

@@ -29,6 +29,7 @@ __all__ = [
     "StudyReport",
     "Table",
     "SCHEMA_VERSION",
+    "merged",
     "verdict",
 ]
 
@@ -77,6 +78,26 @@ def verdict(name: str, lhs, rhs, row: Callable[[int], str] = "sample {}".format)
     bad = slack.size - int(np.count_nonzero(slack >= 0.0))
     witness = f"{row(i)}: lhs={float(lhs[i])!r} rhs={float(rhs[i])!r}" if bad else None
     return ConditionResult(name, slack.size, float(slack[i]), bad, witness)
+
+
+def merged(results) -> ConditionResult:
+    """The one :func:`verdict` on consecutive blocks of rows, from the verdicts
+    on each block in row order, each naming its rows by their place in the
+    whole.
+
+    Checked rows and violations add up.  The worst row is the first NaN slack
+    if there is one, else the first least slack, as ``argmin`` picks it over
+    all rows at once.  A violation makes that row's slack negative or NaN, so
+    its block has one and holds the witness.
+    """
+    worst, *rest = results
+    for result in rest:
+        if not math.isnan(worst.min_slack) and (
+                math.isnan(result.min_slack) or result.min_slack < worst.min_slack):
+            worst = result
+    return ConditionResult(worst.name, sum(result.checked for result in results),
+                           worst.min_slack,
+                           sum(result.violation_count for result in results), worst.witness)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ saturating), k = scale (scaled_linear), k = 3/2 (soft_monotone, slope
 tends to 1 at infinity, its declared slope infimum.
 """
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levypme import nonlinearity
 from levypme.nonlinearity import (
     PSI_KINDS,
     NonlinearityPsi,
     make_psi,
     verify_psi_inequalities,
 )
+from levypme.reporting import verdict
 
 
 def _all_kinds():
@@ -141,6 +144,73 @@ def test_evaluate_preserves_shape():
     assert out.shape == (3, 4)
     # monotone along each row
     assert np.all(np.diff(out, axis=1) > 0)
+
+
+def _one_shot(psi, sample_count, seed):
+    """The audit's draws and its three verdicts over all pairs at once, with
+    the pair slacks: r, then r', from one uniform draw each on [-1e3, 1e3],
+    then the five pinned pairs."""
+    rng = np.random.default_rng(seed)
+    r = np.r_[rng.uniform(-1e3, 1e3, sample_count), 0.0, 1e3, -1e3, 1e3, 0.5]
+    r_prime = np.r_[rng.uniform(-1e3, 1e3, sample_count), 0.0, -1e3, 1e3, 1e3, 0.5]
+    psi_r = psi.evaluate(r)
+    diff_psi = psi_r - psi.evaluate(r_prime)
+
+    def pair(i):
+        return f"(r, r') ({float(r[i])!r}, {float(r_prime[i])!r})"
+
+    lhs, rhs = psi.alpha_tilde * diff_psi * diff_psi, diff_psi * (r - r_prime)
+    return (
+        verdict("pair", lhs, rhs, pair),
+        verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r,
+                lambda i: f"r {float(r[i])!r}"),
+        verdict("slope", 0.0, (diff_psi - psi.slope_min * (r - r_prime)) * (r - r_prime), pair),
+    ), rhs - lhs
+
+
+def _steep_above(r):
+    # slope 3 above r = 500, declared with k = 1: the pair inequality fails there
+    r = np.asarray(r, dtype=float)
+    return np.where(r > 500.0, 3.0 * r, r)
+
+
+def _nan_above(r):
+    # also NaN above r = 999.95: some drawn pairs and three of the pinned ones
+    r = np.asarray(r, dtype=float)
+    return np.where(r > 999.95, np.nan, _steep_above(r))
+
+
+@pytest.mark.parametrize("evaluate", [_steep_above, _nan_above])
+@pytest.mark.parametrize("sample_count, block", [
+    (30_000, None),  # 30,005 pairs: 3 full blocks of 8,192 and a partial one
+    (8_187, None),  # exactly one full block
+    (1_000, 64),  # 15 full blocks of 64 and one of 45
+    (1, 64),  # the one drawn pair and the five pinned ones
+])
+def test_blocked_audit_is_the_one_shot_audit(monkeypatch, evaluate, sample_count, block):
+    # the blocked audit's verdicts are the one-shot verdicts, counts, worst
+    # slack and witness included, for a planted defect and for a psi whose
+    # NaN slacks must still fail; where there are several blocks, the worst
+    # pair (the first NaN one, if any) lies past the first
+    if block is not None:
+        monkeypatch.setattr(nonlinearity, "_AUDIT_BLOCK", block)
+    block = nonlinearity._AUDIT_BLOCK
+    psi = NonlinearityPsi("planted", evaluate, 1.0)
+    expected, pair_slack = _one_shot(psi, sample_count, seed=1)
+    got = verify_psi_inequalities(psi, sample_count=sample_count, seed=1)
+    assert repr(got) == repr(expected)
+    assert not got[0].passed
+    assert math.isnan(got[0].min_slack) == (evaluate is _nan_above)
+    if pair_slack.size > block:
+        assert pair_slack.size % block != 0
+        assert int(np.argmin(pair_slack)) >= block
+
+
+@pytest.mark.parametrize("psi", _all_kinds(), ids=lambda p: p.kind)
+def test_audit_draws_are_the_one_shot_draws(psi):
+    # the shipped kinds, at the default sample count: the same verdicts as
+    # one uniform draw of r, one of r' and the pinned pairs, judged at once
+    assert repr(verify_psi_inequalities(psi)) == repr(_one_shot(psi, 100_000, 41_038)[0])
 
 
 def test_verify_rejects_empty_sample():

@@ -8,6 +8,7 @@ import os
 import signal
 import time
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,82 @@ def test_basis_slightly_off_orthonormal_rejected():
     basis[0, 1] = 1e-6
     with pytest.raises(ValueError, match="orthonormal"):
         OperatorSpectrum(np.array([0.0, 1.0, 4.0]), (0, 1, 2), basis, np.ones(3))
+
+
+def _column_built_torus(mode_cutoff, alpha, length=2.0 * math.pi):
+    """The torus basis in closed form, one column array per mode, stacked."""
+    n_phys = 2 * mode_cutoff + 1
+    x = np.arange(n_phys) * (length / n_phys)
+    amp = math.sqrt(2.0 / length)
+    columns = [np.full(n_phys, 1.0 / math.sqrt(length))]
+    for k in range(1, mode_cutoff + 1):
+        phase = 2.0 * math.pi * k * x / length
+        columns += [amp * np.cos(phase), amp * np.sin(phase)]
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("cutoff", [8, 32, 128, 256, 512])
+def test_basis_built_in_place_is_the_column_build(cutoff):
+    # 17, 65, 257, 513 and 1025 nodes: the basis filled in place is the
+    # closed-form columns, bit for bit, read-only and in C order (that the
+    # spectrum keeps it without a copy shows in the allocation test below)
+    op = build_fractional_laplacian_torus(cutoff, 0.7, length=3.0)
+    assert np.array_equal(op.basis, _column_built_torus(cutoff, 0.7, length=3.0))
+    assert op.basis.flags.c_contiguous and not op.basis.flags.writeable
+
+
+@pytest.mark.parametrize("cutoff", [256, 512])
+def test_building_the_torus_allocates_at_most_twice_the_basis(cutoff):
+    # the basis itself, and the orthonormality check's column blocks (at
+    # most half the basis's bytes): no stacked columns, no second copy, no
+    # (modes, modes) Gram; column stacking and the whole Gram peaked at 6x
+    tracemalloc.start()
+    try:
+        op = build_fractional_laplacian_torus(cutoff, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * op.basis.nbytes
+
+
+def test_defect_in_the_last_gram_block_rejected():
+    # a 513-node basis whose last column is 5e-7 too long: its Gram is 1e-6
+    # off the identity on the diagonal of the last column block only
+    op = build_fractional_laplacian_torus(256, 0.5)
+    basis = op.basis.copy()
+    basis[:, -1] *= 1.0 + 5e-7
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpectrum(op.eigenvalues, op.labels, basis, op.weights)
+
+
+def test_nan_basis_rejected():
+    # a NaN Gram entry is not within 1e-10 of the identity's
+    basis = np.eye(3)
+    basis[2, 0] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpectrum(np.array([0.0, 1.0, 4.0]), (0, 1, 2), basis, np.ones(3))
+
+
+def test_callers_basis_is_copied():
+    # every array a caller passes in is copied: a writable one, a read-only
+    # view of one, and a read-only array of its own, whose owner may turn
+    # writes back on; writing to it afterwards leaves the spectrum unchanged
+    owned = np.eye(3)
+    owned.setflags(write=False)
+    basis = np.eye(3)
+    view = basis.view()
+    view.setflags(write=False)
+    for given, source in ((basis, basis), (view, basis), (owned, owned)):
+        op = OperatorSpectrum(np.array([0.0, 1.0, 4.0]), (0, 1, 2), given, np.ones(3))
+        assert op.basis is not given and not op.basis.flags.writeable
+        source.setflags(write=True)
+        source[0, 0] = 7.0
+        assert op.basis[0, 0] == 1.0
+        source[0, 0] = 1.0
+    # and so is a single state's coefficient vector
+    c = np.array([1.0, 2.0, 3.0])
+    c.setflags(write=False)
+    assert op.field_from_coefficients(c) is not c
 
 
 def test_parseval(torus_small):

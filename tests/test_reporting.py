@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from levypme.reporting import ConditionResult, verdict
+from levypme.reporting import ConditionResult, merged, verdict
 
 
 def test_verdict_worst_row_count_and_witness():
@@ -58,3 +58,22 @@ def test_verdict_row_names_and_two_dimensional_sides():
     assert cond == ConditionResult("demo", 4, -1.0, 1, "cell (1, 0): lhs=3.0 rhs=2.0")
     # numpy scalars print as plain floats
     assert "np.float64" not in cond.witness
+
+
+def test_merged_block_verdicts_are_the_verdict_of_all_rows():
+    # each split of these rows into consecutive blocks, each block judged
+    # alone and naming its rows by their place in the whole, merges into the
+    # verdict on all rows at once: the first NaN, else the first of the tied
+    # worst slacks, with the counts summed
+    rows = {
+        "ties": np.array([3.0, -1.0, 2.0, -1.0, 0.0, -1.0]),
+        "nan": np.array([3.0, -1.0, np.nan, -5.0, np.nan, 0.0]),
+        "pass": np.array([0.0, 2.0, 0.0, np.inf, 1.0, 0.5]),
+    }
+    for rhs in rows.values():
+        whole = verdict("demo", 0.0, rhs)
+        for cuts in ([], [3], [1, 4], [2, 3, 5], [1, 2, 3, 4, 5]):
+            bounds = list(zip([0, *cuts], [*cuts, rhs.size]))
+            blocks = [verdict("demo", 0.0, rhs[a:b], lambda i, a=a: f"sample {a + i}")
+                      for a, b in bounds]
+            assert repr(merged(blocks)) == repr(whole)
