@@ -211,10 +211,11 @@ _ENSEMBLES: dict[tuple, dict] = {}
 def _run_cells(plan: StudyPlan, cells):
     """The per-path reductions of every path under every (epsilon, lam) cell.
 
-    Returns arrays indexed [path, cell] (pairs: [path, pair]), the solver
-    counter summary, and ``"ensemble"``: ``"marched"`` when this call
-    simulated the paths (:func:`_march_cells`, whose ``march_workers`` and
-    ``march_chunks`` come along), ``"reused"`` when an earlier
+    Returns ``(results, run)``.  ``results`` holds arrays indexed [path, cell]
+    (pairs: [path, pair]) and the solver counter summary.  ``run`` says how
+    the study got them, for its report's ``run``: ``{"ensemble": "marched"}``
+    with :func:`_march_cells`' ``march_workers`` and ``march_chunks`` when
+    this call simulated the paths, ``{"ensemble": "reused"}`` when an earlier
     call in this interpreter had marched the same cells under the same plan
     fingerprint, the canonical hash of the scenario the plan was built from.
     The ensemble is a pure function of the scenario and the cells, so a
@@ -224,7 +225,7 @@ def _run_cells(plan: StudyPlan, cells):
     """
     key = (plan.fingerprint, tuple(cells))
     if key in _ENSEMBLES:
-        return {**_ENSEMBLES[key], "ensemble": "reused"}
+        return dict(_ENSEMBLES[key]), {"ensemble": "reused"}
     results, marched = _march_cells(plan, cells)
     for value in results.values():
         if isinstance(value, np.ndarray):
@@ -233,7 +234,7 @@ def _run_cells(plan: StudyPlan, cells):
         if any(fingerprint != plan.fingerprint for fingerprint, _ in _ENSEMBLES):
             _ENSEMBLES.clear()
         _ENSEMBLES[key] = results
-    return {**results, "ensemble": "marched", **marched}
+    return dict(results), {"ensemble": "marched", **marched}
 
 
 def _march_cells(plan: StudyPlan, cells):
@@ -303,11 +304,6 @@ def _march_cells(plan: StudyPlan, cells):
         "pair_sup_fstar_sq": sup[:, pair],
         "solver": SolverCounters.merged([counters for _, counters in chunks]).summary(),
     }, {"march_workers": workers, "march_chunks": len(bounds)}
-
-
-def _how_marched(results) -> dict:
-    """The run metadata of a StudyReport whose ensemble came from :func:`_run_cells`."""
-    return {key: results.get(key) for key in ("ensemble", "march_workers", "march_chunks")}
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +420,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
     ladder, cells, held = _ladder_cells(plan, param)
     if len(ladder) < 2:
         raise ValueError(f"{kind_label}_study needs at least two ladder entries")
-    results = _run_cells(plan, cells)
+    results, run = _run_cells(plan, cells)
     pair_matrix = results["pair_sup_fstar_sq"]  # paths x pairs
     sup_matrix = results["sup_l2_sq"]  # paths x cells
 
@@ -488,7 +484,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
         checks=checks,
         extra={"envelope_constant": envelope_c, "solver": dict(results["solver"])},
         tables=tables,
-        **_how_marched(results),
+        run=run,
     )
 
 
@@ -532,7 +528,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
     """Moment bound along the lambda ladder at the finest epsilon: per-cell
     bound and uniformity.  Its cells are lambda-study's."""
     _, cells, held = _ladder_cells(plan, "lam")
-    results = _run_cells(plan, cells)
+    results, run = _run_cells(plan, cells)
 
     _, offset, floor = _moment_constants(plan)
     bound = math.exp(offset) * (floor + offset)
@@ -608,7 +604,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
             "cells": cell_records,
         },
         tables=tables,
-        **_how_marched(results),
+        run=run,
     )
 
 

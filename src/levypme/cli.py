@@ -29,15 +29,15 @@ CPU count), so reports and tables are byte-identical across reruns.  Since
 :mod:`levypme.parallel` runs numpy's OpenBLAS on one thread whatever
 ``OPENBLAS_NUM_THREADS`` says, they are also identical across its values
 (``"blas_pin": null`` records a BLAS that is not OpenBLAS and was left as
-configured).  For ``lambda-study``, ``eps-study`` and ``apriori`` the
-metadata also says whether the study marched its ensemble or reused one an
-earlier study of the same plan marched in this interpreter
-(``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"`` processes
-marched its ``"march_chunks"`` chunks).  For ``inequalities`` it records
+configured).  The rest is the report's ``run`` record, how the study ran.
+``lambda-study``, ``eps-study`` and ``apriori`` say whether they marched their
+ensemble or reused one an earlier study of the same plan marched in this
+interpreter (``"ensemble": "marched"`` or ``"reused"``; ``"march_workers"``
+processes marched its ``"march_chunks"`` chunks); ``inequalities`` records
 ``"audit_workers"``, the processes that drew and evaluated the audits' sample
-blocks.  ``"child_cpu_s"`` is the CPU time of the children it reaped, and
-``"transform"`` says how the plan's operator changes representation:
-``"dense"`` gemms against its basis or real ``"fft"``s
+blocks.  :func:`main` adds ``"child_cpu_s"``, the CPU time of the children
+the study reaped, and ``"transform"``, how the plan's operator changes
+representation: ``"dense"`` gemms against its basis or real ``"fft"``s
 (:attr:`levypme.operators.OperatorSpectrum.transform`).
 """
 
@@ -252,7 +252,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
                 ),
             )
         ],
-        audit_workers=max(workers, noise_report.workers),
+        run={"audit_workers": max(workers, noise_report.workers)},
     )
     return report, {}
 
@@ -307,8 +307,7 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children,
-                   transform) -> None:
+def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir)
     (out_dir / "scenario.txt").write_text(serialize_scenario(scenario))
@@ -325,12 +324,8 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args, children,
         "scenario_hash": scenario_hash(scenario),
         "version": __version__,
         "environment": _environment(),
-        "child_cpu_s": round(sum(os.times()[2:4]) - children, 6),  # RUSAGE_CHILDREN
-        "transform": transform,
+        **report.run,
     }
-    for key in ("ensemble", "march_workers", "march_chunks", "audit_workers"):
-        if getattr(report, key) is not None:
-            metadata[key] = getattr(report, key)
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, sort_keys=True, indent=2) + "\n"
     )
@@ -353,8 +348,9 @@ def main(argv=None) -> int:
         plan = build_plan(scenario)
         children = sum(os.times()[2:4])
         report, artifacts = STUDIES[args.command][1](plan)
-        _write_outputs(Path(args.out), report, artifacts, scenario, args, children,
-                       plan.op.transform)
+        report.run["transform"] = plan.op.transform
+        report.run["child_cpu_s"] = round(sum(os.times()[2:4]) - children, 6)  # RUSAGE_CHILDREN
+        _write_outputs(Path(args.out), report, artifacts, scenario, args)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

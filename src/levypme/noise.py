@@ -259,6 +259,8 @@ def audit_h2_h3(
     with rhs C (1 + 1e-9) + 1e-15: the relative 1e-9 covers accumulation
     roundoff in the empirical ratios.  A pair with u1 = u2 has H3 ratio 0.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     h2_closed = model.h2_closed_form(op)
     h2_l2_closed = model.h2_closed_form(op, L2)

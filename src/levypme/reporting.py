@@ -171,17 +171,10 @@ class StudyReport:
     checks: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
-    # How a Monte Carlo study got its samples ("marched" or "reused"), by how
-    # many processes (parallel.deal) and in how many chunks
-    # (cascade._run_cells), and by how many processes the audits drew and
-    # evaluated their sample blocks (operators.by_sample_blocks, through
-    # parallel.drawn_in_turn).  Run metadata: kept out of report.json, which
-    # is the same either way.
-    ensemble: Optional[str] = None
-    march_workers: Optional[int] = None
-    march_chunks: Optional[int] = None
-    audit_workers: Optional[int] = None
+    # How the study ran (cascade._run_cells, cli._run_inequalities, cli.main).
+    # The CLI writes it to metadata.json, never to report.json, which is the
+    # same however the study ran.
+    run: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -192,7 +185,7 @@ class StudyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "parameters": _jsonable(self.parameters),
             "pairs": _jsonable(self.pairs),

@@ -65,7 +65,7 @@ def _plan(op, psi=None, noise=None, **overrides):
 def test_duplicate_cells_difference_is_zero(torus_small):
     # identical cells -> identical trajectories -> coupled diff exactly 0
     plan = _plan(torus_small, paths=3)
-    out = _run_cells(plan, ((0.2, 0.1), (0.2, 0.1)))
+    out, _ = _run_cells(plan, ((0.2, 0.1), (0.2, 0.1)))
     assert out["pair_sup_fstar_sq"].shape == (3, 1)
     assert np.all(out["pair_sup_fstar_sq"] == 0.0)
     assert out["sup_l2_sq"].shape == (3, 2)
@@ -354,7 +354,7 @@ def test_chunk_reductions_match_trajectory_formulas(torus_small):
     # the first path, both sides of the first chunk boundary and the last
     # path, in the partial chunk.
     plan, cells = _three_chunks(torus_small)
-    out = _run_cells(plan, cells)
+    out, _ = _run_cells(plan, cells)
     assert out["sup_l2_sq"].shape == (45, 3) and out["pair_sup_fstar_sq"].shape == (45, 2)
     for index in (0, 19, 20, 21, 22, 44):
         path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, index))
@@ -393,10 +393,11 @@ def test_split_changes_no_bit(torus_small, monkeypatch):
     # way, and so are the bits.
     plan, cells = _three_chunks(torus_small)
     _usable_cpus(monkeypatch, 3)
-    split = _run_cells(plan, cells)
+    split, split_run = _run_cells(plan, cells)
     _usable_cpus(monkeypatch, 1)
-    alone = _run_cells(plan, cells)
-    assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
+    alone, alone_run = _run_cells(plan, cells)
+    assert split_run == {"ensemble": "marched", "march_workers": 3, "march_chunks": 3}
+    assert alone_run == {**split_run, "march_workers": 1}
     _assert_same_ensemble(split, alone)
 
 
@@ -409,10 +410,10 @@ def test_wide_transforms_march_on_every_cpu(monkeypatch):
     plan = replace(plan, paths=22)  # two chunks
     assert 21 * len(cells) * op.basis.size >= 2**19
     _usable_cpus(monkeypatch, 3)
-    split = _run_cells(plan, cells)
+    split, split_run = _run_cells(plan, cells)
     _usable_cpus(monkeypatch, 1)
-    alone = _run_cells(plan, cells)
-    assert (split.pop("march_workers"), alone.pop("march_workers")) == (2, 1)
+    alone, alone_run = _run_cells(plan, cells)
+    assert (split_run["march_workers"], alone_run["march_workers"]) == (2, 1)
     _assert_same_ensemble(split, alone)
 
 
@@ -421,10 +422,10 @@ def test_unpinned_blas_marches_in_one_process(torus_small, monkeypatch):
     # in this process whatever the CPU count; the bits are the split run's
     plan, cells = _three_chunks(torus_small)
     _usable_cpus(monkeypatch, 3)
-    split = _run_cells(plan, cells)
+    split, split_run = _run_cells(plan, cells)
     monkeypatch.setattr(parallel, "_loaded_openblas", lambda: [])
-    alone = _run_cells(plan, cells)
-    assert (split.pop("march_workers"), alone.pop("march_workers")) == (3, 1)
+    alone, alone_run = _run_cells(plan, cells)
+    assert (split_run["march_workers"], alone_run["march_workers"]) == (3, 1)
     _assert_same_ensemble(split, alone)
 
 
@@ -500,7 +501,7 @@ def test_chunks_below_128_modes_are_unchanged(scenario, chunks, monkeypatch):
     assert plan.op.mode_count < cascade._HALVED_MODES
     seen = _dealt_items(monkeypatch)
     cells = [(plan.epsilon_ladder[-1], lam) for lam in plan.lambda_ladder]
-    assert _run_cells(plan, cells)["march_chunks"] == len(chunks)
+    assert _run_cells(plan, cells)[1]["march_chunks"] == len(chunks)
     assert seen == [chunks]
 
 
@@ -514,12 +515,12 @@ def test_wide_ladder_marches_two_chunks_on_two_cpus(monkeypatch):
     cells = ((0.2, 0.1), (0.1, 0.1), (0.05, 0.05))
     seen = _dealt_items(monkeypatch)
     _usable_cpus(monkeypatch, 2)
-    split = _run_cells(plan, cells)
+    split, split_run = _run_cells(plan, cells)
     _usable_cpus(monkeypatch, 1)
-    alone = _run_cells(plan, cells)
+    alone, alone_run = _run_cells(plan, cells)
     assert seen == [[(0, 8), (8, 16)]] * 2
-    assert (split.pop("march_workers"), alone.pop("march_workers")) == (2, 1)
-    assert split["march_chunks"] == 2
+    assert split_run == {"ensemble": "marched", "march_workers": 2, "march_chunks": 2}
+    assert alone_run["march_workers"] == 1
     _assert_same_ensemble(split, alone)
 
 
@@ -604,7 +605,7 @@ def test_only_fingerprinted_plans_reuse_ensembles(march_steps):
     def marched(study, study_plan):
         march_steps.clear()
         report = study(study_plan)
-        assert report.ensemble == ("marched" if march_steps else "reused")
+        assert report.run["ensemble"] == ("marched" if march_steps else "reused")
         return len(march_steps)
 
     assert plan.fingerprint == scenario_hash(load_scenario(SMALL))
@@ -634,14 +635,16 @@ def test_kept_ensemble_is_read_only():
     # next study's
     plan = build_plan(load_scenario(SMALL))
     cells = [(plan.epsilon_ladder[-1], lam) for lam in plan.lambda_ladder]
-    first = _run_cells(plan, cells)
+    first, first_run = _run_cells(plan, cells)
     arrays = {k: v for k, v in first.items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {"sup_l2_sq", "integral_f12", "pair_sup_fstar_sq"}
+    assert set(first) == {*arrays, "solver"}  # how it ran is the second result
     kept = {k: v.copy() for k, v in arrays.items()}
     for value in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0.0
-    again = _run_cells(plan, cells)
-    assert (first["ensemble"], again["ensemble"]) == ("marched", "reused")
+    again, again_run = _run_cells(plan, cells)
+    assert (first_run["ensemble"], again_run) == ("marched", {"ensemble": "reused"})
+    assert again.keys() == first.keys()
     for name, value in kept.items():
         assert np.array_equal(again[name], value)

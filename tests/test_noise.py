@@ -278,6 +278,12 @@ def test_hypothesis_audit_flags_understated_l2_growth(torus_small):
     assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
 
 
+@pytest.mark.parametrize("sample_count", [0, -3])
+def test_hypothesis_audit_rejects_empty_sample(torus_small, sample_count):
+    with pytest.raises(ValueError, match="sample_count"):
+        audit_h2_h3(torus_small, multiplicative_model(), sample_count=sample_count)
+
+
 def test_h2_closed_form_frozen(torus_small):
     model = multiplicative_model(sigmas=(0.1, -0.05), intensities=(2.0, 1.0))
     assert model.h2_closed_form(torus_small) == pytest.approx(0.0225, rel=1e-15)

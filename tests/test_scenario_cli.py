@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from levypme.cli import main
 from levypme import cascade, cli, nonlinearity, parallel
 from levypme import scenario as scenario_module
+from levypme.operators import random_field
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
     Scenario,
@@ -204,6 +205,20 @@ def test_builders_respect_kinds():
     assert plan_bigger.paths == 5 and plan_bigger.master_seed == 1
 
 
+def test_additive_marks_have_their_own_fields():
+    # mark j's field is drawn from its own stream, seed 977 + j, so a
+    # scenario file alone fixes the model and no two marks share a field
+    sc = load_scenario(SCENARIO_DIR / "additive_saturating.scn")
+    op = build_operator(sc)
+    model = build_noise(sc, op)
+    assert len(sc.noise_scale) == 2
+    for j, s in enumerate(sc.noise_scale):
+        expected = random_field(op, np.random.default_rng(977 + j), scale=s)
+        assert np.array_equal(model.fields[j], expected)
+    assert not np.allclose(model.fields[0] / sc.noise_scale[0],
+                           model.fields[1] / sc.noise_scale[1])
+
+
 def test_shipped_scenarios_round_trip():
     files = sorted(SCENARIO_DIR.glob("*.scn"))
     assert len(files) == 4
@@ -358,22 +373,47 @@ def _ensemble(out):
     return json.loads((out / "metadata.json").read_text()).get("ensemble")
 
 
+def _json_keys(value):
+    """Every key of every object in a parsed JSON document."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_json_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_json_keys, value))
+    return set()
+
+
 def test_apriori_reuses_lambda_study_ensemble(tmp_path, march_steps):
     # the benchmark's order: apriori's cells are lambda-study's, and the
     # eps-study in between must not evict them
     scn = str(SCENARIO_DIR / "multiplicative_small.scn")
     marched = {}
-    for command in ("simulate", "lambda-study", "eps-study", "apriori", "uniqueness"):
+    for command in ("simulate", "inequalities", "lambda-study", "eps-study", "apriori",
+                    "uniqueness"):
         march_steps.clear()
         assert main([command, "--scenario", scn, "--out", str(tmp_path / command)]) == 0
         marched[command] = len(march_steps)
     assert marched["lambda-study"] > 0 and marched["eps-study"] > 0
-    assert marched["apriori"] == 0
+    assert marched["inequalities"] == marched["apriori"] == 0
     assert marched["uniqueness"] > 0
     assert {c: _ensemble(tmp_path / c) for c in marched} == {
-        "simulate": None, "lambda-study": "marched", "eps-study": "marched",
-        "apriori": "reused", "uniqueness": None,
+        "simulate": None, "inequalities": None, "lambda-study": "marched",
+        "eps-study": "marched", "apriori": "reused", "uniqueness": None,
     }
+    # metadata.json is the fixed header plus the study's run record, and no
+    # run key reaches report.json
+    header = {"command", "created", "scenario_file", "scenario_hash", "version",
+              "environment"}
+    every_study = {"transform", "child_cpu_s"}
+    marching = {"ensemble", "march_workers", "march_chunks"}
+    run_keys = {
+        "simulate": set(), "inequalities": {"audit_workers"}, "lambda-study": marching,
+        "eps-study": marching, "apriori": {"ensemble"}, "uniqueness": set(),
+    }
+    for command, keys in run_keys.items():
+        meta = json.loads((tmp_path / command / "metadata.json").read_text())
+        assert set(meta) == header | every_study | keys, command
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        assert not _json_keys(report) & (every_study | marching | {"audit_workers"}), command
 
     cascade._ENSEMBLES.clear()
     march_steps.clear()
@@ -581,12 +621,13 @@ def test_numpy_scalars_serialize(tmp_path):
         kind="demo",
         checks=[PropertyCheck("ok", True)],
         extra={"count": np.int64(3), "flag": np.bool_(True), "value": np.float64(0.1)},
-        tables=[Table("demo", ("n", "x"), ((np.int64(2), np.float64(0.1)),))],
+        tables=[Table("demo", ("n", "x", "ok"), ((np.int64(2), np.float64(0.1), True),
+                                                 (3, 0.5, np.bool_(False))))],
     )
     report.write(tmp_path)
     extra = json.loads((tmp_path / "report.json").read_text())["extra"]
     assert extra == {"count": 3, "flag": True, "value": 0.1}
-    assert (tmp_path / "demo.csv").read_text() == "n,x\n2,0.1\n"
+    assert (tmp_path / "demo.csv").read_text() == "n,x,ok\n2,0.1,1\n3,0.5,0\n"
 
 
 def _strict_json(text):

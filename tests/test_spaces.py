@@ -79,9 +79,9 @@ def test_norm_kind_validation():
 
 def test_mode_count_mismatch_rejected(torus_small):
     bad = np.ones(torus_small.mode_count + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modes"):
         norm(torus_small, bad, L2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modes"):
         squared_norm_rows(torus_small, bad[None, :], kind=L2)
 
 
