@@ -18,7 +18,9 @@ reproduces it.  Every study takes only the plan and runs at
 ``plan.finest_cell``, the cell every report's ``constants_used`` belongs to.
 
 Exit codes: 0 all checks passed or none applies, 1 a check failed (reports
-are still written), 2 usage or scenario errors, 3 numerical or internal
+are still written), 2 usage, path or scenario errors (among them a scenario
+file that cannot be read and an ``--out`` that cannot be created as a
+directory, both found before the study runs), 3 numerical or internal
 failure (inner iteration did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
@@ -308,7 +310,6 @@ def _environment() -> dict:
 
 
 def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir)
     (out_dir / "scenario.txt").write_text(serialize_scenario(scenario))
     if "trajectory" in artifacts:
@@ -343,6 +344,13 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create --out directory {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
     try:
         plan = build_plan(scenario)
@@ -350,7 +358,7 @@ def main(argv=None) -> int:
         report, artifacts = STUDIES[args.command][1](plan)
         report.run["transform"] = plan.op.transform
         report.run["child_cpu_s"] = round(sum(os.times()[2:4]) - children, 6)  # RUSAGE_CHILDREN
-        _write_outputs(Path(args.out), report, artifacts, scenario, args)
+        _write_outputs(out_dir, report, artifacts, scenario, args)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

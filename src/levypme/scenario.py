@@ -2,12 +2,12 @@
 
 A scenario pins everything a run depends on — operator, nonlinearity, noise,
 initial condition, ladders, discretization, seeds — so that the same file
-always produces byte-identical reports.  Each key is declared once, in
-``_GRAMMAR``, with its type and accepted range; the required keys are the
-:class:`Scenario` fields without a default.  Parsing is strict: unknown keys,
-duplicate keys, missing required keys, type errors and out-of-range values
-all raise :class:`ScenarioError` naming the offending line, key and the
-accepted range.
+always produces byte-identical reports.  Each key is declared once, as its
+:class:`Scenario` field, with its type, accepted range and default; the
+required keys are the fields without a default.  Parsing is strict: unknown
+keys, duplicate keys, missing required keys, type errors and out-of-range
+values all raise :class:`ScenarioError` naming the offending line, key and
+the accepted range.
 
 :func:`serialize_scenario` emits the canonical form (every key that applies
 to the scenario's kinds, declaration order, ``repr`` floats);
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +50,6 @@ __all__ = [
     "build_plan",
 ]
 
-NOISE_KINDS = ("zero", "additive", "multiplicative")
-INITIAL_KINDS = ("smooth", "random")
-
 # Seed offset for the deterministic per-mark additive noise fields; fixed so a
 # scenario file alone determines the model (master_seed only drives sampling).
 _ADDITIVE_FIELD_SEED = 977
@@ -73,60 +70,41 @@ class ScenarioError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    mode_cutoff: int
-    alpha: float
-    psi: str
-    noise: str
-    initial: str
-    lambda_ladder: tuple[float, ...]
-    epsilon_ladder: tuple[float, ...]
-    paths: int
-    step_size: float
-    horizon: float
-    master_seed: int
-    length: float = 2.0 * math.pi
-    psi_param: float | None = None
-    noise_intensity: tuple[float, ...] = ()
-    noise_scale: tuple[float, ...] = ()
-    initial_amplitude: float = 1.0
-    initial_seed: int = 7
-    inner_tolerance: float = INNER_TOLERANCE
-    max_inner_iterations: int = MAX_INNER_ITERATIONS
-    report_version: int = SCHEMA_VERSION
-
-
-# -- key grammar -------------------------------------------------------------------
-
 _FLOATS = "floats"  # one or more numbers, whitespace-separated
 _LADDER = "ladder"  # floats, strictly decreasing
 
-# key -> (type, accepted range): int and float keys hold one number, _FLOATS
-# and _LADDER keys one or more; a tuple of names lists the accepted choices.
-# A key with no range is unbounded.
-_GRAMMAR = {
-    "mode_cutoff": (int, "[1, inf)"),
-    "alpha": (float, "(0, 1]"),
-    "length": (float, "(0, inf)"),
-    "psi": (PSI_KINDS, None),
-    "psi_param": (float, "(0, inf)"),
-    "noise": (NOISE_KINDS, None),
-    "noise_intensity": (_FLOATS, "[0, inf)"),
-    "noise_scale": (_FLOATS, None),
-    "initial": (INITIAL_KINDS, None),
-    "initial_amplitude": (float, "(0, inf)"),
-    "initial_seed": (int, "[0, inf)"),
-    "lambda_ladder": (_LADDER, "(0, 1)"),
-    "epsilon_ladder": (_LADDER, "(0, 1)"),
-    "paths": (int, "[2, inf)"),
-    "step_size": (float, "(0, inf)"),
-    "horizon": (float, "(0, inf)"),
-    "master_seed": (int, "[0, inf)"),
-    "inner_tolerance": (float, "(0, inf)"),
-    "max_inner_iterations": (int, "[1, inf)"),
-    "report_version": (int, None),
-}
+
+def _key(kind, interval: str | None = None, default=MISSING):
+    """A key's field: ``kind`` is int or float (one number), _FLOATS, _LADDER or
+    a tuple of choices; a key without an ``interval`` is unbounded."""
+    return field(default=default, metadata={"kind": kind, "range": interval})
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One run's configuration; the field order is the canonical key order."""
+
+    mode_cutoff: int = _key(int, "[1, inf)")
+    alpha: float = _key(float, "(0, 1]")
+    psi: str = _key(PSI_KINDS)
+    noise: str = _key(("zero", "additive", "multiplicative"))
+    initial: str = _key(("smooth", "random"))
+    lambda_ladder: tuple[float, ...] = _key(_LADDER, "(0, 1)")
+    epsilon_ladder: tuple[float, ...] = _key(_LADDER, "(0, 1)")
+    paths: int = _key(int, "[2, inf)")
+    step_size: float = _key(float, "(0, inf)")
+    horizon: float = _key(float, "(0, inf)")
+    master_seed: int = _key(int, "[0, inf)")
+    length: float = _key(float, "(0, inf)", 2.0 * math.pi)
+    psi_param: float | None = _key(float, "(0, inf)", None)
+    noise_intensity: tuple[float, ...] = _key(_FLOATS, "[0, inf)", ())
+    noise_scale: tuple[float, ...] = _key(_FLOATS, default=())
+    initial_amplitude: float = _key(float, "(0, inf)", 1.0)
+    initial_seed: int = _key(int, "[0, inf)", 7)
+    inner_tolerance: float = _key(float, "(0, inf)", INNER_TOLERANCE)
+    max_inner_iterations: int = _key(int, "[1, inf)", MAX_INNER_ITERATIONS)
+    report_version: int = _key(int, default=SCHEMA_VERSION)
+
 
 def _ends(interval: str | None):
     """Tests of the low and the high end of a range such as ``(0, 1]``; with
@@ -139,11 +117,11 @@ def _ends(interval: str | None):
     return above, below
 
 
-def _parse_value(key: str, raw: str, line: int):
-    kind, interval = _GRAMMAR[key]
+def _parse_value(key, raw: str, line: int):
+    kind, interval = key.metadata["kind"], key.metadata["range"]
 
     def fail(message):
-        raise ScenarioError(message, line=line, key=key)
+        raise ScenarioError(message, line=line, key=key.name)
 
     if isinstance(kind, tuple):
         if raw not in kind:
@@ -171,6 +149,7 @@ def _parse_value(key: str, raw: str, line: int):
 
 
 def parse_scenario(text: str) -> Scenario:
+    keys = {f.name: f for f in fields(Scenario)}
     values: dict = {}
     lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,7 +163,7 @@ def parse_scenario(text: str) -> Scenario:
         key, _, rest = line.partition("=")
         key = key.strip()
         rest = rest.strip()
-        if key not in _GRAMMAR:
+        if key not in keys:
             raise ScenarioError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ScenarioError(
@@ -192,10 +171,10 @@ def parse_scenario(text: str) -> Scenario:
             )
         if not rest:
             raise ScenarioError("missing value", line=lineno, key=key)
-        values[key] = _parse_value(key, rest, lineno)
+        values[key] = _parse_value(keys[key], rest, lineno)
         lines[key] = lineno
 
-    for f in fields(Scenario):  # the required keys: fields without a default
+    for f in keys.values():  # the required keys: fields without a default
         if f.default is MISSING and f.name not in values:
             raise ScenarioError("required key missing", key=f.name)
 
@@ -245,7 +224,16 @@ def _validate_cross(sc: Scenario, lines: dict) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    """The scenario in the file ``path``.  A missing file raises
+    FileNotFoundError; one that cannot be read as UTF-8 text, ScenarioError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+        raise ScenarioError(f"cannot read scenario file {path}: {reason}") from exc
+    return parse_scenario(text)
 
 
 def _format_value(value) -> str:

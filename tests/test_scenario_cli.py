@@ -229,6 +229,18 @@ def test_shipped_scenarios_round_trip():
         assert scenario_hash(again) == scenario_hash(sc)
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("acceptance.scn", "1e752d77ac273d5aa9056e286564e726f1dd033560cea4792cf37bd37e68e5f7"),
+    ("additive_saturating.scn", "d32bba081da6598e0647800313e5310911e18263d31d9f202f2e12d428148537"),
+    ("linear_decay.scn", "7590b74b2ec19560bce2d1cef276ed36ee0b358517ff6c07b602d9077a6bddc2"),
+    ("multiplicative_small.scn", "b458c456d246c643b6a25e8149573f8343fefa5e1136760d94e1e2747b64dd65"),
+])
+def test_shipped_scenarios_keep_their_hash(name, digest):
+    # the canonical text (key order, float form) fixes every run's
+    # scenario_hash and ensemble fingerprint: a change in it moves them all
+    assert scenario_hash(load_scenario(SCENARIO_DIR / name)) == digest
+
+
 def test_hash_sensitivity():
     a = parse_scenario(_text())
     b = parse_scenario(_text({"master_seed": "8"}))
@@ -245,8 +257,8 @@ def test_serialize_skips_inapplicable_keys():
 
 
 def _key_values(key):
-    """Values the key table accepts for ``key``."""
-    kind, interval = scenario_module._GRAMMAR[key]
+    """Values the declaration of field ``key`` accepts."""
+    kind, interval = key.metadata["kind"], key.metadata["range"]
     if isinstance(kind, tuple):
         return st.sampled_from(kind)
     interval = interval or "(-inf, inf)"
@@ -268,7 +280,7 @@ def _key_values(key):
 
 @st.composite
 def _valid_scenarios(draw):
-    values = {key: draw(_key_values(key)) for key in scenario_module._GRAMMAR}
+    values = {key.name: draw(_key_values(key)) for key in fields(Scenario)}
     defaults = {f.name: f.default for f in fields(Scenario)}
     values["report_version"] = SCHEMA_VERSION
     values["horizon"] = max(values["horizon"], values["step_size"])
@@ -526,10 +538,30 @@ def test_apriori_single_cell_gates_only_its_bound(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["derived_bound[lam=0.1]"]
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.scn")
     assert main(["simulate", "--scenario", missing, "--out", str(tmp_path / "o")]) == 2
     assert "not found" in capsys.readouterr().err
+
+    # a file that cannot be read as UTF-8 text is a scenario error, not a crash
+    binary = tmp_path / "binary.scn"
+    binary.write_bytes(b"mode_cutoff = 4\n\xff\xfe\x00\n")
+    for unreadable in (str(SCENARIO_DIR), str(binary)):
+        assert main(["simulate", "--scenario", unreadable, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read scenario file {unreadable}: ")
+    assert not (tmp_path / "o").exists()
+
+    # an --out that cannot be a directory fails before the plan is built
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    good = _write_scenario(tmp_path, _text(), name="good.scn")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_plan", lambda sc: pytest.fail("plan built"))
+        for out in (taken, taken / "sub"):
+            assert main(["simulate", "--scenario", good, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: cannot create --out directory {out}: ")
 
     bad = _write_scenario(tmp_path, _text({"alpha": "1.5"}), name="bad.scn")
     assert main(["simulate", "--scenario", bad, "--out", str(tmp_path / "o")]) == 2
@@ -540,7 +572,6 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
 
     # the scenario file is a run's only configuration
-    good = _write_scenario(tmp_path, _text(), name="good.scn")
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", good, "--out", str(tmp_path / "o"), "--seed", "5"])
     assert exc.value.code == 2
