@@ -526,12 +526,20 @@ def _integral_weight(epsilon: float, lam: float) -> float:
 
 def apriori_study(plan: StudyPlan) -> StudyReport:
     """Moment bound along the lambda ladder at the finest epsilon: per-cell
-    bound and uniformity.  Its cells are lambda-study's."""
+    bound and uniformity.  Its cells are lambda-study's.  A bound past the
+    largest float (an offset above about 709) gates no cell; ``extra`` says why."""
     _, cells, held = _ladder_cells(plan, "lam")
     results, run = _run_cells(plan, cells)
 
     _, offset, floor = _moment_constants(plan)
-    bound = math.exp(offset) * (floor + offset)
+    try:
+        bound = math.exp(offset) * (floor + offset)
+    except OverflowError:
+        bound = math.inf
+    gated = math.isfinite(bound)
+    extra = {"solver": dict(results["solver"])}
+    if not gated:  # exp(offset) * (floor + offset) is past the largest float
+        extra["derived_bound_not_finite"] = f"moment bound overflows at offset {offset!r}"
     checks: list[PropertyCheck] = []
     cell_rows = []
     cell_records = []
@@ -542,13 +550,9 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         lhs_samples = sup_sq + _integral_weight(eps_j, lam_j) * integrals
         lhs_samples_per_cell.append(lhs_samples)
         lhs, lhs_se = _mean_se(lhs_samples)
-        checks.append(
-            PropertyCheck(
-                name=f"derived_bound[lam={lam_j!r}]",
-                passed=bool(lhs <= bound),
-                detail=f"lhs {lhs:.6g} (se {lhs_se:.2g}) vs bound {bound:.6g}",
-            )
-        )
+        if gated:
+            checks.append(PropertyCheck(f"derived_bound[lam={lam_j!r}]", bool(lhs <= bound),
+                                        f"lhs {lhs:.6g} (se {lhs_se:.2g}) vs bound {bound:.6g}"))
         cell_rows.append((lam_j, *_mean_se(sup_sq), *_mean_se(integrals), lhs, lhs_se, bound))
         cell_records.append({"lam": lam_j, "lhs": lhs, "bound": bound, "slack": bound - lhs})
 
@@ -599,10 +603,7 @@ def apriori_study(plan: StudyPlan) -> StudyReport:
         slope=None,
         constants_used=constants_used(plan),
         checks=checks,
-        extra={
-            "solver": dict(results["solver"]),
-            "cells": cell_records,
-        },
+        extra={**extra, "cells": cell_records},
         tables=tables,
         run=run,
     )

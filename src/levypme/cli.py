@@ -24,7 +24,11 @@ directory, both found before the study runs), 3 numerical or internal
 failure (inner iteration did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
-canonical scenario) and ``metadata.json``; only the metadata carries a
+canonical scenario) and ``metadata.json``; ``simulate`` adds
+``trajectory.csv`` and ``noise_path.csv``.  A study returns only its report,
+and :meth:`levypme.reporting.StudyReport.write` writes every file but
+``scenario.txt`` and ``metadata.json``, which :func:`main` adds; every JSON
+file is :func:`levypme.reporting.json_text`'s.  Only the metadata carries a
 timestamp and the environment (Python and numpy versions,
 ``OPENBLAS_NUM_THREADS``, ``"blas_pin"``: the OpenBLAS pinned to one thread,
 CPU count), so reports and tables are byte-identical across reruns.  Since
@@ -46,7 +50,7 @@ representation: ``"dense"`` gemms against its basis or real ``"fft"``s
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import platform
 import sys
@@ -66,7 +70,7 @@ from .cascade import (
 from .noise import audit_h2_h3, export_noise_path, path_seed, sample_noise_path
 from .nonlinearity import verify_psi_inequalities
 from .parallel import pin_blas_threads
-from .reporting import PropertyCheck, StudyReport, Table
+from .reporting import PropertyCheck, StudyReport, Table, json_text
 from .scenario import (
     ScenarioError,
     build_plan,
@@ -88,26 +92,28 @@ def _linear_oracle_checks(plan, traj) -> list:
 
     The scheme then reduces mode-by-mode to x -> x / (1 + dt kappa_k); the
     trajectory must match that recursion to 1e-10 and stay within the provable
-    one-sided distance of the continuum flow exp(-kappa_k t) x.
+    one-sided distance of the continuum flow exp(-kappa_k t) x.  Per mode that
+    distance, P - e^(-kappa T) with P = prod(1 + dt kappa)^-1, lies in [0, P],
+    and log(1 + x) >= x - x^2/2 bounds it by e^(-kappa T) expm1(T h kappa^2 / 2)
+    too; the bound takes the smaller.
     """
     epsilon, lam = plan.finest_cell
     slope = plan.psi.linear_slope
     kappa = (epsilon + plan.op.eigenvalues) * (slope + lam)
     dts = np.diff(traj.times)
     factors = 1.0 / (1.0 + dts[:, None] * kappa[None, :])
-    oracle = plan.initial[None, :] * np.concatenate(
-        [np.ones((1, kappa.size)), np.cumprod(factors, axis=0)]
-    )
+    decay = np.cumprod(factors, axis=0)
+    oracle = plan.initial[None, :] * np.concatenate([np.ones((1, kappa.size)), decay])
     discrete_gap = float(np.sqrt(((traj.states - oracle) ** 2).sum(axis=1)).max())
 
     horizon = float(traj.times[-1])
     continuum = plan.initial * np.exp(-kappa * horizon)
     actual = float(np.sqrt(((traj.states[-1] - continuum) ** 2).sum()))
-    # Per mode: 0 <= prod(1+dt kappa)^-1 - e^(-kappa t) <= e^(-kappa t) * t h kappa^2 / 2.
-    h = float(dts.max())
-    per_mode = np.abs(plan.initial) * np.exp(-kappa * horizon) * (
-        0.5 * horizon * h * kappa**2
-    )
+    # In log space, so a mode whose expm1 overflows reads inf, never 0 * inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        expm1_bound = np.exp(
+            np.log(np.expm1(0.5 * horizon * float(dts.max()) * kappa**2)) - kappa * horizon)
+    per_mode = np.abs(plan.initial) * np.minimum(expm1_bound, decay[-1])
     bound = float(np.sqrt((per_mode**2).sum())) + 1e-12
     return [
         PropertyCheck(
@@ -125,7 +131,7 @@ def _linear_oracle_checks(plan, traj) -> list:
     ]
 
 
-def _run_simulate(plan) -> tuple[StudyReport, dict]:
+def _run_simulate(plan) -> StudyReport:
     epsilon, lam = plan.finest_cell
     noise_path = sample_noise_path(plan.noise, plan.horizon, path_seed(plan.master_seed, 0))
     config = plan.step_config(epsilon, lam)
@@ -145,7 +151,7 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
             traj.running_integral_squared(L2).tolist(),
         )
     )
-    report = StudyReport(
+    return StudyReport(
         kind="simulate",
         parameters={
             "epsilon": epsilon,
@@ -173,9 +179,11 @@ def _run_simulate(plan) -> tuple[StudyReport, dict]:
                 rows=summary_rows,
             )
         ],
+        exports={
+            "trajectory.csv": traj.export,
+            "noise_path.csv": functools.partial(export_noise_path, noise_path, plan.noise),
+        },
     )
-    artifacts = {"trajectory": traj, "noise_path": noise_path, "model": plan.noise}
-    return report, artifacts
 
 
 # -- inequalities ----------------------------------------------------------------
@@ -187,7 +195,7 @@ def _first_witness(conditions) -> str:
     return "" if failed is None else f"; witness {failed.name} {failed.witness}"
 
 
-def _run_inequalities(plan) -> tuple[StudyReport, dict]:
+def _run_inequalities(plan) -> StudyReport:
     epsilon, _ = plan.finest_cell
     psi_conditions = verify_psi_inequalities(plan.psi)
     min_pair, min_self, min_slope = (c.min_slack for c in psi_conditions)
@@ -227,7 +235,7 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
         )
     )
 
-    report = StudyReport(
+    return StudyReport(
         kind="inequalities",
         parameters={
             "epsilon": epsilon,
@@ -256,28 +264,27 @@ def _run_inequalities(plan) -> tuple[StudyReport, dict]:
         ],
         run={"audit_workers": max(workers, noise_report.workers)},
     )
-    return report, {}
 
 
 # -- driver -----------------------------------------------------------------------
 
 
-# Subcommand -> (help text, study).  A study maps a plan to its report and
-# artifacts.  The cascade studies are looked up in this module when they run,
-# so a replacement of ``cli.lambda_cauchy_study`` and the like (a test's
+# Subcommand -> (help text, study).  A study maps a plan to its report, which
+# writes every file of the run but scenario.txt and metadata.json.  The
+# cascade studies are looked up in this module when they run, so a
+# replacement of ``cli.lambda_cauchy_study`` and the like (a test's
 # monkeypatch, the benchmark's tracer) is what gets called.  Run in this
 # order, apriori reuses lambda-study's ensemble.
 STUDIES = {
     "simulate": ("simulate one path at the finest regularization cell", _run_simulate),
     "inequalities": ("audit the pointwise/variational/noise hypotheses", _run_inequalities),
     "lambda-study": ("coupled Cauchy study along the lambda ladder",
-                     lambda plan: (lambda_cauchy_study(plan), {})),
+                     lambda plan: lambda_cauchy_study(plan)),
     "eps-study": ("coupled Cauchy study along the epsilon ladder",
-                  lambda plan: (eps_cauchy_study(plan), {})),
-    "apriori": ("moment bound along the lambda ladder",
-                lambda plan: (apriori_study(plan), {})),
+                  lambda plan: eps_cauchy_study(plan)),
+    "apriori": ("moment bound along the lambda ladder", lambda plan: apriori_study(plan)),
     "uniqueness": ("solver-configuration independence check",
-                   lambda plan: (uniqueness_check(plan), {})),
+                   lambda plan: uniqueness_check(plan)),
 }
 
 
@@ -309,15 +316,9 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
+def _write_outputs(out_dir: Path, report, scenario, args) -> None:
     report.write(out_dir)
     (out_dir / "scenario.txt").write_text(serialize_scenario(scenario))
-    if "trajectory" in artifacts:
-        artifacts["trajectory"].export(out_dir / "trajectory.csv")
-    if "noise_path" in artifacts:
-        export_noise_path(
-            artifacts["noise_path"], artifacts["model"], out_dir / "noise_path.csv"
-        )
     metadata = {
         "command": args.command,
         "created": datetime.now(timezone.utc).isoformat(),
@@ -327,9 +328,7 @@ def _write_outputs(out_dir: Path, report, artifacts, scenario, args) -> None:
         "environment": _environment(),
         **report.run,
     }
-    (out_dir / "metadata.json").write_text(
-        json.dumps(metadata, sort_keys=True, indent=2) + "\n"
-    )
+    (out_dir / "metadata.json").write_text(json_text(metadata))
 
 
 def main(argv=None) -> int:
@@ -355,10 +354,10 @@ def main(argv=None) -> int:
     try:
         plan = build_plan(scenario)
         children = sum(os.times()[2:4])
-        report, artifacts = STUDIES[args.command][1](plan)
+        report = STUDIES[args.command][1](plan)
         report.run["transform"] = plan.op.transform
         report.run["child_cpu_s"] = round(sum(os.times()[2:4]) - children, 6)  # RUSAGE_CHILDREN
-        _write_outputs(out_dir, report, artifacts, scenario, args)
+        _write_outputs(out_dir, report, scenario, args)
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

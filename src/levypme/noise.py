@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .operators import OperatorSpectrum, by_sample_blocks
-from .reporting import verdict
+from .reporting import Table, verdict
 from .spaces import F_STAR, L2, NormKind, norm, squared_norm_rows
 
 __all__ = [
@@ -304,12 +304,6 @@ def audit_h2_h3(
 
 def export_noise_path(path: NoisePath, model: NoiseModel, file) -> None:
     """Write one record per jump as `time,mark` under a seed/horizon header."""
-    lines = [f"# seed={path.seed} horizon={path.horizon!r}", "time,mark"]
-    for t, j in zip(path.times, path.mark_indices):
-        lines.append(f"{float(t)!r},{model.marks[int(j)]}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(file, "write"):
-        file.write(text)
-    else:
-        Path(file).write_text(text)
-
+    table = Table("noise_path", ("time", "mark"), tuple(zip(
+        path.times.tolist(), [model.marks[j] for j in path.mark_indices.tolist()])))
+    Path(file).write_text(f"# seed={path.seed} horizon={path.horizon!r}\n" + table.to_csv())

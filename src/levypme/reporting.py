@@ -2,11 +2,14 @@
 and the one rule that judges every sampled inequality of the audits
 (:func:`verdict`).
 
-Serialization is fully deterministic: floats use repr (shortest round-trip),
-JSON keys are sorted, and nothing time-dependent enters the report or the
-tables.  JSON has no NaN or Infinity (RFC 8259), so a non-finite float, such
-as the slope of a fit with too few pairs, is written as ``null``.
-Timestamps, when wanted, belong to the run metadata file written by the CLI.
+:meth:`StudyReport.write` writes every file a study makes: ``report.json``,
+one CSV per :class:`Table`, each of its ``exports`` (simulate's trajectory and
+noise path) and ``failures.json``; the CLI adds ``scenario.txt`` and
+``metadata.json``.  Every CSV cell has one rule (:meth:`Table.to_csv`: floats
+as repr, the shortest round-trip) and every JSON file another
+(:func:`json_text`: sorted keys and no NaN or Infinity, per RFC 8259, so a
+report writes a non-finite float, such as the slope of a fit with too few
+pairs, as ``null``).  Nothing time-dependent enters a report or a table.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ __all__ = [
     "StudyReport",
     "Table",
     "SCHEMA_VERSION",
+    "json_text",
     "merged",
     "verdict",
 ]
@@ -145,6 +149,11 @@ def _cell(v) -> str:
     return str(v)
 
 
+def json_text(value) -> str:
+    """The text of every JSON file a run writes; a NaN or an infinity raises."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _jsonable(v):
     if is_dataclass(v):
         return {k: _jsonable(getattr(v, k)) for k in v.__dataclass_fields__}
@@ -175,6 +184,9 @@ class StudyReport:
     # The CLI writes it to metadata.json, never to report.json, which is the
     # same however the study ran.
     run: dict = field(default_factory=dict)
+    # File name -> a function that writes that file to a path (simulate's
+    # trajectory and noise path).  write() calls each; report.json never sees it.
+    exports: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -196,20 +208,16 @@ class StudyReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False
-        ) + "\n"
-
     def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(self.to_json())
+        (out / "report.json").write_text(json_text(self.to_json_dict()))
         for table in self.tables:
             (out / f"{table.name}.csv").write_text(table.to_csv())
+        for name, export in self.exports.items():
+            export(out / name)
         path = out / "failures.json"
         if self.passed:  # no failures.json of an earlier run outlives a pass
             path.unlink(missing_ok=True)
         else:
-            failures = {"failures": _jsonable(self.failures())}
-            path.write_text(json.dumps(failures, sort_keys=True, indent=2, allow_nan=False) + "\n")
+            path.write_text(json_text({"failures": _jsonable(self.failures())}))

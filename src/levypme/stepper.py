@@ -25,6 +25,7 @@ lam u term on coefficients, where it is diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, NoisePath
 from .operators import OperatorSpectrum
+from .reporting import Table
 from .spaces import F_STAR, L2, squared_norm_rows
 
 __all__ = [
@@ -539,25 +541,17 @@ class Trajectory:
         return self._reductions(kind)[3]
 
     def export(self, file) -> None:
-        """Plain-text table `t,is_jump,norm_L2,norm_F12star,c<label>...` with
-        the run metadata in `# key=value` header lines."""
-        from pathlib import Path
-
-        header_meta = [f"# {k}={self.metadata[k]!r}" for k in sorted(self.metadata)]
-        labels = ",".join(f"c[{lbl}]" for lbl in self.op.labels)
-        lines = header_meta + [f"t,is_jump,norm_L2,norm_F12star,{labels}"]
-        l2 = np.sqrt(self.row_squared_norms(L2))
-        fstar = np.sqrt(self.row_squared_norms(F_STAR))
-        for i, t in enumerate(self.times):
-            coeffs = ",".join(repr(float(c)) for c in self.states[i])
-            lines.append(
-                f"{float(t)!r},{int(self.jump_flags[i])},{float(l2[i])!r},{float(fstar[i])!r},{coeffs}"
-            )
-        text = "\n".join(lines) + "\n"
-        if hasattr(file, "write"):
-            file.write(text)
-        else:
-            Path(file).write_text(text)
+        """Write the path as the table `t,is_jump,norm_L2,norm_F12star,c<label>...`
+        under the run metadata in `# key=value` header lines."""
+        header = "".join(f"# {k}={self.metadata[k]!r}\n" for k in sorted(self.metadata))
+        table = Table(
+            "trajectory",
+            ("t", "is_jump", "norm_L2", "norm_F12star", *(f"c[{lbl}]" for lbl in self.op.labels)),
+            tuple(zip(self.times.tolist(), self.jump_flags.tolist(),
+                      np.sqrt(self.row_squared_norms(L2)).tolist(),
+                      np.sqrt(self.row_squared_norms(F_STAR)).tolist(), *self.states.T.tolist())),
+        )
+        Path(file).write_text(header + table.to_csv())
 
 
 def time_grid(h: float, horizon: float, path: NoisePath):

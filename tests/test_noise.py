@@ -4,7 +4,6 @@ Frozen constants: for multiplicative sigmas (0.1, -0.05) with intensities
 (2, 1) the growth constant is sum sigma^2 nu = 0.01*2 + 0.0025*1 = 0.0225, in
 any of the norms.
 """
-import io
 import math
 import tracemalloc
 
@@ -34,14 +33,13 @@ from levypme.spaces import F_STAR, L2, norm, squared_norm_rows
 from conftest import additive_model, multiplicative_model, zero_model
 
 
-def test_path_sampling_deterministic(torus_small):
+def test_path_sampling_deterministic(torus_small, tmp_path):
     model = multiplicative_model()
     a = sample_noise_path(model, 2.0, 123)
     b = sample_noise_path(model, 2.0, 123)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    export_noise_path(a, model, buf_a)
-    export_noise_path(b, model, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    export_noise_path(a, model, tmp_path / "a.csv")
+    export_noise_path(b, model, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_path_sampling_frozen():
@@ -340,15 +338,14 @@ def test_gap_log_budget_closed_form(torus_small):
     assert not zero_model().gap_log_budget(one_mark, times).any()
 
 
-def test_export_parse_round_trip(torus_small):
+def test_export_parse_round_trip(torus_small, tmp_path):
     """The export is a seed/horizon header, a column line and one
     ``repr(t),label`` row per jump, in time order."""
     model = multiplicative_model()
     path = sample_noise_path(model, 1.5, 321)
     assert path.jump_count > 0
-    buf = io.StringIO()
-    export_noise_path(path, model, buf)
-    lines = buf.getvalue().split("\n")
+    export_noise_path(path, model, tmp_path / "noise_path.csv")
+    lines = (tmp_path / "noise_path.csv").read_text().split("\n")
     assert lines[0] == f"# seed=321 horizon={1.5!r}"
     assert lines[1] == "time,mark"
     assert lines[2:] == [

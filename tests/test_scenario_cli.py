@@ -32,6 +32,8 @@ from levypme.scenario import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# Scenarios on which a gate once failed or crashed where the program is right.
+TEST_SCENARIO_DIR = Path(__file__).resolve().parent / "scenarios"
 
 _BASE = {
     "mode_cutoff": "4",
@@ -367,6 +369,18 @@ def test_cli_linear_oracle_gates(tmp_path, capsys):
     assert "[PASS] continuum_flow_bound" in printed
 
 
+def test_continuum_flow_bound_holds_at_a_coarse_step(tmp_path):
+    # at dt kappa of order 10 the leading-order estimate e^(-kT) T h k^2 / 2
+    # fell below the true gap (1.829e-4 against 9.741e-5) while the recursion
+    # matched to 5e-18; the exact per-mode bound holds
+    out = tmp_path / "out"
+    scn = str(TEST_SCENARIO_DIR / "continuum_flow_coarse.scn")
+    assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("linear_recursion_oracle", True), ("continuum_flow_bound", True)]
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     scn = _write_scenario(tmp_path, _text())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -536,6 +550,18 @@ def test_apriori_single_cell_gates_only_its_bound(tmp_path):
     assert main(["apriori", "--scenario", scn, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in report["checks"]] == ["derived_bound[lam=0.1]"]
+
+
+def test_apriori_writes_no_derived_bound_past_the_largest_exp(tmp_path):
+    # an offset of 1217 overflows exp: no bound, so no derived_bound check, and
+    # extra says why; the ladder is still gated for uniformity
+    out = tmp_path / "out"
+    scn = str(TEST_SCENARIO_DIR / "apriori_overflow.scn")
+    assert main(["apriori", "--scenario", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["uniform_in_lambda"]
+    assert report["extra"]["derived_bound_not_finite"].startswith(
+        "moment bound overflows at offset 1217.38")
 
 
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):

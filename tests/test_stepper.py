@@ -5,7 +5,6 @@ u_k = b_k / (1 + h (eps + mu_k)); at mu = 1, eps = 0.1, h = 0.1 that factor,
 taken exactly on the float inputs and rounded once, is 0.9009009009009009
 (the float quotient 1 / 1.11 rounds to 0.9009009009009008).
 """
-import io
 import json
 import math
 from dataclasses import replace
@@ -23,7 +22,7 @@ from levypme.operators import (
     smooth_field,
 )
 from levypme.scenario import build_plan, load_scenario
-from levypme.spaces import F12_star, L2, norm, squared_norm_rows
+from levypme.spaces import F12_star, F_STAR, L2, norm, squared_norm_rows
 from levypme.stepper import (
     ANDERSON_DEPTH,
     TOP_SPLIT_DEPTH,
@@ -478,11 +477,13 @@ def test_trajectory_metadata_and_summaries(torus_small, initial_small):
     assert np.all(np.diff(run_int) >= 0)
 
 
-def test_trajectory_export_readable(torus_small, initial_small):
+def test_trajectory_export_readable(torus_small, initial_small, tmp_path):
+    """The export is one ``# key=value`` line per metadata key, a column line
+    and one row per grid time: ``repr`` of t, the jump flag as 0 or 1, ``repr``
+    of the L2 and F* norms and of each coefficient."""
     traj = _small_trajectory(torus_small, initial_small)
-    buf = io.StringIO()
-    traj.export(buf)
-    lines = buf.getvalue().splitlines()
+    traj.export(tmp_path / "trajectory.csv")
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     meta_lines = [ln for ln in lines if ln.startswith("# ")]
     assert len(meta_lines) == len(traj.metadata)
     header = lines[len(meta_lines)]
@@ -493,6 +494,14 @@ def test_trajectory_export_readable(torus_small, initial_small):
     assert float(first[0]) == 0.0
     assert int(first[1]) == 0
     assert float(first[2]) == pytest.approx(norm(torus_small, initial_small, L2))
+    l2 = np.sqrt(traj.row_squared_norms(L2))
+    fstar = np.sqrt(traj.row_squared_norms(F_STAR))
+    assert traj.jump_flags.any() and not traj.jump_flags.all()
+    assert data == [
+        ",".join([repr(float(t)), str(int(jump)), repr(float(a)), repr(float(b)),
+                  *(repr(float(c)) for c in row)])
+        for t, jump, a, b, row in zip(traj.times, traj.jump_flags, l2, fstar, traj.states)
+    ]
 
 
 def _solve(op, psi, configs, b, dts, counters=None):
