@@ -200,7 +200,8 @@ def _run_inequalities(plan) -> StudyReport:
     psi_conditions = verify_psi_inequalities(plan.psi)
     min_pair, min_self, min_slope = (c.min_slack for c in psi_conditions)
     conditions, workers = check_variational_conditions(plan.op, plan.psi, plan.noise, epsilon)
-    noise_report = audit_h2_h3(plan.op, plan.noise)
+    noise_conditions, noise_workers = audit_h2_h3(plan.op, plan.noise)
+    h3, h2, h2_l2 = noise_conditions
 
     checks = [
         PropertyCheck(
@@ -222,15 +223,15 @@ def _run_inequalities(plan) -> StudyReport:
     checks.append(
         PropertyCheck(
             name="noise_h2_h3",
-            passed=noise_report.passed,
+            passed=all(c.passed for c in noise_conditions),
             detail=(
-                f"h2 empirical {noise_report.h2_empirical:.6g} <= "
-                f"closed form {noise_report.h2_closed_form:.6g}; "
-                f"h2 (L2) empirical {noise_report.h2_l2_empirical:.6g} <= "
-                f"closed form {noise_report.h2_l2_closed_form:.6g}; "
-                f"h3 empirical {noise_report.h3_empirical:.6g} <= "
-                f"closed form {noise_report.h3_closed_form:.6g}"
-                + _first_witness(noise_report.conditions)
+                f"h2 empirical {h2.max_lhs:.6g} <= "
+                f"closed form {plan.noise.h2_closed_form(plan.op):.6g}; "
+                f"h2 (L2) empirical {h2_l2.max_lhs:.6g} <= "
+                f"closed form {plan.noise.h2_closed_form(plan.op, L2):.6g}; "
+                f"h3 empirical {h3.max_lhs:.6g} <= "
+                f"closed form {plan.noise.h3_closed_form(plan.op):.6g}"
+                + _first_witness(noise_conditions)
             ),
         )
     )
@@ -246,12 +247,15 @@ def _run_inequalities(plan) -> StudyReport:
         constants_used=constants_used(plan),
         checks=checks,
         extra={
-            "h2_empirical": noise_report.h2_empirical,
-            "h2_l2_empirical": noise_report.h2_l2_empirical,
-            "h3_empirical": noise_report.h3_empirical,
+            "h2_empirical": h2.max_lhs,
+            "h2_l2_empirical": h2_l2.max_lhs,
+            "h3_empirical": h3.max_lhs,
             "min_pair_slack": min_pair,
             "min_self_slack": min_self,
             "min_slope_slack": min_slope,
+            # the variational_conditions.csv rows, keyed by condition
+            "variational": {c.name: {"checked": c.checked, "min_slack": c.min_slack,
+                                     "violations": c.violation_count} for c in conditions},
         },
         tables=[
             Table(
@@ -262,7 +266,7 @@ def _run_inequalities(plan) -> StudyReport:
                 ),
             )
         ],
-        run={"audit_workers": max(workers, noise_report.workers)},
+        run={"audit_workers": max(workers, noise_workers)},
     )
 
 

@@ -8,6 +8,10 @@ multiplicative (a = 0).  The coefficient acts on a ``(rows, modes)`` array of
 coefficient rows at once; the stepper and the hypothesis audits share that
 rows API.  Paths are sorted (time, mark) tables; sampling is deterministic in
 (model, horizon, seed).
+
+:func:`audit_h2_h3` samples the growth (H2) and gap (H3) ratios against the
+model's closed forms, defined only on :class:`NoiseModel`, and returns plain
+:class:`levypme.reporting.ConditionResult` verdicts, like every audit.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from .reporting import Table, verdict
 from .spaces import F_STAR, L2, NormKind, norm, squared_norm_rows
 
 __all__ = [
-    "NoiseAuditReport",
     "NoiseModel",
     "NoisePath",
     "audit_h2_h3",
@@ -202,26 +205,8 @@ def sample_noise_path(model: NoiseModel, horizon: float, seed: int) -> NoisePath
 # -- hypothesis audit --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseAuditReport:
-    """Empirical-vs-closed-form audit of the two noise hypotheses, with H2
-    both in F* and in L2; ``conditions`` holds the H3, H2 and H2 (L2)
-    verdicts, in that order, and ``workers`` counts the processes that drew
-    and evaluated the samples (:func:`levypme.operators.by_sample_blocks`)."""
-
-    sample_count: int
-    h2_empirical: float
-    h2_closed_form: float
-    h2_l2_empirical: float
-    h2_l2_closed_form: float
-    h3_empirical: float
-    h3_closed_form: float
-    conditions: tuple
-    workers: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
+# The seed of the audit's one draw.
+_AUDIT_SEED = 7
 
 
 def noise_mass_rows(op: OperatorSpectrum, model: NoiseModel, u: np.ndarray,
@@ -238,12 +223,7 @@ def noise_mass_rows(op: OperatorSpectrum, model: NoiseModel, u: np.ndarray,
     return total
 
 
-def audit_h2_h3(
-    op: OperatorSpectrum,
-    model: NoiseModel,
-    sample_count: int = 2_000,
-    seed: int = 7,
-) -> NoiseAuditReport:
+def audit_h2_h3(op: OperatorSpectrum, model: NoiseModel, sample_count: int = 2_000) -> tuple:
     """Sample states and state pairs, compare the tightest empirical constants
     with the closed-form ones implied by the coefficient.
 
@@ -258,13 +238,15 @@ def audit_h2_h3(
     judged against its closed form C by :func:`levypme.reporting.verdict`
     with rhs C (1 + 1e-9) + 1e-15: the relative 1e-9 covers accumulation
     roundoff in the empirical ratios.  A pair with u1 = u2 has H3 ratio 0.
+
+    Returns the H3, H2 and H2 (L2) verdicts, in that order, and the number of
+    processes that drew and evaluated the samples.  Every ratio is >= 0 or
+    NaN, so each verdict's ``max_lhs`` is the empirical constant: the largest
+    sampled ratio, NaN when any is NaN.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    h2_closed = model.h2_closed_form(op)
-    h2_l2_closed = model.h2_closed_form(op, L2)
-    h3_closed = model.h3_closed_form(op)
+    rng = np.random.default_rng(_AUDIT_SEED)
 
     def ratios(pairs):
         u1, u2 = pairs[:, 0], pairs[:, 1]
@@ -282,21 +264,11 @@ def audit_h2_h3(
     def within(label, ratio, closed):
         return verdict(label, ratio, closed * (1.0 + 1e-9) + 1e-15)
 
-    return NoiseAuditReport(
-        sample_count=sample_count,
-        h2_empirical=float(ratio_h2.max(initial=0.0)),
-        h2_closed_form=h2_closed,
-        h2_l2_empirical=float(ratio_h2_l2.max(initial=0.0)),
-        h2_l2_closed_form=h2_l2_closed,
-        h3_empirical=float(ratio_h3.max(initial=0.0)),
-        h3_closed_form=h3_closed,
-        conditions=(
-            within("H3", ratio_h3, h3_closed),
-            within("H2", ratio_h2, h2_closed),
-            within("H2 (L2)", ratio_h2_l2, h2_l2_closed),
-        ),
-        workers=workers,
-    )
+    return (
+        within("H3", ratio_h3, model.h3_closed_form(op)),
+        within("H2", ratio_h2, model.h2_closed_form(op)),
+        within("H2 (L2)", ratio_h2_l2, model.h2_closed_form(op, L2)),
+    ), workers
 
 
 # -- path export -------------------------------------------------------------------

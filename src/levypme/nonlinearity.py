@@ -121,15 +121,15 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
 # 64 KiB arrays, below glibc's mmap threshold, so the heap reuses them block
 # after block.
 _AUDIT_BLOCK = 1 << 13
+_AUDIT_BOUND = 1e3
 
 
 def verify_psi_inequalities(
     psi: NonlinearityPsi,
     sample_count: int = 100_000,
-    bound: float = 1e3,
     seed: int = 41_038,
 ) -> tuple:
-    """Sample pairs on [-bound, bound]^2 and audit three inequalities exactly:
+    """Sample pairs on [-_AUDIT_BOUND, _AUDIT_BOUND]^2 and audit three inequalities exactly:
 
     pair   alpha_tilde (psi(r)-psi(r'))^2 <= (psi(r)-psi(r'))(r-r')
     self   alpha_tilde psi(r)^2 <= psi(r) r
@@ -147,6 +147,7 @@ def verify_psi_inequalities(
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
+    bound = _AUDIT_BOUND
     # Pin the corners and the diagonal, where equality is most delicate.
     pinned = ((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5))
     r, r_prime = np.empty((2, sample_count + len(pinned[0])))

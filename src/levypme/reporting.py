@@ -2,6 +2,11 @@
 and the one rule that judges every sampled inequality of the audits
 (:func:`verdict`).
 
+Every audit returns its verdicts as :class:`ConditionResult` records.  Their
+``max_lhs`` is the largest sampled left side (NaN when any is NaN): the
+empirical constant where that side is a sampled ratio, as in
+:func:`levypme.noise.audit_h2_h3`.
+
 :meth:`StudyReport.write` writes every file a study makes: ``report.json``,
 one CSV per :class:`Table`, each of its ``exports`` (simulate's trajectory and
 noise path) and ``failures.json``; the CLI adds ``scenario.txt`` and
@@ -59,7 +64,8 @@ class ConditionResult:
     checked: int
     min_slack: float
     violation_count: int
-    witness: Optional[str] = None
+    witness: Optional[str]
+    max_lhs: float
 
     @property
     def passed(self) -> bool:
@@ -73,15 +79,15 @@ def verdict(name: str, lhs, rhs, row: Callable[[int], str] = "sample {}".format)
     the rows; a 2-D pair is judged in row-major order).  A row violates
     unless its slack is >= 0, so a NaN slack fails and +inf passes.  The
     result holds the worst slack (NaN when any slack is NaN), the number of
-    violating rows and, when there is one, a witness: the worst row i, named
-    ``row(i)``, with both of its sides.
+    violating rows, when there is one a witness: the worst row i, named
+    ``row(i)``, with both of its sides, and the largest lhs (NaN when any is).
     """
     lhs, rhs = (side.ravel() for side in np.broadcast_arrays(lhs, rhs))
     slack = rhs - lhs
     i = int(np.argmin(slack))
     bad = slack.size - int(np.count_nonzero(slack >= 0.0))
     witness = f"{row(i)}: lhs={float(lhs[i])!r} rhs={float(rhs[i])!r}" if bad else None
-    return ConditionResult(name, slack.size, float(slack[i]), bad, witness)
+    return ConditionResult(name, slack.size, float(slack[i]), bad, witness, float(lhs.max()))
 
 
 def merged(results) -> ConditionResult:
@@ -92,7 +98,8 @@ def merged(results) -> ConditionResult:
     Checked rows and violations add up.  The worst row is the first NaN slack
     if there is one, else the first least slack, as ``argmin`` picks it over
     all rows at once.  A violation makes that row's slack negative or NaN, so
-    its block has one and holds the witness.
+    its block has one and holds the witness.  The largest lhs is NaN when any
+    block's is (``np.max``, not Python's ``max``), as over all rows at once.
     """
     worst, *rest = results
     for result in rest:
@@ -101,7 +108,8 @@ def merged(results) -> ConditionResult:
             worst = result
     return ConditionResult(worst.name, sum(result.checked for result in results),
                            worst.min_slack,
-                           sum(result.violation_count for result in results), worst.witness)
+                           sum(result.violation_count for result in results), worst.witness,
+                           float(np.max([result.max_lhs for result in results])))
 
 
 @dataclass(frozen=True)

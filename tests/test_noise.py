@@ -181,12 +181,13 @@ def test_hypothesis_audit_passes(torus_small, model_factory):
         "additive": lambda: additive_model(torus_small),
         "multiplicative": lambda: multiplicative_model(),
     }[model_factory]()
-    report = audit_h2_h3(torus_small, model, sample_count=500, seed=7)
-    assert report.passed, [c.witness for c in report.conditions]
-    assert [c.name for c in report.conditions] == ["H3", "H2", "H2 (L2)"]
-    assert report.h2_empirical <= report.h2_closed_form * (1 + 1e-9) + 1e-15
-    assert report.h2_l2_empirical <= report.h2_l2_closed_form * (1 + 1e-9) + 1e-15
-    assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
+    conditions, _ = audit_h2_h3(torus_small, model, sample_count=500)
+    h3, h2, h2_l2 = conditions
+    assert all(c.passed for c in conditions), [c.witness for c in conditions]
+    assert [c.name for c in conditions] == ["H3", "H2", "H2 (L2)"]
+    assert h2.max_lhs <= model.h2_closed_form(torus_small) * (1 + 1e-9) + 1e-15
+    assert h2_l2.max_lhs <= model.h2_closed_form(torus_small, L2) * (1 + 1e-9) + 1e-15
+    assert h3.max_lhs <= model.h3_closed_form(torus_small) * (1 + 1e-9) + 1e-15
 
 
 class HalvedL2(NoiseModel):
@@ -222,13 +223,14 @@ def test_hypothesis_audit_is_one_draw_at_any_block_size(torus_small, monkeypatch
     over_halved = int(np.count_nonzero(h2_l2 > halved * (1.0 + 1e-9) + 1e-15))
     for samples_per_block in (7, 64):
         monkeypatch.setattr(operators, "_BLOCK_VALUES", samples_per_block * op.mode_count)
-        report = audit_h2_h3(op, model, sample_count=500, seed=7)
-        assert report.h2_empirical == h2.max()
-        assert report.h2_l2_empirical == h2_l2.max()
-        assert report.h3_empirical == h3.max()
-        assert [c.violation_count for c in report.conditions] == [0, 0, 0]
-        report = audit_h2_h3(op, halved_l2(model), sample_count=500, seed=7)
-        assert [c.violation_count for c in report.conditions] == [0, 0, over_halved]
+        conditions, _ = audit_h2_h3(op, model, sample_count=500)
+        audit_h3, audit_h2, audit_h2_l2 = conditions
+        assert audit_h2.max_lhs == h2.max()
+        assert audit_h2_l2.max_lhs == h2_l2.max()
+        assert audit_h3.max_lhs == h3.max()
+        assert [c.violation_count for c in conditions] == [0, 0, 0]
+        conditions, _ = audit_h2_h3(op, halved_l2(model), sample_count=500)
+        assert [c.violation_count for c in conditions] == [0, 0, over_halved]
 
 
 @pytest.mark.parametrize("sample_count", [2_000, 20_000])
@@ -259,21 +261,23 @@ def test_hypothesis_audit_allowance_is_roundoff_only(torus_small):
     # allowance of 1e-9 covers roundoff, not an understatement of 1e-7
     model = multiplicative_model()
     understated = SlightlyUnderstatedH3(model.marks, model.intensities, sigmas=model.sigmas)
-    report = audit_h2_h3(torus_small, understated, sample_count=500, seed=7)
-    assert [c.name for c in report.conditions if not c.passed] == ["H3"]
+    conditions, _ = audit_h2_h3(torus_small, understated, sample_count=500)
+    assert [c.name for c in conditions if not c.passed] == ["H3"]
 
 
 def test_hypothesis_audit_flags_understated_l2_growth(torus_small):
     # the moment bound's L2 growth constant is audited on the same draws: an
     # understated one fails with an H2 (L2) witness while F* H2 and H3 hold
-    report = audit_h2_h3(torus_small, halved_l2(multiplicative_model()), sample_count=500, seed=7)
-    assert not report.passed
-    failed = [c for c in report.conditions if not c.passed]
+    model = halved_l2(multiplicative_model())
+    conditions, _ = audit_h2_h3(torus_small, model, sample_count=500)
+    h3, h2, h2_l2 = conditions
+    assert not all(c.passed for c in conditions)
+    failed = [c for c in conditions if not c.passed]
     assert [c.name for c in failed] == ["H2 (L2)"]
     assert failed[0].witness.startswith("sample ")
-    assert report.h2_l2_empirical > report.h2_l2_closed_form
-    assert report.h2_empirical <= report.h2_closed_form
-    assert report.h3_empirical <= report.h3_closed_form * (1 + 1e-9) + 1e-15
+    assert h2_l2.max_lhs > model.h2_closed_form(torus_small, L2)
+    assert h2.max_lhs <= model.h2_closed_form(torus_small)
+    assert h3.max_lhs <= model.h3_closed_form(torus_small) * (1 + 1e-9) + 1e-15
 
 
 @pytest.mark.parametrize("sample_count", [0, -3])
@@ -308,9 +312,9 @@ def test_h2_closed_form_bounds_a_mixed_coefficient(torus_small):
     additive = additive_model(torus_small)
     model = NoiseModel(additive.marks, additive.intensities, additive.fields, (0.08, -0.05))
     assert model.state_dependent
-    report = audit_h2_h3(torus_small, model, sample_count=500, seed=7)
-    assert report.passed, [c.witness for c in report.conditions]
-    assert report.h3_closed_form == pytest.approx(0.02295, rel=1e-14)
+    conditions, _ = audit_h2_h3(torus_small, model, sample_count=500)
+    assert all(c.passed for c in conditions), [c.witness for c in conditions]
+    assert model.h3_closed_form(torus_small) == pytest.approx(0.02295, rel=1e-14)
     for kind in (F_STAR, L2):
         assert model.h2_closed_form(torus_small, kind) == pytest.approx(
             additive.h2_closed_form(torus_small, kind) + 0.02295, rel=1e-14)

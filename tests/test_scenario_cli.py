@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from levypme.cli import main
 from levypme import cascade, cli, nonlinearity, parallel
 from levypme import scenario as scenario_module
+from levypme.noise import audit_h2_h3
 from levypme.operators import random_field
 from levypme.reporting import SCHEMA_VERSION, PropertyCheck, StudyReport, Table
 from levypme.scenario import (
@@ -30,6 +31,8 @@ from levypme.scenario import (
     scenario_hash,
     serialize_scenario,
 )
+from levypme.spaces import F_STAR, L2
+from levypme.variational import check_variational_conditions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # Scenarios on which a gate once failed or crashed where the program is right.
@@ -538,6 +541,64 @@ def test_inequalities_writes_no_coercivity_without_constant(tmp_path, capsys):
         "hemicontinuity", "local_monotonicity", "growth",
     ]
     assert capsys.readouterr().out.splitlines()[-1].startswith("inequalities: all checks passed")
+
+
+def test_inequalities_report_holds_the_variational_table(tmp_path):
+    # extra.variational is variational_conditions.csv row for row: checked,
+    # min_slack (by repr, so bit for bit) and violations of each condition
+    out = tmp_path / "out"
+    scn = str(SCENARIO_DIR / "acceptance.scn")
+    assert main(["inequalities", "--scenario", scn, "--out", str(out)]) == 0
+    variational = json.loads((out / "report.json").read_text())["extra"]["variational"]
+    header, *rows = (out / "variational_conditions.csv").read_text().splitlines()
+    assert header == "condition,checked,min_slack,violations"
+    names = [row.split(",")[0] for row in rows]
+    assert names == ["hemicontinuity", "local_monotonicity", "coercivity", "growth"]
+    assert sorted(variational) == sorted(names)
+    for name, checked, min_slack, violations in (row.split(",") for row in rows):
+        record = variational[name]
+        assert sorted(record) == ["checked", "min_slack", "violations"]
+        assert (record["checked"], repr(record["min_slack"]), record["violations"]) == (
+            int(checked), min_slack, int(violations))
+
+
+def test_noise_check_reads_the_audit_verdicts():
+    # the noise_h2_h3 check and extra take each empirical constant from its
+    # audit verdict's max_lhs and each closed form from the model; additive
+    # noise has distinct F* and L2 figures and a zero H3, so a figure read
+    # from the wrong verdict or norm shows
+    plan = build_plan(load_scenario(SCENARIO_DIR / "additive_saturating.scn"))
+    (h3, h2, h2_l2), _ = audit_h2_h3(plan.op, plan.noise)
+    h2_closed, h2_l2_closed = (f"{plan.noise.h2_closed_form(plan.op, kind):.6g}"
+                               for kind in (F_STAR, L2))
+    assert h3.max_lhs == 0.0 < h2.max_lhs != h2_l2.max_lhs and h2_closed != h2_l2_closed
+    report = cli._run_inequalities(plan)
+    assert [report.extra[f"{name}_empirical"] for name in ("h2", "h2_l2", "h3")] == [
+        h2.max_lhs, h2_l2.max_lhs, h3.max_lhs]
+    check = report.checks[-1]
+    assert check.name == "noise_h2_h3" and check.passed
+    assert check.detail == (
+        f"h2 empirical {h2.max_lhs:.6g} <= closed form {h2_closed}; "
+        f"h2 (L2) empirical {h2_l2.max_lhs:.6g} <= closed form {h2_l2_closed}; "
+        "h3 empirical 0 <= closed form 0")
+
+
+def test_audit_workers_is_the_larger_count(monkeypatch):
+    # the variational and the noise audit each report the processes that drew
+    # their samples; the run record keeps the larger, whichever audit it is
+    plan = build_plan(load_scenario(SCENARIO_DIR / "multiplicative_small.scn"))
+
+    def more(audit, extra):
+        def counted(*args):
+            results, workers = audit(*args)
+            return results, workers + extra
+        return counted
+
+    for variational_extra, noise_extra in ((2, 1), (1, 2)):
+        monkeypatch.setattr(cli, "check_variational_conditions",
+                            more(check_variational_conditions, variational_extra))
+        monkeypatch.setattr(cli, "audit_h2_h3", more(audit_h2_h3, noise_extra))
+        assert cli._run_inequalities(plan).run == {"audit_workers": 3}
 
 
 def test_apriori_single_cell_gates_only_its_bound(tmp_path):
