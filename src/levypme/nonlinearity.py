@@ -117,9 +117,8 @@ def make_psi(kind: str, *, scale: float | None = None, cap: float | None = None)
     raise ValueError(f"unknown nonlinearity kind {kind!r}; choose from {PSI_KINDS}")
 
 
-# Samples per block of the inequality audit: each block's temporaries are
-# 64 KiB arrays, below glibc's mmap threshold, so the heap reuses them block
-# after block.
+# Pairs per block of the inequality audit: each block's draws and temporaries
+# are 64 KiB arrays.
 _AUDIT_BLOCK = 1 << 13
 _AUDIT_BOUND = 1e3
 
@@ -143,35 +142,45 @@ def verify_psi_inequalities(
     pairs; they are judged ``_AUDIT_BLOCK`` pairs at a time, and the blocks'
     verdicts merged (:func:`levypme.reporting.merged`) are those of all pairs
     at once.  Returns the pair, self and slope verdicts, in that order.
+
+    Each block is drawn as it is judged, into two reused buffers, so no array
+    of every sample exists.  r comes from one PCG64 stream of ``seed`` and r'
+    from a second stream of the same seed, advanced by ``sample_count``
+    (``bit_generator.advance``): ``random()`` takes exactly one 64-bit word
+    per double, so r' starts where one generator would start it after
+    drawing every r, and the pairs are bit for bit those of the whole draw.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
     bound = _AUDIT_BOUND
     # Pin the corners and the diagonal, where equality is most delicate.
-    pinned = ((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5))
-    r, r_prime = np.empty((2, sample_count + len(pinned[0])))
-    for values, pins in zip((r, r_prime), pinned):
-        drawn = values[:sample_count]
-        rng.random(out=drawn)  # rng.uniform(-bound, bound)'s draws, bit for bit
-        drawn *= 2.0 * bound
-        drawn -= bound
-        values[sample_count:] = pins
+    pins = np.array(((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5)))
+    streams = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    streams[1].bit_generator.advance(sample_count)  # r' starts past every r
+    count = sample_count + pins.shape[1]
+    buffers = np.empty((2, min(_AUDIT_BLOCK, count)))
 
     blocks = []
-    for start in range(0, r.size, _AUDIT_BLOCK):
-        r_s, r_prime_s = r[start:start + _AUDIT_BLOCK], r_prime[start:start + _AUDIT_BLOCK]
-        psi_r = psi.evaluate(r_s)
-        diff_psi = psi_r - psi.evaluate(r_prime_s)
-        gap = r_s - r_prime_s
+    for start in range(0, count, _AUDIT_BLOCK):
+        stop = min(start + _AUDIT_BLOCK, count)
+        drawn = max(0, min(stop, sample_count) - start)  # the rest are pinned
+        r, r_prime = block = buffers[:, :stop - start]
+        for values, rng in zip(block, streams):
+            rng.random(out=values[:drawn])  # rng.uniform(-bound, bound)'s draws, bit for bit
+        block[:, :drawn] *= 2.0 * bound
+        block[:, :drawn] -= bound
+        block[:, drawn:] = pins[:, start + drawn - sample_count:stop - sample_count]
+        psi_r = psi.evaluate(r)
+        diff_psi = psi_r - psi.evaluate(r_prime)
+        gap = r - r_prime
 
-        def pair(i, start=start):
-            return f"(r, r') ({float(r[start + i])!r}, {float(r_prime[start + i])!r})"
+        def pair(i):
+            return f"(r, r') ({float(r[i])!r}, {float(r_prime[i])!r})"
 
         blocks.append((
             verdict("pair", psi.alpha_tilde * diff_psi * diff_psi, diff_psi * gap, pair),
-            verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r_s,
-                    lambda i, start=start: f"r {float(r[start + i])!r}"),
+            verdict("self", psi.alpha_tilde * psi_r * psi_r, psi_r * r,
+                    lambda i: f"r {float(r[i])!r}"),
             verdict("slope", 0.0, (diff_psi - psi.slope_min * gap) * gap, pair),
         ))
     return tuple(merged(verdicts) for verdicts in zip(*blocks))

@@ -314,12 +314,17 @@ def random_rows(op: OperatorSpectrum, rng: np.random.Generator, shape: tuple = (
 
 # Values per state of a sample block: a block holds
 # max(1, _BLOCK_VALUES // modes) samples, so each (block x modes) temporary is
-# 512 KiB, small enough to stay in cache and to be reused from the heap.
-_BLOCK_VALUES = 1 << 16
+# at most 256 KiB.  That is above glibc's default mmap threshold, so the heap
+# need not keep it: a freed temporary may go back to the system and its
+# successor be page-faulted anew.  2^15 takes less peak memory than 2^16; at
+# 2^14 and 2^13 the processes of a dealt audit wait on the generator-state
+# ring between blocks, and the 513-mode audit is slower (BENCH_38.json).
+_BLOCK_VALUES = 1 << 15
 # Modes from which the blocks are dealt to processes.  Each process draws only
 # its own blocks, so on 2 CPUs the inequalities audits took 112-117 ms alone
 # against 89-92 ms dealt at 65 modes, and 243-265 against 172-179 at 129
-# (BENCH_29.json).
+# (BENCH_29.json); but dealt at 65 modes the whole cascade-acceptance battery
+# gained nothing beyond the noise and took 0.33 MB more memory (BENCH_38.json).
 _DEALT_MODES = 128
 
 

@@ -24,9 +24,9 @@ drift is evaluated once per state of a pair and feeds all three.  Every
 weighted pairing and norm is one row-local einsum pass, so no reduction ties
 a row's value to the block it sits in.  Every draw is made block by block
 (:func:`levypme.operators.by_sample_blocks`): a block of
-``max(1, 2**16 // modes)`` samples is drawn, evaluated and reduced to
+``max(1, 2**15 // modes)`` samples is drawn, evaluated and reduced to
 per-sample sides before the next one is drawn, so each (block x modes)
-temporary holds about 2^16 values and no (samples x modes) array exists,
+temporary holds about 2^15 values and no (samples x modes) array exists,
 whatever the sample or mode count.  From 128 modes on the blocks are dealt
 to one process per usable CPU (:mod:`levypme.parallel`), and each process
 draws and evaluates only its own blocks, taking the generator's state from

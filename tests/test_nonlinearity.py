@@ -8,6 +8,7 @@ tends to 1 at infinity, its declared slope infimum.
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,11 +207,59 @@ def test_blocked_audit_is_the_one_shot_audit(monkeypatch, evaluate, sample_count
         assert int(np.argmin(pair_slack)) >= block
 
 
+@pytest.mark.parametrize("evaluate", [_steep_above, _nan_above])
+@pytest.mark.parametrize("sample_count, blocks", [
+    (61, [64, 2]),  # three pinned pairs in the first block, two in the second
+    (63, [64, 4]),  # one pinned pair in the first block, four in the second
+    (64, [64, 5]),  # a full block of drawn pairs, then the five pinned ones
+    (127, [64, 64, 4]),  # the second block ends in one pinned pair
+])
+def test_pinned_pairs_across_a_block_bound_are_the_one_shot_audit(
+        monkeypatch, evaluate, sample_count, blocks):
+    # each block is drawn as it is judged, so the pinned pairs that follow
+    # the draws may fall on both sides of a block bound, or in a block with
+    # no drawn pair: the blocks psi sees are at most 64 pairs, and joined
+    # they are the one-shot r and r', bit for bit and in order; the verdicts
+    # are the one-shot ones
+    monkeypatch.setattr(nonlinearity, "_AUDIT_BLOCK", 64)
+    expected, _ = _one_shot(NonlinearityPsi("planted", evaluate, 1.0), sample_count, seed=2)
+    seen = []  # psi's inputs: r, then r', of each block
+
+    def recording(r):
+        seen.append(np.array(r))
+        return evaluate(r)
+
+    got = verify_psi_inequalities(NonlinearityPsi("planted", recording, 1.0),
+                                  sample_count=sample_count, seed=2)
+    assert repr(got) == repr(expected)
+    assert [r.size for r in seen[::2]] == [r.size for r in seen[1::2]] == blocks
+    rng = np.random.default_rng(2)
+    r = np.r_[rng.uniform(-1e3, 1e3, sample_count), 0.0, 1e3, -1e3, 1e3, 0.5]
+    r_prime = np.r_[rng.uniform(-1e3, 1e3, sample_count), 0.0, -1e3, 1e3, 1e3, 0.5]
+    assert np.array_equal(np.concatenate(seen[::2]), r)
+    assert np.array_equal(np.concatenate(seen[1::2]), r_prime)
+
+
 @pytest.mark.parametrize("psi", _all_kinds(), ids=lambda p: p.kind)
 def test_audit_draws_are_the_one_shot_draws(psi):
     # the shipped kinds, at the default sample count: the same verdicts as
     # one uniform draw of r, one of r' and the pinned pairs, judged at once
     assert repr(verify_psi_inequalities(psi)) == repr(_one_shot(psi, 100_000, 41_038)[0])
+
+
+@pytest.mark.parametrize("sample_count", [100_000, 1_000_000])
+def test_psi_audit_peak_memory_bounded(sample_count):
+    # each block of pairs is drawn as it is judged: the peak is a few
+    # 64 KiB block-sized arrays whatever the sample count, where the whole
+    # draw of r and r' at 10^5 samples is 1.6 MB
+    block_bytes = nonlinearity._AUDIT_BLOCK * 8
+    tracemalloc.start()
+    try:
+        verify_psi_inequalities(make_psi("soft_monotone"), sample_count=sample_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
 
 def test_verify_rejects_empty_sample():

@@ -268,12 +268,27 @@ def test_each_threshold_decides_only_its_own_dealing(monkeypatch):
     assert cascade._chunk_bounds(257, 16, 3) == [(0, 8), (8, 16)]
 
 
+def test_audit_blocks_are_dealt_from_128_modes(monkeypatch):
+    # the threshold is inclusive: 2 blocks at 128 modes go to 2 processes,
+    # at 127 modes to one (no torus has an even mode count, so this takes a
+    # spectrum built from its eigenvalues)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for modes, workers in [(operators._DEALT_MODES, 2), (operators._DEALT_MODES - 1, 1)]:
+        op = spectrum_from_eigenvalues(np.arange(modes, dtype=float))
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", 4 * modes)
+        out, used = by_sample_blocks(op, np.random.default_rng(1), 8, 1, lambda b: (b[:, 0, 0],))
+        assert used == workers
+        assert out[0].shape == (8,)
+
+
 def test_sample_blocks_split_changes_no_bit(monkeypatch):
-    # blocks of at most 4 samples (8 of them for 30 samples, 2 for 8, 1 for
-    # 3), dealt to one process per CPU but at most one per block, or drawn
-    # here alone: the outputs are the same bits, those of one whole draw,
-    # and the generator goes on as after that one draw
-    for count, cpus, workers in [(30, 3, 3), (30, 2, 2), (30, 1, 1), (8, 3, 2), (3, 3, 1)]:
+    # blocks of at most 4 samples (8 of them for 30 or 29 samples, the last
+    # of 29 holding one, 2 for 8, 1 for 3), dealt to one process per CPU but
+    # at most one per block, or drawn here alone: the outputs are the same
+    # bits, those of one whole draw, and the generator goes on as after that
+    # one draw
+    for count, cpus, workers in [(30, 3, 3), (30, 2, 2), (30, 1, 1), (29, 2, 2), (8, 3, 2),
+                                 (3, 3, 1)]:
         op = _blocks_of_four(monkeypatch, cpus)
         whole_rng = np.random.default_rng(11)
         whole = operators.random_rows(op, whole_rng, (count, 2))
