@@ -322,8 +322,9 @@ def _fit_log_slope(gaps, means, stderrs) -> SlopeFit:
 
     Weights come from the delta method (relative standard errors); the slope
     variance is inflated by the reduced chi-square when residuals exceed the
-    measurement error, so the confidence interval stays honest for both noisy
-    and nearly-deterministic data.
+    measurement error.  The pair means are taken as independent, but they are
+    measured on the same paths, so the interval measures how far they sit off
+    a power law, not the slope's sampling uncertainty.
     """
     gaps = np.asarray(gaps, dtype=float)
     means = np.asarray(means, dtype=float)

@@ -17,10 +17,10 @@ States are plain coefficient arrays.  One kernel solves a whole
 parameters, mixing history and certificate; :func:`march` advances many
 (path, config) rows in lockstep with it, and :func:`solve_regularized_path`
 is its one-path call.  :func:`implicit_step` is the kernel's one-row call,
-kept because the benchmark's tracer counts steps through it.  The drift
-itself is evaluated only by :func:`drift_rows`, in the one call shape
-``(op, psi, u)`` that the variational audits share; the inner solver adds the
-lam u term on coefficients, where it is diagonal.
+which no study makes, kept because the benchmark's tracer patches it by name.
+The drift itself is evaluated only by :func:`drift_rows`, in the one call
+shape ``(op, psi, u)`` that the variational audits share; the inner solver
+adds the lam u term on coefficients, where it is diagonal.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ __all__ = [
     "StepConfig",
     "StepperConvergenceError",
     "Trajectory",
-    "cadlag_reductions",
     "cadlag_totals",
     "drift_rows",
     "implicit_step",
@@ -184,12 +183,13 @@ class _RowParams:
     zero_start: np.ndarray  # (rows,) bool: "zero" initializer
     max_iterations: int
     depth: int  # Anderson history depth of the batch
+    factor: float  # largest a-priori factor of the batch's cells
 
     @classmethod
     def from_configs(cls, op, psi, configs, repeat: int = 1) -> "_RowParams":
         """Rows cycle through ``configs``, ``repeat`` times (path-major).  Each
-        row shifts by its cell's :func:`splitting` mu, and the batch mixes with
-        the deepest history of its cells."""
+        row shifts by its cell's :func:`splitting` mu; the batch mixes with the
+        deepest history of its cells and keeps their largest a-priori factor."""
         if len({cfg.max_inner_iterations for cfg in configs}) != 1:
             raise ValueError("batched rows must share max_inner_iterations")
         epm = np.stack([cfg.epsilon + op.eigenvalues for cfg in configs])
@@ -207,13 +207,14 @@ class _RowParams:
             zero_start=rows([cfg.inner_initializer == "zero" for cfg in configs]),
             max_iterations=configs[0].max_inner_iterations,
             depth=max(split.depth for split in splits),
+            factor=max(split.factor for split in splits),
         )
 
     def take(self, index: np.ndarray) -> "_RowParams":
         return _RowParams(
             self.eps_plus_mu[index], self.dual_scale[index], self.lam[index],
             self.mu_s[index], self.tolerance[index], self.zero_start[index],
-            self.max_iterations, self.depth,
+            self.max_iterations, self.depth, self.factor,
         )
 
 
@@ -349,9 +350,9 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
     evaluations, the first one included; every row's count, contraction and
     budget miss is recorded in ``counters``.
 
-    Returns the solutions and the per-row iteration counts; raises
-    StepperConvergenceError at the first non-finite residual, and for the
-    first row whose residual ends above both its target and its tolerance.
+    Returns the solutions; raises StepperConvergenceError at the first
+    non-finite residual, and for the first row whose residual ends above both
+    its target and its tolerance.
     """
     n = b.shape[0]
     out = np.empty_like(b)
@@ -432,7 +433,7 @@ def _solve_rows(op, psi, params: _RowParams, b, dt, target, counters: SolverCoun
             f"dt {float(dt[r]):g})"
         )
     counters.record(iterations, first_res, final_res, int(np.count_nonzero(final_res > target)))
-    return out, iterations
+    return out
 
 
 def implicit_step(
@@ -455,11 +456,12 @@ def implicit_step(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     params = _RowParams.from_configs(op, psi, [cfg])
-    u, iterations = _solve_rows(
+    counters = SolverCounters()
+    u = _solve_rows(
         op, psi, params, op.field_from_coefficients(b)[None, :], np.array([dt]),
-        params.tolerance, SolverCounters(),
+        params.tolerance, counters,
     )
-    return (u[0], int(iterations[0])) if return_iterations else u[0]
+    return (u[0], int(counters.iterations[0][0])) if return_iterations else u[0]
 
 
 def _cadlag_terms(times, right_sq, left_sq):
@@ -472,30 +474,11 @@ def _cadlag_terms(times, right_sq, left_sq):
 
 
 def cadlag_totals(times, right_sq, left_sq):
-    """Sup and trapezoid of a cadlag quantity over the whole grid: the first
-    two results of :func:`cadlag_reductions`, bit for bit."""
+    """Sup and trapezoid over the grid of a cadlag quantity whose value at
+    ``times[i]`` is ``right_sq[..., i]`` and whose left limit there is
+    ``left_sq[..., i]``; leading axes are independent sequences."""
     both, seg = _cadlag_terms(times, right_sq, left_sq)
     return both.max(axis=-1), seg.sum(axis=-1)
-
-
-def cadlag_reductions(times, base_mask, right_sq, left_sq):
-    """Sup and trapezoid of a cadlag quantity, in total and running.
-
-    ``right_sq[..., i]`` is the value at ``times[i]`` and ``left_sq[..., i]``
-    its left limit; leading axes are independent sequences on the one grid.
-    Returns (sup, trapezoid, running sup, running trapezoid), the running
-    values at the ``base_mask`` rows.
-    """
-    both, seg = _cadlag_terms(times, right_sq, left_sq)
-    running = np.concatenate(
-        [np.zeros(seg.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1
-    )
-    return (
-        both.max(axis=-1),
-        seg.sum(axis=-1),
-        np.maximum.accumulate(both, axis=-1)[..., base_mask],
-        running[..., base_mask],
-    )
 
 
 @dataclass(eq=False)
@@ -515,30 +498,29 @@ class Trajectory:
     metadata: dict
     counters: SolverCounters
 
-    def row_squared_norms(self, kind, which: str = "right") -> np.ndarray:
-        rows = self.states if which == "right" else self.left_states
-        return squared_norm_rows(self.op, rows, kind)
+    def row_squared_norms(self, kind) -> np.ndarray:
+        return squared_norm_rows(self.op, self.states, kind)
 
-    def _reductions(self, kind):
-        return cadlag_reductions(
-            self.times, self.base_mask,
-            self.row_squared_norms(kind, "right"), self.row_squared_norms(kind, "left"),
+    def _terms(self, kind):
+        return _cadlag_terms(
+            self.times, self.row_squared_norms(kind),
+            squared_norm_rows(self.op, self.left_states, kind),
         )
 
     def sup_norm(self, kind) -> float:
-        return float(np.sqrt(self._reductions(kind)[0]))
+        return float(np.sqrt(self._terms(kind)[0].max()))
 
     def integral_squared_norm(self, kind) -> float:
         """Trapezoid of ||X||^2 over [0, T] along the cadlag skeleton."""
-        return float(self._reductions(kind)[1])
+        return float(self._terms(kind)[1].sum())
 
     def running_sup_squared(self, kind) -> np.ndarray:
         """Running sup of ||X||^2 evaluated at the base (uniform) grid times."""
-        return self._reductions(kind)[2]
+        return np.maximum.accumulate(self._terms(kind)[0])[self.base_mask]
 
     def running_integral_squared(self, kind) -> np.ndarray:
         """Running trapezoid of ||X||^2 evaluated at the base grid times."""
-        return self._reductions(kind)[3]
+        return np.concatenate([[0.0], np.cumsum(self._terms(kind)[1])])[self.base_mask]
 
     def export(self, file) -> None:
         """Write the path as the table `t,is_jump,norm_L2,norm_F12star,c<label>...`
@@ -605,9 +587,7 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
         jumps.append(at)
 
     params = _RowParams.from_configs(op, psi, configs, repeat=len(paths))
-    counters.apriori_contraction = max(
-        [counters.apriori_contraction] + [splitting(op, psi, cfg).factor for cfg in configs]
-    )
+    counters.apriori_contraction = max(counters.apriori_contraction, params.factor)
     starts = np.broadcast_to(np.asarray(initial, dtype=float), (n_cells, op.mode_count))
     state = np.tile(starts, (len(paths), 1))
     active = np.arange(len(paths))
@@ -625,7 +605,7 @@ def march(op, psi, model, paths, grids, configs, horizon, initial, counters):
             rate = model.compensator_rows(state)
         b = state - dt[:, None] * rate
         budget = params.tolerance * np.minimum(1.0, dt / (2.0 * horizon))
-        left, _ = _solve_rows(op, psi, params, b, dt, budget, counters)
+        left = _solve_rows(op, psi, params, b, dt, budget, counters)
         right = left
         for k, p in enumerate(active):
             for mark in jumps[p].get(i, ()):

@@ -1,3 +1,9 @@
+import os
+import pickle
+import signal
+import time
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,6 +22,41 @@ from levypme.stepper import march
 # ``max_examples`` still applies.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def _within(seconds, scenario):
+    """Run ``scenario()`` in a forked process that leads a session of its own
+    and return its result; fail with its traceback if it fails, and kill the
+    session and fail if it runs longer than ``seconds``, so that a hang (a
+    dealt draw waiting for a state that never comes) fails the test at once.
+    The pickled result must fit the pipe's buffer (64 KiB on Linux)."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        status, message = 1, b""
+        try:
+            os.close(read)
+            os.setsid()
+            message = pickle.dumps(scenario())
+            status = 0
+        except BaseException:
+            message = traceback.format_exc()[-4000:].encode()
+        finally:
+            try:
+                os.write(write, message)
+            finally:
+                os._exit(status)
+    os.close(write)
+    deadline = time.monotonic() + seconds
+    with os.fdopen(read, "rb") as pipe:
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.killpg(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"still running after {seconds} s")
+            time.sleep(0.01)
+        received = pipe.read()
+    assert done[1] == 0, received.decode() or f"wait status {done[1]}"
+    return pickle.loads(received)
 
 
 @pytest.fixture(autouse=True)

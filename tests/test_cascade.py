@@ -135,8 +135,9 @@ def test_slopes_move_little_when_step_halves():
     The bound is a third of the smallest margin of a shipped slope above the
     0.7 floor (eps on multiplicative_small.scn, 0.85 - 0.7 = 0.15), fixed
     before any shift was measured: a grid-made rate of that size could move
-    a verdict.  The slopes' CIs are sampling intervals at the scenario's
-    step; this test bounds the part of the slope that belongs to the grid.
+    a verdict.  The slopes' CIs do not measure this part, nor yet the
+    sampling spread (ROADMAP item 2); this test bounds the part of the slope
+    that belongs to the grid.
     """
     for name in ("multiplicative_small.scn", "additive_saturating.scn"):
         plan = build_plan(load_scenario(SCENARIO_DIR / name))

@@ -30,7 +30,7 @@ from levypme.operators import (
 )
 from levypme.spaces import F_STAR, L2, norm, squared_norm_rows
 
-from conftest import additive_model, multiplicative_model, zero_model
+from conftest import _within, additive_model, multiplicative_model, zero_model
 
 
 def test_path_sampling_deterministic(torus_small, tmp_path):
@@ -240,12 +240,16 @@ def test_hypothesis_audit_peak_memory_bounded(sample_count):
     # of 2,000 pairs on 257 modes is 8 MB
     op = build_fractional_laplacian_torus(128, 0.5)
     block_bytes = operators._BLOCK_VALUES * 8
-    tracemalloc.start()
-    try:
-        audit_h2_h3(op, multiplicative_model(), sample_count=sample_count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced():
+        tracemalloc.start()
+        try:
+            audit_h2_h3(op, multiplicative_model(), sample_count=sample_count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = _within(10.0, traced)
     assert peak <= 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
 

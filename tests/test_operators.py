@@ -6,8 +6,6 @@ mu_k = |2 pi k / length|^(2 alpha).
 import math
 import os
 import signal
-import time
-import traceback
 import tracemalloc
 
 import numpy as np
@@ -25,7 +23,7 @@ from levypme.operators import (
 )
 from levypme.parallel import WorkerError
 
-from conftest import spectrum_from_eigenvalues
+from conftest import _within, spectrum_from_eigenvalues
 
 
 def test_torus_eigenvalues_frozen():
@@ -261,10 +259,10 @@ def test_each_threshold_decides_only_its_own_dealing(monkeypatch):
     halved = cascade._HALVED_MODES
     monkeypatch.setattr(cascade, "_HALVED_MODES", 10**6)
     assert cascade._chunk_bounds(257, 16, 3) == [(0, 16)]
-    assert audit_processes() == 2
+    assert _within(10.0, audit_processes) == 2
     monkeypatch.setattr(cascade, "_HALVED_MODES", halved)
     monkeypatch.setattr(operators, "_DEALT_MODES", 10**6)
-    assert audit_processes() == 1
+    assert _within(10.0, audit_processes) == 1
     assert cascade._chunk_bounds(257, 16, 3) == [(0, 8), (8, 16)]
 
 
@@ -276,7 +274,8 @@ def test_audit_blocks_are_dealt_from_128_modes(monkeypatch):
     for modes, workers in [(operators._DEALT_MODES, 2), (operators._DEALT_MODES - 1, 1)]:
         op = spectrum_from_eigenvalues(np.arange(modes, dtype=float))
         monkeypatch.setattr(operators, "_BLOCK_VALUES", 4 * modes)
-        out, used = by_sample_blocks(op, np.random.default_rng(1), 8, 1, lambda b: (b[:, 0, 0],))
+        out, used = _within(10.0, lambda: by_sample_blocks(
+            op, np.random.default_rng(1), 8, 1, lambda b: (b[:, 0, 0],)))
         assert used == workers
         assert out[0].shape == (8,)
 
@@ -286,25 +285,29 @@ def test_sample_blocks_split_changes_no_bit(monkeypatch):
     # of 29 holding one, 2 for 8, 1 for 3), dealt to one process per CPU but
     # at most one per block, or drawn here alone: the outputs are the same
     # bits, those of one whole draw, and the generator goes on as after that
-    # one draw
+    # one draw (its next value is drawn where it was dealt)
     for count, cpus, workers in [(30, 3, 3), (30, 2, 2), (30, 1, 1), (29, 2, 2), (8, 3, 2),
                                  (3, 3, 1)]:
         op = _blocks_of_four(monkeypatch, cpus)
         whole_rng = np.random.default_rng(11)
         whole = operators.random_rows(op, whole_rng, (count, 2))
-        rng = np.random.default_rng(11)
-        out, used = by_sample_blocks(op, rng, count, 2,
-                                     lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3]))
+
+        def dealt():
+            rng = np.random.default_rng(11)
+            return by_sample_blocks(op, rng, count, 2,
+                                    lambda b: (b.sum(axis=(1, 2)), b[:, 1, 3])), rng.random()
+
+        (out, used), next_value = _within(10.0, dealt)
         assert used == workers
         assert np.array_equal(out[0], whole.sum(axis=(1, 2)))
         assert np.array_equal(out[1], whole[:, 1, 3])
-        assert rng.random() == whole_rng.random()
+        assert next_value == whole_rng.random()
 
 
 def test_each_process_draws_only_its_own_blocks(monkeypatch):
     # 8 blocks on 3 processes: process p draws and evaluates blocks p, p + 3,
-    # ..., so the block it evaluates k-th is the k-th block it drew, and this
-    # process (blocks 0, 3 and 6) drew 3 blocks in all
+    # ..., so the block it evaluates k-th is the k-th block it drew, and the
+    # calling process (blocks 0, 3 and 6) drew 3 blocks in all
     op = _blocks_of_four(monkeypatch, 3)
     drawn = []  # this process's draws; a forked process starts from its copy
     random_rows = operators.random_rows
@@ -317,42 +320,14 @@ def test_each_process_draws_only_its_own_blocks(monkeypatch):
         return np.full(len(block), os.getpid()), np.full(len(block), len(drawn))
 
     monkeypatch.setattr(operators, "random_rows", counting)
-    (pids, draws), workers = by_sample_blocks(op, np.random.default_rng(2), 30, 2, rows_of)
+    ((pids, draws), workers), caller, caller_draws = _within(10.0, lambda: (
+        by_sample_blocks(op, np.random.default_rng(2), 30, 2, rows_of), os.getpid(), len(drawn)))
     assert workers == 3
     first = np.arange(0, 30, 4)  # each block's first sample
-    assert pids[0] == os.getpid() and len(set(pids[first[:3]])) == 3
+    assert pids[0] == caller and len(set(pids[first[:3]])) == 3
     assert list(pids[first]) == [pids[first[b % 3]] for b in range(8)]
     assert list(draws[first]) == [b // 3 + 1 for b in range(8)]
-    assert len(drawn) == 3
-
-
-def _within(seconds, scenario):
-    """Run ``scenario()`` in a forked process that leads a session of its own
-    and fail with its traceback if it fails; kill the session and fail if it
-    runs longer than ``seconds``, so that a hang fails the test at once."""
-    read, write = os.pipe()
-    if (pid := os.fork()) == 0:
-        status = 1
-        try:
-            os.close(read)
-            os.setsid()
-            scenario()
-            status = 0
-        except BaseException:
-            os.write(write, traceback.format_exc()[-4000:].encode())
-        finally:
-            os._exit(status)
-    os.close(write)
-    deadline = time.monotonic() + seconds
-    with os.fdopen(read, "rb") as pipe:
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.killpg(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail(f"still running after {seconds} s")
-            time.sleep(0.01)
-        message = pipe.read().decode()
-    assert done[1] == 0, message or f"wait status {done[1]}"
+    assert caller_draws == 3
 
 
 @pytest.mark.parametrize("killed_at, raised_at, expected, message", [

@@ -22,14 +22,14 @@ from levypme.operators import (
     smooth_field,
 )
 from levypme.scenario import build_plan, load_scenario
-from levypme.spaces import F12_star, F_STAR, L2, norm, squared_norm_rows
+from levypme.spaces import F12, F12_star, F_STAR, L2, norm, squared_norm_rows
 from levypme.stepper import (
     ANDERSON_DEPTH,
     TOP_SPLIT_DEPTH,
     SolverCounters,
     StepConfig,
     StepperConvergenceError,
-    cadlag_reductions,
+    Trajectory,
     cadlag_totals,
     _RowParams,
     _mixing,
@@ -364,9 +364,9 @@ def test_top_split_with_deep_history_cuts_stiff_iterations():
     )
     params = _RowParams.from_configs(op, psi, configs, repeat=16)
     assert params.depth == TOP_SPLIT_DEPTH
-    _, iterations = _solve_rows(op, psi, params, b, np.full(48, 1 / 32), params.tolerance,
-                                SolverCounters())
-    assert iterations.sum() <= 750
+    counters = SolverCounters()
+    _solve_rows(op, psi, params, b, np.full(48, 1 / 32), params.tolerance, counters)
+    assert counters.iterations[0].sum() <= 750
 
 
 @pytest.mark.parametrize("mode_cutoff", [8, 32, 128], ids=["17", "65", "257"])
@@ -384,7 +384,7 @@ def test_zero_target_runs_rows_to_the_floor(mode_cutoff):
     )
     params = _RowParams.from_configs(op, psi, configs, repeat=4)
     dt = np.full(b.shape[0], 1 / 32)
-    u, _ = _solve_rows(op, psi, params, b, dt, np.zeros(b.shape[0]), SolverCounters())
+    u = _solve_rows(op, psi, params, b, dt, np.zeros(b.shape[0]), SolverCounters())
     d = dt[:, None] * params.eps_plus_mu
     sr = params.dual_scale * (u + d * (drift_rows(op, psi, u) + params.lam * u) - b)
     final = np.sqrt(np.einsum("ij,ij->i", sr, sr))
@@ -396,6 +396,30 @@ def test_contraction_factor_below_one(torus_small):
     for kind, kwargs in [("soft_monotone", {}), ("saturating", {"cap": 1.0})]:
         q = splitting(torus_small, make_psi(kind, **kwargs), cfg).factor
         assert 0.0 < q < 1.0
+
+
+def test_counters_keep_the_largest_apriori_factor(torus_small, initial_small):
+    # a march records the largest factor of its cells, and counters shared by
+    # two marches keep the larger of theirs, whichever marches first
+    psi = make_psi("soft_monotone")
+    model = zero_model()
+    path = sample_noise_path(model, 0.5, 1)
+    cells = [StepConfig(h=0.125, epsilon=0.2, lam=lam) for lam in (0.0, 0.3)]
+    short = StepConfig(h=0.0625, epsilon=0.2)
+    factors = [splitting(torus_small, psi, cfg).factor for cfg in (*cells, short)]
+    assert factors[2] < factors[0] != factors[1]
+
+    def run(configs, counters):
+        grid = time_grid(configs[0].h, 0.5, path)[0]
+        for _ in march(torus_small, psi, model, [path], [grid], configs, 0.5, initial_small,
+                       counters):
+            pass
+
+    for order in ([cells, [short]], [[short], cells]):
+        counters = SolverCounters()
+        for configs in order:
+            run(configs, counters)
+        assert counters.apriori_contraction == max(factors)
 
 
 def test_contraction_factor_uses_slope_infimum():
@@ -505,7 +529,8 @@ def test_trajectory_export_readable(torus_small, initial_small, tmp_path):
 
 
 def _solve(op, psi, configs, b, dts, counters=None):
-    # one batch of the inner solver, each row certified to its inner_tolerance
+    # one batch of the inner solver, each row certified to its inner_tolerance;
+    # the solutions, with the rows' iteration counts in ``counters``
     params = _RowParams.from_configs(op, psi, configs)
     return _solve_rows(
         op, psi, params, np.asarray(b, dtype=float), np.asarray(dts, dtype=float),
@@ -530,9 +555,10 @@ def test_batched_kernel_matches_one_row_calls(torus_small):
     psi = make_psi("soft_monotone")
     configs, b, dts = _equivalence_batch(torus_small)
     counters = SolverCounters()
-    batch, iterations = _solve(torus_small, psi, configs, b, dts, counters)
+    batch = _solve(torus_small, psi, configs, b, dts, counters)
+    assert len(counters.iterations) == 1
+    iterations = counters.iterations[0]
     assert len(set(iterations.tolist())) > 1
-    assert np.array_equal(counters.iterations[0], iterations)
     for r, (cfg, dt) in enumerate(zip(configs, dts)):
         single, count = implicit_step(
             torus_small, psi, cfg, torus_small.field_from_coefficients(b[r]), dt,
@@ -611,7 +637,7 @@ def test_returned_rows_carry_their_recorded_residual():
     dt = np.array([1 / 32, 1 / 64, 1 / 32, 1 / 32, 1 / 100, 1 / 32])
     params = _RowParams.from_configs(op, psi, configs, repeat=3)
     counters = _RecordingCounters()
-    out, _ = _solve_rows(op, psi, params, b, dt, np.zeros(6), counters)
+    out = _solve_rows(op, psi, params, b, dt, np.zeros(6), counters)
     scale, d = params.dual_scale, dt[:, None] * params.eps_plus_mu
     sr = scale * d * drift_rows(op, psi, out) - scale * b + scale * (1.0 + params.lam * d) * out
     res = np.sqrt(np.einsum("ij,ij->i", sr, sr))
@@ -647,22 +673,29 @@ def test_cadlag_reductions_hand_computed():
     base_mask = np.array([True, True, False, True])
     right = np.array([1.0, 2.0, 5.0, 4.0])
     left = np.array([1.0, 2.0, 3.0, 4.0])
-    expected = (5.0, 2.5, np.array([1.0, 2.0, 5.0]), np.array([0.0, 0.75, 2.5]))
+    sup, integral, running_sup, running_integral = (
+        5.0, 2.5, np.array([1.0, 2.0, 5.0]), np.array([0.0, 0.75, 2.5]))
     # trapezoid 0.25 (1 + 2) + 0.125 (2 + 3) + 0.125 (5 + 4): the segment
     # into the jump ends at the left limit, so the jump adds no area
-    for got, want in zip(cadlag_reductions(times, base_mask, right, left), expected):
-        assert np.array_equal(got, want)
+    assert cadlag_totals(times, right, left) == (sup, integral)
     # leading axes are independent sequences on the same grid
-    stacked = cadlag_reductions(
-        times, base_mask, np.stack([right, 2.0 * right]), np.stack([left, 2.0 * left])
-    )
-    for got, want in zip(stacked, expected):
-        assert np.array_equal(got, np.stack([want, 2.0 * np.asarray(want)]))
-    # cadlag_totals is the first two reductions alone, bit for bit
-    right, left = np.random.default_rng(3).random((2, 5, times.size))
-    totals = cadlag_totals(times, right, left)
-    for got, want in zip(totals, cadlag_reductions(times, base_mask, right, left)[:2]):
-        assert np.array_equal(got, want)
+    stacked = cadlag_totals(times, np.stack([right, 2.0 * right]), np.stack([left, 2.0 * left]))
+    for got, want in zip(stacked, (sup, integral)):
+        assert np.array_equal(got, [want, 2.0 * want])
+    # a trajectory whose states have these squared norms: three modes of
+    # eigenvalue 0, so every norm kind sums the squared coefficients exactly
+    op = spectrum_from_eigenvalues(np.zeros(3))
+    states = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+    left_states = states.copy()
+    left_states[2] = [1.0, 1.0, 1.0]
+    traj = Trajectory(op, times, states, left_states, right != left, base_mask, {},
+                      SolverCounters())
+    for kind in (L2, F12, F_STAR):
+        assert np.array_equal(traj.row_squared_norms(kind), right)
+        assert traj.sup_norm(kind) == math.sqrt(sup)
+        assert traj.integral_squared_norm(kind) == integral
+        assert np.array_equal(traj.running_sup_squared(kind), running_sup)
+        assert np.array_equal(traj.running_integral_squared(kind), running_integral)
 
 
 def test_lockstep_march_matches_one_path_solves(torus_small, initial_small):

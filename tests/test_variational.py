@@ -17,7 +17,13 @@ from levypme.operators import build_fractional_laplacian_torus
 from levypme.stepper import drift_rows
 from levypme.variational import check_variational_conditions, monotonicity_shift, theta
 
-from conftest import additive_model, multiplicative_model, spectrum_from_eigenvalues, zero_model
+from conftest import (
+    _within,
+    additive_model,
+    multiplicative_model,
+    spectrum_from_eigenvalues,
+    zero_model,
+)
 
 EPSILONS = (0.01, 0.1, 0.5)
 PSIS = [
@@ -142,9 +148,11 @@ def test_block_evaluation_matches_one_block(torus_small, monkeypatch):
                                         (torus_wide, 300, 16, 512)]:
         args = (op, make_psi("soft_monotone"), multiplicative_model(), 0.1)
         monkeypatch.setattr(operators, "_BLOCK_VALUES", rows * op.mode_count)
-        blocked, _ = check_variational_conditions(*args, sample_count=count, seed=5)
+        blocked, _ = _within(10.0, lambda: check_variational_conditions(
+            *args, sample_count=count, seed=5))
         monkeypatch.setattr(operators, "_BLOCK_VALUES", whole_rows * op.mode_count)
-        whole, _ = check_variational_conditions(*args, sample_count=count, seed=5)
+        whole, _ = _within(10.0, lambda: check_variational_conditions(
+            *args, sample_count=count, seed=5))
         assert {c.name: c for c in blocked}["coercivity"].checked == count
         assert blocked == whole
 
@@ -210,10 +218,14 @@ def test_audit_peak_memory_bounded():
     # array: its peak stays below half of one
     op = build_fractional_laplacian_torus(128, 0.5)
     full = 10_000 * op.mode_count * 8
-    tracemalloc.start()
-    try:
-        check_variational_conditions(op, make_psi("soft_monotone"), multiplicative_model(), 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced():
+        tracemalloc.start()
+        try:
+            check_variational_conditions(op, make_psi("soft_monotone"), multiplicative_model(), 0.1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = _within(10.0, traced)
     assert peak <= 0.5 * full, f"peak {peak / full:.2f} full arrays"
