@@ -56,7 +56,7 @@ import numpy as np
 from .nonlinearity import NonlinearityPsi
 from .noise import NoiseModel, path_seed, sample_noise_path
 from .operators import OperatorSpectrum
-from .parallel import deal
+from .parallel import deal, processes
 from .reporting import (
     ConstantRecord,
     PairEstimate,
@@ -80,6 +80,7 @@ from .variational import monotonicity_shift, theta
 
 __all__ = [
     "StudyPlan",
+    "StudyPlanError",
     "constants_used",
     "lambda_cauchy_study",
     "eps_cauchy_study",
@@ -245,7 +246,7 @@ def _march_cells(plan: StudyPlan, cells):
     hold ``CHUNK_ROWS // len(cells)`` paths; from 128 modes on, paths that
     fit one chunk are split into two (:func:`_chunk_bounds`).  Returns the
     results and ``{"march_workers": processes that marched them
-    (:func:`levypme.parallel.deal`), "march_chunks": chunks}``.
+    (:func:`levypme.parallel.processes`), "march_chunks": chunks}``.
     """
     op = plan.op
     n_cells = len(cells)
@@ -295,7 +296,8 @@ def _march_cells(plan: StudyPlan, cells):
         return reduced, counters
 
     bounds = _chunk_bounds(op.mode_count, plan.paths, n_cells)
-    chunks, workers = deal(march_chunk, bounds)
+    workers = processes(len(bounds))
+    chunks = deal(march_chunk, bounds, workers)
     reduced = [path for chunk, _ in chunks for path in chunk]
     sup, integral = (np.stack(r) for r in zip(*reduced))
     return {
@@ -406,6 +408,10 @@ def _base_parameters(plan: StudyPlan) -> dict:
 # Cauchy studies
 
 
+class StudyPlanError(ValueError):
+    """The plan cannot run the study (a Cauchy study on a one-entry ladder)."""
+
+
 def _ladder_cells(plan: StudyPlan, param: str):
     """The ladder of ``param`` ("lam" or "epsilon"), its (epsilon, lam) cells,
     and the other parameter by name, held at the finest cell."""
@@ -420,7 +426,7 @@ def _cauchy_study(plan: StudyPlan, param: str) -> StudyReport:
     kind_label = {"lam": "lambda_cauchy", "epsilon": "eps_cauchy"}[param]
     ladder, cells, held = _ladder_cells(plan, param)
     if len(ladder) < 2:
-        raise ValueError(f"{kind_label}_study needs at least two ladder entries")
+        raise StudyPlanError(f"{kind_label}_study needs at least two ladder entries")
     results, run = _run_cells(plan, cells)
     pair_matrix = results["pair_sup_fstar_sq"]  # paths x pairs
     sup_matrix = results["sup_l2_sq"]  # paths x cells

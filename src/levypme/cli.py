@@ -18,9 +18,9 @@ reproduces it.  Every study takes only the plan and runs at
 ``plan.finest_cell``, the cell every report's ``constants_used`` belongs to.
 
 Exit codes: 0 all checks passed or none applies, 1 a check failed (reports
-are still written), 2 usage, path or scenario errors (among them a scenario
-file that cannot be read and an ``--out`` that cannot be created as a
-directory, both found before the study runs), 3 numerical or internal
+are still written), 2 usage, path or scenario errors (an unreadable scenario
+file or an ``--out`` that cannot be a directory, both found before the study
+runs, or a :class:`levypme.cascade.StudyPlanError`), 3 numerical or internal
 failure (inner iteration did not converge, or any other error).
 
 Every run writes ``report.json``, one CSV per table, ``scenario.txt`` (the
@@ -61,6 +61,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import (
+    StudyPlanError,
     apriori_study,
     constants_used,
     eps_cauchy_study,
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except StepperConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except StudyPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -139,37 +140,30 @@ def verify_psi_inequalities(
     ``slope_min``, so each is judged by :func:`levypme.reporting.verdict` with
     zero tolerance; a witness names its sampled r (and r').  The samples are
     ``sample_count`` uniform draws of r, then as many of r', then five pinned
-    pairs; they are judged ``_AUDIT_BLOCK`` pairs at a time, and the blocks'
-    verdicts merged (:func:`levypme.reporting.merged`) are those of all pairs
-    at once.  Returns the pair, self and slope verdicts, in that order.
+    pairs; the drawn pairs are judged ``_AUDIT_BLOCK`` pairs at a time, the
+    pinned ones as one last block, and the blocks' verdicts merged
+    (:func:`levypme.reporting.merged`) are those of all pairs at once.
+    Returns the pair, self and slope verdicts, in that order.
 
-    Each block is drawn as it is judged, into two reused buffers, so no array
-    of every sample exists.  r comes from one PCG64 stream of ``seed`` and r'
-    from a second stream of the same seed, advanced by ``sample_count``
-    (``bit_generator.advance``): ``random()`` takes exactly one 64-bit word
-    per double, so r' starts where one generator would start it after
-    drawing every r, and the pairs are bit for bit those of the whole draw.
+    Each block is drawn as it is judged, so no array of every sample exists.
+    r comes from one PCG64 stream of ``seed``, r' from a second one advanced
+    by ``sample_count`` (``bit_generator.advance``): ``random()`` takes one
+    64-bit word per double, so r' starts where one generator would start it
+    after every r, and the pairs are bit for bit those of the whole draw.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     bound = _AUDIT_BOUND
-    # Pin the corners and the diagonal, where equality is most delicate.
-    pins = np.array(((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5)))
     streams = [np.random.default_rng(seed), np.random.default_rng(seed)]
     streams[1].bit_generator.advance(sample_count)  # r' starts past every r
-    count = sample_count + pins.shape[1]
-    buffers = np.empty((2, min(_AUDIT_BLOCK, count)))
+    # each block of r and of r' is rng.uniform(-bound, bound)'s draws, bit for bit
+    drawn = ([2.0 * bound * rng.random(min(_AUDIT_BLOCK, sample_count - start)) - bound
+              for rng in streams] for start in range(0, sample_count, _AUDIT_BLOCK))
+    # Pin the corners and the diagonal, where equality is most delicate.
+    pinned = np.array(((0.0, bound, -bound, bound, 0.5), (0.0, -bound, bound, bound, 0.5)))
 
     blocks = []
-    for start in range(0, count, _AUDIT_BLOCK):
-        stop = min(start + _AUDIT_BLOCK, count)
-        drawn = max(0, min(stop, sample_count) - start)  # the rest are pinned
-        r, r_prime = block = buffers[:, :stop - start]
-        for values, rng in zip(block, streams):
-            rng.random(out=values[:drawn])  # rng.uniform(-bound, bound)'s draws, bit for bit
-        block[:, :drawn] *= 2.0 * bound
-        block[:, :drawn] -= bound
-        block[:, drawn:] = pins[:, start + drawn - sample_count:stop - sample_count]
+    for r, r_prime in itertools.chain(drawn, [pinned]):
         psi_r = psi.evaluate(r)
         diff_psi = psi_r - psi.evaluate(r_prime)
         gap = r - r_prime

@@ -340,11 +340,11 @@ def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
     one generator continue its stream in C order, so the samples, and every
     result, are those of one (count, states, modes) draw whatever the block
     size; no array of every sample ever exists.  From ``_DEALT_MODES`` modes
-    on the blocks are dealt to processes (:func:`levypme.parallel.deal`), and
-    each process draws only its own: the generator state goes round a ring of
-    pipes (:func:`levypme.parallel.drawn_in_turn`), from the process that
-    drew a block to the one that draws the next, before either evaluates.
-    The process that draws the last block returns the state it leaves, so
+    on the blocks are dealt (:func:`levypme.parallel.drawn_in_turn`, which
+    decides on how many processes), and each process draws only its own: the
+    generator state goes round a ring of pipes, from the process that drew a
+    block to the one that draws the next, before either evaluates.  The
+    process that draws the last block returns the state it leaves, so
     ``rng`` continues as after the one draw.
     """
     step = max(1, _BLOCK_VALUES // op.mode_count)
@@ -354,11 +354,10 @@ def by_sample_blocks(op: OperatorSpectrum, rng: np.random.Generator, count: int,
         return random_rows(op, rng, (min(step, count - starts[index]), states), scale)
 
     blocks = range(len(starts))
-    workers = parallel.processes(len(blocks)) if op.mode_count >= _DEALT_MODES else 1
-    if workers == 1:
-        parts = [rows_of(draw(index)) for index in blocks]
+    if op.mode_count >= _DEALT_MODES:
+        parts, workers = parallel.drawn_in_turn(draw, rows_of, rng, blocks)
     else:
-        parts = parallel.drawn_in_turn(draw, rows_of, rng, blocks, workers)
+        parts, workers = [rows_of(draw(index)) for index in blocks], 1
     return tuple(np.concatenate(outputs, axis=-1) for outputs in zip(*parts)), workers
 
 

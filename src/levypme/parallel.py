@@ -28,10 +28,9 @@ class WorkerError(RuntimeError):
 
 
 def processes(items: int) -> int:
-    """The number of processes :func:`deal` runs ``items`` items on, and
-    :func:`drawn_in_turn` draws its blocks on: one per usable CPU
-    (``os.sched_getaffinity``), but no more than there are items, and one
-    where there is no ``os.fork``.
+    """How many processes to deal ``items`` items to, asked once a dealt job
+    (the affinity may change): one per usable CPU (``os.sched_getaffinity``),
+    but no more than there are items, and one where there is no ``os.fork``.
 
     The items are dealt only while BLAS is pinned to one thread: a threaded
     gemm in each of several processes would contend for the cores (four
@@ -43,15 +42,14 @@ def processes(items: int) -> int:
     return max(1, min(cpus, items))
 
 
-def deal(work, items):
-    """``[work(item) for item in items]`` and the number of processes that ran
-    it: this one and ``os.fork``ed children, :func:`processes` of them in all,
-    dealt the items round-robin.  Each stops at its first failure; the lowest
+def deal(work, items, workers):
+    """``[work(item) for item in items]`` on ``workers`` processes (a
+    :func:`processes` answer): this one and ``os.fork``ed children, dealt the
+    items round-robin.  Each stops at its first failure; the lowest
     item's is raised, as the plain loop would.  A child sends a byte as it
     ends each item and its outcomes when it ends its share, so one that dies
     fails, with a :class:`WorkerError` naming its signal or exit status, at
     the first of its items it did not end.  Every child is reaped."""
-    workers = processes(len(items))
 
     def share(start):  # (index, result or exception) of each item, up to the first failure
         for index in range(start, len(items), workers):
@@ -118,12 +116,13 @@ def deal(work, items):
     for _, value in done:
         if isinstance(value, Exception):
             raise value
-    return [value for _, value in done], workers
+    return [value for _, value in done]
 
 
-def drawn_in_turn(draw, rows_of, rng, blocks, workers) -> list:
-    """``[rows_of(draw(index)) for index in blocks]`` on :func:`deal`'s
-    ``workers`` processes, with ``rng`` at the state the plain loop leaves.
+def drawn_in_turn(draw, rows_of, rng, blocks) -> tuple:
+    """``[rows_of(draw(index)) for index in blocks]`` and the number of
+    processes that ran it (one :func:`processes` answer, which sizes both the
+    ring and :func:`deal`), with ``rng`` at the state the plain loop leaves.
 
     Process p draws blocks p, p + workers, ...  Pipe p of the ring carries
     the state left after each of them to process p + 1 (mod workers), which
@@ -132,8 +131,10 @@ def drawn_in_turn(draw, rows_of, rng, blocks, workers) -> list:
     it exits), so the next process reads an end of file instead of waiting
     for ever; that one fails too, at a later block than the failure
     :func:`deal` raises.  Each also keeps the reading end of its own pipe
-    open, so that a send never meets a closed pipe.
+    open, so that a send never meets a closed pipe.  On one process the ring
+    is one pipe, which the process sends to and reads from itself.
     """
+    workers = processes(len(blocks))
     ring = [(os.fdopen(read, "rb"), os.fdopen(write, "wb"))
             for read, write in (os.pipe() for _ in range(workers))]
     held = {end for pipe in ring for end in pipe}  # this process's open ends
@@ -158,12 +159,12 @@ def drawn_in_turn(draw, rows_of, rng, blocks, workers) -> list:
             raise
 
     try:
-        parts, _ = deal(evaluate, blocks)
+        parts = deal(evaluate, blocks, workers)
     finally:
         for end in held:
             end.close()
     rng.bit_generator.state = parts[-1][1]
-    return [outputs for outputs, _ in parts]
+    return [outputs for outputs, _ in parts], workers
 
 
 # The thread-count entry points of the OpenBLAS builds numpy links: the
@@ -206,7 +207,7 @@ def pin_blas_threads():
     as configured.
 
     Runs when this module is imported, after numpy has loaded its BLAS, and
-    again before :func:`deal` forks and when a run records its environment.
+    again in :func:`processes` and when a run records its environment.
     Forked processes inherit the setting.
     """
     found = _loaded_openblas()

@@ -22,16 +22,14 @@ one transform of u, of v and of w each and none back.  The monotonicity pairs
 (u1, u2), drawn next, also serve coercivity (on u1) and growth (on u2): the
 drift is evaluated once per state of a pair and feeds all three.  Every
 weighted pairing and norm is one row-local einsum pass, so no reduction ties
-a row's value to the block it sits in.  Every draw is made block by block
-(:func:`levypme.operators.by_sample_blocks`): a block of
-``max(1, 2**15 // modes)`` samples is drawn, evaluated and reduced to
-per-sample sides before the next one is drawn, so each (block x modes)
-temporary holds about 2^15 values and no (samples x modes) array exists,
-whatever the sample or mode count.  From 128 modes on the blocks are dealt
-to one process per usable CPU (:mod:`levypme.parallel`), and each process
-draws and evaluates only its own blocks, taking the generator's state from
-the process that drew the block before; every block is drawn and evaluated
-the same way wherever it runs.
+a row's value to the block it sits in.  Every draw is made a block at a
+time, of :func:`levypme.operators.by_sample_blocks`' size (about 2^15 values
+per state), and reduced to per-sample sides before the next one is drawn,
+so no (samples x modes) array exists, whatever the sample or mode count.
+From 128 modes on the blocks are dealt to one process per usable CPU
+(:mod:`levypme.parallel`), and each process draws and evaluates only its own
+blocks, taking the generator's state from the process that drew the block
+before; every block is drawn and evaluated the same way wherever it runs.
 """
 from __future__ import annotations
 

@@ -549,9 +549,9 @@ def _dealt_items(monkeypatch):
     """The items of every cascade.deal call from here on, one list a call."""
     seen = []
 
-    def recording(work, items):
+    def recording(work, items, workers):
         seen.append(list(items))
-        return parallel.deal(work, items)
+        return parallel.deal(work, items, workers)
 
     monkeypatch.setattr(cascade, "deal", recording)
     return seen
@@ -561,6 +561,7 @@ def test_chunk_bounds_gate_at_128_modes():
     # CHUNK_ROWS // cells paths a chunk, the rest in the last; from 128 modes
     # on, paths that fit one chunk are split into two halves
     assert cascade._chunk_bounds(127, 16, 3) == [(0, 16)]
+    assert cascade._chunk_bounds(128, 16, 3) == [(0, 8), (8, 16)]
     assert cascade._chunk_bounds(127, 45, 3) == [(0, 21), (21, 42), (42, 45)]
     assert cascade._chunk_bounds(129, 16, 3) == [(0, 8), (8, 16)]
     assert cascade._chunk_bounds(129, 21, 3) == [(0, 11), (11, 21)]

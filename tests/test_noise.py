@@ -5,6 +5,7 @@ Frozen constants: for multiplicative sigmas (0.1, -0.05) with intensities
 any of the norms.
 """
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -251,6 +252,27 @@ def test_hypothesis_audit_peak_memory_bounded(sample_count):
 
     peak = _within(10.0, traced)
     assert peak <= 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
+
+
+@pytest.mark.parametrize("first, later", [(2, 3), (3, 2)])
+def test_dealt_audit_asks_for_its_processes_once(monkeypatch, first, later):
+    # the usable CPUs change after the first read of the affinity: a dealt
+    # 129-mode audit (8 blocks) sizes its ring of pipes and its deal from
+    # that one answer, and returns the verdicts of a steady 2-CPU run
+    op = build_fractional_laplacian_torus(64, 0.5)
+    assert op.mode_count >= operators._DEALT_MODES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    steady = _within(10.0, lambda: audit_h2_h3(op, multiplicative_model()))
+    reads = []
+
+    def changing(pid):
+        reads.append(pid)
+        return set(range(first if len(reads) == 1 else later))
+
+    monkeypatch.setattr(os, "sched_getaffinity", changing)
+    conditions, workers = _within(10.0, lambda: audit_h2_h3(op, multiplicative_model()))
+    assert steady[1] == 2 and workers == first
+    assert repr(conditions) == repr(steady[0])
 
 
 class SlightlyUnderstatedH3(NoiseModel):

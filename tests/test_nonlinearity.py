@@ -209,18 +209,17 @@ def test_blocked_audit_is_the_one_shot_audit(monkeypatch, evaluate, sample_count
 
 @pytest.mark.parametrize("evaluate", [_steep_above, _nan_above])
 @pytest.mark.parametrize("sample_count, blocks", [
-    (61, [64, 2]),  # three pinned pairs in the first block, two in the second
-    (63, [64, 4]),  # one pinned pair in the first block, four in the second
+    (61, [61, 5]),  # one partial block of drawn pairs, then the five pinned ones
+    (63, [63, 5]),
     (64, [64, 5]),  # a full block of drawn pairs, then the five pinned ones
-    (127, [64, 64, 4]),  # the second block ends in one pinned pair
+    (127, [64, 63, 5]),
 ])
-def test_pinned_pairs_across_a_block_bound_are_the_one_shot_audit(
+def test_pinned_pairs_are_one_last_block(
         monkeypatch, evaluate, sample_count, blocks):
-    # each block is drawn as it is judged, so the pinned pairs that follow
-    # the draws may fall on both sides of a block bound, or in a block with
-    # no drawn pair: the blocks psi sees are at most 64 pairs, and joined
-    # they are the one-shot r and r', bit for bit and in order; the verdicts
-    # are the one-shot ones
+    # each block is drawn as it is judged, and the pinned pairs that follow
+    # the draws are one last block of their own: the blocks psi sees are at
+    # most 64 pairs, and joined they are the one-shot r and r', bit for bit
+    # and in order; the verdicts are the one-shot ones
     monkeypatch.setattr(nonlinearity, "_AUDIT_BLOCK", 64)
     expected, _ = _one_shot(NonlinearityPsi("planted", evaluate, 1.0), sample_count, seed=2)
     seen = []  # psi's inputs: r, then r', of each block

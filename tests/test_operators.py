@@ -7,6 +7,7 @@ import math
 import os
 import signal
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,6 +218,35 @@ def test_fft_transforms_match_the_basis(cutoff, transform):
     if transform == "fft":
         assert np.array_equal(op.to_physical(c[40]), op.to_physical(c)[40])
         assert np.array_equal(op.to_spectral(x[40]), op.to_spectral(x)[40])
+
+
+@pytest.mark.parametrize("off", ["to_physical", "to_spectral"])
+def test_fft_scales_check_each_direction(off):
+    # the 385-node trigonometric basis T plus u v^T, with u zero at node 0
+    # (so the scales read off row 0 stay T's) and 1e-6 of the way from
+    # W-orthogonal to T's nodal values of the check row.  With
+    # u^T W (B row) = 0 only the inverse transform of that row is off, by
+    # 2e-5 of its largest value; with v . row = 0 only the forward one is,
+    # by 1e-6.  Each comparison alone refuses the FFT (its bound is 1e-10
+    # relative).  B is not orthonormal, so it is checked on a plain record,
+    # not an OperatorSpectrum.
+    op = build_fractional_laplacian_torus(192, 0.5)
+    n, w = op.mode_count, op.weights
+    row = 1.0 / np.arange(1.0, n + 1.0)
+    nodal = op.basis @ row
+    u = np.r_[0.0, nodal[2], -nodal[1], np.zeros(n - 3)] + 1e-6 * np.r_[0.0, np.ones(n - 1)]
+    v = np.zeros(n)
+    if off == "to_physical":
+        v[0] = -(u @ (w * nodal)) / (u @ (w * u))
+    else:
+        v[1], v[2] = row[2], -row[1]
+
+    def scales(basis):
+        return operators._fft_scales(SimpleNamespace(
+            mode_count=n, labels=op.labels, weights=w, basis=basis))
+
+    assert scales(op.basis) is not None
+    assert scales(op.basis + np.outer(u, v)) is None
 
 
 def test_fft_needs_the_torus_basis():

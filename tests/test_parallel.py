@@ -82,7 +82,7 @@ def test_deal_names_what_a_child_could_not_send(planted, message, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(WorkerError, match=f"^{message}$"):
-        parallel.deal(work, range(6))
+        parallel.deal(work, range(6), parallel.processes(6))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -102,9 +102,9 @@ def test_deal_places_a_dead_worker_after_its_last_item(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ValueError, match="^item 2$"):
-        parallel.deal(lambda item: work(item, True), range(6))
+        parallel.deal(lambda item: work(item, True), range(6), parallel.processes(6))
     with pytest.raises(WorkerError, match="at item 3$"):
-        parallel.deal(lambda item: work(item, False), range(6))
+        parallel.deal(lambda item: work(item, False), range(6), parallel.processes(6))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -724,14 +724,16 @@ def test_zero_intensities_run_every_study(tmp_path, capsys):
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    # an unexpected exception is a failure of the run, not a failed check
-    def broken(plan):
-        raise TypeError("unexpected")
-
-    monkeypatch.setattr(cli, "lambda_cauchy_study", broken)
+    # an unexpected exception is a failure of the run, not a failed check;
+    # so is numpy's LinAlgError, a ValueError but not a usage error
     scn = _write_scenario(tmp_path, _text())
-    assert main(["lambda-study", "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
-    assert "internal error: TypeError: unexpected" in capsys.readouterr().err
+    for raised in (TypeError("unexpected"), np.linalg.LinAlgError("Singular matrix")):
+        def broken(plan):
+            raise raised
+
+        monkeypatch.setattr(cli, "lambda_cauchy_study", broken)
+        assert main(["lambda-study", "--scenario", scn, "--out", str(tmp_path / "o")]) == 3
+        assert f"internal error: {type(raised).__name__}: {raised}" in capsys.readouterr().err
 
 
 def test_numpy_scalars_serialize(tmp_path):

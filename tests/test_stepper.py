@@ -282,6 +282,18 @@ def test_stiff_cells_split_at_the_top():
     assert _RowParams.from_configs(plan.op, plan.psi, configs).depth == TOP_SPLIT_DEPTH
 
 
+def test_top_split_threshold_is_inclusive(monkeypatch):
+    # a cell whose centre factor is TOP_SPLIT_FACTOR exactly splits at the
+    # top; one ulp higher, the threshold leaves it at the centre
+    plan, configs = _plan_cells("additive_saturating.scn", mode_cutoff=128)
+    factor, centre = _centre_factor(plan, configs[0])
+    monkeypatch.setattr(stepper, "TOP_SPLIT_FACTOR", factor)
+    assert splitting(plan.op, plan.psi, configs[0]).depth == TOP_SPLIT_DEPTH
+    monkeypatch.setattr(stepper, "TOP_SPLIT_FACTOR", np.nextafter(factor, 2.0))
+    assert splitting(plan.op, plan.psi, configs[0]) == stepper.Splitting(
+        centre, factor, ANDERSON_DEPTH)
+
+
 def test_acceptance_cells_keep_the_centre_split():
     # acceptance.scn: factors 0.08-0.09, far below 1/2; nothing changes
     plan, configs = _plan_cells("acceptance.scn")
